@@ -15,7 +15,6 @@
 // micro_active_set.
 #include <chrono>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <memory>
 #include <string>
@@ -25,6 +24,7 @@
 #include "core/source.hpp"
 #include "core/system.hpp"
 #include "obs/alloc_stats.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -48,54 +48,6 @@ void seed_everywhere(System& sys) {
     sys.seed_entity(id, Vec2{static_cast<double>(id.i) + 0.5,
                              static_cast<double>(id.j) + 0.5});
   }
-}
-
-/// FNV-1a over every protocol variable (micro_active_set's digest).
-class StateDigest {
- public:
-  void mix(std::uint64_t v) noexcept {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (v >> (8 * b)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void mix_double(double d) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-  void mix_opt(const OptCellId& id) noexcept {
-    mix(id.has_value() ? (static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(id->i))
-                              << 32) |
-                             static_cast<std::uint32_t>(id->j)
-                       : ~0ull);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t digest(const System& sys) {
-  StateDigest d;
-  d.mix(sys.round());
-  d.mix(sys.total_arrivals());
-  d.mix(sys.total_injected());
-  for (const CellState& c : sys.cells()) {
-    d.mix(c.failed ? 1 : 0);
-    d.mix(c.dist.is_finite() ? c.dist.hops() : ~0ull);
-    d.mix_opt(c.next);
-    d.mix_opt(c.token);
-    d.mix_opt(c.signal);
-    d.mix(c.members.size());
-    for (const Entity& e : c.members) {
-      d.mix(e.id.value);
-      d.mix_double(e.center.x);
-      d.mix_double(e.center.y);
-    }
-  }
-  return d.value();
 }
 
 struct Engine {
@@ -132,7 +84,7 @@ Measurement measure(const SystemConfig& cfg, const Engine& eng,
       static_cast<double>(churn.allocs) / static_cast<double>(rounds);
   m.bytes_per_round =
       static_cast<double>(churn.bytes) / static_cast<double>(rounds);
-  m.state_digest = digest(sys);
+  m.state_digest = snapshot::state_digest(sys);
   return m;
 }
 

@@ -20,7 +20,6 @@
 #include <chrono>
 #include <functional>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <vector>
@@ -30,6 +29,7 @@
 #include "obs/engine_telemetry.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -46,55 +46,6 @@ SystemConfig overhead_config(int side) {
   cfg.sources.clear();
   for (int j = 0; j < side; ++j) cfg.sources.push_back(CellId{0, j});
   return cfg;
-}
-
-/// FNV-1a over every protocol variable of every cell — any single-bit
-/// perturbation introduced by the instrumentation changes it.
-class StateDigest {
- public:
-  void mix(std::uint64_t v) noexcept {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (v >> (8 * b)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void mix_double(double d) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-  void mix_opt(const OptCellId& id) noexcept {
-    mix(id.has_value() ? (static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(id->i))
-                              << 32) |
-                             static_cast<std::uint32_t>(id->j)
-                       : ~0ull);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t digest(const System& sys) {
-  StateDigest d;
-  d.mix(sys.round());
-  d.mix(sys.total_arrivals());
-  d.mix(sys.total_injected());
-  for (const CellState& c : sys.cells()) {
-    d.mix(c.failed ? 1 : 0);
-    d.mix(c.dist.is_finite() ? c.dist.hops() : ~0ull);
-    d.mix_opt(c.next);
-    d.mix_opt(c.token);
-    d.mix_opt(c.signal);
-    d.mix(c.members.size());
-    for (const Entity& e : c.members) {
-      d.mix(e.id.value);
-      d.mix_double(e.center.x);
-      d.mix_double(e.center.y);
-    }
-  }
-  return d.value();
 }
 
 enum class Mode { kDetached, kMetrics, kMetricsAndProfiler, kFull };
@@ -123,7 +74,7 @@ Measurement measure(int side, const ParallelPolicy& policy, Mode mode,
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   Measurement m;
   m.rounds_per_sec = secs > 0.0 ? static_cast<double>(rounds) / secs : 0.0;
-  m.state_digest = digest(sys);
+  m.state_digest = snapshot::state_digest(sys);
   return m;
 }
 

@@ -11,7 +11,9 @@
 // state; a digest of the full protocol state after the timed window is
 // compared across engines, so this bench doubles as an end-to-end
 // determinism check — any digest mismatch aborts nonzero (telemetry is
-// attached in every mode, so it also proves observation-only).
+// attached in every mode, so it also proves observation-only; each
+// parallel configuration also runs a twin with a no-op phase hook and
+// no telemetry — the shape Simulator drives — checked the same way).
 //
 // Each configuration is measured --reps times; the CSV reports the mean
 // plus a <metric>_rd relative-dispersion column ((max-min)/mean) per
@@ -21,7 +23,6 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
-#include <cstring>
 #include <iostream>
 #include <string>
 #include <thread>
@@ -31,6 +32,7 @@
 #include "core/system.hpp"
 #include "obs/engine_telemetry.hpp"
 #include "obs/metrics.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/cli.hpp"
 
 namespace {
@@ -50,55 +52,6 @@ SystemConfig scaling_config(int side) {
   return cfg;
 }
 
-/// FNV-1a over every protocol variable of every cell plus the round
-/// counters — any single-bit divergence between engines changes it.
-class StateDigest {
- public:
-  void mix(std::uint64_t v) noexcept {
-    for (int b = 0; b < 8; ++b) {
-      hash_ ^= (v >> (8 * b)) & 0xffu;
-      hash_ *= 0x100000001b3ull;
-    }
-  }
-  void mix_double(double d) noexcept {
-    std::uint64_t bits;
-    std::memcpy(&bits, &d, sizeof bits);
-    mix(bits);
-  }
-  void mix_opt(const OptCellId& id) noexcept {
-    mix(id.has_value() ? (static_cast<std::uint64_t>(
-                              static_cast<std::uint32_t>(id->i))
-                              << 32) |
-                             static_cast<std::uint32_t>(id->j)
-                       : ~0ull);
-  }
-  [[nodiscard]] std::uint64_t value() const noexcept { return hash_; }
-
- private:
-  std::uint64_t hash_ = 0xcbf29ce484222325ull;
-};
-
-std::uint64_t digest(const System& sys) {
-  StateDigest d;
-  d.mix(sys.round());
-  d.mix(sys.total_arrivals());
-  d.mix(sys.total_injected());
-  for (const CellState& c : sys.cells()) {
-    d.mix(c.failed ? 1 : 0);
-    d.mix(c.dist.is_finite() ? c.dist.hops() : ~0ull);
-    d.mix_opt(c.next);
-    d.mix_opt(c.token);
-    d.mix_opt(c.signal);
-    d.mix(c.members.size());
-    for (const Entity& e : c.members) {
-      d.mix(e.id.value);
-      d.mix_double(e.center.x);
-      d.mix_double(e.center.y);
-    }
-  }
-  return d.value();
-}
-
 struct Measurement {
   double rounds_per_sec = 0.0;
   std::uint64_t state_digest = 0;
@@ -112,19 +65,21 @@ struct Measurement {
   double coverage = 0.0;   ///< accounted / round wall time
 };
 
-/// `instrumented` attaches telemetry (the breakdown columns). Running
-/// once more with it detached matters beyond speed: only an
-/// unobserved pooled engine takes the fused-barrier run_plan path
-/// (update() needs the per-phase barriers to measure them), so the
-/// uninstrumented twin is what extends the digest check to that path.
+/// The default run attaches telemetry (the breakdown columns).
+/// `hooked_twin` instead installs a no-op phase hook with telemetry
+/// detached — how Simulator drives every cellflow_sim / Experiment run —
+/// so the digest check also covers the hooked, unmeasured engine.
 Measurement measure(int side, const ParallelPolicy& policy,
                     std::uint64_t warmup, std::uint64_t rounds,
-                    bool instrumented = true) {
+                    bool hooked_twin = false) {
   System sys(scaling_config(side));
   sys.set_parallel_policy(policy);
   obs::MetricsRegistry reg;
   obs::EngineTelemetry telemetry(reg);
-  if (instrumented) sys.set_telemetry(&telemetry);
+  if (hooked_twin)
+    sys.set_phase_hook([](const System&, UpdatePhase) {});
+  else
+    sys.set_telemetry(&telemetry);
   for (std::uint64_t k = 0; k < warmup; ++k) sys.update();
   telemetry.reset_totals();
   const auto t0 = std::chrono::steady_clock::now();
@@ -133,7 +88,7 @@ Measurement measure(int side, const ParallelPolicy& policy,
   const double secs = std::chrono::duration<double>(t1 - t0).count();
   Measurement m;
   m.rounds_per_sec = secs > 0.0 ? static_cast<double>(rounds) / secs : 0.0;
-  m.state_digest = digest(sys);
+  m.state_digest = snapshot::state_digest(sys);
   const obs::EngineTelemetry::Totals& t = telemetry.totals();
   if (t.rounds > 0) {
     const double n = static_cast<double>(t.rounds);
@@ -278,16 +233,16 @@ int main(int argc, char** argv) {
           std::cerr << "DIGEST MISMATCH: side=" << side << " threads=" << t
                     << " parallel state diverged from serial\n";
         }
-        // Fused-engine coverage: one uninstrumented run per parallel
-        // configuration (see measure()'s comment) whose digest must
-        // match the instrumented engines'.
-        const Measurement fused =
-            measure(side, policy, warmup, rounds, /*instrumented=*/false);
+        // Hooked twin: one run per parallel configuration with a no-op
+        // phase hook and no telemetry (see measure()), whose digest must
+        // match serial.
+        const Measurement hooked =
+            measure(side, policy, warmup, rounds, /*hooked_twin=*/true);
         recorder.note_rounds(warmup + rounds);
-        if (fused.state_digest != dig) {
+        if (hooked.state_digest != serial_digest) {
           digests_agree = false;
           std::cerr << "DIGEST MISMATCH: side=" << side << " threads=" << t
-                    << " fused (uninstrumented) engine diverged\n";
+                    << " hooked twin diverged from serial\n";
         }
       }
       rows.push_back(row);

@@ -1,20 +1,19 @@
 #!/usr/bin/env sh
 # Builds the test suite with ThreadSanitizer (CELLFLOW_TSAN=ON, see the
 # `tsan` CMake preset) and runs the concurrency-sensitive subset: the
-# ThreadPool unit tests, the serial-vs-parallel differential suites, the
-# three-way equivalence tests, the observability layer (metrics registry
-# under the parallel engine, profiler shard spans, concurrent logger
-# writers), and the net-layer suites (SyncNetwork/FaultyNetwork units,
-# the zero-fault NetDifferential pin, the fault-schedule property fuzz,
-# and NetStabilization — single-threaded today, but kept in the lane so
-# a future parallel MessageSystem inherits the race check), plus the
-# active-set scheduler suites (ActiveSetDifferential runs the sharded
-# engine over the stamp/occupancy arrays — the scheduler reads them
-# inside worker threads and mutates them only at phase barriers, which
-# is exactly the discipline TSan verifies) and the GrantReplay transport
-# adversary, plus the snapshot/replay suites (the round-trip property
-# tests restore into engines running the parallel policy at 2 and 4
-# threads, so save/restore racing the pool would surface here). Any data
+# ThreadPool/PlanStage unit tests, the serial-vs-parallel differential
+# suites, the three-way equivalence tests, the observability layer
+# (metrics registry under the parallel engine, profiler shard spans,
+# concurrent logger writers), the net-layer suites, the active-set
+# scheduler suites, the snapshot/replay suites and the chunked store.
+# System::update runs every round as one stage plan on the pool; phase
+# hooks, a stateful choose policy's Signal pass and the profiler and
+# telemetry stamps all sit in its serial stages, on the caller, while
+# workers hold at the stage boundary. PhaseHookDifferential drives
+# exactly that — a hook reading the whole System between pooled stages
+# on every engine, with profiler and telemetry attached to one of them
+# — and ActiveSetDifferential covers the scheduler arrays the workers
+# read inside stages and the caller mutates only in the merges. Any data
 # race in the parallel round engine or the instrumentation aborts the
 # run.
 #

@@ -248,7 +248,7 @@ ThreadPool* ChunkedSystem::phase_pool(std::size_t approx_cells) const {
     return pool;
   const std::size_t used = shard_count(approx_cells, pool->thread_count());
   if (used <= 1) return pool;  // parallel_for_shards falls back anyway
-  const auto grain = static_cast<std::size_t>(parallel_.cutover_grain);
+  const auto grain = static_cast<std::size_t>(ParallelPolicy::kCutoverGrain);
   return approx_cells < grain * used ? nullptr : pool;
 }
 
@@ -355,10 +355,10 @@ bool ChunkedSystem::injection_is_safe(CellId id, Vec2 center) const {
 const RoundEvents& ChunkedSystem::update() {
   events_.clear();
   events_.round = round_;
-  run_route_phase();
-  run_signal_phase();
-  run_move_phase();
-  run_inject_phase();
+  route_phase();
+  signal_phase();
+  move_phase();
+  inject_phase();
   if (metrics_) {
     metrics_->add(round_counts_);
     metrics_->add_round();
@@ -384,7 +384,7 @@ std::uint64_t ChunkedSystem::virgin_route_comp(std::size_t q) const {
   return sum;
 }
 
-void ChunkedSystem::run_route_phase() {
+void ChunkedSystem::route_phase() {
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
   const auto& order = store_.live_order();
   if (!active) {
@@ -440,7 +440,7 @@ void ChunkedSystem::run_route_phase() {
 
   // Skipped-chunk compensation: a quiescent live cell tallies exactly
   // its lattice degree per round under the dense active-set scheduler
-  // (visited or not — see System::run_route_phase); non-live chunks owe
+  // (visited or not — see System::route_span); non-live chunks owe
   // that same tally, from their O(1) summaries. Must run BEFORE the
   // arming merge below: arming can fault a chunk in, and a chunk that
   // was non-live while the sharded body ran still owes this round's
@@ -527,7 +527,7 @@ void ChunkedSystem::route_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
   c.next = r.next;
 }
 
-void ChunkedSystem::run_signal_phase() {
+void ChunkedSystem::signal_phase() {
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
   // A stateful choose policy pins Signal serial — and, here, to a
   // *global row-major* sweep: chunk-major traversal would permute the
@@ -623,7 +623,7 @@ void ChunkedSystem::run_signal_phase() {
   // so sort (cell ids are unique — the order is total).
   std::sort(events_.blocked.begin(), events_.blocked.end(), dense_less);
 
-  // Skipped-chunk compensation (see run_route_phase): one ne_prev_sizes[0]
+  // Skipped-chunk compensation (see route_phase): one ne_prev_sizes[0]
   // per non-failed cell. Tallied before the occupancy flips are applied —
   // a flip can fault a neighboring chunk in, and a chunk that was
   // non-live during the sweep still owes this round's tally.
@@ -705,7 +705,7 @@ void ChunkedSystem::signal_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
     flip_out->push_back(id);
 }
 
-void ChunkedSystem::run_move_phase() {
+void ChunkedSystem::move_phase() {
   const bool active = scheduler_ == RoundScheduler::kActiveSet;
   const auto& order = store_.live_order();
   ThreadPool* pool = phase_pool(
@@ -829,7 +829,7 @@ void ChunkedSystem::move_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
     pending_out.push_back(PendingTransfer{e, id, dest});
 }
 
-void ChunkedSystem::run_inject_phase() {
+void ChunkedSystem::inject_phase() {
   for (const CellId s : config_.sources) {
     CellState& c = cell_mut(s);  // source chunks are pinned live
     if (c.failed) continue;

@@ -221,10 +221,10 @@ class ChunkedSystem {
   /// The cell, faulting its chunk in if necessary (mutation points).
   [[nodiscard]] CellState& cell_mut(CellId id);
 
-  void run_route_phase();
-  void run_signal_phase();
-  void run_move_phase();
-  void run_inject_phase();
+  void route_phase();
+  void signal_phase();
+  void move_phase();
+  void inject_phase();
 
   // Per-cell phase bodies; (lc, rect, slot, id) locate the cell inside
   // its live chunk (the chunk loops carry `id` incrementally so the
@@ -274,10 +274,10 @@ class ChunkedSystem {
 
   /// The pool a phase should use, honoring ParallelPolicy's kAuto serial
   /// cutover: nullptr when the phase's approximate cell workload would
-  /// hand each shard less than cutover_grain cells (the dispatch and
-  /// barrier would then dominate). Bit-identity is unaffected — both
-  /// engines produce identical results (DESIGN.md §6), the cutover only
-  /// picks which one runs.
+  /// hand each shard less than ParallelPolicy::kCutoverGrain cells (the
+  /// dispatch and barrier would then dominate). Bit-identity is
+  /// unaffected — both engines produce identical results (DESIGN.md §6),
+  /// the cutover only picks which one runs.
   [[nodiscard]] ThreadPool* phase_pool(std::size_t approx_cells) const;
 
   SystemConfig config_;

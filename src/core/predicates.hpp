@@ -50,8 +50,8 @@ struct Violation {
 
 /// Predicate H(x): for every cell with signal = ⟨m,n⟩, the entry strip
 /// toward ⟨m,n⟩ is clear. Holds at the post-Signal point of every round
-/// (Lemma 3); System::update() evaluates-and-records it there, and this
-/// oracle re-checks the recorded state (see System::h_held_last_round()).
+/// (Lemma 3), so callers evaluate it from a System::PhaseHook at
+/// UpdatePhase::kAfterSignal — SafetyMonitor::on_phase does exactly that.
 [[nodiscard]] std::optional<Violation> check_h_predicate(
     const System& sys, double eps = kPredicateEps);
 

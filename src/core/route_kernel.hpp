@@ -1,4 +1,4 @@
-// Bulk Route gather: the packed-key argmin behind run_route_phase's
+// Bulk Route gather: the packed-key argmin behind System::route_span's
 // fast path (DESIGN.md §6). route_step (core/route.hpp) stays the
 // reference semantics — Figure 4's `min over neighbors of (dist, id),
 // plus one` — and every other realization still calls it; this kernel

@@ -6,7 +6,6 @@
 #include <span>
 #include <stdexcept>
 #include <string>
-#include <thread>
 
 #include "core/move.hpp"
 #include "core/route.hpp"
@@ -20,6 +19,9 @@
 namespace cellflow {
 
 namespace {
+
+// Profiler span names of the three sharded phases, by phase index.
+constexpr std::array<const char*, 3> kPhaseNames{"route", "signal", "move"};
 
 // Reporting-only clock difference in whole ns, clamped at zero.
 std::uint64_t span_ns(obs::PhaseProfiler::Clock::time_point a,
@@ -188,72 +190,46 @@ void System::sync_pool_timing() {
   pool_->set_timing(want);
   pool_->reset_timings();
   if (want)
-    batch_samples_.reserve(static_cast<std::size_t>(pool_->thread_count()));
+    stage_samples_.reserve(static_cast<std::size_t>(pool_->thread_count()));
 }
 
-void System::note_phase_timing(int phase_idx, ThreadPool* pool,
-                               std::size_t used) {
-  // `pooled`: the partition actually ran on workers (parallel_for_shards
-  // falls back to the caller for single-shard partitions).
-  const bool pooled = pool != nullptr && used > 1;
-  if (telemetry_ != nullptr) {
-    std::uint64_t sum = 0;
-    std::uint64_t max = 0;
-    for (std::size_t s = 0; s < used; ++s) {
-      const std::uint64_t v = scratch_.shards[s].span_ns;
-      sum += v;
-      if (v > max) max = v;
-    }
-    round_timing_.imbalance[static_cast<std::size_t>(phase_idx)] =
-        (used > 1 && sum > 0) ? static_cast<double>(max) *
-                                    static_cast<double>(used) /
-                                    static_cast<double>(sum)
-                              : 1.0;
-    // A phase that ran on the calling thread needs no attribution here:
-    // update()'s timed() wrapper counts its whole wall span as serial
-    // work (merges and glue included).
-  }
-  if (pooled && (telemetry_ != nullptr || profiler_ != nullptr)) {
-    pool->last_batch_samples(batch_samples_);
-    const auto dispatched = pool->last_batch_dispatch();
-    const auto done = pool->last_batch_done();
-    if (telemetry_ != nullptr && !batch_samples_.empty()) {
-      // Wall-equivalent decomposition of the batch that just ran: each
-      // participating worker's dispatch+busy+barrier chain spans
-      // dispatched->done exactly, so the participant-normalized sums
-      // partition the batch wall (see RoundTiming). busy (wake to own
-      // last task end) rather than task time, so queue-claim waits and
-      // OS preemption gaps inside the batch stay accounted.
+void System::note_pooled_stages(const ThreadPool& pool) {
+  // Plan layout (update()): parallel stage p of the round is plan stage
+  // 2p. Each participating executor's open -> first task (dispatch:
+  // wake-up and claim latency), first -> last task (busy: task bodies
+  // plus the claim and preemption gaps between them), last task -> done
+  // (barrier) chain spans the caller's open/done stamps exactly, so the
+  // participant-normalized sums partition the stage wall (see
+  // RoundTiming). busy rather than task time, so preemption gaps inside
+  // the stage stay accounted; utilization uses task time instead.
+  for (std::size_t p = 0; p < 3; ++p) {
+    pool.last_plan_stage_samples(2 * p, stage_samples_);
+    if (stage_samples_.empty()) continue;  // a stage with no tasks
+    const auto open = round_timing_.open[p];
+    const auto done = round_timing_.done[p];
+    if (telemetry_ != nullptr) {
       std::uint64_t disp = 0;
       std::uint64_t busy = 0;
       std::uint64_t barrier = 0;
-      std::uint64_t task = 0;
-      for (const ThreadPool::BatchWorkerSample& w : batch_samples_) {
-        disp += span_ns(dispatched, w.wake);
-        busy += span_ns(w.wake, w.last_task_end);
+      for (const ThreadPool::StageSample& w : stage_samples_) {
+        disp += span_ns(open, w.first_task_start);
+        busy += span_ns(w.first_task_start, w.last_task_end);
         barrier += span_ns(w.last_task_end, done);
-        task += w.work_ns;
+        round_timing_.pool_task_ns += w.work_ns;
       }
-      const auto n = static_cast<std::uint64_t>(batch_samples_.size());
+      const auto n = static_cast<std::uint64_t>(stage_samples_.size());
       round_timing_.pool_dispatch_ns += disp / n;
       round_timing_.pool_busy_ns += busy / n;
       round_timing_.pool_barrier_ns += barrier / n;
-      round_timing_.pool_task_ns += task;
-      // Caller-resume latency: the last worker stamped `done`, but this
-      // thread only continues once the OS reschedules it — on a
-      // contended machine that gap is real round time, billed as
-      // dispatch (both are scheduling, not protocol work).
-      round_timing_.pool_resume_ns +=
-          span_ns(done, obs::PhaseProfiler::Clock::now());
     }
     if (profiler_ != nullptr) {
-      // Per-worker spans of the batch that just ran: dispatch latency,
-      // the task-executing envelope, and the barrier stall — these
-      // render as per-worker tracks in the Chrome-trace export, so
-      // Perfetto shows exactly which worker idled at which barrier.
-      for (const ThreadPool::BatchWorkerSample& w : batch_samples_) {
-        profiler_->record_worker("dispatch", round_, w.worker, dispatched,
-                                 w.wake);
+      // Per-worker spans of the stage: dispatch latency, the
+      // task-executing envelope, and the barrier stall — these render
+      // as per-worker tracks in the Chrome-trace export, so Perfetto
+      // shows exactly which worker idled at which barrier.
+      for (const ThreadPool::StageSample& w : stage_samples_) {
+        profiler_->record_worker("dispatch", round_, w.worker, open,
+                                 w.first_task_start);
         profiler_->record_worker("work", round_, w.worker, w.first_task_start,
                                  w.last_task_end);
         profiler_->record_worker("barrier_wait", round_, w.worker,
@@ -340,12 +316,13 @@ void System::recover(CellId id) {
 }
 
 bool System::decide_cutover() const {
-  // kAuto: run this round serial when the previous round's widest phase
-  // would hand each shard less than the grain's worth of cells — the
-  // pooled round would then be dominated by dispatch and barriers. The
-  // inputs (SchedulerStats, grid size, policy) are engine-independent,
-  // and by §6 both engines are bit-identical, so the choice can never
-  // change results. Round 0 has no stats yet and runs as configured.
+  // kAuto: run this round inline when the previous round's widest phase
+  // would hand each shard less than kCutoverGrain cells — the pooled
+  // round would then be dominated by dispatch and barriers. The inputs
+  // (SchedulerStats, grid size, policy) are engine-independent, and by
+  // §6 both forms of the plan are bit-identical, so the choice can
+  // never change results. Round 0 has no stats yet and runs as
+  // configured.
   if (round_ == 0) return false;
   const std::size_t used =
       shard_count(cells_.size(), pool_->thread_count());
@@ -353,85 +330,151 @@ bool System::decide_cutover() const {
   const std::uint64_t widest =
       std::max({sched_stats_.route_cells, sched_stats_.signal_cells,
                 sched_stats_.move_cells});
-  double grain = static_cast<double>(parallel_.cutover_grain);
-  if (ewma_cutover_grain_ > 0.0)
-    grain = std::clamp(ewma_cutover_grain_, 64.0, 4096.0);
-  return static_cast<double>(widest) <
-         grain * static_cast<double>(used);
+  return widest <
+         static_cast<std::uint64_t>(ParallelPolicy::kCutoverGrain) * used;
 }
 
 const RoundEvents& System::update() {
   events_.clear();
   events_.round = round_;
 
-  // Profiling/telemetry wrap (they never feed back into the round) and
-  // metrics flush once per round, after the phases — see set_metrics().
+  // Profiling/telemetry wrap the round (they never feed back into it)
+  // and metrics flush once per round, after the plan — see set_metrics().
   using ProfClock = obs::PhaseProfiler::Clock;
   const bool track = profiler_ != nullptr || telemetry_ != nullptr;
   const auto t_round = track ? ProfClock::now() : ProfClock::time_point{};
-  if (telemetry_ != nullptr) round_timing_.reset();
-  // Serial cutover (ParallelPolicy::Cutover::kAuto): the round in
-  // flight uses round_pool_, which this decision may pin to nullptr.
+  if (track) round_timing_.reset();
+  // The round pools unless the kAuto cutover pins it inline or the
+  // partition has a single shard; an inline round is the same plan run
+  // on this thread with used == 1.
   const bool cutover =
       pool_ != nullptr &&
       parallel_.cutover == ParallelPolicy::Cutover::kAuto && decide_cutover();
-  round_pool_ = cutover ? nullptr : pool_.get();
-  // `count_serial`: the phase will run entirely on the calling thread,
-  // so its whole wall span — body, merges, glue — is telemetry "work"
-  // (pooled phases decompose themselves via note_phase_timing instead).
-  // Whether a phase pools is decided here exactly the way
-  // parallel_for_shards decides it: a pool exists and the partition
-  // yields more than one shard; Signal additionally pins serial under a
-  // stateful choose policy.
-  const bool pooled =
-      round_pool_ != nullptr &&
-      shard_count(cells_.size(), round_pool_->thread_count()) > 1;
-  const bool signal_pooled = pooled && choose_->concurrent_safe();
-  // Fused-barrier orchestration (DESIGN.md §6): one run_plan dispatch
-  // covers the whole round when nothing needs the per-phase barriers —
-  // no hook observing intermediate states, no profiler/telemetry
-  // measuring them — and shards are wide enough (>= side cells) that
-  // the Route→Signal gate only ever spans adjacent shards, which is
-  // what makes the in-stage wait deadlock-free.
-  const bool fused =
-      pooled && !phase_hook_ && !track &&
-      cells_.size() / shard_count(cells_.size(),
-                                  round_pool_->thread_count()) >=
-          static_cast<std::size_t>(config_.side);
-  const auto timed = [this, track](const char* name, bool count_serial,
-                                   auto&& phase) {
-    if (!track) {
-      phase();
-      return;
-    }
-    const auto t0 = ProfClock::now();
-    phase();
-    const auto t1 = ProfClock::now();
-    if (profiler_ != nullptr) profiler_->record(name, round_, -1, t0, t1);
-    if (count_serial && telemetry_ != nullptr)
-      round_timing_.serial_work_ns += span_ns(t0, t1);
-  };
+  ThreadPool* pool = cutover ? nullptr : pool_.get();
+  const std::size_t n = cells_.size();
+  const std::size_t used =
+      shard_count(n, pool != nullptr ? pool->thread_count() : 1);
+  if (used <= 1) pool = nullptr;
+  const bool pooled = pool != nullptr;
+  // Per-shard clocks feed the profiler's shard spans and the imbalance
+  // statistic; an inline round needs neither for telemetry alone.
+  const bool shard_timing =
+      profiler_ != nullptr || (telemetry_ != nullptr && pooled);
+  const bool signal_sharded = choose_->concurrent_safe();
 
-  if (fused) {
-    run_fused_round();
-  } else {
-    timed("route", !pooled, [this] { run_route_phase(); });
-    if (phase_hook_) phase_hook_(*this, UpdatePhase::kAfterRoute);
-    timed("signal", !signal_pooled, [this] { run_signal_phase(); });
-    if (phase_hook_) phase_hook_(*this, UpdatePhase::kAfterSignal);
-    timed("move", !pooled, [this] { run_move_phase(); });
-    if (phase_hook_) phase_hook_(*this, UpdatePhase::kAfterMove);
-    timed("inject", true, [this] { run_inject_phase(); });
-    if (phase_hook_) phase_hook_(*this, UpdatePhase::kAfterInject);
+  // kExhaustive recopies Route's dist snapshot every round; kActiveSet
+  // keeps it in sync incrementally (merge_route_results).
+  if (scheduler_ != RoundScheduler::kActiveSet) {
+    for (std::size_t k = 0; k < n; ++k)
+      dist_snapshot_[k] = cells_[k].dist.raw();
   }
+  for (std::size_t s = 0; s < used; ++s) scratch_.shards[s].begin_round();
+
+  // Caller-side stamps (profiler/telemetry only). `at` ends the last
+  // billed piece: each serial piece bills [at, now) to one component —
+  // merges to merge when pooled, serial bodies (and inline merges) to
+  // work, hooks to none — and each parallel stage's [open, done) is
+  // either decomposed by note_pooled_stages or, inline, billed to work.
+  auto at = t_round;
+  const auto bill = [&](std::uint64_t* into, const char* span) {
+    if (!track) return;
+    const auto now = ProfClock::now();
+    if (into != nullptr) *into += span_ns(at, now);
+    if (span != nullptr && profiler_ != nullptr)
+      profiler_->record(span, round_, -1, at, now);
+    at = now;
+  };
+  std::uint64_t* const merge_into =
+      pooled ? &round_timing_.merge_ns : &round_timing_.serial_work_ns;
+  const auto parallel_done = [&](std::size_t p) {
+    if (!track) return;
+    round_timing_.open[p] = at;
+    bill(pooled ? nullptr : &round_timing_.serial_work_ns, kPhaseNames[p]);
+    round_timing_.done[p] = at;
+    if (telemetry_ != nullptr && pooled) {
+      std::uint64_t sum = 0;
+      std::uint64_t max = 0;
+      for (std::size_t s = 0; s < used; ++s) {
+        const std::uint64_t v = scratch_.shards[s].span_ns;
+        sum += v;
+        max = std::max(max, v);
+      }
+      round_timing_.imbalance[p] =
+          sum > 0 ? static_cast<double>(max) * static_cast<double>(used) /
+                        static_cast<double>(sum)
+                  : 1.0;
+    }
+  };
+  const auto hook = [&](UpdatePhase phase) {
+    if (!phase_hook_) return;
+    phase_hook_(*this, phase);
+    bill(nullptr, nullptr);  // hook time stays outside the components
+  };
+  const auto shard = [&](std::size_t p, std::size_t t) {
+    const ShardRange r = shard_range_at(n, used, t);
+    const auto t0 = shard_timing ? ProfClock::now() : ProfClock::time_point{};
+    if (p == 0)
+      route_span(t, r.begin, r.end);
+    else if (p == 1)
+      signal_span(t, r.begin, r.end);
+    else
+      move_span(t, r.begin, r.end);
+    if (shard_timing) {
+      const auto t1 = ProfClock::now();
+      scratch_.shards[t].span_ns = span_ns(t0, t1);
+      if (profiler_ != nullptr)
+        profiler_->record(kPhaseNames[p], round_, static_cast<int>(t), t0, t1);
+    }
+  };
+  const auto route = [&](std::size_t t) { shard(0, t); };
+  const auto signal = [&](std::size_t t) { shard(1, t); };
+  const auto move = [&](std::size_t t) { shard(2, t); };
+  const auto after_route = [&](std::size_t) {
+    parallel_done(0);
+    merge_route_results(used);
+    bill(merge_into, "merge");
+    hook(UpdatePhase::kAfterRoute);
+    if (!signal_sharded) {
+      // Stateful choose policy: one in-order pass in slot 0, so its
+      // stream observes the exact serial call sequence (§6 pillar 4).
+      signal_span(0, 0, n);
+      bill(&round_timing_.serial_work_ns, "signal");
+    }
+  };
+  const auto after_signal = [&](std::size_t) {
+    if (signal_sharded) parallel_done(1);
+    merge_signal_results(used);
+    bill(merge_into, "merge");
+    hook(UpdatePhase::kAfterSignal);
+  };
+  const auto after_move = [&](std::size_t) {
+    parallel_done(2);
+    merge_move_results(used);
+    bill(merge_into, "merge");
+    hook(UpdatePhase::kAfterMove);
+    inject_phase();
+    bill(&round_timing_.serial_work_ns, "inject");
+    hook(UpdatePhase::kAfterInject);
+  };
+  const ThreadPool::PlanStage stages[] = {
+      {/*parallel=*/true, used, route},
+      {/*parallel=*/false, 1, after_route},
+      {/*parallel=*/true, signal_sharded ? used : 0, signal},
+      {/*parallel=*/false, 1, after_signal},
+      {/*parallel=*/true, used, move},
+      {/*parallel=*/false, 1, after_move},
+  };
+  bill(&round_timing_.serial_work_ns, nullptr);  // pre-plan snapshot/clears
+  run_plan(pool, stages, std::size(stages));
 
   const auto t_end = track ? ProfClock::now() : ProfClock::time_point{};
+  if (pooled && track) note_pooled_stages(*pool);
   if (profiler_ != nullptr)
     profiler_->record("round", round_, -1, t_round, t_end);
   if (telemetry_ != nullptr) {
     obs::RoundBreakdown b;
     b.round_ns = span_ns(t_round, t_end);
-    b.workers = round_pool_ ? round_pool_->thread_count() : 1;
+    b.workers = pooled ? pool->thread_count() : 1;
     b.cutover = cutover;
     if (pool_) {
       const DispatchStats ds = pool_->dispatch_stats();
@@ -442,8 +485,7 @@ const RoundEvents& System::update() {
     }
     b.work_ns = round_timing_.serial_work_ns + round_timing_.pool_busy_ns;
     b.barrier_wait_ns = round_timing_.pool_barrier_ns;
-    b.dispatch_ns =
-        round_timing_.pool_dispatch_ns + round_timing_.pool_resume_ns;
+    b.dispatch_ns = round_timing_.pool_dispatch_ns;
     b.merge_ns = round_timing_.merge_ns;
     b.imbalance_route = round_timing_.imbalance[0];
     b.imbalance_signal = round_timing_.imbalance[1];
@@ -456,32 +498,6 @@ const RoundEvents& System::update() {
           static_cast<double>(round_timing_.pool_task_ns) /
           (static_cast<double>(pool_->thread_count()) *
            static_cast<double>(b.round_ns));
-    }
-    if (pooled) {
-      // Adaptive cutover grain: a pooled, telemetry-tracked round gives
-      // a live sample of "how many cells per shard would this round's
-      // overhead have paid for" — overhead_ns / (per-cell work × shard
-      // count). The EWMA smooths scheduler noise; decide_cutover clamps
-      // it before use. Timing only selects which of two bit-identical
-      // engines runs (§6), so feeding it back is determinism-safe.
-      const std::uint64_t visited = sched_stats_.route_cells +
-                                    sched_stats_.signal_cells +
-                                    sched_stats_.move_cells;
-      const std::uint64_t overhead = round_timing_.pool_dispatch_ns +
-                                     round_timing_.pool_resume_ns +
-                                     round_timing_.pool_barrier_ns;
-      if (visited > 0 && round_timing_.pool_task_ns > 0) {
-        const double cell_ns =
-            static_cast<double>(round_timing_.pool_task_ns) /
-            static_cast<double>(visited);
-        const std::size_t width =
-            shard_count(cells_.size(), pool_->thread_count());
-        const double sample = static_cast<double>(overhead) /
-                              (cell_ns * static_cast<double>(width));
-        ewma_cutover_grain_ = ewma_cutover_grain_ == 0.0
-                                  ? sample
-                                  : 0.8 * ewma_cutover_grain_ + 0.2 * sample;
-      }
     }
     telemetry_->record_round(b);
     if (profiler_ != nullptr) {
@@ -501,198 +517,17 @@ const RoundEvents& System::update() {
   return events_;
 }
 
-void System::run_fused_round() {
-  // One ThreadPool::run_plan dispatch for the whole round (DESIGN.md
-  // §6). The legacy path pays a dispatch + full barrier per phase; here
-  // the workers wake once and ride three stages:
-  //
-  //   stage 0 (parallel): Route over grid shards, then — when the
-  //     choose policy is concurrent-safe — Signal over the same shard,
-  //     gated per shard instead of globally: shard t's Signal half only
-  //     needs the Route outputs of shards t-1, t, t+1 (every input a
-  //     Signal cell reads lies within `side` cells of it, and update()
-  //     only fuses when each shard spans >= side cells). Deadlock-free:
-  //     tasks are claimed in ascending order and every task publishes
-  //     its Route flag *before* waiting, so the only wait on an
-  //     unclaimed task is the highest claimed task waiting on t+1 —
-  //     and with >= 2 executors (pooled implies it; the caller is
-  //     executor 0) some executor is free to claim t+1.
-  //   stage 1 (serial, workers held): the phase merges, in the same
-  //     shard order as the legacy path — plus the whole Signal phase
-  //     when a stateful choose policy pins it serial.
-  //   stage 2 (parallel): Move over grid shards.
-  //
-  // Same span bodies, same shard ranges, same merge order as the
-  // legacy path ⇒ the §6 bit-identity argument is unchanged.
-  ThreadPool* pool = round_pool_;
-  const std::size_t n = cells_.size();
-  const std::size_t used = shard_count(n, pool->thread_count());
-  const bool signal_fused = choose_->concurrent_safe();
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-
-  if (!active) {
-    for (std::size_t k = 0; k < n; ++k)
-      dist_snapshot_[k] = cells_[k].dist.raw();
-  }
-  const auto nshards = static_cast<std::size_t>(pool->thread_count());
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-
-  // Reset the Route→Signal gate while the workers are quiescent.
-  if (route_ready_cap_ < used) {
-    route_ready_ = std::make_unique<std::atomic<std::uint32_t>[]>(used);
-    route_ready_cap_ = used;
-  }
-  for (std::size_t s = 0; s < used; ++s)
-    route_ready_[s].store(0, std::memory_order_relaxed);
-
-  const auto wait_ready = [this](std::size_t t) {
-    for (int spin = 0; route_ready_[t].load(std::memory_order_acquire) == 0;
-         ++spin) {
-      if (spin >= 256) std::this_thread::yield();
-    }
-  };
-  const auto route_signal_stage = [&](std::size_t t) {
-    const ShardRange r = shard_range_at(n, used, t);
-    route_span(t, r.begin, r.end);
-    route_ready_[t].store(1, std::memory_order_release);
-    if (signal_fused) {
-      if (t > 0) wait_ready(t - 1);
-      if (t + 1 < used) wait_ready(t + 1);
-      signal_span(t, r.begin, r.end);
-    }
-  };
-  const auto merge_stage = [&](std::size_t) {
-    merge_shard_counts(used);
-    merge_route_results(used);
-    if (signal_fused) {
-      merge_signal_results(used);
-    } else {
-      // Stateful choose policy: Signal pinned serial in slot 0, exactly
-      // like the legacy path (the merge then only sees slot 0's output).
-      ShardScratch& sc0 = scratch_.shards[0];
-      sc0.counts.reset();
-      signal_span(0, 0, n);
-      merge_signal_results(used);
-      if (metrics_) round_counts_.merge(sc0.counts);
-    }
-    // Re-arm the shard slots for Move: tallies and the visited counter
-    // restart per phase (the event buffers were already merged above
-    // and are not reused by Move's slots).
-    for (std::size_t s = 0; s < used; ++s) {
-      scratch_.shards[s].counts.reset();
-      scratch_.shards[s].visited = 0;
-    }
-  };
-  const auto move_stage = [&](std::size_t t) {
-    const ShardRange r = shard_range_at(n, used, t);
-    move_span(t, r.begin, r.end);
-  };
-
-  const ThreadPool::PlanStage stages[3] = {
-      {/*parallel=*/true, used, route_signal_stage},
-      {/*parallel=*/false, 1, merge_stage},
-      {/*parallel=*/true, used, move_stage},
-  };
-  pool->run_plan(stages, 3);
-
-  merge_shard_counts(used);
-  merge_move_results(used);
-  run_inject_phase();
-}
-
-void System::run_route_phase() {
+void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
   // Phase-parallel Bellman–Ford: every cell reads its neighbors'
   // *previous-round* dist via dist_snapshot_ (Figure 4 semantics). The
   // snapshot makes the per-cell step a pure function of frozen data;
   // each cell writes only its own dist/next, so the loop shards freely.
-  //
-  // kExhaustive recopies the snapshot and visits every cell; kActiveSet
-  // keeps the snapshot fresh incrementally (only cells whose dist
-  // changed need resyncing) and visits only armed cells — a cell is
-  // armed exactly when a neighborhood dist changed last round or an
-  // external mutation touched it, which is precisely when route_step
-  // could produce something new. Skipped live cells still tally their
-  // would-be relaxations so the ProtocolCounts contract (bit-identical
-  // counts across engines) holds.
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  if (!active) {
-    for (std::size_t k = 0; k < cells_.size(); ++k)
-      dist_snapshot_[k] = cells_[k].dist.raw();
-  }
-
-  ThreadPool* pool = round_pool_;
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-
-  // Active-list sharding (DESIGN.md §6): when the armed set is sparse
-  // (under a quarter of the grid), contiguous grid shards degenerate —
-  // one shard can own the whole armed region while the rest only tally
-  // skips. Instead the calling thread pre-scans the gates into an
-  // ascending cell list, settles the skipped cells' counter obligations
-  // directly (ProtocolCounts merging is additive, so tally order cannot
-  // change the sums), and the pool shards the *list*. route_stamp_ is
-  // frozen for the phase (re-arming happens in the merge), so the
-  // pre-scan sees exactly the gates the shard bodies would have seen.
-  const std::size_t grid_used =
-      shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.route_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k) {
-      if (route_stamp_[k] >= round_) {
-        list.push_back(static_cast<std::uint32_t>(k));
-      } else if (metrics_ && !cells_[k].failed && k != target_k_) {
-        for (const std::uint32_t nk : nbr_idx_[k])
-          if (nk != kNoNbr) ++round_counts_.route_relaxations;
-      }
-    }
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
-  const bool pooled = pool != nullptr && used > 1;
-  // Per-shard spans feed the profiler and the imbalance statistic; a
-  // serial phase needs neither (imbalance is 1.0 and timed() already
-  // covers the wall), so telemetry alone reads no clocks here.
-  const bool shard_timing =
-      profiler_ != nullptr || (telemetry_ != nullptr && pooled);
-  const auto body = [&](std::size_t s, ShardRange r) {
-    const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
-                                 : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      route_list_span(s, r.begin, r.end);
-    else
-      route_span(s, r.begin, r.end);
-    if (shard_timing) {
-      const auto t1 = obs::PhaseProfiler::Clock::now();
-      scratch_.shards[s].span_ns = span_ns(t0, t1);
-      if (profiler_ != nullptr)
-        profiler_->record("route", round_, static_cast<int>(s), t0, t1);
-    }
-  };
-  parallel_for_shards(pool, domain, body);
-  note_phase_timing(0, pool, used);
-  // Merge is a separate telemetry component only when the phase pooled
-  // (post-barrier serial section); in a serial phase it is simply part
-  // of the phase's timed() work span.
-  const bool merge_timing = telemetry_ != nullptr && pooled;
-  const auto merge_t0 = merge_timing
-                            ? obs::PhaseProfiler::Clock::now()
-                            : obs::PhaseProfiler::Clock::time_point{};
-  merge_shard_counts(nshards);
-  merge_route_results(nshards);
-  if (merge_timing)
-    round_timing_.merge_ns +=
-        span_ns(merge_t0, obs::PhaseProfiler::Clock::now());
-}
-
-void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
+  // kActiveSet visits only armed cells — a cell is armed exactly when a
+  // neighborhood dist changed last round or an external mutation
+  // touched it, which is precisely when route_step could produce
+  // something new. Skipped live cells still tally their would-be
+  // relaxations so the ProtocolCounts contract (bit-identical counts
+  // across engines) holds.
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
@@ -755,42 +590,6 @@ void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
   }
 }
 
-void System::route_list_span(std::size_t s, std::size_t begin,
-                             std::size_t end) {
-  // Every list entry passed the arming gate on the calling thread, so
-  // the body is unconditional; consecutive interior entries still form
-  // kernel runs (an armed region is usually a contiguous frontier).
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  const auto side = static_cast<std::size_t>(config_.side);
-  std::size_t i = begin;
-  while (i < end) {
-    const std::size_t k = list[i];
-    const std::size_t kj = k / side;
-    const std::size_t ki = k % side;
-    const bool interior = side >= 3 && kj >= 1 && kj + 1 < side && ki >= 1 &&
-                          ki + 1 < side;
-    if (!huge_dist_seen_ && interior && k != target_k_ && !cells_[k].failed) {
-      // Last interior index of this row is kj*side + side - 2.
-      const std::size_t row_int_end = kj * side + side - 1;
-      std::size_t run = i + 1;
-      while (run < end && list[run] == list[run - 1] + 1 &&
-             list[run] < row_int_end &&
-             list[run] != static_cast<std::uint32_t>(target_k_) &&
-             !cells_[list[run]].failed)
-        ++run;
-      route_run_kernel(k, run - i, sc, pc, &sc.changed);
-      sc.visited += run - i;
-      i = run;
-    } else {
-      route_cell(k, pc, &sc.changed);
-      ++sc.visited;
-      ++i;
-    }
-  }
-}
-
 void System::route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
                               obs::ProtocolCounts* counts,
                               std::vector<std::size_t>* changed_out) {
@@ -826,19 +625,23 @@ void System::route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
   }
 }
 
-void System::merge_shard_counts(std::size_t used) {
+std::uint64_t System::collect_shards(std::size_t used) {
   // Counter determinism: shard tallies merge in ascending shard order,
   // the same discipline as the event buffers (merging is additive, so
   // the order is a convention, not a correctness requirement).
-  if (!metrics_) return;
-  for (std::size_t s = 0; s < used; ++s)
-    round_counts_.merge(scratch_.shards[s].counts);
+  std::uint64_t visited = 0;
+  for (std::size_t s = 0; s < used; ++s) {
+    ShardScratch& sc = scratch_.shards[s];
+    if (metrics_) round_counts_.merge(sc.counts);
+    sc.counts.reset();
+    visited += sc.visited;
+    sc.visited = 0;
+  }
+  return visited;
 }
 
 void System::merge_route_results(std::size_t used) {
-  sched_stats_.route_cells = 0;
-  for (std::size_t s = 0; s < used; ++s)
-    sched_stats_.route_cells += scratch_.shards[s].visited;
+  sched_stats_.route_cells = collect_shards(used);
   if (scheduler_ == RoundScheduler::kActiveSet) {
     // Post-barrier merge, shard order: sync the snapshot for changed
     // cells and arm their readers (the lattice neighbors) for next
@@ -916,79 +719,18 @@ void System::route_cell(std::size_t k, obs::ProtocolCounts* counts,
   }
 }
 
-void System::run_signal_phase() {
-  // Signal reads neighbors' fresh `next` (phase 1 output) and pre-Move
+void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
+  // Signal reads neighbors' fresh `next` (Route's output) and pre-Move
   // Members; it writes only its own ne_prev/token/signal — disjoint
   // struct fields, so concurrent cells never touch the same memory. A
   // stateful choose policy (RandomChoose) must observe the serial call
-  // sequence, so it pins this phase to the in-order loop; the results
-  // are identical either way for concurrent-safe (pure) policies.
-  ThreadPool* pool = choose_->concurrent_safe() ? round_pool_ : nullptr;
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-
-  // Active-list sharding, same shape as Route: occ_refs_ is frozen for
-  // the phase (flips buffer and apply at the barrier), so the calling
-  // thread's pre-scan sees exactly the gates the shard bodies would.
-  const std::size_t grid_used =
-      shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.signal_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k) {
-      if (occ_refs_[k] > 0) {
-        list.push_back(static_cast<std::uint32_t>(k));
-      } else if (metrics_ && !cells_[k].failed) {
-        ++round_counts_.ne_prev_sizes[0];
-      }
-    }
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
-  const bool pooled = pool != nullptr && used > 1;
-  const bool shard_timing =
-      profiler_ != nullptr || (telemetry_ != nullptr && pooled);
-  const auto body = [&](std::size_t s, ShardRange r) {
-    const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
-                                 : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      signal_list_span(s, r.begin, r.end);
-    else
-      signal_span(s, r.begin, r.end);
-    if (shard_timing) {
-      const auto t1 = obs::PhaseProfiler::Clock::now();
-      scratch_.shards[s].span_ns = span_ns(t0, t1);
-      if (profiler_ != nullptr)
-        profiler_->record("signal", round_, static_cast<int>(s), t0, t1);
-    }
-  };
-  parallel_for_shards(pool, domain, body);
-  note_phase_timing(1, pool, used);
-  const bool merge_timing = telemetry_ != nullptr && pooled;
-  const auto merge_t0 = merge_timing
-                            ? obs::PhaseProfiler::Clock::now()
-                            : obs::PhaseProfiler::Clock::time_point{};
-  merge_shard_counts(nshards);
-  merge_signal_results(nshards);
-  if (merge_timing)
-    round_timing_.merge_ns +=
-        span_ns(merge_t0, obs::PhaseProfiler::Clock::now());
-}
-
-void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
+  // sequence, so update() then runs one in-order pass instead.
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
     for (std::size_t k = begin; k < end; ++k)
       signal_cell(k, sc.blocked, pc, nullptr);
-    sc.visited_b += end - begin;
+    sc.visited += end - begin;
   } else {
     for (std::size_t k = begin; k < end; ++k) {
       // occ_refs_ is frozen for the duration of the phase (flips
@@ -1000,7 +742,7 @@ void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
       // tally for live cells.
       if (occ_refs_[k] > 0) {
         signal_cell(k, sc.blocked, pc, &sc.flips);
-        ++sc.visited_b;
+        ++sc.visited;
       } else if (pc != nullptr && !cells_[k].failed) {
         ++pc->ne_prev_sizes[0];
       }
@@ -1008,26 +750,14 @@ void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
   }
 }
 
-void System::signal_list_span(std::size_t s, std::size_t begin,
-                              std::size_t end) {
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  for (std::size_t i = begin; i < end; ++i)
-    signal_cell(list[i], sc.blocked, pc, &sc.flips);
-  sc.visited_b += end - begin;
-}
-
 void System::merge_signal_results(std::size_t used) {
-  // Shards cover ascending cell ranges (or an ascending slice of the
-  // active list), so concatenating in shard order reproduces the serial
-  // loop's blocked-event order exactly.
-  sched_stats_.signal_cells = 0;
+  // Shards cover ascending cell ranges, so concatenating in shard order
+  // reproduces the serial loop's blocked-event order exactly.
+  sched_stats_.signal_cells = collect_shards(used);
   for (std::size_t s = 0; s < used; ++s) {
     const ShardScratch& sc = scratch_.shards[s];
     events_.blocked.insert(events_.blocked.end(), sc.blocked.begin(),
                            sc.blocked.end());
-    sched_stats_.signal_cells += sc.visited_b;
   }
   // Occupancy flips apply at the barrier, in shard order, so the Move
   // phase's activity reads see the post-Signal occupancy on every
@@ -1093,77 +823,14 @@ void System::signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
     flip_out->push_back(k);
 }
 
-void System::run_move_phase() {
-  // All cells decide and move simultaneously (Figure 6 guard:
-  // signal_{next_{i,j}} = ⟨i,j⟩), so: first apply every cell's own
-  // displacement and pull out the boundary-crossers, then deliver the
-  // crossers. The decision step reads only the destination's signal
-  // (frozen since phase 2) and mutates only the cell's own Members, so
-  // it shards freely; delivery happens after the barrier, in canonical
-  // order, because appends into a shared destination determine Members
-  // order and hence downstream traces.
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  ThreadPool* pool = round_pool_;
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-
-  // Active-list sharding, same shape as Route/Signal. occ_refs_ here
-  // already reflects this round's Signal output (flips merged at the
-  // Signal barrier) and stays frozen until the Move merge, so the
-  // pre-scan and the shard bodies agree on the gates. Skipped cells owe
-  // no tallies (an inactive cell's move_cell is a tally-free no-op).
-  const std::size_t grid_used =
-      shard_count(cells_.size(), static_cast<int>(nshards));
-  const bool use_list = active && pool != nullptr && grid_used > 1 &&
-                        round_ > 0 &&
-                        sched_stats_.move_cells * 4 < cells_.size();
-  if (use_list) {
-    auto& list = scratch_.active_list;
-    list.clear();
-    for (std::size_t k = 0; k < cells_.size(); ++k)
-      if (occ_refs_[k] > 0) list.push_back(static_cast<std::uint32_t>(k));
-  }
-  const std::size_t domain =
-      use_list ? scratch_.active_list.size() : cells_.size();
-  const std::size_t used = shard_count(domain, static_cast<int>(nshards));
-  const bool pooled = pool != nullptr && used > 1;
-  const bool shard_timing =
-      profiler_ != nullptr || (telemetry_ != nullptr && pooled);
-  const auto body = [&](std::size_t s, ShardRange r) {
-    const auto t0 = shard_timing ? obs::PhaseProfiler::Clock::now()
-                                 : obs::PhaseProfiler::Clock::time_point{};
-    if (use_list)
-      move_list_span(s, r.begin, r.end);
-    else
-      move_span(s, r.begin, r.end);
-    if (shard_timing) {
-      const auto t1 = obs::PhaseProfiler::Clock::now();
-      scratch_.shards[s].span_ns = span_ns(t0, t1);
-      if (profiler_ != nullptr)
-        profiler_->record("move", round_, static_cast<int>(s), t0, t1);
-    }
-  };
-  parallel_for_shards(pool, domain, body);
-  note_phase_timing(2, pool, used);
-
-  const bool merge_timing =
-      profiler_ != nullptr || (telemetry_ != nullptr && pooled);
-  const auto merge_t0 = merge_timing ? obs::PhaseProfiler::Clock::now()
-                                     : obs::PhaseProfiler::Clock::time_point{};
-  merge_shard_counts(nshards);
-  merge_move_results(nshards);
-  if (merge_timing) {
-    const auto merge_t1 = obs::PhaseProfiler::Clock::now();
-    if (profiler_ != nullptr)
-      profiler_->record("merge", round_, -1, merge_t0, merge_t1);
-    if (telemetry_ != nullptr && pooled)
-      round_timing_.merge_ns += span_ns(merge_t0, merge_t1);
-  }
-}
-
 void System::move_span(std::size_t s, std::size_t begin, std::size_t end) {
+  // All cells decide and move simultaneously (Figure 6 guard:
+  // signal_{next_{i,j}} = ⟨i,j⟩): each cell applies its own
+  // displacement and buffers its boundary-crossers; delivery happens in
+  // the merge, in canonical order, because appends into a shared
+  // destination determine Members order and hence downstream traces.
+  // The decision reads only the destination's signal (frozen since
+  // Signal) and mutates only the cell's own Members, so it shards freely.
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
@@ -1187,23 +854,12 @@ void System::move_span(std::size_t s, std::size_t begin, std::size_t end) {
   }
 }
 
-void System::move_list_span(std::size_t s, std::size_t begin,
-                            std::size_t end) {
-  ShardScratch& sc = scratch_.shards[s];
-  obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-  const auto& list = scratch_.active_list;
-  for (std::size_t i = begin; i < end; ++i)
-    move_cell(list[i], sc.moved, sc.pending, sc.crossed, pc);
-  sc.visited += end - begin;
-}
-
 void System::merge_move_results(std::size_t used) {
-  sched_stats_.move_cells = 0;
+  sched_stats_.move_cells = collect_shards(used);
   for (std::size_t s = 0; s < used; ++s) {
     const ShardScratch& sc = scratch_.shards[s];
     events_.moved.insert(events_.moved.end(), sc.moved.begin(),
                          sc.moved.end());
-    sched_stats_.move_cells += sc.visited;
   }
 
   std::vector<PendingTransfer>& transfers = scratch_.transfers;
@@ -1282,7 +938,7 @@ void System::move_cell(std::size_t k, std::vector<CellId>& moved_out,
     pending_out.push_back(PendingTransfer{e, id, dest});
 }
 
-void System::run_inject_phase() {
+void System::inject_phase() {
   for (const CellId s : config_.sources) {
     CellState& c = cells_[grid_.index_of(s)];
     if (c.failed) continue;

@@ -28,7 +28,6 @@
 #pragma once
 
 #include <array>
-#include <atomic>
 #include <cstdint>
 #include <functional>
 #include <limits>
@@ -83,10 +82,11 @@ enum class MovementRule {
 /// phase structure (Route reads only previous-round dists; Signal and
 /// Move write only cell-local state, with transfers applied in a separate
 /// step) makes the per-cell work embarrassingly parallel; this policy
-/// only selects *how* the loops run. Results are bit-identical across
-/// modes and thread counts — see the determinism contract in system.cpp's
-/// phase implementations (sharded loops, barriers between phases,
-/// canonical cell-id-ordered merge of cross-cell effects).
+/// only selects *where* the round's stage plan runs (on a pool or inline
+/// on the caller). Results are bit-identical across modes and thread
+/// counts — see the determinism contract in DESIGN.md §6 (sharded
+/// stages, barriers between phases, canonical cell-id-ordered merge of
+/// cross-cell effects).
 struct ParallelPolicy {
   enum class Mode {
     kSerial,    ///< plain in-order loop over cells (the default)
@@ -105,16 +105,14 @@ struct ParallelPolicy {
     kAuto,   ///< per-round serial fallback below the work threshold
   };
 
-  /// Default per-shard visit count under which kAuto runs serial, used
-  /// until live telemetry calibrates a machine-specific threshold (see
-  /// System::set_telemetry). ~a few hundred cells covers the dispatch +
-  /// two-barrier cost of a persistent-pool round on current hardware.
-  static constexpr int kDefaultCutoverGrain = 256;
+  /// Per-shard visit count under which kAuto runs serial (System per
+  /// round, chunk::ChunkedSystem per phase). ~a few hundred cells covers
+  /// the dispatch + barrier cost of a persistent-pool round.
+  static constexpr int kCutoverGrain = 256;
 
   Mode mode = Mode::kSerial;
   int num_threads = 1;  ///< pool size when mode == kParallel (>= 1)
   Cutover cutover = Cutover::kNever;
-  int cutover_grain = kDefaultCutoverGrain;  ///< cells/shard floor (kAuto)
 
   [[nodiscard]] static constexpr ParallelPolicy serial() noexcept {
     return {};
@@ -124,8 +122,8 @@ struct ParallelPolicy {
     return ParallelPolicy{Mode::kParallel, threads};
   }
   [[nodiscard]] static constexpr ParallelPolicy parallel_auto(
-      int threads, int grain = kDefaultCutoverGrain) noexcept {
-    return ParallelPolicy{Mode::kParallel, threads, Cutover::kAuto, grain};
+      int threads) noexcept {
+    return ParallelPolicy{Mode::kParallel, threads, Cutover::kAuto};
   }
 
   friend constexpr bool operator==(const ParallelPolicy&,
@@ -307,8 +305,9 @@ class System {
   }
 
   /// Registers an intermediate-state observer (replaces any previous).
-  /// Hooks always run on the calling thread, at the barrier between
-  /// phases, with all workers quiescent — regardless of ParallelPolicy.
+  /// Hooks always run on the calling thread, in the round plan's serial
+  /// stages between phases, with all workers quiescent — regardless of
+  /// ParallelPolicy. Attaching one does not change how the round runs.
   void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
 
   /// Selects the execution engine for subsequent update() calls.
@@ -318,9 +317,9 @@ class System {
   /// [1, 1024] (the same bound CELLFLOW_THREADS enforces).
   ///
   /// Note: a stateful (non-concurrent_safe) ChoosePolicy pins the Signal
-  /// phase to the serial in-order loop even under kParallel, because its
-  /// internal stream must observe the exact serial call sequence; Route
-  /// and Move still run sharded.
+  /// phase to one in-order pass in a serial stage even under kParallel,
+  /// because its internal stream must observe the exact serial call
+  /// sequence; Route and Move still run sharded.
   void set_parallel_policy(const ParallelPolicy& policy);
 
   [[nodiscard]] const ParallelPolicy& parallel_policy() const noexcept {
@@ -405,30 +404,24 @@ class System {
 
   struct ShardScratch;  // defined below, used by the phase-body helpers
 
-  void run_route_phase();
-  void run_signal_phase();
-  void run_move_phase();
-  void run_inject_phase();
+  void inject_phase();
 
   // --- per-shard phase bodies and post-barrier merges ------------------
   //
-  // The three phase loops are factored out of run_*_phase so the fused
-  // run_plan orchestration (run_fused_round) executes the exact same
-  // scalar code over the exact same shard ranges as the legacy
-  // one-dispatch-per-phase path — the §6 bit-identity argument then
-  // reduces to "same bodies, same merge order".
+  // update() runs every round as one stage plan (DESIGN.md §6):
   //
-  // route_span / signal_span / move_span run a contiguous cell range
-  // [begin, end) honoring the active-set gates; route_list_span and the
-  // list variants run a range of scratch_.active_list instead (the
-  // active-list sharding mode — see run_route_phase). `s` is the shard's
-  // scratch slot.
+  //   [Route ∥] [Route merge, hook, serial Signal if stateful]
+  //   [Signal ∥] [Signal merge, hook] [Move ∥]
+  //   [Move merge, hook, inject, hook]
+  //
+  // on the pool when the round pools, inline on the caller otherwise —
+  // the same bodies over the same shard ranges with the same merge
+  // order, whatever is attached. route_span / signal_span / move_span
+  // run a contiguous cell range [begin, end) honoring the active-set
+  // gates; `s` is the shard's scratch slot.
   void route_span(std::size_t s, std::size_t begin, std::size_t end);
-  void route_list_span(std::size_t s, std::size_t begin, std::size_t end);
   void signal_span(std::size_t s, std::size_t begin, std::size_t end);
-  void signal_list_span(std::size_t s, std::size_t begin, std::size_t end);
   void move_span(std::size_t s, std::size_t begin, std::size_t end);
-  void move_list_span(std::size_t s, std::size_t begin, std::size_t end);
 
   /// Bulk Route over `n` interior, live, non-target cells starting at
   /// k0 (all four lattice neighbors exist): packs the neighbors'
@@ -439,9 +432,10 @@ class System {
                         obs::ProtocolCounts* counts,
                         std::vector<std::size_t>* changed_out);
 
-  /// Merges the per-shard ProtocolCounts tallies of slots [0, used) into
-  /// round_counts_ (no-op when no registry is attached).
-  void merge_shard_counts(std::size_t used);
+  /// Folds the ProtocolCounts tallies of slots [0, used) into
+  /// round_counts_ and returns their summed visit count, re-arming both
+  /// for the next phase.
+  std::uint64_t collect_shards(std::size_t used);
   // Post-barrier merges of each phase, in shard order (DESIGN.md §6):
   // Route syncs the dist snapshot and re-arms readers; Signal
   // concatenates blocked events and applies occupancy flips; Move
@@ -450,16 +444,6 @@ class System {
   void merge_route_results(std::size_t used);
   void merge_signal_results(std::size_t used);
   void merge_move_results(std::size_t used);
-
-  /// The fused-barrier orchestration of one round (DESIGN.md §6): a
-  /// single ThreadPool::run_plan covering Route (+Signal when the
-  /// choose policy is concurrent-safe, overlapped via the shard gate),
-  /// the serial merge stage, and Move. Preconditions (checked by
-  /// update()): pooled round, no phase hook, no profiler/telemetry
-  /// attachment (those need the per-phase barriers they measure), and
-  /// every shard at least `side` cells wide so the Route→Signal gate
-  /// only spans adjacent shards.
-  void run_fused_round();
 
   /// kAuto cutover decision for the round about to run, from the
   /// previous round's SchedulerStats (deterministic inputs).
@@ -496,6 +480,8 @@ class System {
   // post-barrier merges walk the slots in ascending shard order — the
   // same discipline that makes the engines bit-identical also makes the
   // arena race-free. Sized by set_parallel_policy to the engine width.
+  // Each phase appends only to its own buffers, so one clear per round
+  // suffices; counts and visited restart per phase (collect_shards).
   struct ShardScratch {
     std::vector<CellId> blocked;           ///< Signal: blocked-grant events
     std::vector<CellId> moved;             ///< Move: cells that moved
@@ -505,14 +491,11 @@ class System {
     std::vector<std::size_t> flips;        ///< Signal: occupancy flips
     std::vector<std::uint64_t> keys;       ///< Route: packed-key kernel out
     obs::ProtocolCounts counts;            ///< shard-private tallies
-    std::uint64_t visited = 0;             ///< Route/Move: cells this shard ran
-    std::uint64_t visited_b = 0;           ///< Signal's visit count (separate
-                                           ///< so a fused Route+Signal stage
-                                           ///< keeps both)
+    std::uint64_t visited = 0;             ///< cells this shard ran (phase)
     std::uint64_t span_ns = 0;             ///< this shard's phase-body time
                                            ///< (profiler/telemetry only)
 
-    void begin_phase() noexcept {
+    void begin_round() noexcept {
       blocked.clear();
       moved.clear();
       pending.clear();
@@ -521,7 +504,6 @@ class System {
       flips.clear();
       counts.reset();
       visited = 0;
-      visited_b = 0;
       span_ns = 0;
       // `keys` is a capacity-reused output buffer, never read before
       // being written — no clear needed.
@@ -530,12 +512,6 @@ class System {
   struct RoundScratch {
     std::vector<ShardScratch> shards;       ///< >= 1; index = shard id
     std::vector<PendingTransfer> transfers; ///< canonical merge buffer
-    /// Active-list sharding (DESIGN.md §6/§9): when the previous round's
-    /// visit count shows a phase is sparse, the phase gates once on the
-    /// calling thread into this ascending cell-index list and shards the
-    /// *list* instead of the grid, so the parallel work splits evenly
-    /// over the cells that actually run. Rebuilt per phase.
-    std::vector<std::uint32_t> active_list;
   };
 
   // --- active-set scheduler internals (DESIGN.md §9) -------------------
@@ -592,18 +568,7 @@ class System {
 
   ParallelPolicy parallel_;
   std::unique_ptr<ThreadPool> pool_;  ///< live iff mode == kParallel
-  /// The pool the round in flight actually uses: pool_.get(), or nullptr
-  /// when a kAuto cutover pinned this round serial. Set by update(); the
-  /// phase loops read it instead of pool_.
-  ThreadPool* round_pool_ = nullptr;
   RoundScratch scratch_;              ///< see the struct comment above
-
-  /// Shard gate of the fused Route+Signal stage: route_ready_[s] != 0
-  /// once shard s's Route output is published (release); a shard's
-  /// Signal half spin-waits (acquire) on its neighbors' flags. Reset on
-  /// the calling thread before each plan dispatch.
-  std::unique_ptr<std::atomic<std::uint32_t>[]> route_ready_;
-  std::size_t route_ready_cap_ = 0;
 
   /// Sticky guard of the packed-key Route fast path: set as soon as any
   /// cell's dist carries a raw encoding at or above kRouteHugeDist / 2
@@ -632,43 +597,37 @@ class System {
   /// (enabled iff profiler or telemetry is live).
   void sync_pool_timing();
 
-  /// Post-phase bookkeeping: shard-span imbalance, serial-phase work
-  /// attribution, and per-worker profiler spans for the batch that just
-  /// ran. `phase_idx`: 0 = route, 1 = signal, 2 = move. `pool` is the
-  /// pool the phase actually used (nullptr when pinned serial), `used`
-  /// the shard count the partition produced.
-  void note_phase_timing(int phase_idx, ThreadPool* pool, std::size_t used);
+  /// Decomposes the pooled parallel stages of the plan that just ran
+  /// from the pool's per-stage executor samples and the caller's stage
+  /// stamps (round_timing_.open/done), and records per-worker profiler
+  /// spans. Pooled rounds only.
+  void note_pooled_stages(const ThreadPool& pool);
 
   /// Accumulators for the round in flight, reset at each update() when
-  /// telemetry is attached. The pool_* fields come from the per-batch
-  /// worker samples of each pooled phase, summed over the participating
-  /// workers and divided by their count — each participant's
-  /// dispatch+busy+barrier chain spans the batch's dispatch->done wall
-  /// exactly, so the normalized components sum to the batch wall even
-  /// when fewer workers than the pool width claimed tasks (routine on
-  /// an oversubscribed machine).
+  /// profiler or telemetry is attached. open/done are the caller's
+  /// stamps bracketing each parallel stage (0 = Route, 1 = Signal,
+  /// 2 = Move). The pool_* fields come from each pooled stage's
+  /// executor samples, summed over the participants and divided by
+  /// their count — each participant's open -> first task -> last task ->
+  /// done chain spans the stage wall exactly, so the normalized
+  /// components sum to the stage wall even when fewer executors than
+  /// the pool width claimed tasks (routine on an oversubscribed
+  /// machine).
   struct RoundTiming {
-    std::uint64_t serial_work_ns = 0;    ///< phase loops run on the caller
+    std::array<ThreadPool::Clock::time_point, 3> open{}, done{};
+    std::uint64_t serial_work_ns = 0;    ///< bodies run on the caller
     std::uint64_t merge_ns = 0;          ///< post-barrier serial sections
-    std::uint64_t pool_busy_ns = 0;      ///< wall-equiv worker busy spans
+    std::uint64_t pool_busy_ns = 0;      ///< wall-equiv executor busy spans
     std::uint64_t pool_barrier_ns = 0;   ///< wall-equiv barrier stalls
-    std::uint64_t pool_dispatch_ns = 0;  ///< wall-equiv dispatch latency
-    std::uint64_t pool_resume_ns = 0;    ///< batch done -> caller resumed
+    std::uint64_t pool_dispatch_ns = 0;  ///< wall-equiv stage-open latency
     std::uint64_t pool_task_ns = 0;      ///< summed task bodies (utilization)
     std::array<double, 3> imbalance{1.0, 1.0, 1.0};
 
     void reset() noexcept { *this = RoundTiming{}; }
   };
   RoundTiming round_timing_;
-  std::vector<ThreadPool::BatchWorkerSample> batch_samples_;  ///< scratch
+  std::vector<ThreadPool::StageSample> stage_samples_;  ///< scratch
 
-  /// Telemetry-calibrated kAuto threshold: EWMA of "per-shard visit
-  /// count at which a round's pooled overhead (dispatch + barriers)
-  /// equals its pooled work", updated after each pooled, telemetry-
-  /// tracked round. 0 until the first sample; then it overrides the
-  /// policy's static cutover_grain. Timing-derived, so it only ever
-  /// selects *which* of two bit-identical engines runs (§6).
-  double ewma_cutover_grain_ = 0.0;
   /// Last dispatch_stats() reading, for per-round deltas in telemetry.
   DispatchStats last_dispatch_stats_;
 

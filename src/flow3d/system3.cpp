@@ -96,15 +96,15 @@ void System3::recover(CellId3 id) {
 const RoundEvents3& System3::update() {
   events_ = RoundEvents3{};
   events_.round = round_;
-  run_route_phase();
-  run_signal_phase();
-  run_move_phase();
-  run_inject_phase();
+  route_phase();
+  signal_phase();
+  move_phase();
+  inject_phase();
   ++round_;
   return events_;
 }
 
-void System3::run_route_phase() {
+void System3::route_phase() {
   for (std::size_t k = 0; k < cells_.size(); ++k)
     dist_snapshot_[k] = cells_[k].dist;
 
@@ -144,7 +144,7 @@ CellId3 System3::rotate_choice(std::span<const CellId3> sorted_candidates,
   return it == sorted_candidates.end() ? sorted_candidates.front() : *it;
 }
 
-void System3::run_signal_phase() {
+void System3::signal_phase() {
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     CellState3& c = cells_[k];
     if (c.failed) continue;
@@ -193,7 +193,7 @@ void System3::run_signal_phase() {
   }
 }
 
-void System3::run_move_phase() {
+void System3::move_phase() {
   struct Pending {
     Entity3 entity;
     CellId3 from;
@@ -278,7 +278,7 @@ bool System3::injection_is_safe(CellId3 id, Vec3 center) const {
   return true;
 }
 
-void System3::run_inject_phase() {
+void System3::inject_phase() {
   const double half = config_.params.entity_length() / 2.0;
   for (const CellId3 s : config_.sources) {
     CellState3& c = cells_[grid_.index_of(s)];

@@ -122,10 +122,10 @@ class System3 {
   EntityId seed_entity(CellId3 id, Vec3 center);
 
  private:
-  void run_route_phase();
-  void run_signal_phase();
-  void run_move_phase();
-  void run_inject_phase();
+  void route_phase();
+  void signal_phase();
+  void move_phase();
+  void inject_phase();
   [[nodiscard]] bool injection_is_safe(CellId3 id, Vec3 center) const;
 
   // The paper's `choose` realized over CellId3 via the 2-D policy

@@ -120,14 +120,14 @@ bool HexSystem::strip_clear(HexId self, HexId toward) const {
 }
 
 void HexSystem::update() {
-  run_route_phase();
-  run_signal_phase();
-  run_move_phase();
-  run_inject_phase();
+  route_phase();
+  signal_phase();
+  move_phase();
+  inject_phase();
   ++round_;
 }
 
-void HexSystem::run_route_phase() {
+void HexSystem::route_phase() {
   for (std::size_t k = 0; k < cells_.size(); ++k)
     dist_snapshot_[k] = cells_[k].dist;
   for (std::size_t k = 0; k < cells_.size(); ++k) {
@@ -165,7 +165,7 @@ HexId HexSystem::rotate_choice(std::span<const HexId> sorted_candidates,
   return it == sorted_candidates.end() ? sorted_candidates.front() : *it;
 }
 
-void HexSystem::run_signal_phase() {
+void HexSystem::signal_phase() {
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     HexCellState& c = cells_[k];
     if (c.failed) continue;
@@ -211,7 +211,7 @@ void HexSystem::run_signal_phase() {
   }
 }
 
-void HexSystem::run_move_phase() {
+void HexSystem::move_phase() {
   // Hexagonal movement uses the compaction discipline (see the header's
   // point 1: rigid coupling is unsound near hexagon corners). Entities
   // advance front-to-back along the motion normal; each is capped by the
@@ -307,7 +307,7 @@ void HexSystem::run_move_phase() {
   }
 }
 
-void HexSystem::run_inject_phase() {
+void HexSystem::inject_phase() {
   const double d = config_.params.center_spacing();
   for (const HexId s : config_.sources) {
     HexCellState& c = cells_[grid_.index_of(s)];

@@ -132,10 +132,10 @@ class HexSystem {
   [[nodiscard]] bool inside_hex(HexId id, Vec2 p, double eps = 0.0) const;
 
  private:
-  void run_route_phase();
-  void run_signal_phase();
-  void run_move_phase();
-  void run_inject_phase();
+  void route_phase();
+  void signal_phase();
+  void move_phase();
+  void inject_phase();
   [[nodiscard]] static HexId rotate_choice(
       std::span<const HexId> sorted_candidates, const OptHexId& previous);
 

@@ -122,15 +122,15 @@ const MfRoundEvents& MfSystem::update() {
   events_ = MfRoundEvents{};
   events_.round = round_;
   events_.arrivals_per_flow.assign(config_.flows.size(), 0);
-  run_route_phase();
-  run_signal_phase();
-  run_move_phase();
-  run_inject_phase();
+  route_phase();
+  signal_phase();
+  move_phase();
+  inject_phase();
   ++round_;
   return events_;
 }
 
-void MfSystem::run_route_phase() {
+void MfSystem::route_phase() {
   const std::size_t flows = config_.flows.size();
   for (std::size_t k = 0; k < cells_.size(); ++k)
     for (FlowId f = 0; f < flows; ++f)
@@ -161,7 +161,7 @@ void MfSystem::run_route_phase() {
   }
 }
 
-void MfSystem::run_signal_phase() {
+void MfSystem::signal_phase() {
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     MfCellState& c = cells_[k];
     if (c.failed) continue;
@@ -217,7 +217,7 @@ void MfSystem::run_signal_phase() {
   }
 }
 
-void MfSystem::run_move_phase() {
+void MfSystem::move_phase() {
   struct Pending {
     MfEntity entity;
     CellId from;
@@ -287,7 +287,7 @@ bool MfSystem::placement_safe(const MfCellState& c, CellId id,
   return true;
 }
 
-void MfSystem::run_inject_phase() {
+void MfSystem::inject_phase() {
   const double half = config_.params.entity_length() / 2.0;
   // At most one injection per source cell per round (the paper's "at
   // most one entity in each round"). At a cell shared between flows the

@@ -164,10 +164,10 @@ class MfSystem {
   EntityId seed_entity(CellId id, FlowId flow, Vec2 center);
 
  private:
-  void run_route_phase();
-  void run_signal_phase();
-  void run_move_phase();
-  void run_inject_phase();
+  void route_phase();
+  void signal_phase();
+  void move_phase();
+  void inject_phase();
   [[nodiscard]] bool is_target_of(CellId id, FlowId f) const {
     return config_.flows[f].target == id;
   }

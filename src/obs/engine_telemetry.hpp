@@ -2,18 +2,19 @@
 // engines.
 //
 // Attributes every nanosecond of a round to one of four components —
-//   work         time inside phase bodies (worker task bodies on the
-//                parallel engine, the phase loops themselves on serial),
-//   barrier_wait time a worker idled between finishing its own shards
-//                and the phase barrier releasing,
-//   dispatch     latency from run() publishing a batch to a worker
-//                waking for it,
+//   work         time inside phase bodies (executor task bodies on a
+//                pooled round, every stage on an inline one),
+//   barrier_wait time an executor idled between finishing its own
+//                shards and the stage completing,
+//   dispatch     latency from a stage opening to an executor starting
+//                its first task of it,
 //   merge        the serial post-barrier sections (shard-buffer
 //                concatenation, canonical transfer delivery, active-set
 //                bookkeeping),
-// normalized to *wall-equivalent* nanoseconds (worker-summed time
-// divided by the pool width) so the components of one round compare
-// directly against that round's wall clock. Per-phase imbalance is
+// normalized to *wall-equivalent* nanoseconds (executor-summed time
+// divided by the participant count) so the components of one round
+// compare directly against that round's wall clock. Phase hooks stay
+// outside all four. Per-phase imbalance is
 // max/mean over the shard spans of the phase (1.0 when a phase ran as a
 // single shard), and the Amdahl serial-fraction estimate over a run is
 // 1 − Σwork / Σround.
@@ -42,7 +43,7 @@ struct RoundBreakdown {
   std::uint64_t round_ns = 0;         ///< wall clock of the whole round
   std::uint64_t work_ns = 0;          ///< phase-body time (÷ width if pooled)
   std::uint64_t barrier_wait_ns = 0;  ///< worker idle at barriers ÷ width
-  std::uint64_t dispatch_ns = 0;      ///< batch wake latency ÷ width
+  std::uint64_t dispatch_ns = 0;      ///< stage-open latency ÷ width
   std::uint64_t merge_ns = 0;         ///< serial post-barrier sections
   double imbalance_route = 1.0;       ///< max/mean shard span, Route
   double imbalance_signal = 1.0;

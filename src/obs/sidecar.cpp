@@ -55,7 +55,12 @@ std::string row_key(const std::vector<std::string>& header,
     if (!key.empty()) key.push_back('/');
     key += cell_as_key(row[c]);
   }
-  if (key.empty()) key = "#" + std::to_string(index);
+  if (key.empty()) {
+    // Appended rather than `"#" + ...`: GCC 12's -O3 inliner reports a
+    // false -Werror=restrict on the temporary-concatenation form.
+    key.push_back('#');
+    key += std::to_string(index);
+  }
   return key;
 }
 

@@ -62,7 +62,7 @@ ThreadPool::ThreadPool(int threads) {
   CF_EXPECTS(threads >= 1);
   threads_ = threads;
   const auto n = static_cast<std::size_t>(threads);
-  slots_.resize(n);
+  epoch_slots_.resize(n);
   timings_.resize(n);
   workers_.reserve(n - 1);
   for (std::size_t t = 1; t < n; ++t)
@@ -116,22 +116,30 @@ void ThreadPool::wake_parked() {
   }
 }
 
-void ThreadPool::run_one(std::size_t stage, std::size_t k, BatchSlot* slot) {
+void ThreadPool::begin_epoch_timing(std::size_t self, std::uint64_t epoch,
+                                    Clock::time_point wake) {
+  epoch_slots_[self] = EpochSlot{epoch, wake};
+  for (std::size_t s = 0; s < plan_size_; ++s) stage_slot(s, self) = {};
+}
+
+void ThreadPool::run_one(std::size_t stage, std::size_t k, std::size_t self,
+                         bool timed) {
   const PlanStage& st = plan_[stage];
   Clock::time_point t0{};
-  if (slot != nullptr) t0 = Clock::now();
+  if (timed) t0 = Clock::now();
   std::exception_ptr err;
   try {
     st.task(k);
   } catch (...) {
     err = std::current_exception();
   }
-  if (slot != nullptr) {
+  if (timed) {
     const Clock::time_point t1 = Clock::now();
-    if (slot->tasks == 0) slot->first_task = t0;
-    slot->last_task = t1;
-    slot->work_ns += ns_between(t0, t1);
-    ++slot->tasks;
+    StageSlot& slot = stage_slot(stage, self);
+    if (slot.tasks == 0) slot.first_task = t0;
+    slot.last_task = t1;
+    slot.work_ns += ns_between(t0, t1);
+    ++slot.tasks;
   }
   if (err) {
     const std::lock_guard<std::mutex> lk(err_mu_);
@@ -146,7 +154,7 @@ void ThreadPool::run_one(std::size_t stage, std::size_t k, BatchSlot* slot) {
   }
 }
 
-void ThreadPool::drain_plan(BatchSlot* slot) {
+void ThreadPool::drain_plan(std::size_t self, bool timed) {
   for (;;) {
     const std::uint64_t adv = advance_.load();
     if (abort_.load()) return;
@@ -160,7 +168,7 @@ void ThreadPool::drain_plan(BatchSlot* slot) {
         const std::size_t k = ctl.next.fetch_add(1,
                                                  std::memory_order_relaxed);
         if (k >= st.count) break;
-        run_one(s, k, slot);
+        run_one(s, k, self, timed);
         claimed = true;
       }
     }
@@ -177,29 +185,22 @@ void ThreadPool::worker_loop(std::size_t self) {
   for (;;) {
     if (!wait_change(seq_, seen)) return;
     seen = seq_.load();
-    BatchSlot* slot = nullptr;
-    if (timing_.load(std::memory_order_relaxed)) {
-      slot = &slots_[self];
-      slot->epoch = seen;
-      slot->wake = Clock::now();
-      slot->first_task = slot->last_task = slot->wake;
-      slot->work_ns = 0;
-      slot->tasks = 0;
-    }
-    drain_plan(slot);
+    const bool timed = timing_.load(std::memory_order_relaxed);
+    if (timed) begin_epoch_timing(self, seen, Clock::now());
+    drain_plan(self, timed);
     // Publishes every plain write above (timing slot, error list) to
     // the caller, whose quiesce() acquires retired_.
     retired_.fetch_add(1, std::memory_order_release);
   }
 }
 
-void ThreadPool::caller_finish_stage(std::size_t stage, BatchSlot* slot) {
+void ThreadPool::caller_finish_stage(std::size_t stage, bool timed) {
   const PlanStage& st = plan_[stage];
   StageCtl& ctl = stage_ctl_[stage];
   while (ctl.next.load(std::memory_order_relaxed) < st.count) {
     const std::size_t k = ctl.next.fetch_add(1, std::memory_order_relaxed);
     if (k >= st.count) break;
-    run_one(stage, k, slot);
+    run_one(stage, k, 0, timed);
   }
   int spins = 0;
   while (ctl.completed.load() < st.count) {
@@ -228,6 +229,7 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
   if (stage_cap_ < count) {
     stage_ctl_ = std::make_unique<StageCtl[]>(count);
     stage_cap_ = count;
+    stage_slots_.resize(count * static_cast<std::size_t>(threads_));
   }
   for (std::size_t s = 0; s < count; ++s) {
     stage_ctl_[s].next.store(0, std::memory_order_relaxed);
@@ -239,15 +241,9 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
   errors_.clear();
   err_count_.store(0, std::memory_order_relaxed);
   epoch_timed_ = timing_.load(std::memory_order_relaxed);
-  BatchSlot* slot = nullptr;
   if (epoch_timed_) {
     dispatched_at_ = Clock::now();
-    slot = &slots_[0];
-    slot->epoch = epoch_ + 1;
-    slot->wake = dispatched_at_;
-    slot->first_task = slot->last_task = dispatched_at_;
-    slot->work_ns = 0;
-    slot->tasks = 0;
+    begin_epoch_timing(0, epoch_ + 1, dispatched_at_);
   }
   ++epoch_;
   dispatches_.fetch_add(1, std::memory_order_relaxed);
@@ -261,7 +257,7 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
     wake_parked();
     const PlanStage& st = stages[s];
     if (st.parallel) {
-      caller_finish_stage(s, slot);
+      caller_finish_stage(s, epoch_timed_);
     } else {
       std::exception_ptr err;
       try {
@@ -320,17 +316,25 @@ void ThreadPool::quiesce() const {
   }
   quiesced_epoch_ = epoch_;
   if (!epoch_timed_) return;
-  for (std::size_t e = 0; e < slots_.size(); ++e) {
-    const BatchSlot& s = slots_[e];
-    if (s.epoch != epoch_) continue;
+  for (std::size_t e = 0; e < epoch_slots_.size(); ++e) {
+    const EpochSlot& x = epoch_slots_[e];
+    if (x.epoch != epoch_) continue;
     WorkerTimings& t = timings_[e];
-    t.dispatch_ns += ns_between(dispatched_at_, s.wake);
+    t.dispatch_ns += ns_between(dispatched_at_, x.wake);
     ++t.batches;
-    if (s.tasks > 0) {
-      t.work_ns += s.work_ns;
-      t.tasks += s.tasks;
-      t.busy_ns += ns_between(s.wake, s.last_task);
-      t.barrier_wait_ns += ns_between(s.last_task, batch_done_);
+    std::uint64_t tasks = 0;
+    Clock::time_point last = x.wake;
+    for (std::size_t s = 0; s < plan_size_; ++s) {
+      const StageSlot& ss = stage_slot(s, e);
+      if (ss.tasks == 0) continue;
+      tasks += ss.tasks;
+      t.work_ns += ss.work_ns;
+      last = std::max(last, ss.last_task);
+    }
+    if (tasks > 0) {
+      t.tasks += tasks;
+      t.busy_ns += ns_between(x.wake, last);
+      t.barrier_wait_ns += ns_between(last, batch_done_);
     }
   }
 }
@@ -356,35 +360,21 @@ void ThreadPool::timings_by_worker(std::vector<WorkerTimings>& out) const {
 void ThreadPool::reset_timings() {
   quiesce();
   for (WorkerTimings& t : timings_) t = WorkerTimings{};
-  for (BatchSlot& s : slots_) s = BatchSlot{};
+  for (EpochSlot& x : epoch_slots_) x = EpochSlot{};
 }
 
-void ThreadPool::last_batch_samples(std::vector<BatchWorkerSample>& out) const {
+void ThreadPool::last_plan_stage_samples(std::size_t stage,
+                                         std::vector<StageSample>& out) const {
   out.clear();
   quiesce();
-  if (epoch_ == 0 || !epoch_timed_) return;
-  for (std::size_t e = 0; e < slots_.size(); ++e) {
-    const BatchSlot& s = slots_[e];
-    if (s.epoch != epoch_ || s.tasks == 0) continue;
-    BatchWorkerSample b;
-    b.worker = static_cast<int>(e);
-    b.wake = s.wake;
-    b.first_task_start = s.first_task;
-    b.last_task_end = s.last_task;
-    b.work_ns = s.work_ns;
-    b.tasks = s.tasks;
-    out.push_back(b);
+  if (epoch_ == 0 || !epoch_timed_ || stage >= plan_size_) return;
+  for (std::size_t e = 0; e < epoch_slots_.size(); ++e) {
+    if (epoch_slots_[e].epoch != epoch_) continue;
+    const StageSlot& s = stage_slot(stage, e);
+    if (s.tasks == 0) continue;
+    out.push_back(
+        StageSample{static_cast<int>(e), s.first_task, s.last_task, s.work_ns});
   }
-}
-
-ThreadPool::Clock::time_point ThreadPool::last_batch_dispatch() const {
-  quiesce();
-  return dispatched_at_;
-}
-
-ThreadPool::Clock::time_point ThreadPool::last_batch_done() const {
-  quiesce();
-  return batch_done_;
 }
 
 DispatchStats ThreadPool::dispatch_stats() const {
@@ -393,6 +383,22 @@ DispatchStats ThreadPool::dispatch_stats() const {
   s.spin_wakes = spin_wakes_.load(std::memory_order_relaxed);
   s.park_wakes = park_wakes_.load(std::memory_order_relaxed);
   return s;
+}
+
+void run_plan(ThreadPool* pool, const ThreadPool::PlanStage* stages,
+              std::size_t count) {
+  if (pool != nullptr) {
+    pool->run_plan(stages, count);
+    return;
+  }
+  for (std::size_t s = 0; s < count; ++s) {
+    const ThreadPool::PlanStage& st = stages[s];
+    if (!st.parallel) {
+      st.task(0);
+      continue;
+    }
+    for (std::size_t k = 0; k < st.count; ++k) st.task(k);
+  }
 }
 
 void parallel_for_shards(ThreadPool* pool, std::size_t size,

@@ -80,9 +80,7 @@ struct ShardRange {
 /// batch the executor participated in since construction / the last
 /// reset_timings(). Timings are observational only — they are outside
 /// the determinism contract (DESIGN.md §6/§7) and never influence which
-/// shard runs where (the serial cutover consumes *round-level* timing
-/// via core/system.hpp, and by §6 both engines are bit-identical, so
-/// even that choice cannot change results).
+/// shard runs where.
 /// For every executor that ran >= 1 task in a batch,
 /// dispatch_ns + busy_ns + barrier_wait_ns partitions the batch's
 /// dispatch -> batch-done wall span exactly; busy_ns >= work_ns, the
@@ -150,15 +148,14 @@ class ThreadPool {
     FunctionRef<void(std::size_t)> task;
   };
 
-  /// One executor's participation in the most recent batch; valid
-  /// between run() calls, only for executors that ran >= 1 task.
-  struct BatchWorkerSample {
+  /// One executor's share of one stage of the most recent plan; valid
+  /// between run_plan() calls, only for executors that ran >= 1 task of
+  /// that stage.
+  struct StageSample {
     int worker = -1;
-    Clock::time_point wake;             ///< first wake after dispatch
     Clock::time_point first_task_start;
     Clock::time_point last_task_end;
-    std::uint64_t work_ns = 0;
-    std::uint64_t tasks = 0;
+    std::uint64_t work_ns = 0;  ///< summed task bodies
   };
 
   /// Makes a pool of `threads` executors: threads - 1 spawned workers
@@ -209,15 +206,15 @@ class ThreadPool {
 
   void reset_timings();
 
-  /// Per-executor samples of the most recent batch (only executors that
-  /// ran >= 1 task appear, in executor order). Empty when timing is off
-  /// or no batch has run. out is cleared and refilled.
-  void last_batch_samples(std::vector<BatchWorkerSample>& out) const;
-
-  /// Timestamps bracketing the most recent timed batch: when the tasks
-  /// were published and when the last task completed.
-  [[nodiscard]] Clock::time_point last_batch_dispatch() const;
-  [[nodiscard]] Clock::time_point last_batch_done() const;
+  /// Per-executor samples of stage `stage` of the most recent plan (only
+  /// executors that ran >= 1 of its tasks appear, in executor order).
+  /// Empty when timing is off, no plan has run, or the stage ran no
+  /// tasks. The stage's open and done instants are the caller's to stamp
+  /// (it opens every stage); with them, each participant's
+  /// open -> first task -> last task -> done chain partitions the stage
+  /// wall. out is cleared and refilled.
+  void last_plan_stage_samples(std::size_t stage,
+                               std::vector<StageSample>& out) const;
 
   /// Cumulative dispatch/wake counters (never reset; reads are cheap).
   [[nodiscard]] DispatchStats dispatch_stats() const;
@@ -231,12 +228,16 @@ class ThreadPool {
     std::atomic<std::size_t> completed{0};
   };
 
-  // Per-executor timing slot for the current epoch. Written only by the
-  // owning executor while the epoch runs; the caller reads it after the
-  // owner retired (release/acquire via retired_), so no locks needed.
-  struct BatchSlot {
+  // Per-executor timing slots for the current epoch: one EpochSlot per
+  // executor plus one StageSlot per (stage, executor). Written only by
+  // the owning executor while the epoch runs; the caller reads them
+  // after the owner retired (release/acquire via retired_), so no locks
+  // needed.
+  struct EpochSlot {
     std::uint64_t epoch = 0;
     Clock::time_point wake;
+  };
+  struct StageSlot {
     Clock::time_point first_task;
     Clock::time_point last_task;
     std::uint64_t work_ns = 0;
@@ -247,11 +248,20 @@ class ThreadPool {
   // Spin-then-park until v != old (returns true) or stopping_ (false).
   bool wait_change(const std::atomic<std::uint64_t>& v, std::uint64_t old);
   void wake_parked();
+  // Stamps executor `self`'s epoch slot and clears its stage slots.
+  void begin_epoch_timing(std::size_t self, std::uint64_t epoch,
+                          Clock::time_point wake);
   // Executes every claimable task of the published plan until the plan
   // is fully claimed (or aborted); used by workers for the whole epoch.
-  void drain_plan(BatchSlot* slot);
-  void run_one(std::size_t stage, std::size_t k, BatchSlot* slot);
-  void caller_finish_stage(std::size_t stage, BatchSlot* slot);
+  void drain_plan(std::size_t self, bool timed);
+  void run_one(std::size_t stage, std::size_t k, std::size_t self,
+               bool timed);
+  void caller_finish_stage(std::size_t stage, bool timed);
+  [[nodiscard]] StageSlot& stage_slot(std::size_t stage,
+                                      std::size_t executor) const {
+    return stage_slots_[stage * static_cast<std::size_t>(threads_) +
+                        executor];
+  }
   // Waits for every worker to retire the last epoch and folds its
   // timing slots into timings_. Idempotent per epoch; called before
   // reusing plan storage and by the observational accessors.
@@ -301,9 +311,18 @@ class ThreadPool {
   Clock::time_point dispatched_at_;
   Clock::time_point batch_done_;
   mutable std::uint64_t quiesced_epoch_ = 0;
-  mutable std::vector<BatchSlot> slots_;
+  std::vector<EpochSlot> epoch_slots_;
+  mutable std::vector<StageSlot> stage_slots_;  ///< stage_cap_ × threads_
   mutable std::vector<WorkerTimings> timings_;
 };
+
+/// Runs a plan on `pool` when one is given, else inline on the calling
+/// thread: stages in order, each parallel stage's tasks in ascending
+/// index order, the first exception propagating at once. Both forms run
+/// the same task bodies in the same barriered stage sequence, so a
+/// caller keeps one stage list for its pooled and unpooled engines.
+void run_plan(ThreadPool* pool, const ThreadPool::PlanStage* stages,
+              std::size_t count);
 
 /// Runs body(shard_index, range) over the shard_ranges() partition of
 /// [0, size): on the pool when one is given, serially in ascending shard

@@ -1,5 +1,5 @@
 // Differential pinning of the serial-cutover engine selector: because
-// every engine (serial loop, sharded pool, fused pool, kAuto cutover) is
+// every engine (serial loop, pooled stage plan, kAuto cutover) is
 // bit-identical, the policy may be flipped BETWEEN ROUNDS at will — even
 // across a snapshot/restore — without the execution noticing. 48 seeds
 // cycle serial -> parallel -> parallel_auto per round against a pinned
@@ -102,9 +102,8 @@ TEST_P(CutoverDifferential, BitIdenticalAcrossPolicyFlipsAndRestore) {
       (seed % 5 == 0) ? SignalRule::kAlwaysGrant : SignalRule::kBlocking;
 
   // ref: pinned serial, instrumented. flip: policy flipped every round,
-  // instrumented (telemetry keeps it on the legacy barriered path).
-  // bare: policy flipped on a different cycle phase, UNinstrumented — the
-  // engine that actually exercises the fused run_plan path when pooled.
+  // instrumented (telemetry rides the same stage plan). bare: policy
+  // flipped on a different cycle phase, uninstrumented.
   System ref{cfg};
   ref.set_parallel_policy(ParallelPolicy::serial());
   obs::MetricsRegistry reg_ref;
