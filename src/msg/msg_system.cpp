@@ -386,8 +386,8 @@ void MessageSystem::exchange_transfers() {
     MessageProcess& p = processes_[k];
     if (p.state.failed) continue;  // messages to a crashed process are lost
     const CellId id = grid_.id_of(k);
-    for (Message& m : inboxes_[k]) {
-      auto* b = std::get_if<TransferBatch>(&m.payload);
+    for (const Message& m : inboxes_[k]) {
+      const auto* b = std::get_if<TransferBatch>(&m.payload);
       if (b == nullptr) continue;
       InboundLink& ib = p.inbound[p.slot_of(m.sender)];
       if (b->seq <= ib.completed_seq) {
@@ -410,7 +410,7 @@ void MessageSystem::exchange_transfers() {
           ++deferred_acceptances_;
           continue;
         }
-        for (Entity& e : b->entities) p.state.members.push_back(e);
+        for (const Entity& e : b->entities) p.state.members.push_back(e);
       }
       ib.completed_seq = b->seq;
       p.pending_acks.emplace_back(m.sender, b->seq);

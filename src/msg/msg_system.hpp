@@ -231,9 +231,10 @@ class MessageSystem {
   std::unique_ptr<NetworkModel> network_;
   RoundRobinChoose choose_;  // stateless, per-call; same as System default
 
-  /// Per-round inbox buffers, reused across the five exchanges (cleared,
-  /// never freed — the steady state performs no per-round allocation).
-  std::vector<std::vector<Message>> inboxes_;
+  /// The current exchange's inboxes (views into the network's delivery
+  /// buffer), refilled at every barrier; their arrays are reused, never
+  /// freed — the steady state performs no per-round allocation.
+  Inboxes inboxes_;
 
   std::uint64_t round_ = 0;
   std::uint64_t total_arrivals_ = 0;

@@ -4,10 +4,6 @@
 
 namespace cellflow {
 
-void FaultyNetwork::begin_round(std::uint64_t round) {
-  NetworkModel::begin_round(round);
-}
-
 bool FaultyNetwork::quiescent() const noexcept {
   if (spec_.stochastic() && current_round() <= spec_.last_fault_round)
     return false;
@@ -22,8 +18,8 @@ void FaultyNetwork::transmit(std::vector<Message>&& sent,
   const std::uint64_t round = current_round();
 
   // Release buffered messages whose delay elapsed — before this
-  // exchange's fresh sends, preserving per-link FIFO for the canonical
-  // sort's tie break (the delayed message was sent in an earlier round).
+  // exchange's fresh sends, preserving per-link FIFO in the canonical
+  // order (the delayed message was sent in an earlier round).
   for (Delayed& d : delayed_)
     if (d.release_barrier == barrier) out.push_back(std::move(d.message));
   delayed_.erase(std::remove_if(delayed_.begin(), delayed_.end(),

@@ -83,7 +83,6 @@ class FaultyNetwork final : public NetworkModel {
   FaultyNetwork(NetFaultSpec spec, std::uint64_t seed)
       : spec_(std::move(spec)), rng_(seed) {}
 
-  void begin_round(std::uint64_t round) override;
   [[nodiscard]] bool quiescent() const noexcept override;
 
   [[nodiscard]] const NetFaultSpec& spec() const noexcept { return spec_; }

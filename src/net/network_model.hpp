@@ -2,22 +2,35 @@
 // realization, mirroring FailureModel's shape (src/failure). The round
 // driver owns one instance and pushes every exchange through it:
 //
-//   net.begin_round(r);          // once per protocol round
-//   net.send(m); ...             // any number of times per exchange
-//   auto inboxes = net.deliver_all(grid);   // the exchange barrier
+//   net.begin_round(r);              // once per protocol round
+//   net.send(m); ...                 // any number of times per exchange
+//   net.deliver_all(grid, inboxes);  // the exchange barrier
 //
-// Delivery order is CANONICAL and documented: at the barrier, messages
-// are stable-sorted by (receiver, sender) — CellId order — which, with
-// per-link FIFO send order preserved by the stable sort, makes each inbox
-// ascending in sender id and each (sender → receiver) link in payload
-// order. Every realization sees the same base order, so a faulty
-// delivery schedule is a seeded transformation of a deterministic
-// sequence, not incidental queue order.
+// Delivery order is CANONICAL and documented: each inbox reads ascending
+// in sender id (CellId order), and each (sender → receiver) link keeps
+// its queue order (per-link FIFO). Every realization sees the same base
+// order, so a faulty delivery schedule is a seeded transformation of a
+// deterministic sequence, not incidental queue order.
+//
+// The barrier builds that order in O(M) for M delivered messages, in two
+// passes over 32-bit message indices, never moving a message:
+//   1. a counting pass over grid.index_of(receiver) scatters the indices
+//      into one flat CSR array with one offset per cell (stable: each
+//      inbox keeps queue order);
+//   2. a stable insertion pass per inbox orders it by sender. Every inbox
+//      needs it, not only the ones holding FaultyNetwork's late or
+//      duplicated copies: senders emit in index order, which is j-major
+//      (index_of = j*side + i), while CellId compares i-major, so a
+//      receiver's four neighbours arrive as (i,j−1), (i−1,j), (i+1,j),
+//      (i,j+1) and are delivered as (i−1,j), (i,j−1), (i,j+1), (i+1,j).
+// Inboxes are views into the barrier's delivery buffer, which the network
+// reuses: an Inbox stays valid until the next barrier (or the next
+// snapshot restore), and the next deliver_all overwrites it.
 //
 // Subclasses shape *which* queued messages the barrier delivers (drop,
 // delay, duplicate, partition — see faulty_network.hpp) by overriding
 // `transmit`; the reliable SyncNetwork below delivers everything. The
-// base class owns the queue, the canonical sort, per-payload-type send
+// base class owns the queue, the canonical order, per-payload-type send
 // counters, and per-type fault counters (zero for a reliable network).
 #pragma once
 
@@ -54,6 +67,82 @@ inline constexpr std::size_t kNetFaultCount = 4;
   return "?";
 }
 
+/// One process's inbox: the messages addressed to it in canonical order,
+/// as a read-only random-access range over message indices into the
+/// barrier's delivery buffer (valid until the next barrier).
+class Inbox {
+ public:
+  class iterator {
+   public:
+    iterator(const Message* messages, const std::uint32_t* at) noexcept
+        : messages_(messages), at_(at) {}
+    [[nodiscard]] const Message& operator*() const noexcept {
+      return messages_[*at_];
+    }
+    iterator& operator++() noexcept {
+      ++at_;
+      return *this;
+    }
+    [[nodiscard]] bool operator==(const iterator& o) const noexcept {
+      return at_ == o.at_;
+    }
+
+   private:
+    const Message* messages_;
+    const std::uint32_t* at_;
+  };
+
+  Inbox(const Message* messages, const std::uint32_t* first,
+        const std::uint32_t* last) noexcept
+      : messages_(messages), first_(first), last_(last) {}
+
+  [[nodiscard]] std::size_t size() const noexcept {
+    return static_cast<std::size_t>(last_ - first_);
+  }
+  [[nodiscard]] bool empty() const noexcept { return first_ == last_; }
+  [[nodiscard]] const Message& operator[](std::size_t n) const noexcept {
+    return messages_[first_[n]];
+  }
+  [[nodiscard]] iterator begin() const noexcept { return {messages_, first_}; }
+  [[nodiscard]] iterator end() const noexcept { return {messages_, last_}; }
+
+ private:
+  const Message* messages_;
+  const std::uint32_t* first_;
+  const std::uint32_t* last_;
+};
+
+/// One exchange's deliveries in CSR form: inbox k covers the message
+/// indices [offsets[k], offsets[k+1]) of one flat index array. Filled by
+/// NetworkModel::deliver_all; the caller keeps the object across
+/// exchanges so its two arrays stop allocating once warm.
+class Inboxes {
+ public:
+  /// Number of inboxes: grid.cell_count() of the last barrier, 0 before
+  /// the first one and after clear().
+  [[nodiscard]] std::size_t size() const noexcept {
+    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  }
+  /// Inbox of the process with `grid.index_of(receiver) == k`.
+  [[nodiscard]] Inbox operator[](std::size_t k) const noexcept {
+    return Inbox{messages_, index_.data() + offsets_[k],
+                 index_.data() + offsets_[k + 1]};
+  }
+  /// Drops every inbox (a restore replaces the buffer they view).
+  void clear() noexcept {
+    messages_ = nullptr;
+    offsets_.clear();
+    index_.clear();
+  }
+
+ private:
+  friend class NetworkModel;
+
+  const Message* messages_ = nullptr;
+  std::vector<std::uint32_t> offsets_;
+  std::vector<std::uint32_t> index_;
+};
+
 class NetworkModel {
  public:
   NetworkModel() = default;
@@ -62,25 +151,20 @@ class NetworkModel {
   virtual ~NetworkModel() = default;
 
   /// Round boundary notification (before the round's first exchange).
-  virtual void begin_round(std::uint64_t round);
+  void begin_round(std::uint64_t round) noexcept { round_ = round; }
 
   /// Queues a message for the current exchange.
   void send(Message m);
 
   /// Exchange barrier: runs the fault schedule over the queue, clears it,
-  /// and returns the surviving messages in canonical order as one inbox
-  /// per process, indexed by `grid.index_of(receiver)`.
-  [[nodiscard]] std::vector<std::vector<Message>> deliver_all(
-      const Grid& grid);
+  /// and fills `inboxes` with the surviving messages in canonical order,
+  /// one inbox per process, indexed by `grid.index_of(receiver)`. The
+  /// inboxes view this network's delivery buffer and stay valid until
+  /// the next barrier.
+  void deliver_all(const Grid& grid, Inboxes& inboxes);
 
-  /// Buffer-reusing form of the barrier: fills `inboxes` (resized to
-  /// grid.cell_count(); each inbox cleared, capacity retained) instead of
-  /// returning fresh vectors, so a caller that passes the same buffers
-  /// every exchange stops allocating once they are warm. Semantically
-  /// identical to the returning form — the MessageSystem round loop uses
-  /// this one.
-  void deliver_all(const Grid& grid,
-                   std::vector<std::vector<Message>>& inboxes);
+  /// Returning form of the barrier, for one-off callers; same contract.
+  [[nodiscard]] Inboxes deliver_all(const Grid& grid);
 
   /// True once the schedule can no longer perturb an exchange: no fault
   /// will fire and nothing is buffered for late delivery. Mirrors
@@ -138,8 +222,7 @@ class NetworkModel {
   friend struct snapshot::Access;
 
   std::vector<Message> in_flight_;
-  std::vector<Message> deliver_;      ///< barrier scratch, reused per exchange
-  std::vector<std::size_t> order_;    ///< canonical-sort permutation scratch
+  std::vector<Message> deliver_;  ///< the barrier's delivery buffer
   std::uint64_t round_ = 0;
   std::uint64_t total_messages_ = 0;
   std::uint64_t last_exchange_ = 0;

@@ -946,7 +946,6 @@ struct Access {
   static void apply_network(NetworkModel& net, NetState&& s) {
     net.in_flight_.clear();
     net.deliver_.clear();
-    net.order_.clear();
     net.round_ = s.round;
     net.total_messages_ = s.total_messages;
     net.last_exchange_ = s.last_exchange;
@@ -1135,12 +1134,13 @@ struct Access {
     msg.last_round_messages_ = counters[0];
     msg.expired_grants_ = counters[1];
     msg.deferred_acceptances_ = counters[2];
-    for (auto& inbox : msg.inboxes_) inbox.clear();
+    msg.inboxes_.clear();
     apply_network(*msg.network_, std::move(net));
     if (env_rng != nullptr) env_rng->set_state(env_words);
   }
 
-  static std::uint64_t digest_message(const MessageSystem& msg) {
+  static std::uint64_t digest_message(const MessageSystem& msg,
+                                      bool with_fault_schedule) {
     DigestAccumulator d;
     d.u64(msg.round());
     d.u64(msg.total_arrivals());
@@ -1172,6 +1172,7 @@ struct Access {
     for (const auto& row : net.fault_counts_) {
       for (const std::uint64_t c : row) d.u64(c);
     }
+    if (!with_fault_schedule) return d.value();
     if (const auto* faulty = dynamic_cast<const FaultyNetwork*>(&net)) {
       for (const std::uint64_t word : faulty->rng_.state()) d.u64(word);
       d.u64(static_cast<std::uint64_t>(faulty->delayed_.size()));
@@ -1224,7 +1225,11 @@ std::uint64_t state_digest(const System& sys) {
 }
 
 std::uint64_t state_digest(const MessageSystem& msg) {
-  return Access::digest_message(msg);
+  return Access::digest_message(msg, true);
+}
+
+std::uint64_t execution_digest(const MessageSystem& msg) {
+  return Access::digest_message(msg, false);
 }
 
 std::vector<std::uint8_t> save(const chunk::ChunkedSystem& sys,

@@ -91,6 +91,11 @@ void restore(chunk::ChunkedSystem& sys, std::span<const std::uint8_t> bytes,
 /// equality currency of the round-trip tests and the replay bisector.
 [[nodiscard]] std::uint64_t state_digest(const System& sys);
 [[nodiscard]] std::uint64_t state_digest(const MessageSystem& msg);
+/// state_digest(msg) without a FaultyNetwork's private schedule state (its
+/// rng words and delay queue): what two transports that deliver the same
+/// messages agree on, so a SyncNetwork run and a zero-fault FaultyNetwork
+/// run of one configuration digest equal.
+[[nodiscard]] std::uint64_t execution_digest(const MessageSystem& msg);
 /// Digests the full N×N cell space in row-major order — materialized or
 /// not (non-live cells via their rest-state reconstruction) — so the
 /// value is comparable across storage models: a ChunkedSystem and a dense

@@ -8,10 +8,14 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <string>
+#include <utility>
 #include <vector>
 
 #include "grid/grid.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace cellflow {
 namespace {
@@ -19,6 +23,8 @@ namespace {
 Message dist_msg(CellId from, CellId to, std::uint64_t hops) {
   return Message{from, to, DistAnnounce{Dist::finite(hops)}};
 }
+
+Dist dist_of(const Message& m) { return std::get<DistAnnounce>(m.payload).dist; }
 
 TEST(SyncNetwork, DeliversToAddresseeOnly) {
   Grid grid(3);
@@ -31,7 +37,8 @@ TEST(SyncNetwork, DeliversToAddresseeOnly) {
   EXPECT_EQ(inboxes[grid.index_of(CellId{0, 1})].size(), 1u);
   EXPECT_EQ(inboxes[grid.index_of(CellId{2, 1})].size(), 1u);
   std::size_t delivered = 0;
-  for (const auto& inbox : inboxes) delivered += inbox.size();
+  for (std::size_t k = 0; k < inboxes.size(); ++k)
+    delivered += inboxes[k].size();
   EXPECT_EQ(delivered, 2u);
   EXPECT_EQ(net.last_exchange_messages(), 2u);
 }
@@ -57,6 +64,71 @@ TEST(SyncNetwork, CanonicalOrderSortsBySenderAndKeepsLinkFifo) {
   EXPECT_EQ(inbox[3].sender, (CellId{2, 1}));
   EXPECT_EQ(std::get<DistAnnounce>(inbox[2].payload).dist, Dist::finite(9));
   EXPECT_EQ(std::get<DistAnnounce>(inbox[3].payload).dist, Dist::finite(10));
+}
+
+// The barrier's counting pass and per-inbox sender pass must deliver
+// exactly what a stable sort of the send queue by (receiver index,
+// sender) gives. Each queue mixes random links carrying several
+// interleaved messages with the shape MessageSystem sends: every cell
+// broadcasting to grid.neighbors in index order, whose arrival order at
+// a receiver is NOT sender order (index order is j-major, CellId order
+// i-major). The dist payload stamps each message with its queue
+// position, so equal stamps mean the very same message.
+TEST(SyncNetwork, DeliveryMatchesStableSortReference) {
+  for (std::uint64_t seed = 1; seed <= 48; ++seed) {
+    Xoshiro256 rng(seed);
+    SyncNetwork net;
+    Inboxes inboxes;  // reused across barriers, as MessageSystem does
+    for (int side = 1; side <= 9; ++side) {
+      SCOPED_TRACE("seed " + std::to_string(seed) + " side " +
+                   std::to_string(side));
+      const Grid grid(side);
+      const std::size_t cells = grid.cell_count();
+      std::vector<std::pair<CellId, CellId>> links(1 + rng.below(2 * cells));
+      for (auto& [from, to] : links) {
+        from = grid.id_of(rng.below(cells));
+        to = grid.id_of(rng.below(cells));
+      }
+      std::vector<Message> queue;
+      const auto send_random = [&] {
+        for (std::uint64_t n = rng.below(3 * links.size()); n > 0; --n) {
+          const auto& [from, to] = links[rng.below(links.size())];
+          queue.push_back(dist_msg(from, to, queue.size()));
+        }
+      };
+      send_random();
+      for (std::size_t k = 0; k < cells; ++k) {
+        const CellId from = grid.id_of(k);
+        for (const CellId to : grid.neighbors(from))
+          queue.push_back(dist_msg(from, to, queue.size()));
+      }
+      send_random();
+
+      net.begin_round(0);
+      for (const Message& m : queue) net.send(m);
+      net.deliver_all(grid, inboxes);
+
+      std::vector<Message> reference = queue;
+      std::stable_sort(reference.begin(), reference.end(),
+                       [&](const Message& a, const Message& b) {
+                         const std::size_t ra = grid.index_of(a.receiver);
+                         const std::size_t rb = grid.index_of(b.receiver);
+                         return ra != rb ? ra < rb : a.sender < b.sender;
+                       });
+      ASSERT_EQ(inboxes.size(), cells);
+      std::size_t at = 0;
+      for (std::size_t k = 0; k < cells; ++k) {
+        for (const Message& m : inboxes[k]) {
+          ASSERT_LT(at, reference.size());
+          ASSERT_EQ(grid.index_of(m.receiver), k);
+          ASSERT_EQ(m.sender, reference[at].sender);
+          ASSERT_EQ(dist_of(m), dist_of(reference[at]));
+          ++at;
+        }
+      }
+      EXPECT_EQ(at, reference.size());
+    }
+  }
 }
 
 TEST(SyncNetwork, CountsMessagesPerPayloadType) {
@@ -92,7 +164,8 @@ TEST(SyncNetwork, BarrierClearsTheQueue) {
   (void)net.deliver_all(grid);
   // Second barrier with nothing queued delivers nothing.
   const auto inboxes = net.deliver_all(grid);
-  for (const auto& inbox : inboxes) EXPECT_TRUE(inbox.empty());
+  for (std::size_t k = 0; k < inboxes.size(); ++k)
+    EXPECT_TRUE(inboxes[k].empty());
   EXPECT_EQ(net.last_exchange_messages(), 0u);
 }
 
@@ -113,7 +186,8 @@ TEST(FaultyNetwork, DropAllDeliversNothingAndCounts) {
   net.send(dist_msg(CellId{0, 0}, CellId{0, 1}, 1));
   net.send(Message{CellId{0, 0}, CellId{0, 1}, TransferAck{1}});
   const auto inboxes = net.deliver_all(grid);
-  for (const auto& inbox : inboxes) EXPECT_TRUE(inbox.empty());
+  for (std::size_t k = 0; k < inboxes.size(); ++k)
+    EXPECT_TRUE(inboxes[k].empty());
   EXPECT_EQ(net.fault_count(NetFault::kDropped), 2u);
   EXPECT_EQ(net.fault_count(NetFault::kDropped, PayloadType::kDist), 1u);
   EXPECT_EQ(net.fault_count(NetFault::kDropped, PayloadType::kAck), 1u);
@@ -160,6 +234,65 @@ TEST(FaultyNetwork, DelayResurfacesAtTheSameExchangeOfALaterRound) {
             Dist::finite(3));
   EXPECT_EQ(net.delayed_in_flight(), 0u);
   EXPECT_EQ(net.fault_count(NetFault::kDelayed), 1u);
+}
+
+// Duplicates and multi-round delays re-enter the barrier out of send
+// order, yet every inbox still reads ascending in sender, and along one
+// link a per-link send counter (carried as the dist payload) never
+// decreases: a released late copy precedes the fresh sends, and a
+// duplicate sits next to its original.
+TEST(FaultyNetwork, DeliveryKeepsSenderOrderAndLinkFifo) {
+  NetFaultSpec spec;
+  spec.dup_prob = 0.3;
+  spec.delay_prob = 0.3;
+  spec.max_delay_rounds = 3;
+  for (std::uint64_t seed = 1; seed <= 8; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    const Grid grid(static_cast<int>(2 + seed % 6));
+    const std::size_t cells = grid.cell_count();
+    FaultyNetwork net(spec, seed);
+    Xoshiro256 rng(seed);
+    Inboxes inboxes;
+    std::vector<std::uint64_t> sent(cells * cells, 0);       // per link
+    std::vector<std::uint64_t> delivered(cells * cells, 0);  // per link
+    std::uint64_t late = 0;
+    for (std::uint64_t round = 0; round < 12; ++round) {
+      net.begin_round(round);
+      for (std::uint64_t e = 0; e < kExchangesPerRound; ++e) {
+        for (std::size_t k = 0; k < cells; ++k) {
+          const CellId from = grid.id_of(k);
+          for (const CellId to : grid.neighbors(from)) {
+            std::uint64_t& n = sent[k * cells + grid.index_of(to)];
+            for (std::uint64_t copy = rng.below(3); copy > 0; --copy)
+              net.send(dist_msg(from, to, ++n));
+          }
+        }
+        net.deliver_all(grid, inboxes);
+        for (std::size_t r = 0; r < cells; ++r) {
+          const Inbox inbox = inboxes[r];
+          for (std::size_t n = 0; n < inbox.size(); ++n) {
+            const Message& m = inbox[n];
+            const std::uint64_t count = dist_of(m).hops();
+            std::uint64_t& high =
+                delivered[grid.index_of(m.sender) * cells + r];
+            if (count < high) ++late;
+            high = std::max(high, count);
+            if (n == 0) continue;
+            const Message& prev = inbox[n - 1];
+            ASSERT_LE(prev.sender, m.sender);
+            if (prev.sender == m.sender) {
+              ASSERT_LE(dist_of(prev).hops(), count);
+            }
+          }
+        }
+      }
+    }
+    // The schedule really did re-order the wire: copies and late
+    // releases both reached the inboxes checked above.
+    EXPECT_GT(net.fault_count(NetFault::kDuplicated), 0u);
+    EXPECT_GT(net.fault_count(NetFault::kDelayed), 0u);
+    EXPECT_GT(late, 0u);
+  }
 }
 
 TEST(FaultyNetwork, PartitionCutsCrossingMessagesWhileActive) {

@@ -407,6 +407,35 @@ TEST(SnapshotMismatch, NetworkKindMustMatch) {
   }
 }
 
+// execution_digest leaves out only the fault schedule's private state:
+// a SyncNetwork run and a zero-fault FaultyNetwork run of one config
+// agree on it (state_digest tells them apart by the schedule's rng),
+// while a fault that changed the run changes it.
+TEST(SnapshotDigest, ExecutionDigestIgnoresOnlyTheFaultSchedule) {
+  MsgSystemConfig mcfg;
+  mcfg.side = 6;
+  mcfg.params = Params(0.25, 0.05, 0.1);
+  mcfg.sources = {CellId{0, 3}};
+  mcfg.target = CellId{5, 3};
+  NetFaultSpec lossy;
+  lossy.drop_prob = 0.1;
+  MessageSystem sync_sys(mcfg);
+  MessageSystem idle_sys(mcfg,
+                         std::make_unique<FaultyNetwork>(NetFaultSpec{}, 1));
+  MessageSystem lossy_sys(mcfg, std::make_unique<FaultyNetwork>(lossy, 1));
+  for (int r = 0; r < 30; ++r) {
+    sync_sys.update();
+    idle_sys.update();
+    lossy_sys.update();
+  }
+  EXPECT_EQ(snapshot::execution_digest(sync_sys),
+            snapshot::execution_digest(idle_sys));
+  EXPECT_NE(snapshot::state_digest(sync_sys),
+            snapshot::state_digest(idle_sys));
+  EXPECT_NE(snapshot::execution_digest(sync_sys),
+            snapshot::execution_digest(lossy_sys));
+}
+
 TEST(SnapshotFiles, WriteReadRoundTrip) {
   System a(small_config());
   const auto bytes = run_and_save(a, 15);
