@@ -6,16 +6,18 @@
 # (metrics registry under the parallel engine, profiler shard spans,
 # concurrent logger writers), the net-layer suites, the active-set
 # scheduler suites, the snapshot/replay suites and the chunked store.
-# System::update runs every round as one stage plan on the pool; phase
-# hooks, a stateful choose policy's Signal pass and the profiler and
-# telemetry stamps all sit in its serial stages, on the caller, while
-# workers hold at the stage boundary. PhaseHookDifferential drives
-# exactly that — a hook reading the whole System between pooled stages
-# on every engine, with profiler and telemetry attached to one of them
-# — and ActiveSetDifferential covers the scheduler arrays the workers
-# read inside stages and the caller mutates only in the merges. Any data
-# race in the parallel round engine or the instrumentation aborts the
-# run.
+# System::update and chunk::ChunkedSystem::update run every round as one
+# stage plan through run_plan, the pool's only entry point; phase hooks,
+# a stateful choose policy's Signal pass, the profiler and telemetry
+# stamps, and the chunk fault-ins of the merges all sit in its serial
+# stages, on the caller, while workers hold at the stage boundary.
+# PhaseHookDifferential drives exactly that — a hook reading the whole
+# System between pooled stages on every engine, with profiler and
+# telemetry attached to one of them — ActiveSetDifferential covers the
+# scheduler arrays the workers read inside stages and the caller mutates
+# only in the merges, and ChunkDifferential's pooled legs cover the
+# live-chunk list each parallel stage shards. Any data race in the
+# parallel round engine or the instrumentation aborts the run.
 #
 # Exits 0 with a notice when the toolchain cannot link -fsanitize=thread
 # (some minimal images ship gcc without libtsan) so CI lanes without the

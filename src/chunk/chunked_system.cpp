@@ -1,12 +1,11 @@
 #include "chunk/chunked_system.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <optional>
+#include <span>
 #include <utility>
 
-#include "core/move.hpp"
 #include "core/route.hpp"
-#include "core/signal.hpp"
 #include "util/check.hpp"
 
 namespace cellflow::chunk {
@@ -18,6 +17,60 @@ namespace {
 /// canonicalization must not use it.
 [[nodiscard]] bool dense_less(CellId a, CellId b) noexcept {
   return a.j != b.j ? a.j < b.j : a.i < b.i;
+}
+
+/// Calls f(lc, rect, slot, id) for every cell of the live chunks
+/// `chunks`, chunk by chunk, row-major within each.
+template <class F>
+void for_each_cell(ChunkedCellStore& store, const ChunkLayout& layout,
+                   std::span<const std::uint32_t> chunks, F&& f) {
+  for (const std::uint32_t q : chunks) {
+    LiveChunk& lc = store.live(q);
+    const ChunkLayout::Rect rect = layout.rect_of(q);
+    std::size_t slot = 0;
+    for (int lj = 0; lj < rect.h; ++lj) {
+      for (int li = 0; li < rect.w; ++li, ++slot)
+        f(lc, rect, slot, CellId{rect.i0 + li, rect.j0 + lj});
+    }
+  }
+}
+
+/// Calls f(lc, rect, slot, id) for every cell of every live chunk in
+/// ascending dense-index order: rows across all chunks, skipping non-live
+/// chunks bodily — the dense serial loop's order.
+template <class F>
+void for_each_cell_row_major(ChunkedCellStore& store,
+                             const ChunkLayout& layout, F&& f) {
+  const int cx = layout.chunks_x();
+  for (int cj = 0; cj < cx; ++cj) {
+    const int j_lo = cj * kChunkSide;
+    const int j_hi = std::min(layout.side(), j_lo + kChunkSide);
+    for (int j = j_lo; j < j_hi; ++j) {
+      for (int ci = 0; ci < cx; ++ci) {
+        const std::size_t q =
+            static_cast<std::size_t>(cj) * static_cast<std::size_t>(cx) +
+            static_cast<std::size_t>(ci);
+        if (!store.is_live(q)) continue;
+        LiveChunk& lc = store.live(q);
+        const ChunkLayout::Rect rect = layout.rect_of(q);
+        std::size_t slot = static_cast<std::size_t>(j - rect.j0) *
+                           static_cast<std::size_t>(rect.w);
+        for (int li = 0; li < rect.w; ++li, ++slot)
+          f(lc, rect, slot, CellId{rect.i0 + li, j});
+      }
+    }
+  }
+}
+
+/// The same-chunk slot of `id`, or nullopt when `id` lies outside `rect`.
+[[nodiscard]] std::optional<std::size_t> slot_in(const ChunkLayout::Rect& rect,
+                                                 CellId id) noexcept {
+  if (id.i < rect.i0 || id.i >= rect.i0 + rect.w || id.j < rect.j0 ||
+      id.j >= rect.j0 + rect.h)
+    return std::nullopt;
+  return static_cast<std::size_t>(id.j - rect.j0) *
+             static_cast<std::size_t>(rect.w) +
+         static_cast<std::size_t>(id.i - rect.i0);
 }
 
 }  // namespace
@@ -33,16 +86,7 @@ ChunkedSystem::ChunkedSystem(SystemConfig config,
                      : std::make_unique<RoundRobinChoose>()),
       source_(source ? std::move(source)
                      : std::make_unique<EntryEdgeSource>()) {
-  CF_EXPECTS_MSG(grid_.contains(config_.target), "target outside grid");
-  for (const CellId s : config_.sources) {
-    CF_EXPECTS_MSG(grid_.contains(s), "source outside grid");
-    CF_EXPECTS_MSG(s != config_.target, "a cell cannot be source and target");
-  }
-  // Canonical injection order, exactly as System does it.
-  std::sort(config_.sources.begin(), config_.sources.end());
-  config_.sources.erase(
-      std::unique(config_.sources.begin(), config_.sources.end()),
-      config_.sources.end());
+  canonicalize_sources(grid_, config_.target, config_.sources);
 
   pinned_.assign(store_.chunk_count(), 0);
   // The target's chunk anchors routing (Route pins its dist every round)
@@ -242,16 +286,6 @@ void ChunkedSystem::set_parallel_policy(const ParallelPolicy& policy) {
   if (scratch_.shards.size() < width) scratch_.shards.resize(width);
 }
 
-ThreadPool* ChunkedSystem::phase_pool(std::size_t approx_cells) const {
-  ThreadPool* pool = pool_.get();
-  if (pool == nullptr || parallel_.cutover != ParallelPolicy::Cutover::kAuto)
-    return pool;
-  const std::size_t used = shard_count(approx_cells, pool->thread_count());
-  if (used <= 1) return pool;  // parallel_for_shards falls back anyway
-  const auto grain = static_cast<std::size_t>(ParallelPolicy::kCutoverGrain);
-  return approx_cells < grain * used ? nullptr : pool;
-}
-
 void ChunkedSystem::set_metrics(obs::MetricsRegistry* registry) {
   // Same label as the dense shared-variable engine: the exposition must
   // be byte-identical to System's (pinned by the differential suite).
@@ -263,34 +297,23 @@ void ChunkedSystem::set_metrics(obs::MetricsRegistry* registry) {
 
 void ChunkedSystem::fail(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cell_mut(id);
-  if (!c.failed && metrics_) metrics_->add_failure();
-  c.failed = true;
-  c.dist = Dist::infinity();
-  c.next = std::nullopt;
-  c.signal = std::nullopt;
-  c.token = std::nullopt;
-  c.ne_prev.clear();
+  if (apply_fail(cell_mut(id)) && metrics_) metrics_->add_failure();
   note_control_mutation(id);
 }
 
 void ChunkedSystem::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cell_mut(id);
-  if (!c.failed) return;
+  if (!apply_recover(cell_mut(id), id == config_.target)) return;
   if (metrics_) metrics_->add_recovery();
-  c.failed = false;
-  c.dist = (id == config_.target) ? Dist::zero() : Dist::infinity();
-  c.next = std::nullopt;
-  c.token = std::nullopt;
-  c.signal = std::nullopt;
-  c.ne_prev.clear();
   note_control_mutation(id);
 }
 
 EntityId ChunkedSystem::seed_entity(CellId id, Vec2 center) {
-  CF_EXPECTS(grid_.contains(id));
-  CF_EXPECTS_MSG(injection_is_safe(id, center),
+  // A non-live cell provably has no members and no token; cell() reads it
+  // without faulting its chunk in, so a rejected placement changes nothing.
+  const CellState c = cell(id);
+  CF_EXPECTS_MSG(injection_is_safe(id, center, c.members, c.token,
+                                   config_.params),
                  "seed_entity: placement violates the gap requirement or "
                  "Invariant-1 bounds");
   const EntityId eid{next_entity_id_++};
@@ -318,47 +341,112 @@ void ChunkedSystem::corrupt_control_state(CellId id, Dist dist, OptCellId next,
   note_control_mutation(id);
 }
 
-bool ChunkedSystem::injection_is_safe(CellId id, Vec2 center) const {
-  const Params& p = config_.params;
-  const double half = p.entity_length() / 2.0;
-  const double d = p.center_spacing();
-  const auto i = static_cast<double>(id.i);
-  const auto j = static_cast<double>(id.j);
-
-  if (center.x - half < i || center.x + half > i + 1.0 ||
-      center.y - half < j || center.y + half > j + 1.0)
-    return false;
-
-  // A non-live cell provably has no members and no token, so only the
-  // bounds check above applies — exactly the dense outcome on the same
-  // (empty, token-⊥) state.
-  const CellState* c = peek_live(id);
-  if (c == nullptr) return true;
-
-  for (const Entity& q : c->members) {
-    if (std::abs(center.x - q.center.x) < d &&
-        std::abs(center.y - q.center.y) < d)
-      return false;
-  }
-  if (c->token.has_value()) {
-    const bool was_clear = entry_strip_clear(id, *c->token, c->members, p);
-    if (was_clear) {
-      const Entity probe{EntityId{~0ULL}, center};
-      const bool probe_clear = entry_strip_clear(
-          id, *c->token, std::span<const Entity>(&probe, 1), p);
-      if (!probe_clear) return false;
-    }
-  }
-  return true;
-}
-
 const RoundEvents& ChunkedSystem::update() {
   events_.clear();
   events_.round = round_;
-  route_phase();
-  signal_phase();
-  move_phase();
-  inject_phase();
+  // The parallel stages read the live-chunk list concurrently, so it is
+  // rebuilt on this thread before the plan and at the end of each serial
+  // stage that precedes one (merges can fault chunks in).
+  const std::vector<std::uint32_t>& live = store_.live_order();
+  if (scheduler_ != RoundScheduler::kActiveSet) {
+    // Exhaustive: recopy every snapshot before Route — cells read *other
+    // chunks'* snapshots, so the copy cannot ride inside the per-chunk
+    // bodies.
+    for (const std::uint32_t q : live) {
+      LiveChunk& lc = store_.live(q);
+      for (std::size_t slot = 0; slot < lc.cells.size(); ++slot)
+        lc.dist_snapshot[slot] = lc.cells[slot].dist;
+    }
+  }
+  // System's round plan (DESIGN.md §6) with chunks as the shard domain:
+  // the shard count is fixed here, and each parallel stage shards the
+  // live list as it stands when the stage opens.
+  const RoundEngine engine = choose_round_engine(
+      pool_.get(), parallel_.cutover, round_, sched_stats_, live.size());
+  const std::size_t used = engine.shards;
+  const bool signal_sharded =
+      engine.pool != nullptr && choose_->concurrent_safe();
+  for (std::size_t s = 0; s < used; ++s) scratch_.shards[s].begin_round();
+
+  const auto slice = [&](std::size_t t) {
+    // Never empty: the target's chunk is pinned live.
+    const ShardRange r = shard_range_at(live.size(), used, t);
+    return std::span<const std::uint32_t>(live).subspan(r.begin,
+                                                        r.end - r.begin);
+  };
+  // The scheduler's gates, per cell: kActiveSet runs only armed (Route)
+  // or occupied-neighborhood (Signal, Move) cells; a skipped live cell
+  // owes only the tally the exhaustive loop would have made — a degree's
+  // worth of relaxations (none for the pinned target) and one
+  // ne_prev_sizes[0].
+  const bool active = scheduler_ == RoundScheduler::kActiveSet;
+  const bool counting = metrics_ != nullptr;
+  const auto route_at = [&](ShardScratch& sc, LiveChunk& lc,
+                            const ChunkLayout::Rect& rect, std::size_t slot,
+                            CellId id) {
+    if (!active || lc.route_stamp[slot] >= round_) {
+      ++sc.visited;
+      route_cell(sc, lc, rect, slot, id);
+    } else if (counting && !lc.cells[slot].failed && id != config_.target) {
+      sc.counts.route_relaxations +=
+          static_cast<std::uint64_t>(layout_.degree_of(id));
+    }
+  };
+  const auto signal_at = [&](ShardScratch& sc, LiveChunk& lc,
+                             const ChunkLayout::Rect& rect, std::size_t slot,
+                             CellId id) {
+    if (!active || lc.occ_refs[slot] > 0) {
+      ++sc.visited;
+      signal_cell(sc, lc, rect, slot, id);
+    } else if (counting && !lc.cells[slot].failed) {
+      ++sc.counts.ne_prev_sizes[0];
+    }
+  };
+  const auto move_at = [&](ShardScratch& sc, LiveChunk& lc,
+                           const ChunkLayout::Rect& rect, std::size_t slot,
+                           CellId id) {
+    if (!active || lc.occ_refs[slot] > 0) {
+      ++sc.visited;
+      move_cell(sc, lc, rect, slot, id);
+    }
+  };
+  const auto shard = [&](std::size_t t, const auto& at) {
+    ShardScratch& sc = scratch_.shards[t];
+    for_each_cell(store_, layout_, slice(t),
+                  [&](auto&&... cell) { at(sc, cell...); });
+  };
+  const auto route = [&](std::size_t t) { shard(t, route_at); };
+  const auto signal = [&](std::size_t t) { shard(t, signal_at); };
+  const auto move = [&](std::size_t t) { shard(t, move_at); };
+  const auto after_route = [&](std::size_t) {
+    merge_route_results(used);
+    // A stateful choose policy, or an inline round, sweeps Signal
+    // row-major so the policy sees the dense serial call sequence.
+    if (!signal_sharded) {
+      for_each_cell_row_major(store_, layout_, [&](auto&&... cell) {
+        signal_at(scratch_.shards[0], cell...);
+      });
+    }
+    (void)store_.live_order();
+  };
+  const auto after_signal = [&](std::size_t) {
+    merge_signal_results(used);
+    (void)store_.live_order();
+  };
+  const auto after_move = [&](std::size_t) {
+    merge_move_results(used);
+    inject_phase();
+  };
+  const ThreadPool::PlanStage stages[] = {
+      {/*parallel=*/true, used, route},
+      {/*parallel=*/false, 1, after_route},
+      {/*parallel=*/true, signal_sharded ? used : 0, signal},
+      {/*parallel=*/false, 1, after_signal},
+      {/*parallel=*/true, used, move},
+      {/*parallel=*/false, 1, after_move},
+  };
+  run_plan(engine.pool, stages, std::size(stages));
+
   if (metrics_) {
     metrics_->add(round_counts_);
     metrics_->add_round();
@@ -384,59 +472,21 @@ std::uint64_t ChunkedSystem::virgin_route_comp(std::size_t q) const {
   return sum;
 }
 
-void ChunkedSystem::route_phase() {
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  const auto& order = store_.live_order();
-  if (!active) {
-    // Exhaustive: recopy every snapshot before the sharded loop — cells
-    // read *other chunks'* snapshots, so the copy cannot ride inside the
-    // per-chunk bodies.
-    for (const std::uint32_t q : order) {
-      LiveChunk& lc = store_.live(q);
-      for (std::size_t slot = 0; slot < lc.cells.size(); ++slot)
-        lc.dist_snapshot[slot] = lc.cells[slot].dist;
-    }
-  }
-
-  ThreadPool* pool = phase_pool(
-      order.size() * static_cast<std::size_t>(kChunkSide * kChunkSide));
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-  const auto body = [&](std::size_t s, ShardRange r) {
+std::uint64_t ChunkedSystem::collect_shards(std::size_t used) {
+  std::uint64_t visited = 0;
+  for (std::size_t s = 0; s < used; ++s) {
     ShardScratch& sc = scratch_.shards[s];
-    obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-    for (std::size_t x = r.begin; x < r.end; ++x) {
-      const std::size_t q = order[x];
-      LiveChunk& lc = store_.live(q);
-      const ChunkLayout::Rect rect = layout_.rect_of(q);
-      std::size_t slot = 0;
-      for (int lj = 0; lj < rect.h; ++lj) {
-        for (int li = 0; li < rect.w; ++li, ++slot) {
-          const CellId id{rect.i0 + li, rect.j0 + lj};
-          if (!active) {
-            route_cell(lc, rect, slot, id, pc, nullptr);
-            ++sc.visited;
-          } else if (lc.route_stamp[slot] >= round_) {
-            route_cell(lc, rect, slot, id, pc, &sc.changed);
-            ++sc.visited;
-          } else if (pc != nullptr && !lc.cells[slot].failed &&
-                     id != config_.target) {
-            pc->route_relaxations +=
-                static_cast<std::uint64_t>(layout_.degree_of(id));
-          }
-        }
-      }
-    }
-  };
-  parallel_for_shards(pool, order.size(), body);
-
-  sched_stats_.route_cells = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
-    if (metrics_) round_counts_.merge(scratch_.shards[s].counts);
-    sched_stats_.route_cells += scratch_.shards[s].visited;
+    if (metrics_) round_counts_.merge(sc.counts);
+    sc.counts.reset();
+    visited += sc.visited;
+    sc.visited = 0;
   }
+  return visited;
+}
+
+void ChunkedSystem::merge_route_results(std::size_t used) {
+  sched_stats_.route_cells = collect_shards(used);
+  if (scheduler_ != RoundScheduler::kActiveSet) return;
 
   // Skipped-chunk compensation: a quiescent live cell tallies exactly
   // its lattice degree per round under the dense active-set scheduler
@@ -445,7 +495,7 @@ void ChunkedSystem::route_phase() {
   // arming merge below: arming can fault a chunk in, and a chunk that
   // was non-live while the sharded body ran still owes this round's
   // tally even if it is live by the end of the phase.
-  if (active && metrics_ != nullptr) {
+  if (metrics_ != nullptr) {
     for (std::size_t q = 0; q < store_.chunk_count(); ++q) {
       switch (store_.state(q)) {
         case ChunkedCellStore::State::kLive:
@@ -460,43 +510,29 @@ void ChunkedSystem::route_phase() {
     }
   }
 
-  if (active) {
-    // Post-barrier merge, shard order: sync the changed cells' snapshots
-    // and arm their readers for next round — faulting a neighbor chunk
-    // in *before* arming any of its cells, which is the live/parked
-    // border crossing of the routing wave.
-    for (std::size_t s = 0; s < nshards; ++s) {
-      for (const CellId id : scratch_.shards[s].changed) {
-        const std::size_t q = layout_.chunk_of(id);
-        LiveChunk& lc = store_.live(q);
-        const std::size_t slot = layout_.slot_of(id);
-        lc.dist_snapshot[slot] = lc.cells[slot].dist;
-        for (const Direction d : kAllDirections) {
-          const auto st = step_of(d);
-          const CellId nid{id.i + st[0], id.j + st[1]};
-          if (grid_.contains(nid)) arm_cell(nid, round_ + 1);
-        }
+  // Shard order: sync the changed cells' snapshots and arm their readers
+  // for next round — faulting a neighbor chunk in *before* arming any of
+  // its cells, which is the live/parked border crossing of the routing
+  // wave.
+  for (std::size_t s = 0; s < used; ++s) {
+    for (const CellId id : scratch_.shards[s].changed) {
+      LiveChunk& lc = store_.live(layout_.chunk_of(id));
+      const std::size_t slot = layout_.slot_of(id);
+      lc.dist_snapshot[slot] = lc.cells[slot].dist;
+      for (const Direction d : kAllDirections) {
+        const auto st = step_of(d);
+        const CellId nid{id.i + st[0], id.j + st[1]};
+        if (grid_.contains(nid)) arm_cell(nid, round_ + 1);
       }
     }
   }
 }
 
-void ChunkedSystem::route_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                               std::size_t slot, CellId id,
-                               obs::ProtocolCounts* counts,
-                               std::vector<CellId>* changed_out) {
+void ChunkedSystem::route_cell(ShardScratch& sc, LiveChunk& lc,
+                               const ChunkLayout::Rect& rect, std::size_t slot,
+                               CellId id) {
   CellState& c = lc.cells[slot];
   if (c.failed) return;
-  if (id == config_.target) {
-    if (c.dist != Dist::zero()) {
-      if (counts != nullptr) ++counts->route_dist_changes;
-      if (changed_out != nullptr) changed_out->push_back(id);
-    }
-    c.dist = Dist::zero();
-    c.next = std::nullopt;
-    return;
-  }
-
   NeighborDist nds[4] = {};
   std::size_t n = 0;
   for (const Direction d : kAllDirections) {
@@ -506,128 +542,36 @@ void ChunkedSystem::route_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
     // Same-chunk reads hit the chunk's own frozen snapshot directly; a
     // cross-chunk read resolves through the store (live snapshot, parked
     // summary, or the virgin initial value — all frozen for the phase).
-    Dist dist;
-    if (nid.i >= rect.i0 && nid.i < rect.i0 + rect.w && nid.j >= rect.j0 &&
-        nid.j < rect.j0 + rect.h) {
-      dist = lc.dist_snapshot[static_cast<std::size_t>(nid.j - rect.j0) *
-                                  static_cast<std::size_t>(rect.w) +
-                              static_cast<std::size_t>(nid.i - rect.i0)];
-    } else {
-      dist = store_.boundary_dist(nid);
-    }
-    nds[n++] = NeighborDist{nid, dist};
+    const auto ns = slot_in(rect, nid);
+    nds[n++] = NeighborDist{nid, ns ? lc.dist_snapshot[*ns]
+                                    : store_.boundary_dist(nid)};
   }
-  const RouteResult r = route_step(std::span<const NeighborDist>(nds, n));
-  if (counts != nullptr) {
-    counts->route_relaxations += n;
-    if (c.dist != r.dist) ++counts->route_dist_changes;
-  }
-  if (changed_out != nullptr && c.dist != r.dist) changed_out->push_back(id);
-  c.dist = r.dist;
-  c.next = r.next;
+  if (apply_route(c, id == config_.target,
+                  std::span<const NeighborDist>(nds, n),
+                  metrics_ ? &sc.counts : nullptr) &&
+      scheduler_ == RoundScheduler::kActiveSet)
+    sc.changed.push_back(id);
 }
 
-void ChunkedSystem::signal_phase() {
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  // A stateful choose policy pins Signal serial — and, here, to a
-  // *global row-major* sweep: chunk-major traversal would permute the
-  // policy's call sequence relative to the dense serial loop.
-  const auto& order = store_.live_order();
-  ThreadPool* pool =
-      choose_->concurrent_safe()
-          ? phase_pool(order.size() *
-                       static_cast<std::size_t>(kChunkSide * kChunkSide))
-          : nullptr;
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-
-  if (pool == nullptr) {
-    // Serial sweep in ascending dense-index order (rows across all
-    // chunks, skipping non-live chunks bodily). Also the no-pool path:
-    // for pure policies any order gives identical per-cell results, and
-    // one serial path that always matches the dense pinned loop is
-    // simpler to trust than two.
-    ShardScratch& sc = scratch_.shards[0];
-    obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-    const int side = grid_.side();
-    const int cx = layout_.chunks_x();
-    for (int cj = 0; cj < cx; ++cj) {
-      const int j_lo = cj * kChunkSide;
-      const int j_hi = std::min(side, j_lo + kChunkSide);
-      for (int j = j_lo; j < j_hi; ++j) {
-        for (int ci = 0; ci < cx; ++ci) {
-          const std::size_t q =
-              static_cast<std::size_t>(cj) * static_cast<std::size_t>(cx) +
-              static_cast<std::size_t>(ci);
-          if (!store_.is_live(q)) continue;
-          LiveChunk& lc = store_.live(q);
-          const ChunkLayout::Rect rect = layout_.rect_of(q);
-          std::size_t slot =
-              static_cast<std::size_t>(j - rect.j0) *
-              static_cast<std::size_t>(rect.w);
-          for (int li = 0; li < rect.w; ++li, ++slot) {
-            const CellId id{rect.i0 + li, j};
-            if (!active) {
-              signal_cell(lc, rect, slot, id, sc.blocked, pc, nullptr);
-              ++sc.visited;
-            } else if (lc.occ_refs[slot] > 0) {
-              signal_cell(lc, rect, slot, id, sc.blocked, pc, &sc.flips);
-              ++sc.visited;
-            } else if (pc != nullptr && !lc.cells[slot].failed) {
-              ++pc->ne_prev_sizes[0];
-            }
-          }
-        }
-      }
-    }
-  } else {
-    const auto body = [&](std::size_t s, ShardRange r) {
-      ShardScratch& sc = scratch_.shards[s];
-      obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-      for (std::size_t x = r.begin; x < r.end; ++x) {
-        const std::size_t q = order[x];
-        LiveChunk& lc = store_.live(q);
-        const ChunkLayout::Rect rect = layout_.rect_of(q);
-        std::size_t slot = 0;
-        for (int lj = 0; lj < rect.h; ++lj) {
-          for (int li = 0; li < rect.w; ++li, ++slot) {
-            const CellId id{rect.i0 + li, rect.j0 + lj};
-            if (!active) {
-              signal_cell(lc, rect, slot, id, sc.blocked, pc, nullptr);
-              ++sc.visited;
-            } else if (lc.occ_refs[slot] > 0) {
-              signal_cell(lc, rect, slot, id, sc.blocked, pc, &sc.flips);
-              ++sc.visited;
-            } else if (pc != nullptr && !lc.cells[slot].failed) {
-              ++pc->ne_prev_sizes[0];
-            }
-          }
-        }
-      }
-    };
-    parallel_for_shards(pool, order.size(), body);
-  }
-
-  sched_stats_.signal_cells = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
+void ChunkedSystem::merge_signal_results(std::size_t used) {
+  sched_stats_.signal_cells = collect_shards(used);
+  for (std::size_t s = 0; s < used; ++s) {
     const ShardScratch& sc = scratch_.shards[s];
     events_.blocked.insert(events_.blocked.end(), sc.blocked.begin(),
                            sc.blocked.end());
-    if (metrics_) round_counts_.merge(sc.counts);
-    sched_stats_.signal_cells += sc.visited;
   }
   // Canonicalize: the dense engines emit blocked events in ascending
   // dense-index order by construction; chunk-major traversal does not,
   // so sort (cell ids are unique — the order is total).
   std::sort(events_.blocked.begin(), events_.blocked.end(), dense_less);
+  if (scheduler_ != RoundScheduler::kActiveSet) return;
 
-  // Skipped-chunk compensation (see route_phase): one ne_prev_sizes[0]
-  // per non-failed cell. Tallied before the occupancy flips are applied —
-  // a flip can fault a neighboring chunk in, and a chunk that was
-  // non-live during the sweep still owes this round's tally.
-  if (active && metrics_ != nullptr) {
+  // Skipped-chunk compensation (see merge_route_results): one
+  // ne_prev_sizes[0] per non-failed cell. Tallied before the occupancy
+  // flips are applied — a flip can fault a neighboring chunk in, and a
+  // chunk that was non-live during the sweep still owes this round's
+  // tally.
+  if (metrics_ != nullptr) {
     for (std::size_t q = 0; q < store_.chunk_count(); ++q) {
       switch (store_.state(q)) {
         case ChunkedCellStore::State::kLive:
@@ -641,118 +585,48 @@ void ChunkedSystem::signal_phase() {
       }
     }
   }
-
-  for (std::size_t s = 0; s < nshards; ++s)
-    for (const CellId id : scratch_.shards[s].flips)
-      apply_occupancy_flip(id);
+  for (std::size_t s = 0; s < used; ++s)
+    for (const CellId id : scratch_.shards[s].flips) apply_occupancy_flip(id);
 }
 
-void ChunkedSystem::signal_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                                std::size_t slot, CellId id,
-                                std::vector<CellId>& blocked_out,
-                                obs::ProtocolCounts* counts,
-                                std::vector<CellId>* flip_out) {
+void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
+                                const ChunkLayout::Rect& rect,
+                                std::size_t slot, CellId id) {
   CellState& c = lc.cells[slot];
   if (c.failed) return;
-
-  SignalInputs in;
-  in.self = id;
-  in.members = c.members;
-  in.token = c.token;
+  NeighborSet ne_prev;
   for (const Direction d : kAllDirections) {
     const auto st = step_of(d);
     const CellId nid{id.i + st[0], id.j + st[1]};
     if (!grid_.contains(nid)) continue;
-    const CellState* nc;
-    if (nid.i >= rect.i0 && nid.i < rect.i0 + rect.w && nid.j >= rect.j0 &&
-        nid.j < rect.j0 + rect.h) {
-      nc = &lc.cells[static_cast<std::size_t>(nid.j - rect.j0) *
-                         static_cast<std::size_t>(rect.w) +
-                     static_cast<std::size_t>(nid.i - rect.i0)];
-    } else {
-      // A non-live neighbor has no members, so it can never be a
-      // nonempty predecessor — skipping it reads exactly what the dense
-      // engine reads from the same (empty) cell.
-      nc = peek_live(nid);
-      if (nc == nullptr) continue;
-    }
-    if (nc->failed) continue;
-    if (nc->next == OptCellId{id} && nc->has_entities())
-      in.ne_prev.push_back(nid);
+    // A non-live neighbor has no members, so it can never be a nonempty
+    // predecessor — skipping it reads exactly what the dense engine reads
+    // from the same (empty) cell.
+    const auto ns = slot_in(rect, nid);
+    const CellState* nc = ns ? &lc.cells[*ns] : peek_live(nid);
+    if (nc == nullptr || nc->failed) continue;
+    if (nc->next == OptCellId{id} && nc->has_entities()) ne_prev.push_back(nid);
   }
-  std::sort(in.ne_prev.begin(), in.ne_prev.end());
-
-  const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
-  const std::size_t ne_prev_size = in.ne_prev.size();
-  const OptCellId old_token = c.token;
-  SignalResult r =
-      config_.signal_rule == SignalRule::kBlocking
-          ? signal_step(std::move(in), config_.params, *choose_)
-          : signal_step_always_grant(std::move(in), *choose_);
-  if (had_candidate && !r.signal.has_value()) blocked_out.push_back(id);
-  if (counts != nullptr) {
-    ++counts->ne_prev_sizes[std::min<std::size_t>(
-        ne_prev_size, counts->ne_prev_sizes.size() - 1)];
-    if (r.signal.has_value()) ++counts->signal_grants;
-    if (had_candidate && !r.signal.has_value()) ++counts->signal_blocks;
-    if (old_token.has_value() && r.token != old_token)
-      ++counts->signal_token_rotations;
-  }
-  c.signal = r.signal;
-  c.token = r.token;
-  c.ne_prev = std::move(r.ne_prev);
-  if (flip_out != nullptr && occupied(c) != (lc.occ_b[slot] != 0))
-    flip_out->push_back(id);
+  if (apply_signal(c, id, std::move(ne_prev), config_.signal_rule,
+                   config_.params, *choose_, metrics_ ? &sc.counts : nullptr))
+    sc.blocked.push_back(id);
+  if (scheduler_ == RoundScheduler::kActiveSet &&
+      occupied(c) != (lc.occ_b[slot] != 0))
+    sc.flips.push_back(id);
 }
 
-void ChunkedSystem::move_phase() {
-  const bool active = scheduler_ == RoundScheduler::kActiveSet;
-  const auto& order = store_.live_order();
-  ThreadPool* pool = phase_pool(
-      order.size() * static_cast<std::size_t>(kChunkSide * kChunkSide));
-  const auto nshards =
-      pool ? static_cast<std::size_t>(pool->thread_count()) : 1;
-  for (std::size_t s = 0; s < nshards; ++s)
-    scratch_.shards[s].begin_phase();
-  const auto body = [&](std::size_t s, ShardRange r) {
-    ShardScratch& sc = scratch_.shards[s];
-    obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
-    for (std::size_t x = r.begin; x < r.end; ++x) {
-      const std::size_t q = order[x];
-      LiveChunk& lc = store_.live(q);
-      const ChunkLayout::Rect rect = layout_.rect_of(q);
-      std::size_t slot = 0;
-      for (int lj = 0; lj < rect.h; ++lj) {
-        for (int li = 0; li < rect.w; ++li, ++slot) {
-          const CellId id{rect.i0 + li, rect.j0 + lj};
-          if (!active) {
-            move_cell(lc, rect, slot, id, sc.moved, sc.pending, sc.crossed,
-                      pc);
-            ++sc.visited;
-          } else if (lc.occ_refs[slot] > 0) {
-            move_cell(lc, rect, slot, id, sc.moved, sc.pending, sc.crossed,
-                      pc);
-            ++sc.visited;
-          }
-        }
-      }
-    }
-  };
-  parallel_for_shards(pool, order.size(), body);
-
-  sched_stats_.move_cells = 0;
-  for (std::size_t s = 0; s < nshards; ++s) {
+void ChunkedSystem::merge_move_results(std::size_t used) {
+  sched_stats_.move_cells = collect_shards(used);
+  for (std::size_t s = 0; s < used; ++s) {
     const ShardScratch& sc = scratch_.shards[s];
     events_.moved.insert(events_.moved.end(), sc.moved.begin(),
                          sc.moved.end());
-    if (metrics_) round_counts_.merge(sc.counts);
-    sched_stats_.move_cells += sc.visited;
   }
   std::sort(events_.moved.begin(), events_.moved.end(), dense_less);
 
   std::vector<PendingTransfer>& transfers = scratch_.transfers;
   transfers.clear();
-  for (std::size_t s = 0; s < nshards; ++s) {
+  for (std::size_t s = 0; s < used; ++s) {
     std::vector<PendingTransfer>& p = scratch_.shards[s].pending;
     transfers.insert(transfers.end(), std::make_move_iterator(p.begin()),
                      std::make_move_iterator(p.end()));
@@ -776,75 +650,40 @@ void ChunkedSystem::move_phase() {
     }
     events_.transfers.push_back(ev);
   }
-  if (active) {
+  if (scheduler_ == RoundScheduler::kActiveSet) {
     for (const CellId id : events_.moved) refresh_occupancy(id);
     for (const TransferEvent& t : events_.transfers)
       if (!t.consumed) refresh_occupancy(t.to);
   }
 }
 
-void ChunkedSystem::move_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                              std::size_t slot, CellId id,
-                              std::vector<CellId>& moved_out,
-                              std::vector<PendingTransfer>& pending_out,
-                              std::vector<Entity>& crossed_scratch,
-                              obs::ProtocolCounts* counts) {
+void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
+                              const ChunkLayout::Rect& rect, std::size_t slot,
+                              CellId id) {
   CellState& c = lc.cells[slot];
   if (c.failed || !c.next.has_value()) return;
   const CellId dest = *c.next;
-  const CellState* dc;
-  if (dest.i >= rect.i0 && dest.i < rect.i0 + rect.w && dest.j >= rect.j0 &&
-      dest.j < rect.j0 + rect.h) {
-    dc = &lc.cells[static_cast<std::size_t>(dest.j - rect.j0) *
-                       static_cast<std::size_t>(rect.w) +
-                   static_cast<std::size_t>(dest.i - rect.i0)];
-  } else {
-    // A non-live destination has signal ⊥ (quiescent), so no permission —
-    // the same read the dense engine performs on that cell.
-    dc = peek_live(dest);
-  }
+  // A non-live destination has signal ⊥ (quiescent), so no permission —
+  // the same read the dense engine performs on that cell.
+  const auto ds = slot_in(rect, dest);
+  const CellState* dc = ds ? &lc.cells[*ds] : peek_live(dest);
   const bool permitted = dc != nullptr && dc->signal == OptCellId{id};
-
-  crossed_scratch.clear();
-  if (config_.movement_rule == MovementRule::kCoupled) {
-    if (!permitted) return;
-    moved_out.push_back(id);
-    if (counts != nullptr) ++counts->moves;
-    move_step_inplace(id, dest, c.members, crossed_scratch, config_.params);
-  } else {
-    if (c.members.empty()) return;
-    if (permitted) {
-      moved_out.push_back(id);
-      if (counts != nullptr) ++counts->moves;
-    }
-    CompactionContext ctx;
-    ctx.may_cross = permitted;
-    if (c.signal.has_value())
-      ctx.promised_strip = grid_.direction_between(id, *c.signal);
-    compact_move_step_inplace(id, dest, c.members, crossed_scratch,
-                              config_.params, ctx);
-  }
-  if (counts != nullptr) counts->transfers += crossed_scratch.size();
-  for (Entity& e : crossed_scratch)
-    pending_out.push_back(PendingTransfer{e, id, dest});
+  if (apply_move(c, id, permitted, config_.movement_rule, grid_,
+                 config_.params, sc.crossed, metrics_ ? &sc.counts : nullptr))
+    sc.moved.push_back(id);
+  for (Entity& e : sc.crossed)
+    sc.pending.push_back(PendingTransfer{e, id, dest});
 }
 
 void ChunkedSystem::inject_phase() {
   for (const CellId s : config_.sources) {
-    CellState& c = cell_mut(s);  // source chunks are pinned live
-    if (c.failed) continue;
-    const auto center = source_->propose(grid_, config_.params, s, c);
-    if (!center.has_value()) continue;
-    if (!injection_is_safe(s, *center)) {
-      if (metrics_) ++round_counts_.blocked_injections;
-      continue;
-    }
-    const EntityId id{next_entity_id_++};
-    c.members.push_back(Entity{id, *center});
+    // Source chunks are pinned live, so cell_mut is a plain lookup.
+    const auto id =
+        apply_injection(cell_mut(s), s, *source_, grid_, config_.params,
+                        next_entity_id_, metrics_ ? &round_counts_ : nullptr);
+    if (!id.has_value()) continue;
     refresh_occupancy(s);
-    source_->note_accepted();
-    events_.injected.emplace_back(s, id);
-    if (metrics_) ++round_counts_.injections;
+    events_.injected.emplace_back(s, *id);
   }
 }
 

@@ -5,16 +5,24 @@
 // by tests/test_chunk_differential.cpp against the dense reference at
 // every (engine, threads, scheduler) combination.
 //
-// What changes is purely mechanical:
+// What changes is purely mechanical. The per-cell transitions are the
+// shared ones of core/ (apply_route, apply_signal, apply_move, the fail /
+// recover resets, injection_is_safe); this engine only gathers a cell's
+// neighbor reads through its chunk rect or the store, picks which cells
+// run, and merges in its own order:
 //
-//   * Chunks are the unit of sharding: the phase loops run over the
-//     ascending live-chunk list, sharded into contiguous ranges exactly
-//     as System shards the cell index space, with per-shard buffers
-//     merged in shard order. Because a chunk-major traversal is not the
-//     global row-major order, the per-round event lists (blocked, moved)
-//     are canonicalized — sorted by dense cell index — at the barrier;
-//     the dense engines produce exactly that order by construction, so
-//     the event streams coincide.
+//   * Chunks are the unit of sharding. Each round runs System's six-stage
+//     plan (DESIGN.md §6) through run_plan, with the shard count fixed
+//     for the round and each parallel stage sharding the ascending
+//     live-chunk list as it stands when the stage opens — the serial
+//     merges can fault chunks in, and parking runs after the round, so
+//     the list only grows. kAuto cuts over by System's rule
+//     (choose_round_engine). Per-shard buffers merge in shard order.
+//     Because a chunk-major traversal is not the global row-major order,
+//     the per-round event lists (blocked, moved) are canonicalized —
+//     sorted by dense cell index — at the barrier; the dense engines
+//     produce exactly that order by construction, so the event streams
+//     coincide.
 //   * Non-live chunks are skipped bodily. This is sound because of the
 //     store invariants the engine maintains (fault-in before any arming
 //     or occupancy reference can reach a non-live chunk): every armed
@@ -24,9 +32,10 @@
 //     route relaxations per live cell, one ne_prev_sizes[0] per live
 //     cell — exactly what the dense active-set scheduler tallies for
 //     quiescent cells) are compensated from O(1) per-chunk summaries.
-//   * A stateful (non-concurrent_safe) ChoosePolicy pins Signal to a
-//     *global row-major* serial sweep across chunks, so the policy
-//     observes the identical call sequence as the dense serial loop.
+//   * A stateful (non-concurrent_safe) ChoosePolicy, or a round that runs
+//     inline, sweeps Signal *globally row-major* across chunks in the
+//     Route merge stage, so the policy observes the identical call
+//     sequence as the dense serial loop.
 //
 // Parking (the quiescence proof obligation): a chunk parks only when
 //   ref_cells == 0        — no cell of the chunk has an occupied closed
@@ -180,7 +189,9 @@ class ChunkedSystem {
   friend struct snapshot::Access;
 
   /// Mirrors System's ShardScratch (DESIGN.md §10): one slot per shard,
-  /// merged in ascending shard order at the barriers.
+  /// merged in ascending shard order at the barriers. Each phase appends
+  /// only to its own buffers, so one clear per round suffices; counts
+  /// and visited restart per phase (collect_shards).
   struct ShardScratch {
     std::vector<CellId> blocked;
     std::vector<CellId> moved;
@@ -191,7 +202,7 @@ class ChunkedSystem {
     obs::ProtocolCounts counts;
     std::uint64_t visited = 0;
 
-    void begin_phase() noexcept {
+    void begin_round() noexcept {
       blocked.clear();
       moved.clear();
       pending.clear();
@@ -221,27 +232,31 @@ class ChunkedSystem {
   /// The cell, faulting its chunk in if necessary (mutation points).
   [[nodiscard]] CellState& cell_mut(CellId id);
 
-  void route_phase();
-  void signal_phase();
-  void move_phase();
   void inject_phase();
 
-  // Per-cell phase bodies; (lc, rect, slot, id) locate the cell inside
-  // its live chunk (the chunk loops carry `id` incrementally so the
-  // bodies never divide). Same out-param discipline as System's bodies.
-  void route_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                  std::size_t slot, CellId id, obs::ProtocolCounts* counts,
-                  std::vector<CellId>* changed_out);
-  void signal_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                   std::size_t slot, CellId id,
-                   std::vector<CellId>& blocked_out,
-                   obs::ProtocolCounts* counts,
-                   std::vector<CellId>* flip_out);
-  void move_cell(LiveChunk& lc, const ChunkLayout::Rect& rect,
-                 std::size_t slot, CellId id, std::vector<CellId>& moved_out,
-                 std::vector<PendingTransfer>& pending_out,
-                 std::vector<Entity>& crossed_scratch,
-                 obs::ProtocolCounts* counts);
+  // The plan's merges (see update()) fold slots [0, used) in shard
+  // order; its parallel stages run the per-cell bodies below over a
+  // shard's slice of the live-chunk list.
+  /// Folds the tallies of slots [0, used) into round_counts_ and returns
+  /// their summed visit count, re-arming both for the next phase.
+  std::uint64_t collect_shards(std::size_t used);
+  void merge_route_results(std::size_t used);
+  void merge_signal_results(std::size_t used);
+  void merge_move_results(std::size_t used);
+
+  // Per-cell phase bodies, run for every cell the scheduler visits
+  // (update() holds the gates and the skipped cells' tallies);
+  // (lc, rect, slot, id) locate the cell inside its live chunk (the chunk
+  // loops carry `id` incrementally so the bodies never divide). Each
+  // gathers the neighbor reads and runs the shared core/ transition into
+  // `sc`.
+  void route_cell(ShardScratch& sc, LiveChunk& lc,
+                  const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
+  void signal_cell(ShardScratch& sc, LiveChunk& lc,
+                   const ChunkLayout::Rect& rect, std::size_t slot,
+                   CellId id);
+  void move_cell(ShardScratch& sc, LiveChunk& lc,
+                 const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
 
   /// The exhaustive route loop's Σ-degree tally for a skipped virgin
   /// chunk, in O(1) from the rect geometry. (The target chunk is pinned
@@ -269,16 +284,6 @@ class ChunkedSystem {
   /// chunk whose quiescence predicates have held for kParkHysteresis
   /// rounds — see the file comment.
   void park_sweep();
-
-  [[nodiscard]] bool injection_is_safe(CellId id, Vec2 center) const;
-
-  /// The pool a phase should use, honoring ParallelPolicy's kAuto serial
-  /// cutover: nullptr when the phase's approximate cell workload would
-  /// hand each shard less than ParallelPolicy::kCutoverGrain cells (the
-  /// dispatch and barrier would then dominate). Bit-identity is
-  /// unaffected — both engines produce identical results (DESIGN.md §6),
-  /// the cutover only picks which one runs.
-  [[nodiscard]] ThreadPool* phase_pool(std::size_t approx_cells) const;
 
   SystemConfig config_;
   Grid grid_;

@@ -9,7 +9,8 @@
 // Members/dist/next/signal are the *shared* variables a neighbor may read
 // (Figure 2); token/NEPrev/failed are private. The System automaton owns a
 // CellState per cell; the read/write discipline of the three update phases
-// lives in route.hpp / signal.hpp / move.hpp / system.hpp.
+// lives in route.hpp / signal.hpp / move.hpp / system.hpp, and the fail /
+// recover environment actions below.
 #pragma once
 
 #include <vector>
@@ -63,5 +64,39 @@ struct CellState {
     return nullptr;
   }
 };
+
+/// fail(⟨i,j⟩)'s effect on the cell, shared by every square-grid engine:
+/// failed := true, dist := ∞, next := ⊥. Because a failed cell "never
+/// communicates", neighbors must read signal = ⊥ from it, so the shared
+/// signal clears too; the private token and NEPrev are simply lost.
+/// Members freeze in place. Returns whether the cell was live (the
+/// action is idempotent; engines count only real crashes).
+inline bool apply_fail(CellState& c) noexcept {
+  const bool was_live = !c.failed;
+  c.failed = true;
+  c.dist = Dist::infinity();
+  c.next = std::nullopt;
+  c.signal = std::nullopt;
+  c.token = std::nullopt;
+  c.ne_prev.clear();
+  return was_live;
+}
+
+/// §IV recovery's effect on the cell, shared by every square-grid engine:
+/// failed := false with the protocol state back at its initial values
+/// (the target re-anchors at dist 0, so routing restabilizes toward it
+/// within O(N²) rounds — Corollary 7). Members are retained: entities
+/// frozen on the failed cell resume their journey. No-op returning false
+/// on a live cell.
+inline bool apply_recover(CellState& c, bool is_target) noexcept {
+  if (!c.failed) return false;
+  c.failed = false;
+  c.dist = is_target ? Dist::zero() : Dist::infinity();
+  c.next = std::nullopt;
+  c.token = std::nullopt;
+  c.signal = std::nullopt;
+  c.ne_prev.clear();
+  return true;
+}
 
 }  // namespace cellflow

@@ -4,6 +4,7 @@
 #include <cmath>
 #include <limits>
 
+#include "obs/protocol_metrics.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -163,6 +164,31 @@ MoveResult move_step(CellId self, CellId toward, std::vector<Entity> members,
   move_step_inplace(self, toward, members, out.crossed, params);
   out.staying = std::move(members);
   return out;
+}
+
+bool apply_move(CellState& c, CellId self, bool permitted, MovementRule rule,
+                const Grid& grid, const Params& params,
+                std::vector<Entity>& crossed_out, obs::ProtocolCounts* counts) {
+  const CellId dest = *c.next;
+  crossed_out.clear();
+  if (rule == MovementRule::kCoupled) {
+    if (!permitted) return false;  // Figure 6: move only with permission
+    move_step_inplace(self, dest, c.members, crossed_out, params);
+  } else {
+    // §V relaxed coupling: compact every round; cross only when
+    // permitted; never compact into our own promised strip.
+    if (c.members.empty()) return false;
+    CompactionContext ctx;
+    ctx.may_cross = permitted;
+    if (c.signal.has_value())
+      ctx.promised_strip = grid.direction_between(self, *c.signal);
+    compact_move_step_inplace(self, dest, c.members, crossed_out, params, ctx);
+  }
+  if (counts != nullptr) {
+    if (permitted) ++counts->moves;
+    counts->transfers += crossed_out.size();
+  }
+  return permitted;
 }
 
 }  // namespace cellflow

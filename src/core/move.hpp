@@ -16,18 +16,36 @@
 // Invariant 1 (i + l/2 ≤ px ≤ i+1 − l/2 for members of cell i) fixes the
 // evident intent to m+1 − l/2 (flush with the entry edge), which we use.
 //
-// The cross-cell bookkeeping (who moves, appending to the destination,
-// target consumption, simultaneity) is the System's job — see system.hpp.
+// apply_move is one cell's whole Move transition (the permission check's
+// outcome in, the crossers out). The cross-cell bookkeeping (reading the
+// destination's signal, appending to the destination, target
+// consumption, simultaneity) is the engines' job — see system.hpp.
 #pragma once
 
 #include <vector>
 
+#include "core/cell_state.hpp"
 #include "core/entity.hpp"
 #include "core/params.hpp"
 #include "grid/grid.hpp"
 #include "util/ids.hpp"
 
+namespace cellflow::obs {
+struct ProtocolCounts;
+}  // namespace cellflow::obs
+
 namespace cellflow {
+
+/// Which movement rule Move uses. kCoupled is the paper's protocol (all
+/// entities of a cell move identically, only with permission).
+/// kCompacting is the §V "relaxed coupling" extension: entities advance
+/// independently within the cell (see compact_move_step below),
+/// preserving safety and progress while letting queues close up during
+/// blocked rounds.
+enum class MovementRule {
+  kCoupled,     ///< Figure 6 as published
+  kCompacting,  ///< §V relaxed-coupling extension
+};
 
 /// Result of moving one cell's entities for one round.
 struct MoveResult {
@@ -119,5 +137,20 @@ void compact_move_step_inplace(CellId self, CellId toward,
                                std::vector<Entity>& crossed_out,
                                const Params& params,
                                const CompactionContext& ctx);
+
+/// One cell's Move transition, shared by every square-grid engine.
+/// Precondition: the cell is not failed and c.next names a lattice
+/// neighbor, the destination; `permitted` is whether the destination's
+/// signal names `self` (Figure 6's guard, read by the engine). kCoupled
+/// moves every member only with permission; kCompacting compacts
+/// whenever the cell is nonempty, crosses only with permission, and
+/// keeps out of the strip the cell's own signal has promised (`grid`
+/// resolves its direction). Clears `crossed_out` and fills it with the
+/// crossers, already placed at the destination's entry edge; unless
+/// `counts` is null, tallies the movement and the crossers. Returns true
+/// iff the cell applied a movement (RoundEvents::moved).
+bool apply_move(CellState& c, CellId self, bool permitted, MovementRule rule,
+                const Grid& grid, const Params& params,
+                std::vector<Entity>& crossed_out, obs::ProtocolCounts* counts);
 
 }  // namespace cellflow

@@ -2,6 +2,7 @@
 
 #include <algorithm>
 
+#include "obs/protocol_metrics.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -119,6 +120,35 @@ SignalResult signal_step_always_grant(SignalInputs in, ChoosePolicy& choose) {
     out.token = std::nullopt;
   }
   return out;
+}
+
+bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
+                  SignalRule rule, const Params& params, ChoosePolicy& choose,
+                  obs::ProtocolCounts* counts) {
+  std::sort(ne_prev.begin(), ne_prev.end());
+  SignalInputs in;
+  in.self = self;
+  in.members = c.members;
+  in.ne_prev = std::move(ne_prev);
+  in.token = c.token;
+  const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
+  const std::size_t ne_prev_size = in.ne_prev.size();
+  SignalResult r = rule == SignalRule::kBlocking
+                       ? signal_step(std::move(in), params, choose)
+                       : signal_step_always_grant(std::move(in), choose);
+  const bool blocked = had_candidate && !r.signal.has_value();
+  if (counts != nullptr) {
+    ++counts->ne_prev_sizes[std::min<std::size_t>(
+        ne_prev_size, counts->ne_prev_sizes.size() - 1)];
+    if (r.signal.has_value()) ++counts->signal_grants;
+    if (blocked) ++counts->signal_blocks;
+    if (c.token.has_value() && r.token != c.token)
+      ++counts->signal_token_rotations;
+  }
+  c.signal = r.signal;
+  c.token = r.token;
+  c.ne_prev = std::move(r.ne_prev);
+  return blocked;
 }
 
 }  // namespace cellflow

@@ -28,7 +28,21 @@
 #include "grid/grid.hpp"
 #include "util/ids.hpp"
 
+namespace cellflow::obs {
+struct ProtocolCounts;
+}  // namespace cellflow::obs
+
 namespace cellflow {
+
+/// Which grant rule Signal uses. The paper argues its blocking
+/// permission-to-move policy is *necessary* for safety; kAlwaysGrant is
+/// the broken strawman that grants without the entry-strip check, kept so
+/// the necessity claim is demonstrable (bench/ablation_signal_necessity
+/// and tests/test_signal_necessity.cpp show it violates Theorem 5).
+enum class SignalRule {
+  kBlocking,     ///< Figure 5 as published (the protocol)
+  kAlwaysGrant,  ///< UNSAFE ablation: grant the token holder unconditionally
+};
 
 /// True iff the strip of depth d = rs + l inward from the edge of cell
 /// `self` shared with neighbor `toward` contains no part of any member's
@@ -68,11 +82,23 @@ struct SignalInputs {
 [[nodiscard]] SignalResult signal_step(SignalInputs in, const Params& params,
                                        ChoosePolicy& choose);
 
-/// The UNSAFE always-grant ablation (see SignalRule::kAlwaysGrant in
-/// system.hpp): identical token bookkeeping, but the entry-strip check is
-/// skipped — the token holder is always granted. Exists only to
-/// demonstrate that the blocking rule is necessary for Theorem 5.
+/// The UNSAFE always-grant ablation (see SignalRule::kAlwaysGrant):
+/// identical token bookkeeping, but the entry-strip check is skipped —
+/// the token holder is always granted. Exists only to demonstrate that
+/// the blocking rule is necessary for Theorem 5.
 [[nodiscard]] SignalResult signal_step_always_grant(SignalInputs in,
                                                     ChoosePolicy& choose);
+
+/// One cell's Signal transition, shared by every square-grid engine once
+/// it has gathered the cell's NEPrev (the nonempty neighbors whose fresh
+/// next names `self`, in any order). Precondition: the cell is not
+/// failed. Runs signal_step or signal_step_always_grant by `rule`, writes
+/// signal, token and ne_prev back into `c` and, unless `counts` is null,
+/// tallies |NEPrev|, grants, blocks and token rotations. Returns true iff
+/// the cell had a candidate (a token or a nonempty NEPrev) yet granted
+/// nobody — a blocked grant (RoundEvents::blocked).
+bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
+                  SignalRule rule, const Params& params, ChoosePolicy& choose,
+                  obs::ProtocolCounts* counts);
 
 }  // namespace cellflow

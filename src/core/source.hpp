@@ -24,6 +24,10 @@
 #include "grid/grid.hpp"
 #include "util/rng.hpp"
 
+namespace cellflow::obs {
+struct ProtocolCounts;
+}  // namespace cellflow::obs
+
 namespace cellflow {
 
 /// Strategy deciding where (and whether) a source cell spawns an entity
@@ -118,5 +122,39 @@ class NullSource final : public SourcePolicy {
     return std::nullopt;
   }
 };
+
+/// The endpoint checks and canonical injection order every square-grid
+/// engine's constructor applies: the target and every source must lie on
+/// the grid, and no cell may be both (contract violations otherwise).
+/// Sorts `sources` by cell id and drops duplicates, so injection order —
+/// and thus entity-id assignment — cannot depend on how a caller listed
+/// them.
+void canonicalize_sources(const Grid& grid, CellId target,
+                          std::vector<CellId>& sources);
+
+/// True iff adding an entity centered at `center` to cell `self`, which
+/// holds `members` and `token`, keeps the cell safe: the entity lies
+/// inside the cell's Invariant-1 bounds, keeps the gap requirement
+/// (Safe_{i,j}: spacing ≥ d along some axis) against every member, and
+/// — the fairness guard discharging §III-B(b) — does not fill the entry
+/// strip toward the neighbor being served (`token`) when it was clear.
+/// Shared by injection and seed_entity in every square-grid engine.
+[[nodiscard]] bool injection_is_safe(CellId self, Vec2 center,
+                                     std::span<const Entity> members,
+                                     OptCellId token, const Params& params);
+
+/// One source cell's injection for the round, shared by every square-grid
+/// engine: unless the cell is failed, asks `policy` for a placement and
+/// accepts it only if injection_is_safe, appending an entity with id
+/// `next_id` (then incremented) and reporting the acceptance to the
+/// policy. Unless `counts` is null, tallies the accepted or the blocked
+/// proposal. Returns the new entity's id, or nullopt when nothing was
+/// injected.
+std::optional<EntityId> apply_injection(CellState& c, CellId self,
+                                        SourcePolicy& policy,
+                                        const Grid& grid,
+                                        const Params& params,
+                                        std::uint64_t& next_id,
+                                        obs::ProtocolCounts* counts);
 
 }  // namespace cellflow

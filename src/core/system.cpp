@@ -1,16 +1,12 @@
 #include "core/system.hpp"
 
 #include <algorithm>
-#include <cmath>
 #include <cstdlib>
 #include <span>
 #include <stdexcept>
 #include <string>
 
-#include "core/move.hpp"
 #include "core/route.hpp"
-#include "core/route_kernel.hpp"
-#include "core/signal.hpp"
 #include "obs/engine_telemetry.hpp"
 #include "obs/profiler.hpp"
 #include "util/check.hpp"
@@ -74,17 +70,7 @@ System::System(SystemConfig config, std::unique_ptr<ChoosePolicy> choose,
                      : std::make_unique<RoundRobinChoose>()),
       source_(source ? std::move(source)
                      : std::make_unique<EntryEdgeSource>()) {
-  CF_EXPECTS_MSG(grid_.contains(config_.target), "target outside grid");
-  for (const CellId s : config_.sources) {
-    CF_EXPECTS_MSG(grid_.contains(s), "source outside grid");
-    CF_EXPECTS_MSG(s != config_.target, "a cell cannot be source and target");
-  }
-  // Canonical injection order: sources visit in cell-id order no matter
-  // how the configuration listed them (mirrored by MessageSystem).
-  std::sort(config_.sources.begin(), config_.sources.end());
-  config_.sources.erase(
-      std::unique(config_.sources.begin(), config_.sources.end()),
-      config_.sources.end());
+  canonicalize_sources(grid_, config_.target, config_.sources);
   // Initial state (Figure 3): everything ⊥/∞/empty except the target's
   // distance, which anchors the routing computation at 0.
   cells_[grid_.index_of(config_.target)].dist = Dist::zero();
@@ -94,7 +80,6 @@ System::System(SystemConfig config, std::unique_ptr<ChoosePolicy> choose,
   // phase loops index directly — see the member comments in system.hpp.
   nbr_idx_.resize(cells_.size());
   cell_id_.resize(cells_.size());
-  feed_.assign(cells_.size(), kNoNbr);
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     const CellId id = grid_.id_of(k);
     cell_id_[k] = id;
@@ -121,10 +106,7 @@ void System::rebuild_active_sets() {
   occ_b_.assign(cells_.size(), 0);
   occ_refs_.assign(cells_.size(), 0);
   for (std::size_t k = 0; k < cells_.size(); ++k) {
-    const std::uint64_t raw = cells_[k].dist.raw();
-    dist_snapshot_[k] = raw;
-    if (raw >= kRouteHugeDist / 2 && cells_[k].dist.is_finite())
-      huge_dist_seen_ = true;  // snapshot restore can carry corrupted raws
+    dist_snapshot_[k] = cells_[k].dist;
     if (occupied(cells_[k])) apply_occupancy_flip(k);
   }
 }
@@ -158,10 +140,7 @@ void System::note_control_mutation(std::size_t k) {
   // the active scheduler to (a) keep the snapshot invariant, (b) rerun
   // Route over the affected neighborhood next round, and (c) refresh
   // the occupancy of the mutated cell.
-  const std::uint64_t raw = cells_[k].dist.raw();
-  dist_snapshot_[k] = raw;
-  if (raw >= kRouteHugeDist / 2 && cells_[k].dist.is_finite())
-    huge_dist_seen_ = true;  // pins Route to the route_step reference path
+  dist_snapshot_[k] = cells_[k].dist;
   arm_route_neighborhood(k, round_);
   refresh_occupancy(k);
 }
@@ -282,56 +261,38 @@ CellMask System::tc_mask() const {
 
 void System::fail(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cells_[grid_.index_of(id)];
-  if (!c.failed && metrics_) metrics_->add_failure();  // idempotent action
-  c.failed = true;
-  c.dist = Dist::infinity();  // neighbors stop hearing from it
-  c.next = std::nullopt;
-  // "A failed cell … never communicates": in the message-passing reading,
-  // neighbors read no grant from it, so its shared signal must present
-  // as ⊥. The private token and NEPrev are simply lost.
-  c.signal = std::nullopt;
-  c.token = std::nullopt;
-  c.ne_prev.clear();
-  note_control_mutation(grid_.index_of(id));
+  const std::size_t k = grid_.index_of(id);
+  if (apply_fail(cells_[k]) && metrics_) metrics_->add_failure();
+  note_control_mutation(k);
 }
 
 void System::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& c = cells_[grid_.index_of(id)];
-  if (!c.failed) return;
+  const std::size_t k = grid_.index_of(id);
+  if (!apply_recover(cells_[k], k == target_k_)) return;
   if (metrics_) metrics_->add_recovery();
-  c.failed = false;
-  // Reset to initial protocol state (§IV); Route repairs dist/next within
-  // O(N²) rounds (Corollary 7). The target re-anchors at 0 so routing can
-  // re-stabilize toward it.
-  c.dist = (id == config_.target) ? Dist::zero() : Dist::infinity();
-  c.next = std::nullopt;
-  c.token = std::nullopt;
-  c.signal = std::nullopt;
-  c.ne_prev.clear();
-  // Members are retained: entities that were frozen on the failed cell
-  // resume their journey.
-  note_control_mutation(grid_.index_of(id));
+  note_control_mutation(k);
 }
 
-bool System::decide_cutover() const {
-  // kAuto: run this round inline when the previous round's widest phase
-  // would hand each shard less than kCutoverGrain cells — the pooled
-  // round would then be dominated by dispatch and barriers. The inputs
-  // (SchedulerStats, grid size, policy) are engine-independent, and by
-  // §6 both forms of the plan are bit-identical, so the choice can
-  // never change results. Round 0 has no stats yet and runs as
-  // configured.
-  if (round_ == 0) return false;
-  const std::size_t used =
-      shard_count(cells_.size(), pool_->thread_count());
-  if (used <= 1) return false;
-  const std::uint64_t widest =
-      std::max({sched_stats_.route_cells, sched_stats_.signal_cells,
-                sched_stats_.move_cells});
-  return widest <
-         static_cast<std::uint64_t>(ParallelPolicy::kCutoverGrain) * used;
+RoundEngine choose_round_engine(ThreadPool* pool,
+                                ParallelPolicy::Cutover cutover,
+                                std::uint64_t round,
+                                const System::SchedulerStats& last,
+                                std::size_t domain) {
+  RoundEngine e;
+  if (pool == nullptr) return e;
+  const std::size_t used = shard_count(domain, pool->thread_count());
+  if (used <= 1) return e;
+  if (cutover == ParallelPolicy::Cutover::kAuto && round > 0) {
+    const std::uint64_t widest =
+        std::max({last.route_cells, last.signal_cells, last.move_cells});
+    e.cutover = widest < static_cast<std::uint64_t>(
+                             ParallelPolicy::kCutoverGrain) * used;
+    if (e.cutover) return e;
+  }
+  e.pool = pool;
+  e.shards = used;
+  return e;
 }
 
 const RoundEvents& System::update() {
@@ -347,14 +308,11 @@ const RoundEvents& System::update() {
   // The round pools unless the kAuto cutover pins it inline or the
   // partition has a single shard; an inline round is the same plan run
   // on this thread with used == 1.
-  const bool cutover =
-      pool_ != nullptr &&
-      parallel_.cutover == ParallelPolicy::Cutover::kAuto && decide_cutover();
-  ThreadPool* pool = cutover ? nullptr : pool_.get();
   const std::size_t n = cells_.size();
-  const std::size_t used =
-      shard_count(n, pool != nullptr ? pool->thread_count() : 1);
-  if (used <= 1) pool = nullptr;
+  const RoundEngine engine = choose_round_engine(
+      pool_.get(), parallel_.cutover, round_, sched_stats_, n);
+  ThreadPool* const pool = engine.pool;
+  const std::size_t used = engine.shards;
   const bool pooled = pool != nullptr;
   // Per-shard clocks feed the profiler's shard spans and the imbalance
   // statistic; an inline round needs neither for telemetry alone.
@@ -365,8 +323,7 @@ const RoundEvents& System::update() {
   // kExhaustive recopies Route's dist snapshot every round; kActiveSet
   // keeps it in sync incrementally (merge_route_results).
   if (scheduler_ != RoundScheduler::kActiveSet) {
-    for (std::size_t k = 0; k < n; ++k)
-      dist_snapshot_[k] = cells_[k].dist.raw();
+    for (std::size_t k = 0; k < n; ++k) dist_snapshot_[k] = cells_[k].dist;
   }
   for (std::size_t s = 0; s < used; ++s) scratch_.shards[s].begin_round();
 
@@ -475,7 +432,7 @@ const RoundEvents& System::update() {
     obs::RoundBreakdown b;
     b.round_ns = span_ns(t_round, t_end);
     b.workers = pooled ? pool->thread_count() : 1;
-    b.cutover = cutover;
+    b.cutover = engine.cutover;
     if (pool_) {
       const DispatchStats ds = pool_->dispatch_stats();
       b.pool_dispatches = ds.dispatches - last_dispatch_stats_.dispatches;
@@ -531,97 +488,21 @@ void System::route_span(std::size_t s, std::size_t begin, std::size_t end) {
   ShardScratch& sc = scratch_.shards[s];
   obs::ProtocolCounts* pc = metrics_ ? &sc.counts : nullptr;
   if (scheduler_ != RoundScheduler::kActiveSet) {
-    if (!huge_dist_seen_) {
-      // Packed-key fast path: interior cells (all four lattice neighbors
-      // present) go through the bulk kernel; boundary rows/columns, the
-      // target, and failed cells take the reference route_cell. The
-      // kernel is exact below the guard band (tests/test_route_kernel),
-      // and huge_dist_seen_ pins the whole phase to route_cell the
-      // moment any raw approaches it.
-      const auto side = static_cast<std::size_t>(config_.side);
-      std::size_t k = begin;
-      while (k < end) {
-        const std::size_t j = k / side;
-        const std::size_t i = k % side;
-        if (side < 3 || j == 0 || j + 1 == side) {
-          // Boundary row: scalar to the row's end (or the span's).
-          const std::size_t row_end = std::min(end, (j + 1) * side);
-          for (; k < row_end; ++k) route_cell(k, pc, nullptr);
-          continue;
-        }
-        if (i == 0 || i + 1 >= side) {
-          route_cell(k, pc, nullptr);
-          ++k;
-          continue;
-        }
-        // Interior segment of this row clipped to the span; break it at
-        // the target and at failed cells (route_cell handles those).
-        const std::size_t seg_end = std::min(end, j * side + side - 1);
-        while (k < seg_end) {
-          std::size_t stop = k;
-          while (stop < seg_end && stop != target_k_ && !cells_[stop].failed)
-            ++stop;
-          if (stop > k) route_run_kernel(k, stop - k, sc, pc, nullptr);
-          if (stop < seg_end) route_cell(stop, pc, nullptr);
-          k = stop < seg_end ? stop + 1 : stop;
-        }
-      }
-      sc.visited += end - begin;
-    } else {
-      for (std::size_t k = begin; k < end; ++k) route_cell(k, pc, nullptr);
-      sc.visited += end - begin;
-    }
-  } else {
-    for (std::size_t k = begin; k < end; ++k) {
-      if (route_stamp_[k] >= round_) {
-        route_cell(k, pc, &sc.changed);
-        ++sc.visited;
-      } else if (pc != nullptr && !cells_[k].failed) {
-        // The exhaustive loop would have relaxed over every
-        // lattice neighbor (and changed nothing — that is what
-        // quiescence means); the target tallies nothing once
-        // pinned at 0.
-        if (k != target_k_) {
-          for (const std::uint32_t nk : nbr_idx_[k])
-            if (nk != kNoNbr) ++pc->route_relaxations;
-        }
-      }
-    }
+    for (std::size_t k = begin; k < end; ++k) route_cell(k, pc, nullptr);
+    sc.visited += end - begin;
+    return;
   }
-}
-
-void System::route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
-                              obs::ProtocolCounts* counts,
-                              std::vector<std::size_t>* changed_out) {
-  const auto side = static_cast<std::size_t>(config_.side);
-  if (sc.keys.size() < n) sc.keys.resize(n);
-  route_min_keys_interior(dist_snapshot_.data(), k0, n, side, sc.keys.data());
-  // Id-rank → dense-offset decode (W < S < N < E for index_of = j*side+i).
-  const std::ptrdiff_t off[4] = {-1, -static_cast<std::ptrdiff_t>(side),
-                                 static_cast<std::ptrdiff_t>(side), 1};
-  for (std::size_t i = 0; i < n; ++i) {
-    const std::size_t k = k0 + i;
-    CellState& c = cells_[k];
-    const std::uint64_t key = sc.keys[i];
-    Dist nd = Dist::infinity();
-    OptCellId nxt = std::nullopt;
-    std::uint32_t fk = kNoNbr;
-    if (key != kRouteKeyNone) {
-      nd = Dist::from_raw((key >> 2) + 1);
-      const auto nk = static_cast<std::size_t>(
-          static_cast<std::ptrdiff_t>(k) + off[key & 3]);
-      nxt = cell_id_[nk];
-      fk = static_cast<std::uint32_t>(nk);
+  for (std::size_t k = begin; k < end; ++k) {
+    if (route_stamp_[k] >= round_) {
+      route_cell(k, pc, &sc.changed);
+      ++sc.visited;
+    } else if (pc != nullptr && !cells_[k].failed && k != target_k_) {
+      // The exhaustive loop would have relaxed over every lattice
+      // neighbor (and changed nothing — that is what quiescence
+      // means); the target tallies nothing once pinned at 0.
+      for (const std::uint32_t nk : nbr_idx_[k])
+        if (nk != kNoNbr) ++pc->route_relaxations;
     }
-    // Bookkeeping mirrors route_cell exactly (interior ⇒ 4 relaxations).
-    if (counts != nullptr) {
-      counts->route_relaxations += 4;
-      if (c.dist != nd) ++counts->route_dist_changes;
-    }
-    if (changed_out != nullptr && c.dist != nd) changed_out->push_back(k);
-    c.dist = nd;
-    c.next = nxt;
-    feed_[k] = (nxt.has_value() && !c.members.empty()) ? fk : kNoNbr;
   }
 }
 
@@ -649,7 +530,7 @@ void System::merge_route_results(std::size_t used) {
     // dists, so its own change does not re-arm itself.
     for (std::size_t s = 0; s < used; ++s) {
       for (const std::size_t k : scratch_.shards[s].changed) {
-        dist_snapshot_[k] = cells_[k].dist.raw();
+        dist_snapshot_[k] = cells_[k].dist;
         for (const std::uint32_t nk : nbr_idx_[k]) {
           if (nk == kNoNbr) continue;
           std::uint64_t& stamp = route_stamp_[nk];
@@ -663,60 +544,19 @@ void System::merge_route_results(std::size_t used) {
 void System::route_cell(std::size_t k, obs::ProtocolCounts* counts,
                         std::vector<std::size_t>* changed_out) {
   CellState& c = cells_[k];
-  const CellId id = cell_id_[k];
-  if (c.failed) {
-    // A failed cell feeds nobody (neighbors read signal/dist as if it
-    // were absent), so the exhaustive Signal scan must see kNoNbr here.
-    feed_[k] = kNoNbr;
-    return;
-  }
-  if (id == config_.target) {
-    // The target anchors routing: dist pinned to 0, next to ⊥. Pinning
-    // every round (rather than only at init/recover) also washes out
-    // adversarial corruption of the target's control state.
-    if (c.dist != Dist::zero()) {
-      if (counts != nullptr) ++counts->route_dist_changes;
-      if (changed_out != nullptr) changed_out->push_back(k);
-    }
-    c.dist = Dist::zero();
-    c.next = std::nullopt;
-    feed_[k] = kNoNbr;  // next = ⊥: the target never feeds a neighbor
-    return;
-  }
-
-  const std::array<std::uint32_t, 4>& nbr = nbr_idx_[k];
+  if (c.failed) return;
   NeighborDist nds[4];
-  std::uint32_t nks[4];
   std::size_t n = 0;
-  for (std::size_t d = 0; d < 4; ++d) {
-    const std::uint32_t nk = nbr[d];
-    if (nk == kNoNbr) continue;
-    nks[n] = nk;
-    nds[n++] = NeighborDist{cell_id_[nk], Dist::from_raw(dist_snapshot_[nk])};
-  }
-  const RouteResult r = route_step(std::span<const NeighborDist>(nds, n));
-  if (counts != nullptr) {
-    counts->route_relaxations += n;
-    if (c.dist != r.dist) ++counts->route_dist_changes;
+  for (const std::uint32_t nk : nbr_idx_[k]) {
+    if (nk != kNoNbr) nds[n++] = NeighborDist{cell_id_[nk], dist_snapshot_[nk]};
   }
   // Only a *dist* change can perturb other cells (Route reads nothing
   // else); a next-only change re-routes this cell's own movers but
   // leaves every Route input, and hence the arming set, untouched.
-  if (changed_out != nullptr && c.dist != r.dist) changed_out->push_back(k);
-  c.dist = r.dist;
-  c.next = r.next;
-  // Feeder snapshot for the exhaustive Signal scan (header comment on
-  // feed_): next is one of the gathered neighbors, so recover its dense
-  // index from the gather instead of re-deriving it through the grid.
-  feed_[k] = kNoNbr;
-  if (r.next.has_value() && !c.members.empty()) {
-    for (std::size_t i = 0; i < n; ++i) {
-      if (nds[i].id == *r.next) {
-        feed_[k] = nks[i];
-        break;
-      }
-    }
-  }
+  if (apply_route(c, k == target_k_, std::span<const NeighborDist>(nds, n),
+                  counts) &&
+      changed_out != nullptr)
+    changed_out->push_back(k);
 }
 
 void System::signal_span(std::size_t s, std::size_t begin, std::size_t end) {
@@ -773,52 +613,18 @@ void System::signal_cell(std::size_t k, std::vector<CellId>& blocked_out,
                          std::vector<std::size_t>* flip_out) {
   CellState& c = cells_[k];
   if (c.failed) return;
-  const CellId id = grid_.id_of(k);
-
-  SignalInputs in;
-  in.self = id;
-  in.members = c.members;
-  in.token = c.token;
-  const std::array<std::uint32_t, 4>& nbr = nbr_idx_[k];
-  if (scheduler_ != RoundScheduler::kActiveSet) {
-    // Exhaustive: Route refreshed feed_ for every cell this round, so
-    // "does this neighbor feed me?" is one dense 4-byte load per
-    // direction instead of a gather over four scattered CellStates.
-    for (const std::uint32_t nk : nbr) {
-      if (nk != kNoNbr && feed_[nk] == k) in.ne_prev.push_back(cell_id_[nk]);
-    }
-  } else {
-    // Active-set: Route skips quiescent cells, so feed_ may be stale —
-    // read the neighbors directly (see the feed_ member comment).
-    for (const std::uint32_t nk : nbr) {
-      if (nk == kNoNbr) continue;
-      const CellState& nc = cells_[nk];
-      if (nc.failed) continue;  // a failed cell never communicates
-      if (nc.next == OptCellId{id} && nc.has_entities())
-        in.ne_prev.push_back(cell_id_[nk]);
-    }
+  const CellId id = cell_id_[k];
+  NeighborSet ne_prev;
+  for (const std::uint32_t nk : nbr_idx_[k]) {
+    if (nk == kNoNbr) continue;
+    const CellState& nc = cells_[nk];
+    if (nc.failed) continue;  // a failed cell never communicates
+    if (nc.next == OptCellId{id} && nc.has_entities())
+      ne_prev.push_back(cell_id_[nk]);
   }
-  std::sort(in.ne_prev.begin(), in.ne_prev.end());
-
-  const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
-  const std::size_t ne_prev_size = in.ne_prev.size();
-  const OptCellId old_token = c.token;
-  SignalResult r =
-      config_.signal_rule == SignalRule::kBlocking
-          ? signal_step(std::move(in), config_.params, *choose_)
-          : signal_step_always_grant(std::move(in), *choose_);
-  if (had_candidate && !r.signal.has_value()) blocked_out.push_back(id);
-  if (counts != nullptr) {
-    ++counts->ne_prev_sizes[std::min<std::size_t>(
-        ne_prev_size, counts->ne_prev_sizes.size() - 1)];
-    if (r.signal.has_value()) ++counts->signal_grants;
-    if (had_candidate && !r.signal.has_value()) ++counts->signal_blocks;
-    if (old_token.has_value() && r.token != old_token)
-      ++counts->signal_token_rotations;
-  }
-  c.signal = r.signal;
-  c.token = r.token;
-  c.ne_prev = std::move(r.ne_prev);
+  if (apply_signal(c, id, std::move(ne_prev), config_.signal_rule,
+                   config_.params, *choose_, counts))
+    blocked_out.push_back(id);
   if (flip_out != nullptr && occupied(c) != (occ_b_[k] != 0))
     flip_out->push_back(k);
 }
@@ -904,100 +710,36 @@ void System::move_cell(std::size_t k, std::vector<CellId>& moved_out,
                        obs::ProtocolCounts* counts) {
   CellState& c = cells_[k];
   if (c.failed || !c.next.has_value()) return;
-  const CellId id = grid_.id_of(k);
+  const CellId id = cell_id_[k];
   const CellId dest = *c.next;
-  const CellState& dc = cells_[grid_.index_of(dest)];
-  const bool permitted = dc.signal == OptCellId{id};
-
+  const bool permitted = cells_[grid_.index_of(dest)].signal == OptCellId{id};
   // The in-place steps partition c.members directly (stayers keep their
   // order, crossers land in the shard's crossing scratch) — no per-cell
   // staying/crossed vectors; see move.hpp.
-  crossed_scratch.clear();
-  if (config_.movement_rule == MovementRule::kCoupled) {
-    if (!permitted) return;  // Figure 6: move only with permission
+  if (apply_move(c, id, permitted, config_.movement_rule, grid_,
+                 config_.params, crossed_scratch, counts))
     moved_out.push_back(id);
-    if (counts != nullptr) ++counts->moves;
-    move_step_inplace(id, dest, c.members, crossed_scratch, config_.params);
-  } else {
-    // §V relaxed coupling: compact every round; cross only when
-    // permitted; never compact into our own promised strip.
-    if (c.members.empty()) return;
-    if (permitted) {
-      moved_out.push_back(id);
-      if (counts != nullptr) ++counts->moves;
-    }
-    CompactionContext ctx;
-    ctx.may_cross = permitted;
-    if (c.signal.has_value())
-      ctx.promised_strip = grid_.direction_between(id, *c.signal);
-    compact_move_step_inplace(id, dest, c.members, crossed_scratch,
-                              config_.params, ctx);
-  }
-  if (counts != nullptr) counts->transfers += crossed_scratch.size();
   for (Entity& e : crossed_scratch)
     pending_out.push_back(PendingTransfer{e, id, dest});
 }
 
 void System::inject_phase() {
   for (const CellId s : config_.sources) {
-    CellState& c = cells_[grid_.index_of(s)];
-    if (c.failed) continue;
-    const auto center = source_->propose(grid_, config_.params, s, c);
-    if (!center.has_value()) continue;
-    if (!injection_is_safe(s, *center)) {
-      if (metrics_) ++round_counts_.blocked_injections;
-      continue;
-    }
-    const EntityId id{next_entity_id_++};
-    c.members.push_back(Entity{id, *center});
-    refresh_occupancy(grid_.index_of(s));
-    source_->note_accepted();
-    events_.injected.emplace_back(s, id);
-    if (metrics_) ++round_counts_.injections;
+    const std::size_t k = grid_.index_of(s);
+    const auto id =
+        apply_injection(cells_[k], s, *source_, grid_, config_.params,
+                        next_entity_id_, metrics_ ? &round_counts_ : nullptr);
+    if (!id.has_value()) continue;
+    refresh_occupancy(k);
+    events_.injected.emplace_back(s, *id);
   }
-}
-
-bool System::injection_is_safe(CellId id, Vec2 center) const {
-  const Params& p = config_.params;
-  const double half = p.entity_length() / 2.0;
-  const double d = p.center_spacing();
-  const auto i = static_cast<double>(id.i);
-  const auto j = static_cast<double>(id.j);
-
-  // Invariant 1 bounds: the entity must lie wholly inside the cell.
-  if (center.x - half < i || center.x + half > i + 1.0 ||
-      center.y - half < j || center.y + half > j + 1.0)
-    return false;
-
-  // Gap requirement (Safe_{i,j}): spacing ≥ d along some axis vs. every
-  // existing member.
-  const CellState& c = cells_[grid_.index_of(id)];
-  for (const Entity& q : c.members) {
-    if (std::abs(center.x - q.center.x) < d &&
-        std::abs(center.y - q.center.y) < d)
-      return false;
-  }
-
-  // Fairness guard (assumption (b) of §III-B): never fill the entry strip
-  // toward the neighbor currently being served, so injection cannot
-  // perpetually re-block it. The strip predicate is a conjunction over
-  // entities, so clear(members ∪ {new}) ≡ clear(members) ∧ clear({new})
-  // — probing the new entity alone avoids materializing the union.
-  if (c.token.has_value()) {
-    const bool was_clear = entry_strip_clear(id, *c.token, c.members, p);
-    if (was_clear) {
-      const Entity probe{EntityId{~0ULL}, center};
-      const bool probe_clear = entry_strip_clear(
-          id, *c.token, std::span<const Entity>(&probe, 1), p);
-      if (!probe_clear) return false;
-    }
-  }
-  return true;
 }
 
 EntityId System::seed_entity(CellId id, Vec2 center) {
   CF_EXPECTS(grid_.contains(id));
-  CF_EXPECTS_MSG(injection_is_safe(id, center),
+  const CellState& c = cells_[grid_.index_of(id)];
+  CF_EXPECTS_MSG(injection_is_safe(id, center, c.members, c.token,
+                                   config_.params),
                  "seed_entity: placement violates the gap requirement or "
                  "Invariant-1 bounds");
   const EntityId eid{next_entity_id_++};

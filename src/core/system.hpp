@@ -38,7 +38,9 @@
 #include "chunk/cell_store.hpp"
 #include "core/cell_state.hpp"
 #include "core/choose.hpp"
+#include "core/move.hpp"
 #include "core/params.hpp"
+#include "core/signal.hpp"
 #include "core/source.hpp"
 #include "grid/grid.hpp"
 #include "grid/mask.hpp"
@@ -56,27 +58,6 @@ struct Access;
 }  // namespace cellflow::snapshot
 
 namespace cellflow {
-
-/// Which grant rule Signal uses. The paper argues its blocking
-/// permission-to-move policy is *necessary* for safety; kAlwaysGrant is
-/// the broken strawman that grants without the entry-strip check, kept so
-/// the necessity claim is demonstrable (bench/ablation_signal_necessity
-/// and tests/test_signal_necessity.cpp show it violates Theorem 5).
-enum class SignalRule {
-  kBlocking,     ///< Figure 5 as published (the protocol)
-  kAlwaysGrant,  ///< UNSAFE ablation: grant the token holder unconditionally
-};
-
-/// Which movement rule Move uses. kCoupled is the paper's protocol (all
-/// entities of a cell move identically, only with permission).
-/// kCompacting is the §V "relaxed coupling" extension: entities advance
-/// independently within the cell (see core/move.hpp's compact_move_step),
-/// preserving safety and progress while letting queues close up during
-/// blocked rounds.
-enum class MovementRule {
-  kCoupled,     ///< Figure 6 as published
-  kCompacting,  ///< §V relaxed-coupling extension
-};
 
 /// Execution engine for update()'s per-cell phase loops. The synchronous
 /// phase structure (Route reads only previous-round dists; Signal and
@@ -105,9 +86,9 @@ struct ParallelPolicy {
     kAuto,   ///< per-round serial fallback below the work threshold
   };
 
-  /// Per-shard visit count under which kAuto runs serial (System per
-  /// round, chunk::ChunkedSystem per phase). ~a few hundred cells covers
-  /// the dispatch + barrier cost of a persistent-pool round.
+  /// Per-shard visit count under which kAuto runs a round serial (see
+  /// choose_round_engine). ~a few hundred cells covers the dispatch +
+  /// barrier cost of a persistent-pool round.
   static constexpr int kCutoverGrain = 256;
 
   Mode mode = Mode::kSerial;
@@ -166,7 +147,8 @@ enum class RoundScheduler {
   kExhaustive,  ///< visit every cell every phase (reference semantics)
 };
 
-/// Static configuration of a System.
+/// Static configuration of a System. (SignalRule lives in core/signal.hpp,
+/// MovementRule in core/move.hpp, next to the transitions they select.)
 struct SystemConfig {
   int side = 8;                      ///< N: grid is N×N
   Params params{0.25, 0.05, 0.1};    ///< l, rs, v
@@ -423,15 +405,6 @@ class System {
   void signal_span(std::size_t s, std::size_t begin, std::size_t end);
   void move_span(std::size_t s, std::size_t begin, std::size_t end);
 
-  /// Bulk Route over `n` interior, live, non-target cells starting at
-  /// k0 (all four lattice neighbors exist): packs the neighbors'
-  /// snapshot raws through core/route_kernel.hpp's key argmin — the
-  /// SIMD fast path — and applies the decoded results with route_cell's
-  /// exact bookkeeping. Only called while !huge_dist_seen_.
-  void route_run_kernel(std::size_t k0, std::size_t n, ShardScratch& sc,
-                        obs::ProtocolCounts* counts,
-                        std::vector<std::size_t>* changed_out);
-
   /// Folds the ProtocolCounts tallies of slots [0, used) into
   /// round_counts_ and returns their summed visit count, re-arming both
   /// for the next phase.
@@ -445,15 +418,13 @@ class System {
   void merge_signal_results(std::size_t used);
   void merge_move_results(std::size_t used);
 
-  /// kAuto cutover decision for the round about to run, from the
-  /// previous round's SchedulerStats (deterministic inputs).
-  [[nodiscard]] bool decide_cutover() const;
-
   // Per-cell bodies of the three phases, shared verbatim by the serial
   // and sharded loops (same scalar code on the same inputs ⇒ bit-equal
-  // outputs). Outputs that the serial loop would append to round-global
-  // vectors go to out-params so shards can buffer privately and merge in
-  // canonical (ascending cell-index) order afterwards.
+  // outputs): each gathers the cell's neighbor reads from the dense
+  // tables and applies the shared transition of core/route, core/signal
+  // or core/move. Outputs that the serial loop would append to
+  // round-global vectors go to out-params so shards can buffer privately
+  // and merge in canonical (ascending cell-index) order afterwards.
   // `counts` is the shard-private tally slot (nullptr when no registry
   // is attached — the bodies then skip all bookkeeping).
   // `changed_out`/`flip_out` are the active-set scheduler's shard-private
@@ -489,7 +460,6 @@ class System {
     std::vector<Entity> crossed;           ///< Move: per-cell crossing batch
     std::vector<std::size_t> changed;      ///< Route: dist-changed cells
     std::vector<std::size_t> flips;        ///< Signal: occupancy flips
-    std::vector<std::uint64_t> keys;       ///< Route: packed-key kernel out
     obs::ProtocolCounts counts;            ///< shard-private tallies
     std::uint64_t visited = 0;             ///< cells this shard ran (phase)
     std::uint64_t span_ns = 0;             ///< this shard's phase-body time
@@ -505,8 +475,6 @@ class System {
       counts.reset();
       visited = 0;
       span_ns = 0;
-      // `keys` is a capacity-reused output buffer, never read before
-      // being written — no clear needed.
     }
   };
   struct RoundScratch {
@@ -547,11 +515,6 @@ class System {
   /// refreshes occupancy.
   void note_control_mutation(std::size_t k);
 
-  /// True iff adding an entity centered at `center` to cell `id` keeps the
-  /// cell safe: Invariant-1 bounds, pairwise gap ≥ d, and (fairness guard,
-  /// see source.hpp) the entry strip toward the current token stays clear.
-  [[nodiscard]] bool injection_is_safe(CellId id, Vec2 center) const;
-
   SystemConfig config_;
   Grid grid_;
   /// The dense realization of the cell-store seam (chunk/cell_store.hpp):
@@ -569,16 +532,6 @@ class System {
   ParallelPolicy parallel_;
   std::unique_ptr<ThreadPool> pool_;  ///< live iff mode == kParallel
   RoundScratch scratch_;              ///< see the struct comment above
-
-  /// Sticky guard of the packed-key Route fast path: set as soon as any
-  /// cell's dist carries a raw encoding at or above kRouteHugeDist / 2
-  /// (only reachable through corrupt_control_state / snapshot restore —
-  /// checked at every external-mutation point). Once set, Route runs the
-  /// reference route_step gather forever after, because the kernel's
-  /// key packing saturates such raws. The /2 margin makes the check
-  /// sound: a sub-threshold raw would need ~2^59 rounds of +1 growth to
-  /// reach the kernel's guard band.
-  bool huge_dist_seen_ = false;
   std::size_t target_k_ = 0;  ///< grid_.index_of(config_.target), cached
 
   // Observability attachments; all optional, all non-owning.
@@ -631,15 +584,13 @@ class System {
   /// Last dispatch_stats() reading, for per-round deltas in telemetry.
   DispatchStats last_dispatch_stats_;
 
-  // Scratch buffers reused across rounds to avoid per-round allocation.
-  // Under kActiveSet, dist_snapshot_ is not a scratch buffer but an
-  // invariant: dist_snapshot_[k] == cells_[k].dist.raw() at every round
-  // boundary (maintained incrementally by the post-Route merge and by
+  // Route's frozen read of the previous round's dists (Figure 4 reads
+  // neighbors' previous-round values while cells overwrite their own).
+  // Under kActiveSet it is an invariant, not a scratch buffer:
+  // dist_snapshot_[k] == cells_[k].dist at every round boundary
+  // (maintained incrementally by the post-Route merge and by
   // note_control_mutation); under kExhaustive it is recopied each round.
-  // Stored as raw encodings (Dist::raw / Dist::from_raw — order-
-  // preserving, ∞ = UINT64_MAX) so the Route fast path can feed whole
-  // rows straight into core/route_kernel.hpp without a conversion pass.
-  std::vector<std::uint64_t> dist_snapshot_;
+  std::vector<Dist> dist_snapshot_;
 
   // --- cache-tight topology tables (DESIGN.md §10) ---------------------
   //
@@ -658,19 +609,6 @@ class System {
   /// cell_id_[k] == grid_.id_of(k), cached (avoids a div/mod per access).
   std::vector<CellId> cell_id_;
 
-  /// Signal feeder snapshot: feed_[k] is the dense index of the cell that
-  /// k *feeds* this round — i.e. index_of(next_k) iff k is live, nonempty
-  /// and next_k ≠ ⊥ — else kNoNbr. Written by route_cell (the inputs —
-  /// next is Route's own output; members/failed cannot change between
-  /// Route and Signal) so the exhaustive Signal scan tests
-  /// `feed_[nbr] == k` against one dense 4-byte-per-cell array instead of
-  /// gathering failed/next/members from four scattered CellStates. Only
-  /// kExhaustive reads it: under kActiveSet, Route skips quiescent cells,
-  /// whose feed entry would go stale when Move empties or fills them, so
-  /// the active engine keeps the direct CellState reads (equivalence
-  /// pinned by the differential suites and the bench digest checks).
-  std::vector<std::uint32_t> feed_;
-
   // Active-set scheduler state (kActiveSet; rebuilt on switch). All
   // three vectors are read-only during the sharded phase loops and
   // mutated only at the barriers / between rounds, on the calling
@@ -682,5 +620,27 @@ class System {
   std::vector<std::uint8_t> occ_refs_;      ///< # occupied in closed nbhd
   SchedulerStats sched_stats_;
 };
+
+/// How one round of System or chunk::ChunkedSystem runs: one rule for
+/// both engines. `domain` is what the round's parallel stages shard —
+/// cells for System, live chunks for ChunkedSystem — and `shards` is
+/// fixed for the whole round.
+struct RoundEngine {
+  ThreadPool* pool = nullptr;  ///< nullptr: the plan runs inline
+  std::size_t shards = 1;      ///< tasks per parallel stage
+  bool cutover = false;        ///< kAuto pinned this round inline
+};
+
+/// Picks the round's engine. Without a pool, or when the domain yields a
+/// single shard, the round runs inline. Under kAuto it also runs inline
+/// when the previous round's widest phase (`last`, the scheduler's visit
+/// counts) would hand each shard fewer than ParallelPolicy::kCutoverGrain
+/// cells: dispatch and barriers would then dominate. The inputs are
+/// engine-independent and both forms of the plan are bit-identical
+/// (DESIGN.md §6), so the choice never changes results. Round 0 has no
+/// stats yet and runs as configured.
+[[nodiscard]] RoundEngine choose_round_engine(
+    ThreadPool* pool, ParallelPolicy::Cutover cutover, std::uint64_t round,
+    const System::SchedulerStats& last, std::size_t domain);
 
 }  // namespace cellflow

@@ -26,17 +26,7 @@ MessageSystem::MessageSystem(MsgSystemConfig config,
       processes_(grid_.cell_count()),
       network_(network ? std::move(network)
                        : std::make_unique<SyncNetwork>()) {
-  CF_EXPECTS_MSG(grid_.contains(config_.target), "target outside grid");
-  for (const CellId s : config_.sources) {
-    CF_EXPECTS_MSG(grid_.contains(s), "source outside grid");
-    CF_EXPECTS_MSG(s != config_.target, "a cell cannot be source and target");
-  }
-  // Canonical injection order, mirroring System: sources visit in
-  // cell-id order regardless of how the configuration listed them.
-  std::sort(config_.sources.begin(), config_.sources.end());
-  config_.sources.erase(
-      std::unique(config_.sources.begin(), config_.sources.end()),
-      config_.sources.end());
+  canonicalize_sources(grid_, config_.target, config_.sources);
   for (std::size_t k = 0; k < processes_.size(); ++k) {
     MessageProcess& p = processes_[k];
     p.nbrs = grid_.neighbors(grid_.id_of(k));
@@ -118,29 +108,18 @@ void MessageSystem::flush_network_metrics() {
 
 void MessageSystem::fail(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& s = processes_[grid_.index_of(id)].state;
-  if (!s.failed && metrics_) metrics_->add_failure();
-  s.failed = true;
-  s.dist = Dist::infinity();
-  s.next = std::nullopt;
-  s.signal = std::nullopt;
-  s.token = std::nullopt;
-  s.ne_prev.clear();
   // Transport-session state (outbound/inbound links) deliberately kept:
   // it is stable storage, the exactly-once ledger of the data plane.
+  if (apply_fail(processes_[grid_.index_of(id)].state) && metrics_)
+    metrics_->add_failure();
 }
 
 void MessageSystem::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  CellState& s = processes_[grid_.index_of(id)].state;
-  if (!s.failed) return;
-  if (metrics_) metrics_->add_recovery();
-  s.failed = false;
-  s.dist = (id == config_.target) ? Dist::zero() : Dist::infinity();
-  s.next = std::nullopt;
-  s.token = std::nullopt;
-  s.signal = std::nullopt;
-  s.ne_prev.clear();
+  if (apply_recover(processes_[grid_.index_of(id)].state,
+                    id == config_.target) &&
+      metrics_)
+    metrics_->add_recovery();
 }
 
 void MessageSystem::update() {
@@ -216,6 +195,7 @@ void MessageSystem::exchange_dists() {
   // hold several announcements from one sender (a delayed copy released
   // before the fresh one, canonical order); the first per sender wins —
   // a stale estimate for one round, which Route self-stabilizes away.
+  obs::ProtocolCounts* const pc = metrics_ ? &round_counts_ : nullptr;
   for (std::size_t k = 0; k < processes_.size(); ++k) {
     MessageProcess& p = processes_[k];
     if (p.state.failed) continue;
@@ -224,13 +204,6 @@ void MessageSystem::exchange_dists() {
     for (const Message& m : inboxes_[k]) {
       if (const auto* ann = std::get_if<DistAnnounce>(&m.payload))
         p.heard_dists.push_back(NeighborDistView{m.sender, ann->dist});
-    }
-    if (id == config_.target) {
-      if (metrics_ && p.state.dist != Dist::zero())
-        ++round_counts_.route_dist_changes;
-      p.state.dist = Dist::zero();
-      p.state.next = std::nullopt;
-      continue;
     }
     NeighborDist nds[4];  // lattice degree ≤ 4; no heap
     std::size_t n = 0;
@@ -241,13 +214,8 @@ void MessageSystem::exchange_dists() {
       nds[n++] = NeighborDist{
           nb, it == p.heard_dists.end() ? Dist::infinity() : it->dist};
     }
-    const RouteResult r = route_step(std::span<const NeighborDist>(nds, n));
-    if (metrics_) {
-      round_counts_.route_relaxations += n;
-      if (p.state.dist != r.dist) ++round_counts_.route_dist_changes;
-    }
-    p.state.dist = r.dist;
-    p.state.next = r.next;
+    apply_route(p.state, id == config_.target,
+                std::span<const NeighborDist>(nds, n), pc);
   }
 }
 
@@ -281,27 +249,9 @@ void MessageSystem::exchange_intents() {
         std::unique(p.heard_wanting.begin(), p.heard_wanting.end()),
         p.heard_wanting.end());
 
-    SignalInputs in;
-    in.self = id;
-    in.members = p.state.members;
-    in.ne_prev = p.heard_wanting;
-    in.token = p.state.token;
-    const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
-    const std::size_t ne_prev_size = in.ne_prev.size();
-    const OptCellId old_token = p.state.token;
-    SignalResult r = signal_step(std::move(in), config_.params, choose_);
-    if (metrics_) {
-      ++round_counts_.ne_prev_sizes[std::min<std::size_t>(
-          ne_prev_size, round_counts_.ne_prev_sizes.size() - 1)];
-      if (r.signal.has_value()) ++round_counts_.signal_grants;
-      if (had_candidate && !r.signal.has_value())
-        ++round_counts_.signal_blocks;
-      if (old_token.has_value() && r.token != old_token)
-        ++round_counts_.signal_token_rotations;
-    }
-    p.state.signal = r.signal;
-    p.state.token = r.token;
-    p.state.ne_prev = std::move(r.ne_prev);
+    apply_signal(p.state, id, p.heard_wanting, SignalRule::kBlocking,
+                 config_.params, choose_,
+                 metrics_ ? &round_counts_ : nullptr);
     // A grant opens a transfer session on that link: stamp a fresh seq.
     // (Lemma 3's H holds here by construction: signal_step granted only
     // with the entry strip clear of this process's current members.)
@@ -362,15 +312,13 @@ void MessageSystem::exchange_transfers() {
     for (const std::size_t slot : p.heard_grants) {
       OutboundLink& ob = p.outbound[slot];
       if (ob.pending()) continue;
-      const CellId dest = p.nbrs[slot];
-      if (p.state.next != OptCellId{dest}) continue;
-      if (metrics_) ++round_counts_.moves;
+      if (p.state.next != OptCellId{p.nbrs[slot]}) continue;
       // In-place Move: crossers land directly in the link's retained
       // batch (empty while the link is idle — pending() was false and
       // acks clear it), stayers partition in place.
-      ob.batch.clear();
-      move_step_inplace(id, dest, p.state.members, ob.batch, config_.params);
-      if (metrics_) round_counts_.transfers += ob.batch.size();
+      apply_move(p.state, id, /*permitted=*/true, MovementRule::kCoupled,
+                 grid_, config_.params, ob.batch,
+                 metrics_ ? &round_counts_ : nullptr);
       if (!ob.batch.empty()) ob.batch_seq = ob.heard_seq;
     }
     for (std::size_t s = 0; s < p.nbrs.size(); ++s) {
@@ -468,58 +416,11 @@ bool MessageSystem::landing_is_safe(const MessageProcess& p,
   return true;
 }
 
-bool MessageSystem::injection_is_safe(CellId id, Vec2 center) const {
-  const Params& prm = config_.params;
-  const double half = prm.entity_length() / 2.0;
-  const double d = prm.center_spacing();
-  const auto i = static_cast<double>(id.i);
-  const auto j = static_cast<double>(id.j);
-  if (center.x - half < i || center.x + half > i + 1.0 ||
-      center.y - half < j || center.y + half > j + 1.0)
-    return false;
-  const CellState& c = processes_[grid_.index_of(id)].state;
-  for (const Entity& q : c.members) {
-    if (std::abs(center.x - q.center.x) < d &&
-        std::abs(center.y - q.center.y) < d)
-      return false;
-  }
-  if (c.token.has_value()) {
-    // clear(members ∪ {new}) ≡ clear(members) ∧ clear({new}) — probe the
-    // new entity alone instead of materializing the union (same
-    // decomposition as System::injection_is_safe).
-    const bool was_clear = entry_strip_clear(id, *c.token, c.members, prm);
-    if (was_clear) {
-      const Entity probe{EntityId{~0ULL}, center};
-      const bool probe_clear = entry_strip_clear(
-          id, *c.token, std::span<const Entity>(&probe, 1), prm);
-      if (!probe_clear) return false;
-    }
-  }
-  return true;
-}
-
 void MessageSystem::inject() {
-  const double half = config_.params.entity_length() / 2.0;
   for (const CellId s : config_.sources) {
-    CellState& c = processes_[grid_.index_of(s)].state;
-    if (c.failed) continue;
-    const auto i = static_cast<double>(s.i);
-    const auto j = static_cast<double>(s.j);
-    Vec2 center{i + 0.5, j + 0.5};
-    if (c.next.has_value()) {
-      switch (opposite(grid_.direction_between(s, *c.next))) {
-        case Direction::kEast: center = {i + 1.0 - half, j + 0.5}; break;
-        case Direction::kWest: center = {i + half, j + 0.5}; break;
-        case Direction::kNorth: center = {i + 0.5, j + 1.0 - half}; break;
-        case Direction::kSouth: center = {i + 0.5, j + half}; break;
-      }
-    }
-    if (!injection_is_safe(s, center)) {
-      if (metrics_) ++round_counts_.blocked_injections;
-      continue;
-    }
-    c.members.push_back(Entity{EntityId{next_entity_id_++}, center});
-    if (metrics_) ++round_counts_.injections;
+    apply_injection(processes_[grid_.index_of(s)].state, s, source_, grid_,
+                    config_.params, next_entity_id_,
+                    metrics_ ? &round_counts_ : nullptr);
   }
 }
 

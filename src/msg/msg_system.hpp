@@ -45,6 +45,7 @@
 #include "core/cell_state.hpp"
 #include "core/choose.hpp"
 #include "core/params.hpp"
+#include "core/source.hpp"
 #include "grid/grid.hpp"
 #include "net/network_model.hpp"
 #include "obs/protocol_metrics.hpp"
@@ -220,7 +221,6 @@ class MessageSystem {
   void exchange_transfers();
   void exchange_acks();
   void inject();
-  [[nodiscard]] bool injection_is_safe(CellId id, Vec2 center) const;
   [[nodiscard]] bool landing_is_safe(const MessageProcess& p,
                                      std::span<const Entity> batch) const;
   void flush_network_metrics();
@@ -230,6 +230,7 @@ class MessageSystem {
   std::vector<MessageProcess> processes_;
   std::unique_ptr<NetworkModel> network_;
   RoundRobinChoose choose_;  // stateless, per-call; same as System default
+  EntryEdgeSource source_;   // stateless; same as System default
 
   /// The current exchange's inboxes (views into the network's delivery
   /// buffer), refilled at every barrier; their arrays are reused, never

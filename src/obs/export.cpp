@@ -8,6 +8,7 @@
 #include <sstream>
 #include <stdexcept>
 
+#include "obs/json.hpp"
 #include "util/csv.hpp"
 
 namespace cellflow::obs {
@@ -326,169 +327,7 @@ std::vector<PromSample> parse_prometheus(std::string_view text) {
 
 // --- JSON validator -------------------------------------------------------
 
-namespace {
-
-class JsonChecker {
- public:
-  explicit JsonChecker(std::string_view text) : text_(text) {}
-
-  void run() {
-    skip_ws();
-    value();
-    skip_ws();
-    if (pos_ != text_.size()) fail("trailing garbage after document");
-  }
-
- private:
-  [[noreturn]] void fail(const std::string& why) const {
-    throw std::runtime_error("json parse error at offset " +
-                             std::to_string(pos_) + ": " + why);
-  }
-
-  [[nodiscard]] char peek() const {
-    if (pos_ >= text_.size()) fail("unexpected end of input");
-    return text_[pos_];
-  }
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           (text_[pos_] == ' ' || text_[pos_] == '\t' ||
-            text_[pos_] == '\n' || text_[pos_] == '\r'))
-      ++pos_;
-  }
-
-  void expect(char c) {
-    if (peek() != c) fail(std::string("expected '") + c + "'");
-    ++pos_;
-  }
-
-  void literal(std::string_view word) {
-    if (text_.substr(pos_, word.size()) != word)
-      fail("bad literal (expected " + std::string(word) + ")");
-    pos_ += word.size();
-  }
-
-  void string() {
-    expect('"');
-    while (true) {
-      const char c = peek();
-      ++pos_;
-      if (c == '"') return;
-      if (static_cast<unsigned char>(c) < 0x20)
-        fail("raw control character in string");
-      if (c == '\\') {
-        const char e = peek();
-        ++pos_;
-        switch (e) {
-          case '"': case '\\': case '/': case 'b': case 'f':
-          case 'n': case 'r': case 't':
-            break;
-          case 'u':
-            for (int k = 0; k < 4; ++k) {
-              const char h = peek();
-              ++pos_;
-              const bool hex = (h >= '0' && h <= '9') ||
-                               (h >= 'a' && h <= 'f') ||
-                               (h >= 'A' && h <= 'F');
-              if (!hex) fail("bad \\u escape");
-            }
-            break;
-          default:
-            fail("bad escape character");
-        }
-      }
-    }
-  }
-
-  void number() {
-    if (peek() == '-') ++pos_;
-    if (peek() == '0') {
-      ++pos_;
-    } else if (peek() >= '1' && peek() <= '9') {
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-        ++pos_;
-    } else {
-      fail("malformed number");
-    }
-    if (pos_ < text_.size() && text_[pos_] == '.') {
-      ++pos_;
-      if (!(peek() >= '0' && peek() <= '9')) fail("malformed fraction");
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-        ++pos_;
-    }
-    if (pos_ < text_.size() && (text_[pos_] == 'e' || text_[pos_] == 'E')) {
-      ++pos_;
-      if (pos_ < text_.size() && (text_[pos_] == '+' || text_[pos_] == '-'))
-        ++pos_;
-      if (!(peek() >= '0' && peek() <= '9')) fail("malformed exponent");
-      while (pos_ < text_.size() && text_[pos_] >= '0' && text_[pos_] <= '9')
-        ++pos_;
-    }
-  }
-
-  void value() {
-    switch (peek()) {
-      case '{': object(); return;
-      case '[': array(); return;
-      case '"': string(); return;
-      case 't': literal("true"); return;
-      case 'f': literal("false"); return;
-      case 'n': literal("null"); return;
-      default: number(); return;
-    }
-  }
-
-  void object() {
-    expect('{');
-    skip_ws();
-    if (peek() == '}') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      string();
-      skip_ws();
-      expect(':');
-      skip_ws();
-      value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect('}');
-      return;
-    }
-  }
-
-  void array() {
-    expect('[');
-    skip_ws();
-    if (peek() == ']') {
-      ++pos_;
-      return;
-    }
-    while (true) {
-      skip_ws();
-      value();
-      skip_ws();
-      if (peek() == ',') {
-        ++pos_;
-        continue;
-      }
-      expect(']');
-      return;
-    }
-  }
-
-  std::string_view text_;
-  std::size_t pos_ = 0;
-};
-
-}  // namespace
-
-void validate_json(std::string_view text) { JsonChecker(text).run(); }
+void validate_json(std::string_view text) { (void)parse_json(text); }
 
 // --- CSV block re-encoding (BENCH_*.json sidecars) ------------------------
 

@@ -87,7 +87,10 @@ struct PromSample {
 
 /// Strict JSON well-formedness check (objects, arrays, strings, numbers,
 /// true/false/null; trailing garbage rejected). Throws std::runtime_error
-/// with an offset on malformed input. Validation only — no DOM.
+/// with an offset on malformed input. Parses with obs/json.hpp's
+/// parse_json and discards the document, so it shares that grammar's
+/// further rejections: duplicate object keys, unpaired \u surrogates,
+/// and nesting deeper than 256.
 void validate_json(std::string_view text);
 
 }  // namespace cellflow::obs

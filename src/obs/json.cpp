@@ -14,13 +14,14 @@ namespace {
                            want);
 }
 
-// Recursive-descent parser over the same grammar JsonChecker accepts,
-// building a DOM instead of merely validating. Numbers go through strtod
-// after the grammar check (the grammar guarantees strtod consumes the
-// whole token and is locale-safe: JSON numbers use '.' only, and a
-// comma-decimal strtod simply stops at the '.', which the grammar has
-// already pinned as the fraction separator — so we parse the integer,
-// fraction, and exponent pieces manually to stay locale-independent).
+// Recursive-descent parser over the RFC 8259 grammar, building a DOM
+// (validate_json in obs/export.cpp parses through it too). Numbers go
+// through strtod after the grammar check (the grammar guarantees strtod
+// consumes the whole token and is locale-safe: JSON numbers use '.' only,
+// and a comma-decimal strtod simply stops at the '.', which the grammar
+// has already pinned as the fraction separator — so we parse the
+// integer, fraction, and exponent pieces manually to stay
+// locale-independent).
 class JsonParser {
  public:
   explicit JsonParser(std::string_view text) : text_(text) {}

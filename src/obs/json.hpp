@@ -1,15 +1,16 @@
 // Minimal JSON document model (parse + serialize) for the tooling layer.
 //
 // The observability exporters only ever *emit* JSON (obs/export.hpp), and
-// `validate_json` only checks well-formedness. The bench-regression gate
+// `validate_json` only checks well-formedness — by running this module's
+// parser and discarding the result. The bench-regression gate
 // (obs/sidecar.hpp, tools/cellflow_bench_diff) needs more: it reads the
 // BENCH_*.json sidecars back, compares metric columns between runs, and
 // synthesizes doctored sidecars for the injected-regression fixture. That
 // requires a real DOM, so this module provides one — a strict RFC 8259
-// recursive-descent parser (same grammar as export.cpp's JsonChecker, with
-// a recursion-depth limit) over a small variant-based value type, plus a
-// serializer that reuses format_double/json_escape so round-tripped
-// documents keep the repo-wide number formatting.
+// recursive-descent parser (with a recursion-depth limit) over a small
+// variant-based value type, plus a serializer that reuses
+// format_double/json_escape so round-tripped documents keep the
+// repo-wide number formatting.
 //
 // Deliberately small: no comments, no trailing commas, no NaN/Inf literals
 // (they are not JSON), object keys kept in *insertion order* (duplicate

@@ -20,12 +20,11 @@
 // atomic: on any error the target engine is untouched.
 //
 // What is deliberately NOT serialized (derived or per-round scratch):
-// System's active-set scheduler structures (re-derived by
-// rebuild_active_sets(), valid at any round boundary), the feed_ table
-// (rewritten by Route each round), RoundEvents, and the MessageSystem's
-// per-round heard_* views and inboxes (cleared before every use). The
-// NetworkModel's exchange queue is empty at round boundaries — snapshots
-// are boundary-only by construction.
+// System's active-set scheduler structures and Route's dist snapshot
+// (re-derived by rebuild_active_sets(), valid at any round boundary),
+// RoundEvents, and the MessageSystem's per-round heard_* views and inboxes
+// (cleared before every use). The NetworkModel's exchange queue is empty
+// at round boundaries — snapshots are boundary-only by construction.
 #pragma once
 
 #include <cstdint>

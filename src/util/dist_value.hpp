@@ -51,16 +51,6 @@ class Dist {
     return is_infinite() ? infinity() : Dist{raw_ + 1};
   }
 
-  /// Raw 64-bit encoding (∞ = UINT64_MAX), for bulk kernels that pack
-  /// distances into integer lanes (core/route_kernel.hpp). Ordering on
-  /// raw values equals ordering on Dist.
-  [[nodiscard]] constexpr std::uint64_t raw() const noexcept { return raw_; }
-
-  /// Inverse of raw(). Any 64-bit value is a valid encoding.
-  static constexpr Dist from_raw(std::uint64_t raw) noexcept {
-    return Dist{raw};
-  }
-
   friend constexpr auto operator<=>(Dist a, Dist b) noexcept {
     return a.raw_ <=> b.raw_;
   }

@@ -21,16 +21,6 @@ ShardRange shard_range_at(std::size_t size, std::size_t count,
   return ShardRange{begin, begin + len};
 }
 
-std::vector<ShardRange> shard_ranges(std::size_t size, int shards) {
-  const std::size_t count = shard_count(size, shards);
-  std::vector<ShardRange> out;
-  out.reserve(count);
-  for (std::size_t s = 0; s < count; ++s)
-    out.push_back(shard_range_at(size, count, s));
-  CF_ENSURES(out.empty() || out.back().end == size);
-  return out;
-}
-
 namespace {
 
 // steady_clock difference in whole nanoseconds, clamped at zero (the
@@ -219,7 +209,7 @@ void ThreadPool::caller_finish_stage(std::size_t stage, bool timed) {
 }
 
 void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
-  CF_EXPECTS_MSG(!in_run_, "ThreadPool::run is not reentrant");
+  CF_EXPECTS_MSG(!in_run_, "ThreadPool::run_plan is not reentrant");
   if (count == 0) return;
   quiesce();  // prior epoch retired: plan/slot storage is ours again
   in_run_ = true;
@@ -295,15 +285,6 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
     err_count_.store(0, std::memory_order_relaxed);
     std::rethrow_exception(err);
   }
-}
-
-void ThreadPool::run(std::size_t count, FunctionRef<void(std::size_t)> task) {
-  if (count == 0) return;
-  PlanStage stage;
-  stage.parallel = true;
-  stage.count = count;
-  stage.task = task;
-  run_plan(&stage, 1);
 }
 
 void ThreadPool::quiesce() const {
@@ -399,30 +380,6 @@ void run_plan(ThreadPool* pool, const ThreadPool::PlanStage* stages,
     }
     for (std::size_t k = 0; k < st.count; ++k) st.task(k);
   }
-}
-
-void parallel_for_shards(ThreadPool* pool, std::size_t size,
-                         FunctionRef<void(std::size_t, ShardRange)> body) {
-  if (size == 0) return;
-  const std::size_t count =
-      shard_count(size, pool ? pool->thread_count() : 1);
-  if (pool == nullptr || count <= 1) {
-    for (std::size_t s = 0; s < count; ++s)
-      body(s, shard_range_at(size, count, s));
-    return;
-  }
-  const auto one = [&](std::size_t s) {
-    body(s, shard_range_at(size, count, s));
-  };
-  pool->run(count, one);
-}
-
-void parallel_for(ThreadPool* pool, std::size_t size,
-                  FunctionRef<void(std::size_t)> body) {
-  const auto per_shard = [&](std::size_t, ShardRange r) {
-    for (std::size_t k = r.begin; k < r.end; ++k) body(k);
-  };
-  parallel_for_shards(pool, size, per_shard);
 }
 
 }  // namespace cellflow

@@ -12,16 +12,16 @@
 // Orchestration model (DESIGN.md §6): ThreadPool(threads) spawns
 // threads - 1 OS workers and enlists the *calling* thread as executor 0,
 // so a pool of width 1 runs everything inline with zero synchronization.
-// Workers are persistent: between batches they spin briefly on an atomic
+// Workers are persistent: between plans they spin briefly on an atomic
 // epoch counter and then park on a condition variable, so dispatching a
-// batch is one atomic increment plus (only when someone actually parked)
-// a wakeup — not a mutex/condvar round-trip per phase. run_plan() goes
-// further and publishes a whole round's stage sequence up front: one
-// dispatch covers every phase, the caller opens stages with a single
-// atomic store each, and workers ride from stage to stage without
-// re-parking when the stages are close together.
+// plan is one atomic increment plus (only when someone actually parked)
+// a wakeup — not a mutex/condvar round-trip per phase. run_plan() is the
+// pool's only entry point: it publishes a whole round's stage sequence
+// up front, so one dispatch covers every phase, the caller opens stages
+// with a single atomic store each, and workers ride from stage to stage
+// without re-parking when the stages are close together.
 //
-// Batches are passed as FunctionRef (util/function_ref.hpp) so
+// Stage tasks are passed as FunctionRef (util/function_ref.hpp) so
 // dispatching performs no heap allocation regardless of how much the
 // phase lambda captures — part of the zero-allocation round contract
 // (DESIGN.md §10).
@@ -53,32 +53,25 @@ struct ShardRange {
                                    const ShardRange&) = default;
 };
 
-/// Number of shards shard_ranges(size, shards) would produce: at most
-/// `shards`, never more than `size`. Precondition: shards >= 1.
+/// Number of shards the deterministic partition of [0, size) into at
+/// most `shards` ranges has: at most `shards`, never more than `size`
+/// (size == 0 yields none). Precondition: shards >= 1.
 [[nodiscard]] std::size_t shard_count(std::size_t size, int shards);
 
 /// Shard `s` of the deterministic partition of [0, size) into `count`
-/// contiguous ascending ranges (the first size % count shards are one
-/// element longer). Pure arithmetic — no allocation — so phase loops can
-/// compute their shard on the fly. Precondition: 1 <= count <= size and
+/// contiguous, ascending, non-empty ranges. The first size % count
+/// shards are one element longer, so boundaries are a pure function of
+/// (size, count): the same pair always yields the same partition, on any
+/// machine. Pure arithmetic — no allocation — so phase loops compute
+/// their shard on the fly. Precondition: 1 <= count <= size and
 /// s < count (i.e. count came from shard_count on the same size).
 [[nodiscard]] ShardRange shard_range_at(std::size_t size, std::size_t count,
                                         std::size_t s);
 
-/// Deterministic partition of [0, size) into at most `shards` contiguous,
-/// ascending, non-empty ranges. The first (size % count) shards are one
-/// element longer, so boundaries are a pure function of (size, shards):
-/// the same pair always yields the same partition, on any machine.
-/// size == 0 yields no shards. Precondition: shards >= 1.
-/// (Materialized convenience over shard_range_at; hot loops use the
-/// arithmetic form directly.)
-[[nodiscard]] std::vector<ShardRange> shard_ranges(std::size_t size,
-                                                   int shards);
-
 /// Cumulative per-executor wall-time accounting for a pool with timing
 /// enabled (ThreadPool::set_timing). All fields are sums over every
-/// batch the executor participated in since construction / the last
-/// reset_timings(). Timings are observational only — they are outside
+/// batch (one run_plan() call) the executor participated in since
+/// construction / the last reset_timings(). Timings are observational only — they are outside
 /// the determinism contract (DESIGN.md §6/§7) and never influence which
 /// shard runs where.
 /// For every executor that ran >= 1 task in a batch,
@@ -121,17 +114,16 @@ struct WorkerTimings {
 /// new epoch while still spinning (cheap), a park wake needed the
 /// condvar (a futex round-trip). Observational, cumulative, monotone.
 struct DispatchStats {
-  std::uint64_t dispatches = 0;  ///< run()/run_plan() batches published
+  std::uint64_t dispatches = 0;  ///< run_plan() batches published
   std::uint64_t spin_wakes = 0;  ///< executor waits resolved while spinning
   std::uint64_t park_wakes = 0;  ///< executor waits that parked on the cv
 };
 
-/// A fixed set of persistent executors running one indexed task batch
-/// (or one multi-stage plan) at a time. run()/run_plan() block the
-/// caller — which doubles as executor 0 — until everything finished; the
-/// pool is idle between calls. Not reentrant: run()/run_plan() must not
-/// be called concurrently or from inside a task (the latter would
-/// deadlock).
+/// A fixed set of persistent executors running one multi-stage plan at a
+/// time. run_plan() blocks the caller — which doubles as executor 0 —
+/// until everything finished; the pool is idle between calls. Not
+/// reentrant: run_plan() must not be called concurrently or from inside a
+/// task (the latter would deadlock).
 class ThreadPool {
  public:
   using Clock = std::chrono::steady_clock;
@@ -159,11 +151,11 @@ class ThreadPool {
   };
 
   /// Makes a pool of `threads` executors: threads - 1 spawned workers
-  /// plus the calling thread of each run()/run_plan(). threads == 1
-  /// spawns nothing and runs batches inline. Precondition: threads >= 1.
+  /// plus the calling thread of each run_plan(). threads == 1 spawns
+  /// nothing and runs plans inline. Precondition: threads >= 1.
   explicit ThreadPool(int threads);
 
-  /// Joins all workers (any in-flight run() must have returned).
+  /// Joins all workers (any in-flight run_plan() must have returned).
   ~ThreadPool();
 
   ThreadPool(const ThreadPool&) = delete;
@@ -171,25 +163,20 @@ class ThreadPool {
 
   [[nodiscard]] int thread_count() const noexcept { return threads_; }
 
-  /// Executes task(k) for every k in [0, count), distributed over the
-  /// executors, and returns when all have completed. If tasks threw, the
-  /// exception of the *lowest* task index is rethrown (a deterministic
-  /// choice, independent of scheduling); the remaining tasks still ran.
-  /// The task callable only needs to outlive this (blocking) call.
-  void run(std::size_t count, FunctionRef<void(std::size_t)> task);
-
   /// Executes a stage sequence under a single dispatch: workers wake
   /// once, then ride the plan's stage barriers (opened by the caller
   /// with one atomic store each) instead of being re-dispatched per
-  /// phase. If any task threw, stages after the faulting one are not
+  /// phase. Each parallel stage's tasks are distributed over the
+  /// executors. If any task threw, stages after the faulting one are not
   /// started (the faulting stage still runs to completion) and the
-  /// exception of the lowest (stage, task) pair is rethrown. The stage
-  /// array and every referenced callable must outlive the call.
+  /// exception of the lowest (stage, task) pair is rethrown — a
+  /// deterministic choice, independent of scheduling. The stage array
+  /// and every referenced callable must outlive the call.
   void run_plan(const PlanStage* stages, std::size_t count);
 
   /// Enables/disables per-executor timing. Off by default: when off,
-  /// batch execution performs zero clock reads. Takes effect at the next
-  /// batch; must not be called concurrently with run()/run_plan().
+  /// plan execution performs zero clock reads. Takes effect at the next
+  /// plan; must not be called concurrently with run_plan().
   void set_timing(bool enabled);
   [[nodiscard]] bool timing_enabled() const noexcept {
     return timing_.load(std::memory_order_relaxed);
@@ -323,18 +310,5 @@ class ThreadPool {
 /// caller keeps one stage list for its pooled and unpooled engines.
 void run_plan(ThreadPool* pool, const ThreadPool::PlanStage* stages,
               std::size_t count);
-
-/// Runs body(shard_index, range) over the shard_ranges() partition of
-/// [0, size): on the pool when one is given, serially in ascending shard
-/// order when `pool` is nullptr (then the partition has a single shard).
-/// Callers needing merged output keep one buffer per shard — indexed by
-/// shard_index — and concatenate in shard order; see the file comment.
-void parallel_for_shards(ThreadPool* pool, std::size_t size,
-                         FunctionRef<void(std::size_t, ShardRange)> body);
-
-/// Element-wise convenience over parallel_for_shards: body(k) for every
-/// k in [0, size), sharded the same deterministic way.
-void parallel_for(ThreadPool* pool, std::size_t size,
-                  FunctionRef<void(std::size_t)> body);
 
 }  // namespace cellflow

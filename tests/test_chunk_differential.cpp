@@ -92,9 +92,10 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
   dense.set_metrics(&dense_reg);
 
   // Chunked legs: serial/active-set (metrics-compared), parallel-2 with
-  // the exhaustive scheduler, parallel-4 with active-set. Registries are
-  // separate because the chunked engine exports under the same
-  // realization label as the dense shared-variable engine.
+  // the exhaustive scheduler, parallel-4 with active-set, and the kAuto
+  // leg below (metrics-compared). Registries are separate because the
+  // chunked engine exports under the same realization label as the dense
+  // shared-variable engine.
   chunk::ChunkedSystem ck_serial{sc};
   ck_serial.set_parallel_policy(ParallelPolicy::serial());
   obs::MetricsRegistry chunk_reg;
@@ -110,6 +111,14 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
 
   chunk::ChunkedSystem ck_par4{sc};
   ck_par4.set_parallel_policy(ParallelPolicy::parallel(4));
+
+  // kAuto leg: parallel_auto(2) switches between the pooled plan and the
+  // inline one round by round (choose_round_engine), so it pins that
+  // cutover — per-round digests and its own metrics.
+  chunk::ChunkedSystem ck_auto2{sc};
+  ck_auto2.set_parallel_policy(ParallelPolicy::parallel_auto(2));
+  obs::MetricsRegistry auto_reg;
+  ck_auto2.set_metrics(&auto_reg);
 
   // Message-passing leg on the small grids only (it is the slow engine;
   // the dense suite already pins it, here it anchors the three-way
@@ -134,6 +143,7 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
           ck_serial_ex.recover(id);
           ck_par2.recover(id);
           ck_par4.recover(id);
+          ck_auto2.recover(id);
           if (with_msg) msg.recover(id);
         }
       } else if (rng.bernoulli(0.01)) {
@@ -142,6 +152,7 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
         ck_serial_ex.fail(id);
         ck_par2.fail(id);
         ck_par4.fail(id);
+        ck_auto2.fail(id);
         if (with_msg) msg.fail(id);
       }
     }
@@ -150,6 +161,7 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
     ck_serial_ex.update();
     ck_par2.update();
     ck_par4.update();
+    ck_auto2.update();
     if (with_msg) msg.update();
 
     for (const Violation& v2 : check_all(dense)) {
@@ -179,6 +191,10 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
     if (snapshot::state_digest(ck_par4) != want) {
       expect_cells_equal(dense, ck_par4, "par4", round);
       FAIL() << "par4 digest diverged without a cell diff, round " << round;
+    }
+    if (snapshot::state_digest(ck_auto2) != want) {
+      expect_cells_equal(dense, ck_auto2, "auto2", round);
+      FAIL() << "auto2 digest diverged without a cell diff, round " << round;
     }
     if (!multi_chunk) {
       // The digest is the cheap O(N²) equality; on the small sides also
@@ -211,6 +227,7 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
   // The Prometheus expositions must be byte-identical: same families,
   // same labels, same counter values — the `_count` acceptance gate.
   EXPECT_EQ(obs::to_prometheus(dense_reg), obs::to_prometheus(chunk_reg));
+  EXPECT_EQ(obs::to_prometheus(dense_reg), obs::to_prometheus(auto_reg));
 }
 
 std::vector<FuzzCase> fuzz_cases() {

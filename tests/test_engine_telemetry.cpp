@@ -168,8 +168,9 @@ TEST(Telemetry, WorkerTimingsChainPartitionsTheBatch) {
   ThreadPool pool(3);
   pool.set_timing(true);
   std::vector<int> hits(64, 0);
-  for (int batch = 0; batch < 20; ++batch)
-    pool.run(hits.size(), [&](std::size_t k) { ++hits[k]; });
+  const auto hit = [&](std::size_t k) { ++hits[k]; };
+  const ThreadPool::PlanStage batch_stage{true, hits.size(), hit};
+  for (int batch = 0; batch < 20; ++batch) pool.run_plan(&batch_stage, 1);
   const WorkerTimings t = pool.total_timings();
   EXPECT_EQ(t.tasks, 20u * 64u);
   EXPECT_GE(t.busy_ns, t.work_ns);

@@ -18,14 +18,32 @@
 namespace cellflow {
 namespace {
 
+// The partition the round engines shard with: shard_range_at over every
+// shard shard_count yields.
+std::vector<ShardRange> partition(std::size_t size, int shards) {
+  const std::size_t count = shard_count(size, shards);
+  std::vector<ShardRange> out;
+  for (std::size_t s = 0; s < count; ++s)
+    out.push_back(shard_range_at(size, count, s));
+  return out;
+}
+
+// One parallel stage of `count` tasks: the single-batch form of
+// run_plan.
+void run_batch(ThreadPool& pool, std::size_t count,
+               FunctionRef<void(std::size_t)> task) {
+  const ThreadPool::PlanStage stage{true, count, task};
+  pool.run_plan(&stage, 1);
+}
+
 TEST(ShardRanges, EmptyRangeYieldsNoShards) {
   for (const int shards : {1, 2, 8}) {
-    EXPECT_TRUE(shard_ranges(0, shards).empty()) << shards;
+    EXPECT_TRUE(partition(0, shards).empty()) << shards;
   }
 }
 
 TEST(ShardRanges, RangeSmallerThanShardCountYieldsSingletons) {
-  const auto ranges = shard_ranges(3, 8);
+  const auto ranges = partition(3, 8);
   ASSERT_EQ(ranges.size(), 3u);
   for (std::size_t s = 0; s < 3; ++s) {
     EXPECT_EQ(ranges[s], (ShardRange{s, s + 1}));
@@ -36,17 +54,17 @@ TEST(ShardRanges, ExactBoundariesArePinned) {
   // (10, 4): 10 = 4·2 + 2, so the first two shards get the extra element.
   const std::vector<ShardRange> expected = {
       {0, 3}, {3, 6}, {6, 8}, {8, 10}};
-  EXPECT_EQ(shard_ranges(10, 4), expected);
+  EXPECT_EQ(partition(10, 4), expected);
   // Even split.
   const std::vector<ShardRange> even = {{0, 2}, {2, 4}, {4, 6}, {6, 8}};
-  EXPECT_EQ(shard_ranges(8, 4), even);
+  EXPECT_EQ(partition(8, 4), even);
 }
 
 TEST(ShardRanges, DeterministicForGivenSizeAndThreads) {
   for (std::size_t size = 0; size <= 64; ++size) {
     for (int shards = 1; shards <= 9; ++shards) {
-      const auto a = shard_ranges(size, shards);
-      const auto b = shard_ranges(size, shards);
+      const auto a = partition(size, shards);
+      const auto b = partition(size, shards);
       ASSERT_EQ(a, b) << "size=" << size << " shards=" << shards;
     }
   }
@@ -55,7 +73,7 @@ TEST(ShardRanges, DeterministicForGivenSizeAndThreads) {
 TEST(ShardRanges, PartitionInvariants) {
   for (std::size_t size = 1; size <= 64; ++size) {
     for (int shards = 1; shards <= 9; ++shards) {
-      const auto ranges = shard_ranges(size, shards);
+      const auto ranges = partition(size, shards);
       ASSERT_EQ(ranges.size(),
                 std::min<std::size_t>(static_cast<std::size_t>(shards), size));
       std::size_t cursor = 0;
@@ -74,7 +92,7 @@ TEST(ShardRanges, PartitionInvariants) {
 }
 
 TEST(ShardRanges, RejectsNonPositiveShardCount) {
-  EXPECT_THROW(shard_ranges(10, 0), ContractViolation);
+  EXPECT_THROW(partition(10, 0), ContractViolation);
 }
 
 TEST(ThreadPool, RejectsNonPositiveThreadCount) {
@@ -84,14 +102,14 @@ TEST(ThreadPool, RejectsNonPositiveThreadCount) {
 TEST(ThreadPool, EmptyBatchReturnsWithoutInvokingTask) {
   ThreadPool pool(4);
   int calls = 0;
-  pool.run(0, [&](std::size_t) { ++calls; });
+  run_batch(pool, 0, [&](std::size_t) { ++calls; });
   EXPECT_EQ(calls, 0);
 }
 
 TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
   ThreadPool pool(4);
   std::vector<int> hits(997, 0);  // distinct slots — no synchronization
-  pool.run(hits.size(), [&](std::size_t k) { ++hits[k]; });
+  run_batch(pool, hits.size(), [&](std::size_t k) { ++hits[k]; });
   for (std::size_t k = 0; k < hits.size(); ++k)
     ASSERT_EQ(hits[k], 1) << "task " << k;
 }
@@ -99,7 +117,7 @@ TEST(ThreadPool, RunsEveryIndexExactlyOnce) {
 TEST(ThreadPool, BatchSmallerThanThreadCount) {
   ThreadPool pool(8);
   std::vector<int> hits(3, 0);
-  pool.run(hits.size(), [&](std::size_t k) { ++hits[k]; });
+  run_batch(pool, hits.size(), [&](std::size_t k) { ++hits[k]; });
   EXPECT_EQ(hits, (std::vector<int>{1, 1, 1}));
 }
 
@@ -108,7 +126,7 @@ TEST(ThreadPool, ReusableAcrossManyBatches) {
   std::uint64_t total = 0;
   for (int batch = 0; batch < 50; ++batch) {
     std::vector<std::uint64_t> out(17, 0);
-    pool.run(out.size(), [&](std::size_t k) { out[k] = k + 1; });
+    run_batch(pool, out.size(), [&](std::size_t k) { out[k] = k + 1; });
     total += std::accumulate(out.begin(), out.end(), std::uint64_t{0});
   }
   EXPECT_EQ(total, 50u * (17u * 18u / 2u));
@@ -121,7 +139,7 @@ TEST(ThreadPool, PropagatesLowestIndexException) {
   // non-throwing tasks must still have executed.
   std::vector<int> hits(64, 0);
   try {
-    pool.run(hits.size(), [&](std::size_t k) {
+    run_batch(pool, hits.size(), [&](std::size_t k) {
       if (k == 5 || k == 2 || k == 40)
         throw std::runtime_error("task " + std::to_string(k));
       ++hits[k];
@@ -139,37 +157,12 @@ TEST(ThreadPool, PropagatesLowestIndexException) {
 TEST(ThreadPool, UsableAfterException) {
   ThreadPool pool(2);
   EXPECT_THROW(
-      pool.run(4, [](std::size_t) { throw std::runtime_error("boom"); }),
+      run_batch(pool, 4,
+                [](std::size_t) { throw std::runtime_error("boom"); }),
       std::runtime_error);
   std::vector<int> hits(8, 0);
-  pool.run(hits.size(), [&](std::size_t k) { ++hits[k]; });
+  run_batch(pool, hits.size(), [&](std::size_t k) { ++hits[k]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 8);
-}
-
-TEST(ParallelFor, ComputesEveryElementWithAndWithoutPool) {
-  const std::size_t n = 10000;
-  std::vector<std::uint64_t> serial(n, 0), pooled(n, 0);
-  parallel_for(nullptr, n, [&](std::size_t k) { serial[k] = k * k; });
-  ThreadPool pool(4);
-  parallel_for(&pool, n, [&](std::size_t k) { pooled[k] = k * k; });
-  EXPECT_EQ(serial, pooled);
-}
-
-TEST(ParallelForShards, ShardOrderConcatenationIsAscending) {
-  // The merge discipline the round engine relies on: one buffer per
-  // shard, concatenated in shard order, equals the serial iteration.
-  ThreadPool pool(4);
-  const std::size_t n = 103;
-  std::vector<std::vector<std::size_t>> buffers(
-      static_cast<std::size_t>(pool.thread_count()));
-  parallel_for_shards(&pool, n, [&](std::size_t s, ShardRange r) {
-    for (std::size_t k = r.begin; k < r.end; ++k) buffers[s].push_back(k);
-  });
-  std::vector<std::size_t> merged;
-  for (const auto& b : buffers) merged.insert(merged.end(), b.begin(), b.end());
-  std::vector<std::size_t> expected(n);
-  std::iota(expected.begin(), expected.end(), std::size_t{0});
-  EXPECT_EQ(merged, expected);
 }
 
 TEST(PlanStage, StagesAreStrictlyBarriered) {
@@ -221,7 +214,7 @@ TEST(PlanStage, AbortSkipsLaterStagesAndRethrowsLowestPair) {
   EXPECT_EQ(later.load(), 0);
   // The pool stays usable after an aborted plan.
   std::vector<int> hits(8, 0);
-  pool.run(hits.size(), [&](std::size_t k) { ++hits[k]; });
+  run_batch(pool, hits.size(), [&](std::size_t k) { ++hits[k]; });
   EXPECT_EQ(std::accumulate(hits.begin(), hits.end(), 0), 8);
 }
 
@@ -254,7 +247,7 @@ TEST(ThreadPool, DispatchStatsCountEachPublishedBatch) {
   ThreadPool pool(2);
   const DispatchStats before = pool.dispatch_stats();
   const auto noop = [](std::size_t) {};
-  pool.run(4, noop);
+  run_batch(pool, 4, noop);
   const ThreadPool::PlanStage stages[] = {{true, 4, noop}, {true, 4, noop}};
   pool.run_plan(stages, 2);  // a whole plan is a single dispatch
   const DispatchStats after = pool.dispatch_stats();
