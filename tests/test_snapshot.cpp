@@ -9,10 +9,11 @@
 // (reliable / faulty with partitions) × policies (random choose,
 // rate-limited source, stochastic failures).
 //
-// Also pinned: save∘restore∘save is byte-stable, and every mismatch path
+// Also pinned: save∘restore∘save is byte-stable, every mismatch path
 // (wrong config, wrong realization, absent failure model) throws
 // kConfigMismatch while leaving the target engine untouched — restores
-// are atomic.
+// are atomic — and the SnapshotGolden cases pin literal bytes and
+// digests across builds.
 #include <gtest/gtest.h>
 
 #include <cstdint>
@@ -20,6 +21,7 @@
 #include <string>
 #include <vector>
 
+#include "chunk/chunked_system.hpp"
 #include "core/choose.hpp"
 #include "core/predicates.hpp"
 #include "core/source.hpp"
@@ -30,6 +32,7 @@
 #include "net/faulty_network.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "snapshot/replay.hpp"
 #include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 
@@ -434,6 +437,102 @@ TEST(SnapshotDigest, ExecutionDigestIgnoresOnlyTheFaultSchedule) {
             snapshot::state_digest(idle_sys));
   EXPECT_NE(snapshot::execution_digest(sync_sys),
             snapshot::execution_digest(lossy_sys));
+}
+
+// ---- golden pins ------------------------------------------------------
+//
+// Every test above is a same-build round trip, so a change that alters
+// the writer and the reader together, or the digest, passes them all.
+// These cases pin literal values instead: the FNV-1a of the saved bytes
+// and the state digests, for one engine of each realization and for a
+// replay log. Every input is seeded and every field is fixed-width
+// little-endian (doubles as their bit patterns), so the literals hold
+// under every build preset. A deliberate format change bumps
+// kSnapVersion, keeps the old version decoding (ROADMAP item 2a) and
+// re-derives these literals.
+
+std::uint64_t hash_of(const std::vector<std::uint8_t>& bytes) {
+  return snapshot::fnv1a(bytes);
+}
+
+TEST(SnapshotGolden, SharedEngineWithPoliciesAndFailures) {
+  SystemConfig cfg;
+  cfg.side = 8;
+  cfg.params = Params(0.25, 0.05, 0.1);
+  cfg.sources = {CellId{1, 0}, CellId{6, 0}};
+  cfg.target = CellId{4, 7};
+  System sys(cfg, make_choose_policy("random", 11),
+             std::make_unique<RateLimitedSource>(0.7, 12));
+  RandomFailRecover failures(0.02, 0.1, 13);
+  for (int r = 0; r < 150; ++r) step_shared(sys, failures);
+  ASSERT_GT(sys.total_arrivals(), 0u);
+
+  const std::vector<std::uint8_t> bytes = snapshot::save(sys, &failures);
+  EXPECT_EQ(bytes.size(), 3091u);
+  EXPECT_EQ(hash_of(bytes), 0x0c74be4326f1bdbfULL);
+  EXPECT_EQ(snapshot::state_digest(sys), 0x3c2f8adbff25b5d3ULL);
+}
+
+TEST(SnapshotGolden, ChunkedEngineWithLiveAndParkedChunks) {
+  SystemConfig cfg;
+  cfg.side = 96;
+  cfg.params = Params(0.25, 0.05, 0.1);
+  cfg.sources = {CellId{2, 0}};
+  cfg.target = CellId{2, 20};
+  chunk::ChunkedSystem sys(cfg, make_choose_policy("random", 5),
+                           std::make_unique<RateLimitedSource>(0.5, 9));
+  for (int r = 0; r < 100; ++r) sys.update();
+  // Six live chunks, two parked (on the wire as summaries), one virgin
+  // (absent from the wire).
+  ASSERT_EQ(sys.store().live_count(), 6u);
+  ASSERT_EQ(sys.store().parked_count(), 2u);
+  ASSERT_EQ(sys.store().chunk_count(), 9u);
+
+  const std::vector<std::uint8_t> bytes = snapshot::save(sys);
+  EXPECT_EQ(bytes.size(), 177831u);
+  EXPECT_EQ(hash_of(bytes), 0x933fdde33ed45530ULL);
+  EXPECT_EQ(snapshot::state_digest(sys), 0x3328fef78f043de8ULL);
+}
+
+TEST(SnapshotGolden, MessageEngineWithDelayedMessagesAndEnvRng) {
+  MsgSystemConfig cfg;
+  cfg.side = 5;
+  cfg.params = Params(0.25, 0.05, 0.1);
+  cfg.sources = {CellId{1, 0}};
+  cfg.target = CellId{1, 4};
+  NetFaultSpec spec;
+  spec.drop_prob = 0.1;
+  spec.dup_prob = 0.05;
+  spec.delay_prob = 0.2;
+  spec.max_delay_rounds = 3;
+  auto net = std::make_unique<FaultyNetwork>(spec, 17);
+  const FaultyNetwork& faulty = *net;
+  MessageSystem msg(cfg, std::move(net));
+  Xoshiro256 env(19);
+  for (int r = 0; r < 60; ++r) step_message(msg, env, 0.01, 0.1);
+  ASSERT_GT(faulty.delayed_in_flight(), 0u);
+
+  const std::vector<std::uint8_t> bytes = snapshot::save(msg, &env);
+  EXPECT_EQ(bytes.size(), 8159u);
+  EXPECT_EQ(hash_of(bytes), 0xa65a77faa726314dULL);
+  EXPECT_EQ(snapshot::state_digest(msg), 0xac0740fc8440a4e9ULL);
+  EXPECT_EQ(snapshot::execution_digest(msg), 0x96dee68d9bb78f0eULL);
+}
+
+TEST(SnapshotGolden, ReplayLogWithCorruption) {
+  System sys(small_config(), make_choose_policy("random", 31),
+             std::make_unique<RateLimitedSource>(0.8, 32));
+  RandomFailRecover failures(0.03, 0.2, 33);
+  snapshot::RunRecorder rec(sys, &failures);
+  for (int r = 0; r < 25; ++r) rec.step();
+  rec.note_corrupt(CellId{2, 2}, Dist::finite(7), CellId{2, 3},
+                   CellId{2, 1}, std::nullopt);
+  for (int r = 0; r < 25; ++r) rec.step();
+
+  const std::vector<std::uint8_t> bytes = rec.log().to_bytes();
+  EXPECT_EQ(bytes.size(), 1584u);
+  EXPECT_EQ(hash_of(bytes), 0x677c2be2735c1c89ULL);
+  EXPECT_EQ(snapshot::state_digest(sys), 0x859efcbfd1d766ddULL);
 }
 
 TEST(SnapshotFiles, WriteReadRoundTrip) {
