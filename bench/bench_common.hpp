@@ -240,7 +240,7 @@ class BenchRecorder {
 
 /// Registers the shared --threads flag and resolves it to a round-engine
 /// policy: 0 (the default) defers to $CELLFLOW_THREADS (serial when
-/// unset), N >= 1 forces kParallel{N}. Assign the result to
+/// unset), N >= 1 forces parallel(N). Assign the result to
 /// WorkloadSpec::parallel.
 inline ParallelPolicy parallel_from_cli(CliArgs& cli) {
   const auto threads = cli.get_uint(

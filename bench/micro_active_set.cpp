@@ -10,11 +10,18 @@
 //           neighborhood occupied the scheduler may skip nothing, and
 //           its bookkeeping must cost (almost) nothing
 //
+// A fourth column runs the same workloads on chunk::ChunkedSystem
+// (serial, active-set): the per-cell cost of the sparse engine against
+// the dense one, which decides whether the two stores can merge
+// (ROADMAP item 2). At side 20 the chunked grid is a single 32×32 tile,
+// so chunk-major traversal cannot explain a gap there.
+//
 // Every engine runs the identical workload from the identical initial
 // state; a digest of the full protocol state after the timed window is
-// compared across exhaustive-serial / active-serial / active-parallel,
-// so this bench doubles as an end-to-end equivalence check — any digest
-// mismatch aborts nonzero. scripts/plot_figures.py consumes the CSV.
+// compared across exhaustive-serial / active-serial / active-parallel /
+// chunked, so this bench doubles as an end-to-end equivalence check — any
+// digest mismatch aborts nonzero. scripts/plot_figures.py consumes the
+// CSV.
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -23,6 +30,7 @@
 #include <vector>
 
 #include "bench_common.hpp"
+#include "chunk/chunked_system.hpp"
 #include "core/source.hpp"
 #include "core/system.hpp"
 #include "snapshot/snapshot.hpp"
@@ -60,7 +68,8 @@ SystemConfig dense_config(int side) {
   return cfg;
 }
 
-void seed_everywhere(System& sys) {
+template <typename Sys>
+void seed_everywhere(Sys& sys) {
   for (const CellId id : sys.grid().all_cells()) {
     if (id == sys.target()) continue;
     sys.seed_entity(id, Vec2{static_cast<double>(id.i) + 0.5,
@@ -72,6 +81,7 @@ struct Engine {
   const char* label;
   RoundScheduler scheduler;
   ParallelPolicy policy;
+  bool chunked = false;  ///< chunk::ChunkedSystem instead of System
 };
 
 struct Measurement {
@@ -80,17 +90,9 @@ struct Measurement {
   double visited_frac = 0.0;  ///< mean fraction of cells Route visited
 };
 
-Measurement measure(const SystemConfig& cfg, bool sparse, const Engine& eng,
-                    std::uint64_t warmup, std::uint64_t rounds) {
-  // The stateful rate-limited source must draw the identical stream in
-  // every engine: same seed, and the scheduler never skips source cells'
-  // Inject step (Inject is not phase-gated).
-  auto source = sparse ? std::unique_ptr<SourcePolicy>(
-                             std::make_unique<RateLimitedSource>(kSparseRate,
-                                                                 kSparseSeed))
-                       : std::unique_ptr<SourcePolicy>(
-                             std::make_unique<NullSource>());
-  System sys(cfg, nullptr, std::move(source));
+template <typename Sys>
+Measurement time_rounds(Sys& sys, bool sparse, const Engine& eng,
+                        std::uint64_t warmup, std::uint64_t rounds) {
   if (!sparse) seed_everywhere(sys);
   sys.set_round_scheduler(eng.scheduler);
   sys.set_parallel_policy(eng.policy);
@@ -108,8 +110,26 @@ Measurement measure(const SystemConfig& cfg, bool sparse, const Engine& eng,
   m.state_digest = snapshot::state_digest(sys);
   m.visited_frac = static_cast<double>(visited) /
                    (static_cast<double>(rounds) *
-                    static_cast<double>(sys.cells().size()));
+                    static_cast<double>(sys.grid().cell_count()));
   return m;
+}
+
+Measurement measure(const SystemConfig& cfg, bool sparse, const Engine& eng,
+                    std::uint64_t warmup, std::uint64_t rounds) {
+  // The stateful rate-limited source must draw the identical stream in
+  // every engine: same seed, and the scheduler never skips source cells'
+  // Inject step (Inject is not phase-gated).
+  auto source = sparse ? std::unique_ptr<SourcePolicy>(
+                             std::make_unique<RateLimitedSource>(kSparseRate,
+                                                                 kSparseSeed))
+                       : std::unique_ptr<SourcePolicy>(
+                             std::make_unique<NullSource>());
+  if (eng.chunked) {
+    chunk::ChunkedSystem sys(cfg, nullptr, std::move(source));
+    return time_rounds(sys, sparse, eng, warmup, rounds);
+  }
+  System sys(cfg, nullptr, std::move(source));
+  return time_rounds(sys, sparse, eng, warmup, rounds);
 }
 
 }  // namespace
@@ -139,11 +159,12 @@ int main(int argc, char** argv) {
       {"exhaustive", RoundScheduler::kExhaustive, ParallelPolicy::serial()},
       {"active", RoundScheduler::kActiveSet, ParallelPolicy::serial()},
       {"active-4t", RoundScheduler::kActiveSet, ParallelPolicy::parallel(4)},
+      {"chunked", RoundScheduler::kActiveSet, ParallelPolicy::serial(), true},
   };
 
   TextTable table;
   table.set_header({"workload", "exhaustive r/s", "active r/s", "active-4t r/s",
-                    "speedup", "visited"});
+                    "chunked r/s", "speedup", "chunked/active", "visited"});
 
   struct Row {
     std::string workload;
@@ -168,9 +189,8 @@ int main(int argc, char** argv) {
         const Measurement m = measure(cfg, sparse, eng, warmup, rounds);
         recorder.note_rounds(warmup + rounds);
         row.rps.push_back(m.rounds_per_sec);
-        if (eng.scheduler == RoundScheduler::kActiveSet &&
-            eng.policy == ParallelPolicy::serial())
-          row.visited_frac = m.visited_frac;
+        // The visit fraction reported is the dense active engine's.
+        if (&eng == &engines[1]) row.visited_frac = m.visited_frac;
         if (&eng == &engines.front()) {
           ref_digest = m.state_digest;
         } else if (m.state_digest != ref_digest) {
@@ -181,6 +201,7 @@ int main(int argc, char** argv) {
       }
       std::vector<double> cells = row.rps;
       cells.push_back(row.rps[1] / row.rps[0]);  // active-serial speedup
+      cells.push_back(row.rps[3] / row.rps[1]);  // chunked ÷ active
       cells.push_back(row.visited_frac);
       table.add_numeric_row(row.workload, cells);
       results.push_back(std::move(row));

@@ -33,7 +33,6 @@
 #include <memory>
 #include <vector>
 
-#include "chunk/cell_store.hpp"
 #include "chunk/chunk_layout.hpp"
 #include "core/cell_state.hpp"
 #include "util/ids.hpp"
@@ -43,6 +42,13 @@ struct StoreStatsSample;  // obs/alloc_stats.hpp
 }
 
 namespace cellflow::chunk {
+
+/// Heap bytes owned by one CellState beyond sizeof(CellState): the
+/// members vector's buffer (NeighborSet is inline by construction).
+[[nodiscard]] inline std::uint64_t cell_heap_bytes(
+    const CellState& c) noexcept {
+  return static_cast<std::uint64_t>(c.members.capacity()) * sizeof(Entity);
+}
 
 /// A materialized tile: the cells plus the per-cell active-set scheduler
 /// aux, sliced per chunk (System keeps the same four arrays dense).

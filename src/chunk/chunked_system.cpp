@@ -275,7 +275,7 @@ void ChunkedSystem::set_parallel_policy(const ParallelPolicy& policy) {
   CF_EXPECTS_MSG(policy.num_threads >= 1 && policy.num_threads <= 1024,
                  "ParallelPolicy::num_threads out of [1, 1024]");
   parallel_ = policy;
-  if (policy.mode == ParallelPolicy::Mode::kParallel) {
+  if (policy.num_threads > 1) {
     if (!pool_ || pool_->thread_count() != policy.num_threads)
       pool_ = std::make_unique<ThreadPool>(policy.num_threads);
   } else {

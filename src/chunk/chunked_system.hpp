@@ -149,10 +149,11 @@ class ChunkedSystem {
     return events_;
   }
 
-  /// Same contract as System::set_parallel_policy; shards are chunk
-  /// ranges here, but results stay bit-identical across modes and thread
-  /// counts by the same discipline (ascending shards, barriers, shard-
-  /// order merges, canonical transfer order, event canonicalization).
+  /// Same contract as System::set_parallel_policy (a pool iff
+  /// num_threads > 1); shards are chunk ranges here, but results stay
+  /// bit-identical across thread counts by the same discipline (ascending
+  /// shards, barriers, shard-order merges, canonical transfer order,
+  /// event canonicalization).
   void set_parallel_policy(const ParallelPolicy& policy);
   [[nodiscard]] const ParallelPolicy& parallel_policy() const noexcept {
     return parallel_;

@@ -167,7 +167,6 @@ void System::sync_pool_timing() {
   const bool want = profiler_ != nullptr || telemetry_ != nullptr;
   if (want == pool_->timing_enabled()) return;
   pool_->set_timing(want);
-  pool_->reset_timings();
   if (want)
     stage_samples_.reserve(static_cast<std::size_t>(pool_->thread_count()));
 }
@@ -222,7 +221,7 @@ void System::set_parallel_policy(const ParallelPolicy& policy) {
   CF_EXPECTS_MSG(policy.num_threads >= 1 && policy.num_threads <= 1024,
                  "ParallelPolicy::num_threads out of [1, 1024]");
   parallel_ = policy;
-  if (policy.mode == ParallelPolicy::Mode::kParallel) {
+  if (policy.num_threads > 1) {
     if (!pool_ || pool_->thread_count() != policy.num_threads) {
       pool_ = std::make_unique<ThreadPool>(policy.num_threads);
       sync_pool_timing();

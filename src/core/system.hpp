@@ -35,7 +35,6 @@
 #include <span>
 #include <vector>
 
-#include "chunk/cell_store.hpp"
 #include "core/cell_state.hpp"
 #include "core/choose.hpp"
 #include "core/move.hpp"
@@ -64,17 +63,12 @@ namespace cellflow {
 /// Move write only cell-local state, with transfers applied in a separate
 /// step) makes the per-cell work embarrassingly parallel; this policy
 /// only selects *where* the round's stage plan runs (on a pool or inline
-/// on the caller). Results are bit-identical across modes and thread
-/// counts — see the determinism contract in DESIGN.md §6 (sharded
-/// stages, barriers between phases, canonical cell-id-ordered merge of
-/// cross-cell effects).
+/// on the caller). Results are bit-identical across thread counts — see
+/// the determinism contract in DESIGN.md §6 (sharded stages, barriers
+/// between phases, canonical cell-id-ordered merge of cross-cell
+/// effects).
 struct ParallelPolicy {
-  enum class Mode {
-    kSerial,    ///< plain in-order loop over cells (the default)
-    kParallel,  ///< sharded across a fixed ThreadPool of num_threads
-  };
-
-  /// Whether a kParallel engine may fall back to the serial loop for
+  /// Whether a pooled engine may fall back to the serial loop for
   /// rounds whose per-shard work is too small to pay for dispatch and
   /// barriers. kAuto decides per round from the *previous* round's
   /// scheduler visit counts (deterministic inputs; and by the §6
@@ -91,8 +85,9 @@ struct ParallelPolicy {
   /// barrier cost of a persistent-pool round.
   static constexpr int kCutoverGrain = 256;
 
-  Mode mode = Mode::kSerial;
-  int num_threads = 1;  ///< pool size when mode == kParallel (>= 1)
+  /// Executors of the round plan (>= 1). The engine owns a ThreadPool
+  /// of this width iff it is > 1; at 1 every round runs inline.
+  int num_threads = 1;
   Cutover cutover = Cutover::kNever;
 
   [[nodiscard]] static constexpr ParallelPolicy serial() noexcept {
@@ -100,11 +95,11 @@ struct ParallelPolicy {
   }
   [[nodiscard]] static constexpr ParallelPolicy parallel(
       int threads) noexcept {
-    return ParallelPolicy{Mode::kParallel, threads};
+    return ParallelPolicy{threads};
   }
   [[nodiscard]] static constexpr ParallelPolicy parallel_auto(
       int threads) noexcept {
-    return ParallelPolicy{Mode::kParallel, threads, Cutover::kAuto};
+    return ParallelPolicy{threads, Cutover::kAuto};
   }
 
   friend constexpr bool operator==(const ParallelPolicy&,
@@ -246,7 +241,7 @@ class System {
     return cells_[grid_.index_of(id)];
   }
   [[nodiscard]] std::span<const CellState> cells() const noexcept {
-    return cells_.span();
+    return cells_;
   }
 
   /// Rounds executed so far.
@@ -294,12 +289,12 @@ class System {
 
   /// Selects the execution engine for subsequent update() calls.
   /// Changing the policy never changes results — only how the per-cell
-  /// loops are scheduled. kParallel spawns (or resizes) the owned
-  /// ThreadPool; kSerial releases it. Precondition: num_threads in
+  /// loops are scheduled. num_threads > 1 spawns (or resizes) the owned
+  /// ThreadPool; num_threads == 1 releases it. Precondition: num_threads in
   /// [1, 1024] (the same bound CELLFLOW_THREADS enforces).
   ///
   /// Note: a stateful (non-concurrent_safe) ChoosePolicy pins the Signal
-  /// phase to one in-order pass in a serial stage even under kParallel,
+  /// phase to one in-order pass in a serial stage even on a pool,
   /// because its internal stream must observe the exact serial call
   /// sequence; Route and Move still run sharded.
   void set_parallel_policy(const ParallelPolicy& policy);
@@ -517,9 +512,9 @@ class System {
 
   SystemConfig config_;
   Grid grid_;
-  /// The dense realization of the cell-store seam (chunk/cell_store.hpp):
-  /// all N² cells resident. chunk::ChunkedSystem is the sparse sibling.
-  chunk::DenseCellStore cells_;
+  /// Every cell of the grid, resident, in index order.
+  /// chunk::ChunkedSystem is the sparse sibling.
+  std::vector<CellState> cells_;
   std::unique_ptr<ChoosePolicy> choose_;
   std::unique_ptr<SourcePolicy> source_;
   PhaseHook phase_hook_;
@@ -530,7 +525,7 @@ class System {
   RoundEvents events_;
 
   ParallelPolicy parallel_;
-  std::unique_ptr<ThreadPool> pool_;  ///< live iff mode == kParallel
+  std::unique_ptr<ThreadPool> pool_;  ///< live iff num_threads > 1
   RoundScratch scratch_;              ///< see the struct comment above
   std::size_t target_k_ = 0;  ///< grid_.index_of(config_.target), cached
 
@@ -543,10 +538,10 @@ class System {
   // --- engine timing scaffolding (profiler / telemetry only) ----------
   //
   // Everything below is reporting-only plumbing: written on the calling
-  // thread (worker timings come pre-aggregated from the pool, under its
-  // mutex) and untouched when neither attachment is live.
+  // thread (worker timings are the pool's per-stage samples, read after
+  // each pooled plan) and untouched when neither attachment is live.
 
-  /// Syncs the pool's per-worker timing with the current attachments
+  /// Syncs the pool's per-stage timing with the current attachments
   /// (enabled iff profiler or telemetry is live).
   void sync_pool_timing();
 

@@ -58,6 +58,9 @@ constexpr std::uint64_t kEntityBytes = 8 + 8 + 8;  // id, x, y
 constexpr std::uint64_t kCellBytes = 1 + 8 + 3 * 1 + 1 + 8;  // empty cell
 constexpr std::uint64_t kDelayedBytes = 8 + 16 + 1 + 2;  // min payload=intent
 
+constexpr const char* kForeign =
+    "snapshot was taken from a different realization";
+
 std::uint64_t encode_dist(Dist d) {
   return d.is_infinite() ? kInfDist : d.hops();
 }
@@ -65,6 +68,100 @@ std::uint64_t encode_dist(Dist d) {
 Dist decode_dist(std::uint64_t raw) {
   return raw == kInfDist ? Dist::infinity() : Dist::finite(raw);
 }
+
+// ---- encoders ----------------------------------------------------------
+//
+// One encoder per piece of engine state, generic over the sink: a Writer
+// puts the fields on the wire, a DigestAccumulator hashes them (each
+// field widened to one word). The state digests are these encoders
+// writing into an accumulator, so a field added here reaches both.
+
+template <typename Sink>
+void write_cell_id(Sink& out, CellId id) {
+  out.i32(id.i);
+  out.i32(id.j);
+}
+
+template <typename Sink>
+void write_opt_cell(Sink& out, OptCellId c) {
+  out.boolean(c.has_value());
+  if (c) write_cell_id(out, *c);
+}
+
+template <typename Sink>
+void write_entity(Sink& out, const Entity& e) {
+  out.u64(e.id.value);
+  out.f64(e.center.x);
+  out.f64(e.center.y);
+}
+
+template <typename Sink>
+void write_cell(Sink& out, const CellState& c) {
+  out.boolean(c.failed);
+  out.u64(encode_dist(c.dist));
+  write_opt_cell(out, c.next);
+  write_opt_cell(out, c.token);
+  write_opt_cell(out, c.signal);
+  out.u8(static_cast<std::uint8_t>(c.ne_prev.size()));
+  for (const CellId id : c.ne_prev) write_cell_id(out, id);
+  out.u64(static_cast<std::uint64_t>(c.members.size()));
+  for (const Entity& e : c.members) write_entity(out, e);
+}
+
+template <typename Sink>
+void write_payload(Sink& out, const Payload& p) {
+  out.u8(static_cast<std::uint8_t>(p.index()));
+  switch (payload_type_of(p)) {
+    case PayloadType::kDist:
+      out.u64(encode_dist(std::get<DistAnnounce>(p).dist));
+      return;
+    case PayloadType::kIntent: {
+      const auto& intent = std::get<IntentAnnounce>(p);
+      write_opt_cell(out, intent.next);
+      out.boolean(intent.has_entities);
+      return;
+    }
+    case PayloadType::kGrant: {
+      const auto& grant = std::get<GrantAnnounce>(p);
+      write_opt_cell(out, grant.signal);
+      out.u64(grant.seq);
+      out.u64(grant.round);
+      return;
+    }
+    case PayloadType::kTransfer: {
+      const auto& batch = std::get<TransferBatch>(p);
+      out.u64(batch.seq);
+      out.u64(static_cast<std::uint64_t>(batch.entities.size()));
+      for (const Entity& e : batch.entities) write_entity(out, e);
+      return;
+    }
+    case PayloadType::kAck:
+      out.u64(std::get<TransferAck>(p).seq);
+      return;
+  }
+}
+
+/// One link slot of a MessageProcess: both halves of its session.
+template <typename Sink>
+void write_link(Sink& out, const OutboundLink& ob, const InboundLink& ib) {
+  out.u64(ob.heard_seq);
+  out.u64(ob.batch_seq);
+  out.u64(static_cast<std::uint64_t>(ob.batch.size()));
+  for (const Entity& e : ob.batch) write_entity(out, e);
+  out.u64(ib.granted_seq);
+  out.u64(ib.completed_seq);
+}
+
+/// The round/arrival/entity-id counters: the header's, and the start of
+/// every digest.
+template <typename Sink, typename Engine>
+void write_counters(Sink& out, const Engine& e) {
+  out.u64(e.round());
+  out.u64(e.total_arrivals());
+  out.u64(e.total_injected());
+}
+
+// ---- decoders ----------------------------------------------------------
 
 CellId read_cell_id(Reader& r, const Grid& grid) {
   const std::int32_t i = r.i32();
@@ -74,23 +171,9 @@ CellId read_cell_id(Reader& r, const Grid& grid) {
   return id;
 }
 
-void write_opt_cell(Writer& w, OptCellId c) {
-  w.boolean(c.has_value());
-  if (c) {
-    w.i32(c->i);
-    w.i32(c->j);
-  }
-}
-
 OptCellId read_opt_cell(Reader& r, const Grid& grid) {
   if (!r.boolean()) return std::nullopt;
   return read_cell_id(r, grid);
-}
-
-void write_entity(Writer& w, const Entity& e) {
-  w.u64(e.id.value);
-  w.f64(e.center.x);
-  w.f64(e.center.y);
 }
 
 Entity read_entity(Reader& r) {
@@ -98,21 +181,6 @@ Entity read_entity(Reader& r) {
   const double x = r.f64();
   const double y = r.f64();
   return Entity{EntityId{id}, Vec2{x, y}};
-}
-
-void write_cell(Writer& w, const CellState& c) {
-  w.boolean(c.failed);
-  w.u64(encode_dist(c.dist));
-  write_opt_cell(w, c.next);
-  write_opt_cell(w, c.token);
-  write_opt_cell(w, c.signal);
-  w.u8(static_cast<std::uint8_t>(c.ne_prev.size()));
-  for (const CellId id : c.ne_prev) {
-    w.i32(id.i);
-    w.i32(id.j);
-  }
-  w.u64(static_cast<std::uint64_t>(c.members.size()));
-  for (const Entity& e : c.members) write_entity(w, e);
 }
 
 CellState read_cell(Reader& r, const Grid& grid) {
@@ -131,9 +199,16 @@ CellState read_cell(Reader& r, const Grid& grid) {
   return c;
 }
 
-void write_words(Writer& w, std::span<const std::uint64_t> words) {
-  w.u64(static_cast<std::uint64_t>(words.size()));
-  for (const std::uint64_t word : words) w.u64(word);
+/// The cells section: one cell per grid cell, in index order.
+std::vector<CellState> read_cells(Reader& r, const Grid& grid) {
+  const std::uint64_t n = r.count(kCellBytes);
+  if (n != grid.cell_count()) {
+    fail(Errc::kMalformed, "cell count does not match the grid");
+  }
+  std::vector<CellState> cells;
+  cells.reserve(static_cast<std::size_t>(n));
+  for (std::uint64_t k = 0; k < n; ++k) cells.push_back(read_cell(r, grid));
+  return cells;
 }
 
 std::vector<std::uint64_t> read_words(Reader& r) {
@@ -141,38 +216,6 @@ std::vector<std::uint64_t> read_words(Reader& r) {
   std::vector<std::uint64_t> words(static_cast<std::size_t>(n));
   for (auto& word : words) word = r.u64();
   return words;
-}
-
-void write_payload(Writer& w, const Payload& p) {
-  w.u8(static_cast<std::uint8_t>(p.index()));
-  switch (payload_type_of(p)) {
-    case PayloadType::kDist:
-      w.u64(encode_dist(std::get<DistAnnounce>(p).dist));
-      return;
-    case PayloadType::kIntent: {
-      const auto& intent = std::get<IntentAnnounce>(p);
-      write_opt_cell(w, intent.next);
-      w.boolean(intent.has_entities);
-      return;
-    }
-    case PayloadType::kGrant: {
-      const auto& grant = std::get<GrantAnnounce>(p);
-      write_opt_cell(w, grant.signal);
-      w.u64(grant.seq);
-      w.u64(grant.round);
-      return;
-    }
-    case PayloadType::kTransfer: {
-      const auto& batch = std::get<TransferBatch>(p);
-      w.u64(batch.seq);
-      w.u64(static_cast<std::uint64_t>(batch.entities.size()));
-      for (const Entity& e : batch.entities) write_entity(w, e);
-      return;
-    }
-    case PayloadType::kAck:
-      w.u64(std::get<TransferAck>(p).seq);
-      return;
-  }
 }
 
 Payload read_payload(Reader& r, const Grid& grid) {
@@ -209,58 +252,106 @@ Payload read_payload(Reader& r, const Grid& grid) {
   }
 }
 
-void write_config(Writer& w, int side, const Params& params,
-                  CellId target, std::span<const CellId> sources,
-                  std::uint8_t signal_rule, std::uint8_t movement_rule) {
-  w.u32(static_cast<std::uint32_t>(side));
-  w.f64(params.entity_length());
-  w.f64(params.safety_gap());
-  w.f64(params.velocity());
-  w.i32(target.i);
-  w.i32(target.j);
-  w.u8(signal_rule);
-  w.u8(movement_rule);
-  w.u32(static_cast<std::uint32_t>(sources.size()));
-  for (const CellId s : sources) {
-    w.i32(s.i);
-    w.i32(s.j);
-  }
+// ---- sections every realization shares ----------------------------------
+
+/// The engine configuration a snapshot echoes, and a restore checks.
+struct ConfigEcho {
+  int side;
+  const Params& params;
+  CellId target;
+  std::span<const CellId> sources;
+  std::uint8_t signal_rule;
+  std::uint8_t movement_rule;
+};
+
+ConfigEcho echo_of(const SystemConfig& cfg) {
+  return {cfg.side, cfg.params, cfg.target, cfg.sources,
+          static_cast<std::uint8_t>(cfg.signal_rule),
+          static_cast<std::uint8_t>(cfg.movement_rule)};
+}
+
+ConfigEcho echo_of(const MsgSystemConfig& cfg) {
+  return {cfg.side, cfg.params, cfg.target, cfg.sources, 0, 0};
+}
+
+/// Opens a snapshot with its header and config-echo sections.
+template <typename Engine>
+Writer begin_snapshot(std::uint8_t kind, const Engine& e,
+                      const ConfigEcho& cfg) {
+  Writer w(kSnapMagic, kSnapVersion);
+  w.begin_section(kTagHeader);
+  w.u8(kind);
+  write_counters(w, e);
+  w.end_section();
+
+  w.begin_section(kTagConfig);
+  w.u32(static_cast<std::uint32_t>(cfg.side));
+  w.f64(cfg.params.entity_length());
+  w.f64(cfg.params.safety_gap());
+  w.f64(cfg.params.velocity());
+  write_cell_id(w, cfg.target);
+  w.u8(cfg.signal_rule);
+  w.u8(cfg.movement_rule);
+  w.u32(static_cast<std::uint32_t>(cfg.sources.size()));
+  for (const CellId s : cfg.sources) write_cell_id(w, s);
+  w.end_section();
+  return w;
 }
 
 /// Reads the config echo and compares against the restore target; any
 /// difference means the caller built a non-equivalent engine.
-void check_config(Reader& r, int side, const Params& params,
-                  CellId target, std::span<const CellId> sources,
-                  std::uint8_t signal_rule, std::uint8_t movement_rule) {
-  if (r.u32() != static_cast<std::uint32_t>(side)) {
+void check_config(Reader& r, const ConfigEcho& cfg) {
+  if (r.u32() != static_cast<std::uint32_t>(cfg.side)) {
     fail(Errc::kConfigMismatch, "grid side");
   }
-  if (r.f64() != params.entity_length()) {
+  if (r.f64() != cfg.params.entity_length()) {
     fail(Errc::kConfigMismatch, "entity length l");
   }
-  if (r.f64() != params.safety_gap()) {
+  if (r.f64() != cfg.params.safety_gap()) {
     fail(Errc::kConfigMismatch, "safety gap rs");
   }
-  if (r.f64() != params.velocity()) {
+  if (r.f64() != cfg.params.velocity()) {
     fail(Errc::kConfigMismatch, "velocity v");
   }
   const std::int32_t ti = r.i32();
   const std::int32_t tj = r.i32();
-  if (CellId{ti, tj} != target) fail(Errc::kConfigMismatch, "target cell");
+  if (CellId{ti, tj} != cfg.target) fail(Errc::kConfigMismatch, "target cell");
   const std::uint8_t sig = r.u8();
   const std::uint8_t mov = r.u8();
   if (sig > 1 || mov > 1) fail(Errc::kMalformed, "protocol rule byte");
-  if (sig != signal_rule) fail(Errc::kConfigMismatch, "signal rule");
-  if (mov != movement_rule) fail(Errc::kConfigMismatch, "movement rule");
+  if (sig != cfg.signal_rule) fail(Errc::kConfigMismatch, "signal rule");
+  if (mov != cfg.movement_rule) fail(Errc::kConfigMismatch, "movement rule");
   const std::uint32_t nsources = r.u32();
-  if (nsources != sources.size()) fail(Errc::kConfigMismatch, "source set");
+  if (nsources != cfg.sources.size()) {
+    fail(Errc::kConfigMismatch, "source set");
+  }
   for (std::uint32_t k = 0; k < nsources; ++k) {
     const std::int32_t si = r.i32();
     const std::int32_t sj = r.i32();
-    if (CellId{si, sj} != sources[k]) {
+    if (CellId{si, sj} != cfg.sources[k]) {
       fail(Errc::kConfigMismatch, "source set");
     }
   }
+}
+
+/// One policy's mutable state words as section `tag`.
+template <typename Policy>
+void write_state_section(Writer& w, std::uint32_t tag, const Policy& policy) {
+  std::vector<std::uint64_t> words;
+  policy.encode_state(words);
+  w.begin_section(tag);
+  w.u64(static_cast<std::uint64_t>(words.size()));
+  for (const std::uint64_t word : words) w.u64(word);
+  w.end_section();
+}
+
+/// The choose, source and optional failure-model sections of the
+/// shared-variable realizations.
+void write_policies(Writer& w, const ChoosePolicy& choose,
+                    const SourcePolicy& source, const FailureModel* failures) {
+  write_state_section(w, kTagChoose, choose);
+  write_state_section(w, kTagSource, source);
+  if (failures != nullptr) write_state_section(w, kTagFailure, *failures);
 }
 
 struct Header {
@@ -269,16 +360,6 @@ struct Header {
   std::uint64_t arrivals = 0;
   std::uint64_t next_entity_id = 0;
 };
-
-void write_header(Writer& w, std::uint8_t kind, std::uint64_t round,
-                  std::uint64_t arrivals, std::uint64_t next_entity_id) {
-  w.begin_section(kTagHeader);
-  w.u8(kind);
-  w.u64(round);
-  w.u64(arrivals);
-  w.u64(next_entity_id);
-  w.end_section();
-}
 
 Header read_header(Reader& r) {
   Header h;
@@ -290,75 +371,94 @@ Header read_header(Reader& r) {
   return h;
 }
 
-void digest_cell(DigestAccumulator& d, const CellState& c) {
-  d.boolean(c.failed);
-  d.u64(encode_dist(c.dist));
-  for (const OptCellId& opt : {c.next, c.token, c.signal}) {
-    d.boolean(opt.has_value());
-    if (opt) {
-      d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(opt->i)));
-      d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(opt->j)));
-    }
-  }
-  d.u64(static_cast<std::uint64_t>(c.ne_prev.size()));
-  for (const CellId id : c.ne_prev) {
-    d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.i)));
-    d.u64(static_cast<std::uint64_t>(static_cast<std::uint32_t>(id.j)));
-  }
-  d.u64(static_cast<std::uint64_t>(c.members.size()));
-  for (const Entity& e : c.members) {
-    d.u64(e.id.value);
-    d.f64(e.center.x);
-    d.f64(e.center.y);
-  }
-}
+/// What a realization's snapshots hold: the header's kind byte, the
+/// sections it must carry, and the optional section that carries its
+/// environment (the failure model, or the message engine's env rng).
+/// It writes no other tag.
+struct Realization {
+  std::uint8_t kind;
+  std::uint32_t required;
+  std::uint32_t env_tag;
+  const char* missing;  ///< the kMissingSection message
+};
 
-void digest_payload(DigestAccumulator& d, const Payload& p) {
-  d.u64(static_cast<std::uint64_t>(p.index()));
-  switch (payload_type_of(p)) {
-    case PayloadType::kDist:
-      d.u64(encode_dist(std::get<DistAnnounce>(p).dist));
-      return;
-    case PayloadType::kIntent: {
-      const auto& intent = std::get<IntentAnnounce>(p);
-      d.boolean(intent.next.has_value());
-      if (intent.next) {
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(intent.next->i)));
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(intent.next->j)));
-      }
-      d.boolean(intent.has_entities);
-      return;
+constexpr std::uint32_t bit(std::uint32_t tag) { return 1u << tag; }
+
+constexpr std::uint32_t kFrame = bit(kTagHeader) | bit(kTagConfig);
+constexpr std::uint32_t kPolicies = bit(kTagChoose) | bit(kTagSource);
+
+constexpr Realization kShared{
+    kKindShared, kFrame | bit(kTagCells) | kPolicies, kTagFailure,
+    "shared snapshot needs header, config, cells, choose, source"};
+constexpr Realization kChunked{
+    kKindChunked, kFrame | kPolicies | bit(kTagChunks), kTagFailure,
+    "chunked snapshot needs header, config, choose, source, chunks"};
+constexpr Realization kMessage{
+    kKindMessage,
+    kFrame | bit(kTagCells) | bit(kTagLinks) | bit(kTagMsgCounters) |
+        bit(kTagNetwork),
+    kTagEnvRng,
+    "message snapshot needs header, config, cells, links, counters, "
+    "network"};
+
+/// The sections the walk decodes for every realization.
+struct Common {
+  Header header;
+  std::vector<std::uint64_t> choose;
+  std::vector<std::uint64_t> source;
+  std::vector<std::uint64_t> failure;
+  std::array<std::uint64_t, 4> env_rng{};
+};
+
+/// The one section walk of every restore. It decodes the shared sections
+/// itself, hands the realization's own tags to `own(reader, tag)`, and
+/// rejects a tag the realization never writes before reading a byte of
+/// it. After the stream come the required-section, kind and
+/// environment-presence checks, in that order. Mutates no engine: the
+/// caller commits once this returns.
+template <typename OwnSection>
+Common read_snapshot(std::span<const std::uint8_t> bytes,
+                     const Realization& re, const ConfigEcho& cfg,
+                     bool env_supplied, OwnSection&& own) {
+  Reader r(bytes, kSnapMagic, kSnapVersion, kMinTag, kMaxTag);
+  Common c;
+  std::uint32_t seen = 0;
+  while (const auto tag = r.next_section()) {
+    if (((re.required | bit(re.env_tag)) & bit(*tag)) == 0) {
+      // Well-formed bytes of another realization's section.
+      fail(Errc::kConfigMismatch, kForeign);
     }
-    case PayloadType::kGrant: {
-      const auto& grant = std::get<GrantAnnounce>(p);
-      d.boolean(grant.signal.has_value());
-      if (grant.signal) {
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(grant.signal->i)));
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(grant.signal->j)));
-      }
-      d.u64(grant.seq);
-      d.u64(grant.round);
-      return;
+    switch (*tag) {
+      case kTagHeader: c.header = read_header(r); break;
+      case kTagConfig: check_config(r, cfg); break;
+      case kTagChoose: c.choose = read_words(r); break;
+      case kTagSource: c.source = read_words(r); break;
+      case kTagFailure: c.failure = read_words(r); break;
+      case kTagEnvRng:
+        for (auto& word : c.env_rng) word = r.u64();
+        break;
+      default: own(r, *tag);
     }
-    case PayloadType::kTransfer: {
-      const auto& batch = std::get<TransferBatch>(p);
-      d.u64(batch.seq);
-      d.u64(static_cast<std::uint64_t>(batch.entities.size()));
-      for (const Entity& e : batch.entities) {
-        d.u64(e.id.value);
-        d.f64(e.center.x);
-        d.f64(e.center.y);
-      }
-      return;
-    }
-    case PayloadType::kAck:
-      d.u64(std::get<TransferAck>(p).seq);
-      return;
+    seen |= bit(*tag);
+    r.close_section();
   }
+  if ((seen & re.required) != re.required) {
+    fail(Errc::kMissingSection, re.missing);
+  }
+  if (c.header.kind != re.kind) fail(Errc::kConfigMismatch, kForeign);
+  const bool have_env = (seen & bit(re.env_tag)) != 0;
+  if (have_env == env_supplied) return c;
+  if (re.env_tag == kTagFailure) {
+    fail(Errc::kConfigMismatch,
+         have_env ? "snapshot carries failure-model state but none was "
+                    "supplied"
+                  : "failure model supplied but snapshot carries no "
+                    "failure-model state");
+  }
+  fail(Errc::kConfigMismatch,
+       have_env ? "snapshot carries an environment rng but none was "
+                  "supplied"
+                : "environment rng supplied but snapshot carries none");
 }
 
 /// Rolls a policy back to previously captured words on a failed restore
@@ -370,152 +470,67 @@ void roll_back(Policy& policy, std::span<const std::uint64_t> old_words) {
   CF_CHECK_MSG(ok, "policy rollback failed");
 }
 
+/// Commit point of the shared-variable restores. Policies decode in
+/// order, with rollback, so a mismatch in a later policy leaves the
+/// earlier ones untouched; the engine state is swapped in after this
+/// returns and cannot fail.
+void commit_policies(ChoosePolicy& choose, SourcePolicy& source,
+                     FailureModel* failures, const Common& c) {
+  std::vector<std::uint64_t> old_choose;
+  choose.encode_state(old_choose);
+  if (!choose.decode_state(c.choose)) {
+    fail(Errc::kConfigMismatch, "choose-policy state words");
+  }
+  std::vector<std::uint64_t> old_source;
+  source.encode_state(old_source);
+  if (!source.decode_state(c.source)) {
+    roll_back(choose, old_choose);
+    fail(Errc::kConfigMismatch, "source-policy state words");
+  }
+  if (failures != nullptr && !failures->decode_state(c.failure)) {
+    roll_back(choose, old_choose);
+    roll_back(source, old_source);
+    fail(Errc::kConfigMismatch, "failure-model state words");
+  }
+}
+
 }  // namespace
 
 /// The one sanctioned backdoor into the engines' private state
-/// (befriended by System, MessageSystem, NetworkModel, FaultyNetwork).
+/// (befriended by System, ChunkedSystem, MessageSystem, NetworkModel,
+/// FaultyNetwork). Each realization contributes its own sections and its
+/// final swap; the walk and the commit above are shared.
 struct Access {
+  template <typename Engine>
+  static void commit_header(Engine& e, const Header& h) {
+    e.round_ = h.round;
+    e.total_arrivals_ = h.arrivals;
+    e.next_entity_id_ = h.next_entity_id;
+  }
+
   // ---- shared-variable System ---------------------------------------
 
   static std::vector<std::uint8_t> save_system(const System& sys,
                                                const FailureModel* failures) {
-    Writer w(kSnapMagic, kSnapVersion);
-    write_header(w, kKindShared, sys.round(), sys.total_arrivals(),
-                 sys.total_injected());
-
-    const SystemConfig& cfg = sys.config();
-    w.begin_section(kTagConfig);
-    write_config(w, cfg.side, cfg.params, cfg.target, cfg.sources,
-                 static_cast<std::uint8_t>(cfg.signal_rule),
-                 static_cast<std::uint8_t>(cfg.movement_rule));
-    w.end_section();
-
+    Writer w = begin_snapshot(kKindShared, sys, echo_of(sys.config()));
     w.begin_section(kTagCells);
     w.u64(static_cast<std::uint64_t>(sys.cells().size()));
     for (const CellState& c : sys.cells()) write_cell(w, c);
     w.end_section();
-
-    std::vector<std::uint64_t> words;
-    sys.choose_->encode_state(words);
-    w.begin_section(kTagChoose);
-    write_words(w, words);
-    w.end_section();
-
-    words.clear();
-    sys.source_->encode_state(words);
-    w.begin_section(kTagSource);
-    write_words(w, words);
-    w.end_section();
-
-    if (failures != nullptr) {
-      words.clear();
-      failures->encode_state(words);
-      w.begin_section(kTagFailure);
-      write_words(w, words);
-      w.end_section();
-    }
+    write_policies(w, *sys.choose_, *sys.source_, failures);
     return w.finish();
   }
 
   static void restore_system(System& sys, std::span<const std::uint8_t> bytes,
                              FailureModel* failures) {
-    Reader r(bytes, kSnapMagic, kSnapVersion, kMinTag, kMaxTag);
-
-    Header header;
     std::vector<CellState> cells;
-    std::vector<std::uint64_t> choose_words;
-    std::vector<std::uint64_t> source_words;
-    std::vector<std::uint64_t> failure_words;
-    bool have_header = false, have_config = false, have_cells = false;
-    bool have_choose = false, have_source = false, have_failure = false;
-
-    while (const auto tag = r.next_section()) {
-      switch (*tag) {
-        case kTagHeader:
-          header = read_header(r);
-          have_header = true;
-          break;
-        case kTagConfig: {
-          const SystemConfig& cfg = sys.config();
-          check_config(r, cfg.side, cfg.params, cfg.target, cfg.sources,
-                       static_cast<std::uint8_t>(cfg.signal_rule),
-                       static_cast<std::uint8_t>(cfg.movement_rule));
-          have_config = true;
-          break;
-        }
-        case kTagCells: {
-          const std::uint64_t n = r.count(kCellBytes);
-          if (n != sys.grid().cell_count()) {
-            fail(Errc::kMalformed, "cell count does not match the grid");
-          }
-          cells.reserve(static_cast<std::size_t>(n));
-          for (std::uint64_t k = 0; k < n; ++k) {
-            cells.push_back(read_cell(r, sys.grid()));
-          }
-          have_cells = true;
-          break;
-        }
-        case kTagChoose:
-          choose_words = read_words(r);
-          have_choose = true;
-          break;
-        case kTagSource:
-          source_words = read_words(r);
-          have_source = true;
-          break;
-        case kTagFailure:
-          failure_words = read_words(r);
-          have_failure = true;
-          break;
-        default:
-          // Tags 7–11 belong to the message/chunked realizations: the
-          // bytes are well-formed, the engine kinds disagree.
-          fail(Errc::kConfigMismatch,
-               "snapshot was taken from a different realization");
-      }
-      r.close_section();
-    }
-    if (!have_header || !have_config || !have_cells || !have_choose ||
-        !have_source) {
-      fail(Errc::kMissingSection, "shared snapshot needs header, config, "
-                                  "cells, choose, source");
-    }
-    if (header.kind != kKindShared) {
-      fail(Errc::kConfigMismatch,
-           "snapshot was taken from a different realization");
-    }
-    if (have_failure != (failures != nullptr)) {
-      fail(Errc::kConfigMismatch,
-           have_failure ? "snapshot carries failure-model state but none "
-                          "was supplied"
-                        : "failure model supplied but snapshot carries no "
-                          "failure-model state");
-    }
-
-    // Commit point. Policies first, with rollback, so a mismatch in a
-    // later policy leaves the earlier ones untouched; the engine state
-    // itself is swapped in last and cannot fail.
-    std::vector<std::uint64_t> old_choose;
-    sys.choose_->encode_state(old_choose);
-    if (!sys.choose_->decode_state(choose_words)) {
-      fail(Errc::kConfigMismatch, "choose-policy state words");
-    }
-    std::vector<std::uint64_t> old_source;
-    sys.source_->encode_state(old_source);
-    if (!sys.source_->decode_state(source_words)) {
-      roll_back(*sys.choose_, old_choose);
-      fail(Errc::kConfigMismatch, "source-policy state words");
-    }
-    if (failures != nullptr && !failures->decode_state(failure_words)) {
-      roll_back(*sys.choose_, old_choose);
-      roll_back(*sys.source_, old_source);
-      fail(Errc::kConfigMismatch, "failure-model state words");
-    }
+    const Common c = read_snapshot(
+        bytes, kShared, echo_of(sys.config()), failures != nullptr,
+        [&](Reader& r, std::uint32_t) { cells = read_cells(r, sys.grid()); });
+    commit_policies(*sys.choose_, *sys.source_, failures, c);
 
     sys.cells_ = std::move(cells);
-    sys.round_ = header.round;
-    sys.total_arrivals_ = header.arrivals;
-    sys.next_entity_id_ = header.next_entity_id;
+    commit_header(sys, c.header);
     sys.events_.clear();
     // Every derived structure — active sets, occupancy refcounts, dist
     // snapshot — is re-derived from the restored protocol state; valid
@@ -528,36 +543,8 @@ struct Access {
 
   static std::vector<std::uint8_t> save_chunked(
       const chunk::ChunkedSystem& sys, const FailureModel* failures) {
-    Writer w(kSnapMagic, kSnapVersion);
-    write_header(w, kKindChunked, sys.round(), sys.total_arrivals(),
-                 sys.total_injected());
-
-    const SystemConfig& cfg = sys.config();
-    w.begin_section(kTagConfig);
-    write_config(w, cfg.side, cfg.params, cfg.target, cfg.sources,
-                 static_cast<std::uint8_t>(cfg.signal_rule),
-                 static_cast<std::uint8_t>(cfg.movement_rule));
-    w.end_section();
-
-    std::vector<std::uint64_t> words;
-    sys.choose_->encode_state(words);
-    w.begin_section(kTagChoose);
-    write_words(w, words);
-    w.end_section();
-
-    words.clear();
-    sys.source_->encode_state(words);
-    w.begin_section(kTagSource);
-    write_words(w, words);
-    w.end_section();
-
-    if (failures != nullptr) {
-      words.clear();
-      failures->encode_state(words);
-      w.begin_section(kTagFailure);
-      write_words(w, words);
-      w.end_section();
-    }
+    Writer w = begin_snapshot(kKindChunked, sys, echo_of(sys.config()));
+    write_policies(w, *sys.choose_, *sys.source_, failures);
 
     // Only materialized chunks go on the wire, ascending by chunk index:
     // live chunks as full cells, parked chunks as their summaries. Virgin
@@ -592,155 +579,84 @@ struct Access {
     return w.finish();
   }
 
+  struct MatChunk {
+    std::uint32_t q = 0;
+    std::uint8_t state = 0;
+    std::vector<CellState> cells;       // kChunkLive
+    std::vector<std::uint8_t> meta;     // kChunkParked
+    std::vector<std::uint32_t> dist;    // kChunkParked
+  };
+
+  static std::vector<MatChunk> read_chunks(Reader& r, const Grid& grid,
+                                           const chunk::ChunkLayout& layout) {
+    // 5 bytes of header (index + state) per chunk at minimum.
+    const std::uint64_t n = r.count(5);
+    if (n > layout.chunk_count()) {
+      fail(Errc::kMalformed, "more chunks than the grid holds");
+    }
+    std::vector<MatChunk> chunks;
+    chunks.reserve(static_cast<std::size_t>(n));
+    std::int64_t prev = -1;
+    for (std::uint64_t k = 0; k < n; ++k) {
+      MatChunk mc;
+      mc.q = r.u32();
+      if (mc.q >= layout.chunk_count()) {
+        fail(Errc::kMalformed, "chunk index off the grid");
+      }
+      if (static_cast<std::int64_t>(mc.q) <= prev) {
+        fail(Errc::kMalformed, "chunk indices not strictly ascending");
+      }
+      prev = static_cast<std::int64_t>(mc.q);
+      mc.state = r.u8();
+      const std::size_t cells_n = layout.cells_in(mc.q);
+      if (mc.state == kChunkLive) {
+        mc.cells.reserve(cells_n);
+        for (std::size_t slot = 0; slot < cells_n; ++slot) {
+          mc.cells.push_back(read_cell(r, grid));
+        }
+      } else if (mc.state == kChunkParked) {
+        mc.meta.resize(cells_n);
+        mc.dist.resize(cells_n);
+        for (std::size_t slot = 0; slot < cells_n; ++slot) {
+          const std::uint8_t meta = r.u8();
+          // Low 3 bits: next direction (0–3) or 4 = ⊥; bit 7: failed;
+          // everything else must be zero.
+          const std::uint8_t dir = meta & 0x07;
+          if (dir > chunk::ParkedChunk::kNoDir || (meta & 0x78) != 0) {
+            fail(Errc::kMalformed, "parked cell meta byte");
+          }
+          if (dir < chunk::ParkedChunk::kNoDir) {
+            // The encoded next pointer must be a cell of the grid.
+            const CellId id = layout.cell_at(mc.q, slot);
+            const auto [di, dj] = step_of(kAllDirections[dir]);
+            if (!grid.contains(CellId{id.i + di, id.j + dj})) {
+              fail(Errc::kMalformed, "parked next pointer off the grid");
+            }
+          }
+          mc.meta[slot] = meta;
+          mc.dist[slot] = r.u32();
+        }
+      } else {
+        fail(Errc::kMalformed, "chunk state byte");
+      }
+      chunks.push_back(std::move(mc));
+    }
+    return chunks;
+  }
+
   static void restore_chunked(chunk::ChunkedSystem& sys,
                               std::span<const std::uint8_t> bytes,
                               FailureModel* failures) {
-    Reader r(bytes, kSnapMagic, kSnapVersion, kMinTag, kMaxTag);
-    const Grid& grid = sys.grid();
     const chunk::ChunkLayout& layout = sys.layout_;
-
-    struct MatChunk {
-      std::uint32_t q = 0;
-      std::uint8_t state = 0;
-      std::vector<CellState> cells;       // kChunkLive
-      std::vector<std::uint8_t> meta;     // kChunkParked
-      std::vector<std::uint32_t> dist;    // kChunkParked
-    };
-    Header header;
     std::vector<MatChunk> chunks;
-    std::vector<std::uint64_t> choose_words;
-    std::vector<std::uint64_t> source_words;
-    std::vector<std::uint64_t> failure_words;
-    bool have_header = false, have_config = false, have_chunks = false;
-    bool have_choose = false, have_source = false, have_failure = false;
+    const Common c = read_snapshot(
+        bytes, kChunked, echo_of(sys.config()), failures != nullptr,
+        [&](Reader& r, std::uint32_t) {
+          chunks = read_chunks(r, sys.grid(), layout);
+        });
+    commit_policies(*sys.choose_, *sys.source_, failures, c);
 
-    while (const auto tag = r.next_section()) {
-      switch (*tag) {
-        case kTagHeader:
-          header = read_header(r);
-          have_header = true;
-          break;
-        case kTagConfig: {
-          const SystemConfig& cfg = sys.config();
-          check_config(r, cfg.side, cfg.params, cfg.target, cfg.sources,
-                       static_cast<std::uint8_t>(cfg.signal_rule),
-                       static_cast<std::uint8_t>(cfg.movement_rule));
-          have_config = true;
-          break;
-        }
-        case kTagChoose:
-          choose_words = read_words(r);
-          have_choose = true;
-          break;
-        case kTagSource:
-          source_words = read_words(r);
-          have_source = true;
-          break;
-        case kTagFailure:
-          failure_words = read_words(r);
-          have_failure = true;
-          break;
-        case kTagChunks: {
-          // 5 bytes of header (index + state) per chunk at minimum.
-          const std::uint64_t n = r.count(5);
-          if (n > layout.chunk_count()) {
-            fail(Errc::kMalformed, "more chunks than the grid holds");
-          }
-          chunks.reserve(static_cast<std::size_t>(n));
-          std::int64_t prev = -1;
-          for (std::uint64_t k = 0; k < n; ++k) {
-            MatChunk mc;
-            mc.q = r.u32();
-            if (mc.q >= layout.chunk_count()) {
-              fail(Errc::kMalformed, "chunk index off the grid");
-            }
-            if (static_cast<std::int64_t>(mc.q) <= prev) {
-              fail(Errc::kMalformed, "chunk indices not strictly ascending");
-            }
-            prev = static_cast<std::int64_t>(mc.q);
-            mc.state = r.u8();
-            const std::size_t cells_n = layout.cells_in(mc.q);
-            if (mc.state == kChunkLive) {
-              mc.cells.reserve(cells_n);
-              for (std::size_t slot = 0; slot < cells_n; ++slot) {
-                mc.cells.push_back(read_cell(r, grid));
-              }
-            } else if (mc.state == kChunkParked) {
-              mc.meta.resize(cells_n);
-              mc.dist.resize(cells_n);
-              for (std::size_t slot = 0; slot < cells_n; ++slot) {
-                const std::uint8_t meta = r.u8();
-                // Low 3 bits: next direction (0–3) or 4 = ⊥; bit 7:
-                // failed; everything else must be zero.
-                const std::uint8_t dir = meta & 0x07;
-                if (dir > chunk::ParkedChunk::kNoDir ||
-                    (meta & 0x78) != 0) {
-                  fail(Errc::kMalformed, "parked cell meta byte");
-                }
-                if (dir < chunk::ParkedChunk::kNoDir) {
-                  // The encoded next pointer must be a cell of the grid.
-                  const CellId id = layout.cell_at(mc.q, slot);
-                  const auto [di, dj] = step_of(kAllDirections[dir]);
-                  if (!grid.contains(CellId{id.i + di, id.j + dj})) {
-                    fail(Errc::kMalformed,
-                         "parked next pointer off the grid");
-                  }
-                }
-                mc.meta[slot] = meta;
-                mc.dist[slot] = r.u32();
-              }
-            } else {
-              fail(Errc::kMalformed, "chunk state byte");
-            }
-            chunks.push_back(std::move(mc));
-          }
-          have_chunks = true;
-          break;
-        }
-        default:
-          // Tags 3 and 7–10 belong to the dense realizations.
-          fail(Errc::kConfigMismatch,
-               "snapshot was taken from a different realization");
-      }
-      r.close_section();
-    }
-    if (!have_header || !have_config || !have_chunks || !have_choose ||
-        !have_source) {
-      fail(Errc::kMissingSection, "chunked snapshot needs header, config, "
-                                  "choose, source, chunks");
-    }
-    if (header.kind != kKindChunked) {
-      fail(Errc::kConfigMismatch,
-           "snapshot was taken from a different realization");
-    }
-    if (have_failure != (failures != nullptr)) {
-      fail(Errc::kConfigMismatch,
-           have_failure ? "snapshot carries failure-model state but none "
-                          "was supplied"
-                        : "failure model supplied but snapshot carries no "
-                          "failure-model state");
-    }
-
-    // Commit point, same discipline as the dense restore: policies first
-    // (with rollback), then the store is rebuilt into a temporary and
-    // swapped in whole — nothing below the policy checks can fail.
-    std::vector<std::uint64_t> old_choose;
-    sys.choose_->encode_state(old_choose);
-    if (!sys.choose_->decode_state(choose_words)) {
-      fail(Errc::kConfigMismatch, "choose-policy state words");
-    }
-    std::vector<std::uint64_t> old_source;
-    sys.source_->encode_state(old_source);
-    if (!sys.source_->decode_state(source_words)) {
-      roll_back(*sys.choose_, old_choose);
-      fail(Errc::kConfigMismatch, "source-policy state words");
-    }
-    if (failures != nullptr && !failures->decode_state(failure_words)) {
-      roll_back(*sys.choose_, old_choose);
-      roll_back(*sys.source_, old_source);
-      fail(Errc::kConfigMismatch, "failure-model state words");
-    }
-
+    // The store is rebuilt into a temporary and swapped in whole.
     chunk::ChunkedCellStore store(sys.config().side, sys.config().target);
     for (MatChunk& mc : chunks) {
       chunk::LiveChunk& lc = store.ensure_live(mc.q);
@@ -754,16 +670,17 @@ struct Access {
         // derives the compensation terms), and the validation above
         // guarantees park()'s encodability preconditions.
         for (std::size_t slot = 0; slot < mc.meta.size(); ++slot) {
-          CellState& c = lc.cells[slot];
-          c.dist = mc.dist[slot] == chunk::ParkedChunk::kInfDist32
-                       ? Dist::infinity()
-                       : Dist::finite(mc.dist[slot]);
-          c.failed = (mc.meta[slot] & chunk::ParkedChunk::kFailedBit) != 0;
+          CellState& cell = lc.cells[slot];
+          cell.dist = mc.dist[slot] == chunk::ParkedChunk::kInfDist32
+                          ? Dist::infinity()
+                          : Dist::finite(mc.dist[slot]);
+          cell.failed =
+              (mc.meta[slot] & chunk::ParkedChunk::kFailedBit) != 0;
           const std::uint8_t dir = mc.meta[slot] & 0x07;
           if (dir < chunk::ParkedChunk::kNoDir) {
             const CellId id = layout.cell_at(mc.q, slot);
             const auto [di, dj] = step_of(kAllDirections[dir]);
-            c.next = CellId{id.i + di, id.j + dj};
+            cell.next = CellId{id.i + di, id.j + dj};
           }
         }
         store.park(mc.q);
@@ -782,31 +699,26 @@ struct Access {
     }
 
     sys.store_ = std::move(store);
-    sys.round_ = header.round;
-    sys.total_arrivals_ = header.arrivals;
-    sys.next_entity_id_ = header.next_entity_id;
+    commit_header(sys, c.header);
     sys.events_.clear();
     sys.rebuild_active_sets();
   }
 
   static std::uint64_t digest_chunked(const chunk::ChunkedSystem& sys) {
-    // Same accumulation as the dense digest, over the same row-major cell
-    // order — non-live cells contribute their (provable) rest state, so a
-    // ChunkedSystem and a System in the same protocol state collide.
+    // The dense digest over the same row-major cell order — non-live
+    // cells contribute their (provable) rest state, so a ChunkedSystem
+    // and a System in the same protocol state collide.
     DigestAccumulator d;
-    d.u64(sys.round());
-    d.u64(sys.total_arrivals());
-    d.u64(sys.total_injected());
+    write_counters(d, sys);
     const chunk::ChunkedCellStore& store = sys.store();
     const chunk::ChunkLayout& layout = sys.layout_;
     for (const CellId id : sys.grid().all_cells()) {
       const std::size_t q = layout.chunk_of(id);
       const std::size_t slot = layout.slot_of(id);
       if (store.is_live(q)) {
-        digest_cell(d, store.live(q).cells[slot]);
+        write_cell(d, store.live(q).cells[slot]);
       } else {
-        const CellState c = store.rest_cell(q, slot);
-        digest_cell(d, c);
+        write_cell(d, store.rest_cell(q, slot));
       }
     }
     return d.value();
@@ -827,6 +739,40 @@ struct Access {
     std::vector<FaultyNetwork::Delayed> delayed;
   };
 
+  /// The realization-level counters.
+  template <typename Sink>
+  static void write_msg_counters(Sink& out, const MessageSystem& msg) {
+    out.u64(msg.last_round_messages_);
+    out.u64(msg.expired_grants_);
+    out.u64(msg.deferred_acceptances_);
+  }
+
+  /// The transport counters any NetworkModel keeps.
+  template <typename Sink>
+  static void write_transport(Sink& out, const NetworkModel& net) {
+    out.u64(net.total_messages_);
+    out.u64(net.last_exchange_);
+    out.u64(net.barriers_);
+    for (const std::uint64_t c : net.sent_counts_) out.u64(c);
+    for (const auto& row : net.fault_counts_) {
+      for (const std::uint64_t c : row) out.u64(c);
+    }
+  }
+
+  /// A FaultyNetwork's private schedule: its fault stream and its
+  /// delayed-message queue.
+  template <typename Sink>
+  static void write_fault_schedule(Sink& out, const FaultyNetwork& net) {
+    for (const std::uint64_t word : net.rng_.state()) out.u64(word);
+    out.u64(static_cast<std::uint64_t>(net.delayed_.size()));
+    for (const FaultyNetwork::Delayed& d : net.delayed_) {
+      out.u64(d.release_barrier);
+      write_cell_id(out, d.message.sender);
+      write_cell_id(out, d.message.receiver);
+      write_payload(out, d.message.payload);
+    }
+  }
+
   static void write_network(Writer& w, const NetworkModel& net) {
     // Snapshots are round-boundary-only: every exchange both sends and
     // delivers within update(), so nothing may sit in the queue here.
@@ -835,13 +781,7 @@ struct Access {
     const auto* faulty = dynamic_cast<const FaultyNetwork*>(&net);
     w.u8(faulty != nullptr ? std::uint8_t{1} : std::uint8_t{0});
     w.u64(net.round_);
-    w.u64(net.total_messages_);
-    w.u64(net.last_exchange_);
-    w.u64(net.barriers_);
-    for (const std::uint64_t c : net.sent_counts_) w.u64(c);
-    for (const auto& row : net.fault_counts_) {
-      for (const std::uint64_t c : row) w.u64(c);
-    }
+    write_transport(w, net);
     if (faulty == nullptr) return;
     const NetFaultSpec& spec = faulty->spec_;
     w.f64(spec.drop_prob);
@@ -856,22 +796,9 @@ struct Access {
       const std::vector<CellId> side = part.side.set_cells();
       w.u32(static_cast<std::uint32_t>(part.side.side()));
       w.u64(static_cast<std::uint64_t>(side.size()));
-      for (const CellId id : side) {
-        w.i32(id.i);
-        w.i32(id.j);
-      }
+      for (const CellId id : side) write_cell_id(w, id);
     }
-    const auto rng = faulty->rng_.state();
-    for (const std::uint64_t word : rng) w.u64(word);
-    w.u64(static_cast<std::uint64_t>(faulty->delayed_.size()));
-    for (const FaultyNetwork::Delayed& d : faulty->delayed_) {
-      w.u64(d.release_barrier);
-      w.i32(d.message.sender.i);
-      w.i32(d.message.sender.j);
-      w.i32(d.message.receiver.i);
-      w.i32(d.message.receiver.j);
-      write_payload(w, d.message.payload);
-    }
+    write_fault_schedule(w, *faulty);
   }
 
   /// Decodes and validates the network section against the restore
@@ -960,15 +887,7 @@ struct Access {
 
   static std::vector<std::uint8_t> save_message(const MessageSystem& msg,
                                                 const Xoshiro256* env_rng) {
-    Writer w(kSnapMagic, kSnapVersion);
-    write_header(w, kKindMessage, msg.round(), msg.total_arrivals(),
-                 msg.total_injected());
-
-    const MsgSystemConfig& cfg = msg.config_;
-    w.begin_section(kTagConfig);
-    write_config(w, cfg.side, cfg.params, cfg.target, cfg.sources, 0, 0);
-    w.end_section();
-
+    Writer w = begin_snapshot(kKindMessage, msg, echo_of(msg.config_));
     w.begin_section(kTagCells);
     w.u64(static_cast<std::uint64_t>(msg.processes_.size()));
     for (const MessageProcess& p : msg.processes_) write_cell(w, p.state);
@@ -978,22 +897,13 @@ struct Access {
     for (const MessageProcess& p : msg.processes_) {
       w.u32(static_cast<std::uint32_t>(p.nbrs.size()));
       for (std::size_t slot = 0; slot < p.nbrs.size(); ++slot) {
-        const OutboundLink& ob = p.outbound[slot];
-        w.u64(ob.heard_seq);
-        w.u64(ob.batch_seq);
-        w.u64(static_cast<std::uint64_t>(ob.batch.size()));
-        for (const Entity& e : ob.batch) write_entity(w, e);
-        const InboundLink& ib = p.inbound[slot];
-        w.u64(ib.granted_seq);
-        w.u64(ib.completed_seq);
+        write_link(w, p.outbound[slot], p.inbound[slot]);
       }
     }
     w.end_section();
 
     w.begin_section(kTagMsgCounters);
-    w.u64(msg.last_round_messages_);
-    w.u64(msg.expired_grants_);
-    w.u64(msg.deferred_acceptances_);
+    write_msg_counters(w, msg);
     w.end_section();
 
     w.begin_section(kTagNetwork);
@@ -1008,113 +918,62 @@ struct Access {
     return w.finish();
   }
 
+  struct LinkState {
+    std::vector<OutboundLink> outbound;
+    std::vector<InboundLink> inbound;
+  };
+
+  static std::vector<LinkState> read_links(Reader& r,
+                                           const MessageSystem& msg) {
+    std::vector<LinkState> links;
+    links.reserve(msg.processes_.size());
+    for (const MessageProcess& p : msg.processes_) {
+      const std::uint32_t nslots = r.u32();
+      if (nslots != p.nbrs.size()) {
+        fail(Errc::kMalformed, "link slot count mismatch");
+      }
+      LinkState ls;
+      ls.outbound.resize(nslots);
+      ls.inbound.resize(nslots);
+      for (std::uint32_t slot = 0; slot < nslots; ++slot) {
+        OutboundLink& ob = ls.outbound[slot];
+        ob.heard_seq = r.u64();
+        ob.batch_seq = r.u64();
+        const std::uint64_t nb = r.count(kEntityBytes);
+        ob.batch.reserve(static_cast<std::size_t>(nb));
+        for (std::uint64_t k = 0; k < nb; ++k) {
+          ob.batch.push_back(read_entity(r));
+        }
+        InboundLink& ib = ls.inbound[slot];
+        ib.granted_seq = r.u64();
+        ib.completed_seq = r.u64();
+      }
+      links.push_back(std::move(ls));
+    }
+    return links;
+  }
+
   static void restore_message(MessageSystem& msg,
                               std::span<const std::uint8_t> bytes,
                               Xoshiro256* env_rng) {
-    Reader r(bytes, kSnapMagic, kSnapVersion, kMinTag, kMaxTag);
-    const Grid& grid = msg.grid_;
-
-    struct LinkState {
-      std::vector<OutboundLink> outbound;
-      std::vector<InboundLink> inbound;
-    };
-    Header header;
     std::vector<CellState> cells;
     std::vector<LinkState> links;
     std::array<std::uint64_t, 3> counters{};
     NetState net;
-    std::array<std::uint64_t, 4> env_words{};
-    bool have_header = false, have_config = false, have_cells = false;
-    bool have_links = false, have_counters = false, have_network = false;
-    bool have_env = false;
-
-    while (const auto tag = r.next_section()) {
-      switch (*tag) {
-        case kTagHeader:
-          header = read_header(r);
-          have_header = true;
-          break;
-        case kTagConfig: {
-          const MsgSystemConfig& cfg = msg.config_;
-          check_config(r, cfg.side, cfg.params, cfg.target, cfg.sources, 0,
-                       0);
-          have_config = true;
-          break;
-        }
-        case kTagCells: {
-          const std::uint64_t n = r.count(kCellBytes);
-          if (n != grid.cell_count()) {
-            fail(Errc::kMalformed, "cell count does not match the grid");
+    const Common c = read_snapshot(
+        bytes, kMessage, echo_of(msg.config_), env_rng != nullptr,
+        [&](Reader& r, std::uint32_t tag) {
+          switch (tag) {
+            case kTagCells: cells = read_cells(r, msg.grid_); break;
+            case kTagLinks: links = read_links(r, msg); break;
+            case kTagMsgCounters:
+              for (auto& n : counters) n = r.u64();
+              break;
+            case kTagNetwork:
+              net = read_network(r, msg.grid_, *msg.network_);
+              break;
           }
-          cells.reserve(static_cast<std::size_t>(n));
-          for (std::uint64_t k = 0; k < n; ++k) {
-            cells.push_back(read_cell(r, grid));
-          }
-          have_cells = true;
-          break;
-        }
-        case kTagLinks: {
-          links.reserve(msg.processes_.size());
-          for (const MessageProcess& p : msg.processes_) {
-            const std::uint32_t nslots = r.u32();
-            if (nslots != p.nbrs.size()) {
-              fail(Errc::kMalformed, "link slot count mismatch");
-            }
-            LinkState ls;
-            ls.outbound.resize(nslots);
-            ls.inbound.resize(nslots);
-            for (std::uint32_t slot = 0; slot < nslots; ++slot) {
-              OutboundLink& ob = ls.outbound[slot];
-              ob.heard_seq = r.u64();
-              ob.batch_seq = r.u64();
-              const std::uint64_t nb = r.count(kEntityBytes);
-              ob.batch.reserve(static_cast<std::size_t>(nb));
-              for (std::uint64_t k = 0; k < nb; ++k) {
-                ob.batch.push_back(read_entity(r));
-              }
-              InboundLink& ib = ls.inbound[slot];
-              ib.granted_seq = r.u64();
-              ib.completed_seq = r.u64();
-            }
-            links.push_back(std::move(ls));
-          }
-          have_links = true;
-          break;
-        }
-        case kTagMsgCounters:
-          for (auto& c : counters) c = r.u64();
-          have_counters = true;
-          break;
-        case kTagNetwork:
-          net = read_network(r, grid, *msg.network_);
-          have_network = true;
-          break;
-        case kTagEnvRng:
-          for (auto& word : env_words) word = r.u64();
-          have_env = true;
-          break;
-        default:
-          // Tags 4–6 and 11 belong to the shared/chunked realizations.
-          fail(Errc::kConfigMismatch,
-               "snapshot was taken from a different realization");
-      }
-      r.close_section();
-    }
-    if (!have_header || !have_config || !have_cells || !have_links ||
-        !have_counters || !have_network) {
-      fail(Errc::kMissingSection, "message snapshot needs header, config, "
-                                  "cells, links, counters, network");
-    }
-    if (header.kind != kKindMessage) {
-      fail(Errc::kConfigMismatch,
-           "snapshot was taken from a different realization");
-    }
-    if (have_env != (env_rng != nullptr)) {
-      fail(Errc::kConfigMismatch,
-           have_env ? "snapshot carries an environment rng but none was "
-                      "supplied"
-                    : "environment rng supplied but snapshot carries none");
-    }
+        });
 
     // Commit point: all validation done, nothing below can throw.
     for (std::size_t k = 0; k < msg.processes_.size(); ++k) {
@@ -1128,66 +987,30 @@ struct Access {
       p.heard_grants.clear();
       p.pending_acks.clear();
     }
-    msg.round_ = header.round;
-    msg.total_arrivals_ = header.arrivals;
-    msg.next_entity_id_ = header.next_entity_id;
+    commit_header(msg, c.header);
     msg.last_round_messages_ = counters[0];
     msg.expired_grants_ = counters[1];
     msg.deferred_acceptances_ = counters[2];
     msg.inboxes_.clear();
     apply_network(*msg.network_, std::move(net));
-    if (env_rng != nullptr) env_rng->set_state(env_words);
+    if (env_rng != nullptr) env_rng->set_state(c.env_rng);
   }
 
   static std::uint64_t digest_message(const MessageSystem& msg,
                                       bool with_fault_schedule) {
     DigestAccumulator d;
-    d.u64(msg.round());
-    d.u64(msg.total_arrivals());
-    d.u64(msg.total_injected());
+    write_counters(d, msg);
     for (const MessageProcess& p : msg.processes_) {
-      digest_cell(d, p.state);
+      write_cell(d, p.state);
       for (std::size_t slot = 0; slot < p.nbrs.size(); ++slot) {
-        const OutboundLink& ob = p.outbound[slot];
-        d.u64(ob.heard_seq);
-        d.u64(ob.batch_seq);
-        d.u64(static_cast<std::uint64_t>(ob.batch.size()));
-        for (const Entity& e : ob.batch) {
-          d.u64(e.id.value);
-          d.f64(e.center.x);
-          d.f64(e.center.y);
-        }
-        d.u64(p.inbound[slot].granted_seq);
-        d.u64(p.inbound[slot].completed_seq);
+        write_link(d, p.outbound[slot], p.inbound[slot]);
       }
     }
-    d.u64(msg.last_round_messages_);
-    d.u64(msg.expired_grants_);
-    d.u64(msg.deferred_acceptances_);
-    const NetworkModel& net = *msg.network_;
-    d.u64(net.total_messages_);
-    d.u64(net.last_exchange_);
-    d.u64(net.barriers_);
-    for (const std::uint64_t c : net.sent_counts_) d.u64(c);
-    for (const auto& row : net.fault_counts_) {
-      for (const std::uint64_t c : row) d.u64(c);
-    }
-    if (!with_fault_schedule) return d.value();
-    if (const auto* faulty = dynamic_cast<const FaultyNetwork*>(&net)) {
-      for (const std::uint64_t word : faulty->rng_.state()) d.u64(word);
-      d.u64(static_cast<std::uint64_t>(faulty->delayed_.size()));
-      for (const FaultyNetwork::Delayed& del : faulty->delayed_) {
-        d.u64(del.release_barrier);
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(del.message.sender.i)));
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(del.message.sender.j)));
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(del.message.receiver.i)));
-        d.u64(static_cast<std::uint64_t>(
-            static_cast<std::uint32_t>(del.message.receiver.j)));
-        digest_payload(d, del.message.payload);
-      }
+    write_msg_counters(d, msg);
+    write_transport(d, *msg.network_);
+    const auto* faulty = dynamic_cast<const FaultyNetwork*>(msg.network_.get());
+    if (with_fault_schedule && faulty != nullptr) {
+      write_fault_schedule(d, *faulty);
     }
     return d.value();
   }
@@ -1217,10 +1040,8 @@ void restore(MessageSystem& msg, std::span<const std::uint8_t> bytes,
 
 std::uint64_t state_digest(const System& sys) {
   DigestAccumulator d;
-  d.u64(sys.round());
-  d.u64(sys.total_arrivals());
-  d.u64(sys.total_injected());
-  for (const CellState& c : sys.cells()) digest_cell(d, c);
+  write_counters(d, sys);
+  for (const CellState& c : sys.cells()) write_cell(d, c);
   return d.value();
 }
 

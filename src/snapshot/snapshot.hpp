@@ -19,6 +19,13 @@
 // both round schedulers, and under active network faults. Restores are
 // atomic: on any error the target engine is untouched.
 //
+// One codec serves every realization (snapshot.cpp): each piece of state
+// has a single encoder, generic over the sink, that writes both the wire
+// bytes and the state digests; every restore runs one section walk and
+// one all-or-nothing policy commit, and each realization adds only its
+// own sections and its final swap. tests/test_snapshot.cpp's
+// SnapshotGolden cases pin literal bytes and digests across builds.
+//
 // What is deliberately NOT serialized (derived or per-round scratch):
 // System's active-set scheduler structures and Route's dist snapshot
 // (re-derived by rebuild_active_sets(), valid at any round boundary),
@@ -85,9 +92,11 @@ void restore(chunk::ChunkedSystem& sys, std::span<const std::uint8_t> bytes,
 
 /// FNV-1a-64 digest of the observable engine state (round, counters,
 /// every cell's protocol + physical variables; the message form adds the
-/// per-link sessions and transport state). Two engines with equal digests
-/// at a round boundary continue identically under identical inputs — the
-/// equality currency of the round-trip tests and the replay bisector.
+/// per-link sessions and transport state), hashed through the same field
+/// encoders that write those pieces to a snapshot. Two engines with equal
+/// digests at a round boundary continue identically under identical
+/// inputs — the equality currency of the round-trip tests and the replay
+/// bisector.
 [[nodiscard]] std::uint64_t state_digest(const System& sys);
 [[nodiscard]] std::uint64_t state_digest(const MessageSystem& msg);
 /// state_digest(msg) without a FaultyNetwork's private schedule state (its

@@ -15,6 +15,10 @@
 // each section exactly. Failures throw SnapshotError with a typed Errc —
 // decoding adversarial bytes is expected usage, not UB
 // (tests/test_snapshot_format.cpp).
+//
+// Writer and DigestAccumulator offer the same field methods (u8, i32,
+// u64, f64, boolean), so one encoder template serves both: the state
+// digests hash exactly the fields the snapshot writes.
 #pragma once
 
 #include <array>
@@ -68,6 +72,9 @@ class SnapshotError : public std::runtime_error {
 /// Incremental FNV-1a accumulator for state digests: feed fixed-width
 /// words, read the running hash. Word-granular (not byte-remixed) so the
 /// digest of a struct is independent of how callers batch the fields.
+/// It offers the Writer's field methods, every field widened to one word
+/// (i32 through u32), so snapshot.cpp's encoders are generic over the
+/// sink: a state digest is the wire encoder writing into an accumulator.
 class DigestAccumulator {
  public:
   constexpr void u64(std::uint64_t word) noexcept {
@@ -75,6 +82,10 @@ class DigestAccumulator {
       hash_ ^= (word >> (8 * b)) & 0xFFu;
       hash_ *= 0x100000001b3ULL;
     }
+  }
+  constexpr void u8(std::uint8_t v) noexcept { u64(v); }
+  constexpr void i32(std::int32_t v) noexcept {
+    u64(static_cast<std::uint32_t>(v));
   }
   void f64(double value) noexcept;
   constexpr void boolean(bool value) noexcept { u64(value ? 1 : 0); }

@@ -6,8 +6,8 @@
 // more and would spill to the heap every round. FunctionRef cannot spill:
 // it points at the caller's callable instead of copying it. The flip side
 // is a lifetime contract — the referenced callable must outlive every
-// call — which the synchronous pool (ThreadPool::run blocks until all
-// tasks finish) satisfies by construction.
+// call — which the synchronous pool (ThreadPool::run_plan blocks until
+// every stage finished) satisfies by construction.
 #pragma once
 
 #include <cstddef>
@@ -23,8 +23,8 @@ class FunctionRef;
 template <typename R, typename... Args>
 class FunctionRef<R(Args...)> {
  public:
-  /// Empty reference; calling it is undefined. Exists so holders (the
-  /// pool's current-batch slot) can be declared before a batch is set.
+  /// Empty reference; calling it is undefined. Exists so holders (a
+  /// ThreadPool::PlanStage) can be declared before a task is set.
   constexpr FunctionRef() noexcept = default;
   constexpr FunctionRef(std::nullptr_t) noexcept {}  // NOLINT(runtime/explicit)
 

@@ -23,9 +23,7 @@ ShardRange shard_range_at(std::size_t size, std::size_t count,
 
 namespace {
 
-// steady_clock difference in whole nanoseconds, clamped at zero (the
-// clock is monotonic, but clamping keeps arithmetic on derived pairs —
-// e.g. done - last_task when they were read in opposite order — safe).
+// steady_clock difference in whole nanoseconds, clamped at zero.
 std::uint64_t ns_between(ThreadPool::Clock::time_point a,
                          ThreadPool::Clock::time_point b) {
   const auto d =
@@ -52,8 +50,7 @@ ThreadPool::ThreadPool(int threads) {
   CF_EXPECTS(threads >= 1);
   threads_ = threads;
   const auto n = static_cast<std::size_t>(threads);
-  epoch_slots_.resize(n);
-  timings_.resize(n);
+  timed_epoch_.resize(n);
   workers_.reserve(n - 1);
   for (std::size_t t = 1; t < n; ++t)
     workers_.emplace_back([this, t] { worker_loop(t); });
@@ -106,9 +103,8 @@ void ThreadPool::wake_parked() {
   }
 }
 
-void ThreadPool::begin_epoch_timing(std::size_t self, std::uint64_t epoch,
-                                    Clock::time_point wake) {
-  epoch_slots_[self] = EpochSlot{epoch, wake};
+void ThreadPool::begin_epoch_timing(std::size_t self, std::uint64_t epoch) {
+  timed_epoch_[self] = epoch;
   for (std::size_t s = 0; s < plan_size_; ++s) stage_slot(s, self) = {};
 }
 
@@ -176,7 +172,7 @@ void ThreadPool::worker_loop(std::size_t self) {
     if (!wait_change(seq_, seen)) return;
     seen = seq_.load();
     const bool timed = timing_.load(std::memory_order_relaxed);
-    if (timed) begin_epoch_timing(self, seen, Clock::now());
+    if (timed) begin_epoch_timing(self, seen);
     drain_plan(self, timed);
     // Publishes every plain write above (timing slot, error list) to
     // the caller, whose quiesce() acquires retired_.
@@ -231,10 +227,7 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
   errors_.clear();
   err_count_.store(0, std::memory_order_relaxed);
   epoch_timed_ = timing_.load(std::memory_order_relaxed);
-  if (epoch_timed_) {
-    dispatched_at_ = Clock::now();
-    begin_epoch_timing(0, epoch_ + 1, dispatched_at_);
-  }
+  if (epoch_timed_) begin_epoch_timing(0, epoch_ + 1);
   ++epoch_;
   dispatches_.fetch_add(1, std::memory_order_relaxed);
   seq_.fetch_add(1);  // publish: everything above happens-before this
@@ -271,7 +264,6 @@ void ThreadPool::run_plan(const PlanStage* stages, std::size_t count) {
       break;
     }
   }
-  if (epoch_timed_) batch_done_ = Clock::now();
   in_run_ = false;
   if (aborted || err_count_.load(std::memory_order_relaxed) > 0) {
     quiesce();  // workers retired: errors_ is stable to read
@@ -296,28 +288,6 @@ void ThreadPool::quiesce() const {
     if ((++spins & 63) == 0) std::this_thread::yield();
   }
   quiesced_epoch_ = epoch_;
-  if (!epoch_timed_) return;
-  for (std::size_t e = 0; e < epoch_slots_.size(); ++e) {
-    const EpochSlot& x = epoch_slots_[e];
-    if (x.epoch != epoch_) continue;
-    WorkerTimings& t = timings_[e];
-    t.dispatch_ns += ns_between(dispatched_at_, x.wake);
-    ++t.batches;
-    std::uint64_t tasks = 0;
-    Clock::time_point last = x.wake;
-    for (std::size_t s = 0; s < plan_size_; ++s) {
-      const StageSlot& ss = stage_slot(s, e);
-      if (ss.tasks == 0) continue;
-      tasks += ss.tasks;
-      t.work_ns += ss.work_ns;
-      last = std::max(last, ss.last_task);
-    }
-    if (tasks > 0) {
-      t.tasks += tasks;
-      t.busy_ns += ns_between(x.wake, last);
-      t.barrier_wait_ns += ns_between(last, batch_done_);
-    }
-  }
 }
 
 void ThreadPool::set_timing(bool enabled) {
@@ -325,32 +295,13 @@ void ThreadPool::set_timing(bool enabled) {
   timing_.store(enabled, std::memory_order_relaxed);
 }
 
-WorkerTimings ThreadPool::total_timings() const {
-  quiesce();
-  WorkerTimings total;
-  for (const WorkerTimings& t : timings_) total += t;
-  return total;
-}
-
-void ThreadPool::timings_by_worker(std::vector<WorkerTimings>& out) const {
-  quiesce();
-  out.clear();
-  out.insert(out.end(), timings_.begin(), timings_.end());
-}
-
-void ThreadPool::reset_timings() {
-  quiesce();
-  for (WorkerTimings& t : timings_) t = WorkerTimings{};
-  for (EpochSlot& x : epoch_slots_) x = EpochSlot{};
-}
-
 void ThreadPool::last_plan_stage_samples(std::size_t stage,
                                          std::vector<StageSample>& out) const {
   out.clear();
   quiesce();
   if (epoch_ == 0 || !epoch_timed_ || stage >= plan_size_) return;
-  for (std::size_t e = 0; e < epoch_slots_.size(); ++e) {
-    if (epoch_slots_[e].epoch != epoch_) continue;
+  for (std::size_t e = 0; e < timed_epoch_.size(); ++e) {
+    if (timed_epoch_[e] != epoch_) continue;
     const StageSlot& s = stage_slot(stage, e);
     if (s.tasks == 0) continue;
     out.push_back(

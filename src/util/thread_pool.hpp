@@ -68,48 +68,6 @@ struct ShardRange {
 [[nodiscard]] ShardRange shard_range_at(std::size_t size, std::size_t count,
                                         std::size_t s);
 
-/// Cumulative per-executor wall-time accounting for a pool with timing
-/// enabled (ThreadPool::set_timing). All fields are sums over every
-/// batch (one run_plan() call) the executor participated in since
-/// construction / the last reset_timings(). Timings are observational only — they are outside
-/// the determinism contract (DESIGN.md §6/§7) and never influence which
-/// shard runs where.
-/// For every executor that ran >= 1 task in a batch,
-/// dispatch_ns + busy_ns + barrier_wait_ns partitions the batch's
-/// dispatch -> batch-done wall span exactly; busy_ns >= work_ns, the
-/// surplus being claim contention and OS preemption gaps between task
-/// bodies (which is why round accounting sums busy, not work — on an
-/// oversubscribed machine the difference is most of the story).
-/// Executor 0 is the dispatching thread itself, so its dispatch_ns is 0.
-struct WorkerTimings {
-  std::uint64_t work_ns = 0;          ///< time spent inside task bodies
-  std::uint64_t busy_ns = 0;          ///< first wake -> own last task end
-  std::uint64_t barrier_wait_ns = 0;  ///< finished own tasks, batch not done
-  std::uint64_t dispatch_ns = 0;      ///< dispatch published -> executor woke
-  std::uint64_t tasks = 0;            ///< task bodies executed
-  std::uint64_t batches = 0;          ///< dispatched batches participated in
-
-  WorkerTimings& operator+=(const WorkerTimings& o) noexcept {
-    work_ns += o.work_ns;
-    busy_ns += o.busy_ns;
-    barrier_wait_ns += o.barrier_wait_ns;
-    dispatch_ns += o.dispatch_ns;
-    tasks += o.tasks;
-    batches += o.batches;
-    return *this;
-  }
-  friend WorkerTimings operator-(WorkerTimings a,
-                                 const WorkerTimings& b) noexcept {
-    a.work_ns -= b.work_ns;
-    a.busy_ns -= b.busy_ns;
-    a.barrier_wait_ns -= b.barrier_wait_ns;
-    a.dispatch_ns -= b.dispatch_ns;
-    a.tasks -= b.tasks;
-    a.batches -= b.batches;
-    return a;
-  }
-};
-
 /// How often the pool woke workers, and how: a spin wake observed the
 /// new epoch while still spinning (cheap), a park wake needed the
 /// condvar (a futex round-trip). Observational, cumulative, monotone.
@@ -174,24 +132,15 @@ class ThreadPool {
   /// and every referenced callable must outlive the call.
   void run_plan(const PlanStage* stages, std::size_t count);
 
-  /// Enables/disables per-executor timing. Off by default: when off,
-  /// plan execution performs zero clock reads. Takes effect at the next
-  /// plan; must not be called concurrently with run_plan().
+  /// Enables/disables the per-stage executor samples. Off by default:
+  /// when off, plan execution performs zero clock reads. Samples are
+  /// observational only — outside the determinism contract (DESIGN.md
+  /// §6/§7), they never influence which task runs where. Takes effect at
+  /// the next plan; must not be called concurrently with run_plan().
   void set_timing(bool enabled);
   [[nodiscard]] bool timing_enabled() const noexcept {
     return timing_.load(std::memory_order_relaxed);
   }
-
-  /// Sum of every executor's cumulative timings since construction or
-  /// the last reset_timings(). Callable between batches.
-  [[nodiscard]] WorkerTimings total_timings() const;
-
-  /// Per-executor cumulative timings, indexed by executor. out is
-  /// cleared and refilled (capacity reuse keeps repeated calls
-  /// allocation-free).
-  void timings_by_worker(std::vector<WorkerTimings>& out) const;
-
-  void reset_timings();
 
   /// Per-executor samples of stage `stage` of the most recent plan (only
   /// executors that ran >= 1 of its tasks appear, in executor order).
@@ -215,15 +164,11 @@ class ThreadPool {
     std::atomic<std::size_t> completed{0};
   };
 
-  // Per-executor timing slots for the current epoch: one EpochSlot per
-  // executor plus one StageSlot per (stage, executor). Written only by
-  // the owning executor while the epoch runs; the caller reads them
-  // after the owner retired (release/acquire via retired_), so no locks
-  // needed.
-  struct EpochSlot {
-    std::uint64_t epoch = 0;
-    Clock::time_point wake;
-  };
+  // Per-executor timing slots for the current epoch: the epoch each
+  // executor last timed plus one StageSlot per (stage, executor).
+  // Written only by the owning executor while the epoch runs; the caller
+  // reads them after the owner retired (release/acquire via retired_),
+  // so no locks needed.
   struct StageSlot {
     Clock::time_point first_task;
     Clock::time_point last_task;
@@ -235,9 +180,8 @@ class ThreadPool {
   // Spin-then-park until v != old (returns true) or stopping_ (false).
   bool wait_change(const std::atomic<std::uint64_t>& v, std::uint64_t old);
   void wake_parked();
-  // Stamps executor `self`'s epoch slot and clears its stage slots.
-  void begin_epoch_timing(std::size_t self, std::uint64_t epoch,
-                          Clock::time_point wake);
+  // Stamps executor `self`'s epoch and clears its stage slots.
+  void begin_epoch_timing(std::size_t self, std::uint64_t epoch);
   // Executes every claimable task of the published plan until the plan
   // is fully claimed (or aborted); used by workers for the whole epoch.
   void drain_plan(std::size_t self, bool timed);
@@ -249,9 +193,9 @@ class ThreadPool {
     return stage_slots_[stage * static_cast<std::size_t>(threads_) +
                         executor];
   }
-  // Waits for every worker to retire the last epoch and folds its
-  // timing slots into timings_. Idempotent per epoch; called before
-  // reusing plan storage and by the observational accessors.
+  // Waits for every worker to retire the last epoch. Idempotent per
+  // epoch; called before reusing plan storage and by the observational
+  // accessors.
   void quiesce() const;
 
   int threads_ = 1;
@@ -295,12 +239,9 @@ class ThreadPool {
   bool epoch_timed_ = false;
   bool in_run_ = false;
   std::uint64_t epoch_ = 0;  ///< seq_ value of the current/last plan
-  Clock::time_point dispatched_at_;
-  Clock::time_point batch_done_;
   mutable std::uint64_t quiesced_epoch_ = 0;
-  std::vector<EpochSlot> epoch_slots_;
+  std::vector<std::uint64_t> timed_epoch_;      ///< per executor
   mutable std::vector<StageSlot> stage_slots_;  ///< stage_cap_ × threads_
-  mutable std::vector<WorkerTimings> timings_;
 };
 
 /// Runs a plan on `pool` when one is given, else inline on the calling

@@ -2,12 +2,11 @@
 // the determinism contract, but the metric *event structure* lives
 // inside it — one histogram observation per round per family, one
 // imbalance observation per phase per round — so the observation COUNTS
-// must be bit-identical across ParallelPolicy modes and thread counts
-// even though every observed value differs. Also pins: telemetry is
+// must be bit-identical across ParallelPolicy thread counts even though
+// every observed value differs. Also pins: telemetry is
 // observation-only (attaching it perturbs no protocol state), the
-// component decomposition actually explains the round wall clock, the
-// WorkerTimings partition identity, and the worker/counter tracks in
-// the Chrome-trace export.
+// component decomposition actually explains the round wall clock, and
+// the worker/counter tracks in the Chrome-trace export.
 #include "obs/engine_telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -20,7 +19,6 @@
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
-#include "util/thread_pool.hpp"
 
 namespace cellflow {
 namespace {
@@ -159,27 +157,6 @@ TEST(Telemetry, ResetTotalsZeroesTheAggregateOnly) {
   EXPECT_EQ(telemetry.totals().round_ns, 0u);
   sys.update();
   EXPECT_EQ(telemetry.totals().rounds, 1u);
-}
-
-TEST(Telemetry, WorkerTimingsChainPartitionsTheBatch) {
-  // The attribution identity the engine's decomposition rests on:
-  // busy >= work (busy adds queue-claim and preemption gaps), and every
-  // participating worker contributed dispatch/busy/barrier tallies.
-  ThreadPool pool(3);
-  pool.set_timing(true);
-  std::vector<int> hits(64, 0);
-  const auto hit = [&](std::size_t k) { ++hits[k]; };
-  const ThreadPool::PlanStage batch_stage{true, hits.size(), hit};
-  for (int batch = 0; batch < 20; ++batch) pool.run_plan(&batch_stage, 1);
-  const WorkerTimings t = pool.total_timings();
-  EXPECT_EQ(t.tasks, 20u * 64u);
-  EXPECT_GE(t.busy_ns, t.work_ns);
-  EXPECT_GT(t.batches, 0u);
-  // Delta arithmetic (the engine reads cumulative tallies) stays exact.
-  const WorkerTimings zero = t - t;
-  EXPECT_EQ(zero.work_ns, 0u);
-  EXPECT_EQ(zero.busy_ns, 0u);
-  EXPECT_EQ(zero.tasks, 0u);
 }
 
 TEST(Telemetry, TraceExportCarriesWorkerLanesAndCounterTracks) {

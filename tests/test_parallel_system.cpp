@@ -118,7 +118,7 @@ TEST_P(ParallelDifferential, BitIdenticalToSerialAtEveryThreadCount) {
   cfg.signal_rule =
       (seed % 5 == 0) ? SignalRule::kAlwaysGrant : SignalRule::kBlocking;
   // Every 7th seed uses the stateful RandomChoose policy, which pins the
-  // Signal phase to the serial loop even under kParallel — equality must
+  // Signal phase to the serial loop even on a pool — equality must
   // hold through that path too. Each engine gets its own instance with
   // the same stream seed.
   const bool random_choose = (seed % 7 == 0);
