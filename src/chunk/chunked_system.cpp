@@ -22,7 +22,7 @@ namespace {
 /// Calls f(lc, rect, slot, id) for every cell of the live chunks
 /// `chunks`, chunk by chunk, row-major within each.
 template <class F>
-void for_each_cell(ChunkedCellStore& store, const ChunkLayout& layout,
+void for_each_cell_in(ChunkedCellStore& store, const ChunkLayout& layout,
                    std::span<const std::uint32_t> chunks, F&& f) {
   for (const std::uint32_t q : chunks) {
     LiveChunk& lc = store.live(q);
@@ -412,14 +412,18 @@ const RoundEvents& ChunkedSystem::update() {
   };
   const auto shard = [&](std::size_t t, const auto& at) {
     ShardScratch& sc = scratch_.shards[t];
-    for_each_cell(store_, layout_, slice(t),
+    for_each_cell_in(store_, layout_, slice(t),
                   [&](auto&&... cell) { at(sc, cell...); });
   };
   const auto route = [&](std::size_t t) { shard(t, route_at); };
   const auto signal = [&](std::size_t t) { shard(t, signal_at); };
   const auto move = [&](std::size_t t) { shard(t, move_at); };
+  const auto hook = [&](UpdatePhase phase) {
+    if (phase_hook_) phase_hook_(*this, phase);
+  };
   const auto after_route = [&](std::size_t) {
     merge_route_results(used);
+    hook(UpdatePhase::kAfterRoute);
     // A stateful choose policy, or an inline round, sweeps Signal
     // row-major so the policy sees the dense serial call sequence.
     if (!signal_sharded) {
@@ -431,11 +435,14 @@ const RoundEvents& ChunkedSystem::update() {
   };
   const auto after_signal = [&](std::size_t) {
     merge_signal_results(used);
+    hook(UpdatePhase::kAfterSignal);
     (void)store_.live_order();
   };
   const auto after_move = [&](std::size_t) {
     merge_move_results(used);
+    hook(UpdatePhase::kAfterMove);
     inject_phase();
+    hook(UpdatePhase::kAfterInject);
   };
   const ThreadPool::PlanStage stages[] = {
       {/*parallel=*/true, used, route},

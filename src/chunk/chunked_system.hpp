@@ -58,16 +58,20 @@
 // summary — which is why routing across a live/parked border is
 // bit-identical to dense.
 //
-// Deliberately not carried over from System: PhaseHook, PhaseProfiler,
-// EngineTelemetry, and the BFS oracle helpers — the safety-oracle suites
-// run them on a dense twin stepped in lockstep (same seeds, same
-// transitions), which also keeps this engine's hot loops free of
-// observation plumbing. MessageSystem has no chunked realization either:
-// the differential suites compare ChunkedSystem against *both* dense
-// realizations instead.
+// The harness surface is System's (DESIGN.md §12): a PhaseHook firing at
+// the four UpdatePhase points in the plan's serial stages, and
+// for_each_cell over the live chunks, so one Simulator, observer set and
+// §III-A oracle set (core/predicates.hpp, H included) drive and check
+// this engine as they do the dense one. Deliberately not carried over
+// from System: PhaseProfiler, EngineTelemetry, and the BFS oracle helpers
+// (reference_distances and friends walk all N² cells) — which keeps this
+// engine's hot loops free of timing plumbing. MessageSystem has no
+// chunked realization either: the differential suites compare
+// ChunkedSystem against *both* dense realizations instead.
 #pragma once
 
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <vector>
@@ -137,6 +141,25 @@ class ChunkedSystem {
     return store_;
   }
 
+  /// System::for_each_cell over the live chunks only: f(id, cell) for
+  /// every cell of every live chunk, chunk by chunk in ascending chunk
+  /// index and row-major within each. The park predicates guarantee that
+  /// parked and virgin cells hold neither members nor a signal, so this
+  /// still reaches every cell that can — at a cost proportional to the
+  /// live region, not N².
+  template <class F>
+  void for_each_cell(F&& f) const {
+    for (std::size_t q = 0; q < store_.chunk_count(); ++q) {
+      if (!store_.is_live(q)) continue;
+      const std::vector<CellState>& cells = store_.live(q).cells;
+      const ChunkLayout::Rect r = layout_.rect_of(q);
+      std::size_t slot = 0;
+      for (int j = r.j0; j < r.j0 + r.h; ++j)
+        for (int i = r.i0; i < r.i0 + r.w; ++i, ++slot)
+          f(CellId{i, j}, cells[slot]);
+    }
+  }
+
   // --- transitions ----------------------------------------------------
 
   /// Same semantics as System::fail/recover; targeting a parked or virgin
@@ -148,6 +171,14 @@ class ChunkedSystem {
   [[nodiscard]] const RoundEvents& last_events() const noexcept {
     return events_;
   }
+
+  /// Same contract as System::set_phase_hook: the hook sees the engine
+  /// frozen at the four UpdatePhase points, on the calling thread, in the
+  /// serial stages of the same round plan — kAfterRoute before any
+  /// inline Signal sweep, as in System. Attaching one does not change
+  /// how the round runs.
+  using PhaseHook = std::function<void(const ChunkedSystem&, UpdatePhase)>;
+  void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
 
   /// Same contract as System::set_parallel_policy (a pool iff
   /// num_threads > 1); shards are chunk ranges here, but results stay
@@ -292,6 +323,7 @@ class ChunkedSystem {
   ChunkedCellStore store_;
   std::unique_ptr<ChoosePolicy> choose_;
   std::unique_ptr<SourcePolicy> source_;
+  PhaseHook phase_hook_;
 
   std::uint64_t round_ = 0;
   std::uint64_t total_arrivals_ = 0;

@@ -13,6 +13,15 @@
 // that accumulated floating-point error in long executions cannot raise
 // false alarms; the protocol's safety margins are ~1e-1, twelve orders of
 // magnitude above the tolerance.
+//
+// Each oracle is written once (predicates.cpp), as a template over the
+// engine's for_each_cell visitor, and evaluated on all three engines:
+// the System forms below are the reference the tests pin, and check_all /
+// check_h_predicate also take a chunk::ChunkedSystem (live chunks only —
+// parked and virgin cells provably hold neither members nor a signal) and
+// a MessageSystem (its processes' cells; msg/msg_audit.hpp adds the
+// in-flight batches and conservation). Every Simulator evaluates H at the
+// kAfterSignal hook of each round, whichever engine it drives.
 #pragma once
 
 #include <optional>
@@ -22,6 +31,11 @@
 #include "core/system.hpp"
 
 namespace cellflow {
+
+class MessageSystem;
+namespace chunk {
+class ChunkedSystem;
+}  // namespace chunk
 
 inline constexpr double kPredicateEps = 1e-9;
 
@@ -61,9 +75,20 @@ struct Violation {
 [[nodiscard]] std::optional<Violation> check_footprints_separated(
     const System& sys, double eps = kPredicateEps);
 
-/// Runs every oracle above; returns all violations (empty = all good).
+/// Runs every oracle above except H (a mid-round predicate); returns all
+/// violations, in the order above (empty = all good).
 [[nodiscard]] std::vector<Violation> check_all(const System& sys,
                                                double eps = kPredicateEps);
+
+/// The same oracles over the other two engines, from the same bodies.
+[[nodiscard]] std::vector<Violation> check_all(
+    const chunk::ChunkedSystem& sys, double eps = kPredicateEps);
+[[nodiscard]] std::vector<Violation> check_all(const MessageSystem& msg,
+                                               double eps = kPredicateEps);
+[[nodiscard]] std::optional<Violation> check_h_predicate(
+    const chunk::ChunkedSystem& sys, double eps = kPredicateEps);
+[[nodiscard]] std::optional<Violation> check_h_predicate(
+    const MessageSystem& msg, double eps = kPredicateEps);
 
 [[nodiscard]] std::string to_string(const Violation& v);
 

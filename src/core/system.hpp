@@ -244,6 +244,17 @@ class System {
     return cells_;
   }
 
+  /// Calls f(id, cell) for every cell that can hold members or a signal
+  /// — here every cell — in ascending dense index order. The harness's
+  /// oracles and observers walk all three engines through this member
+  /// (chunk::ChunkedSystem and MessageSystem have the same one).
+  template <class F>
+  void for_each_cell(F&& f) const {
+    std::size_t k = 0;
+    for (int j = 0; j < grid_.side(); ++j)
+      for (int i = 0; i < grid_.side(); ++i, ++k) f(CellId{i, j}, cells_[k]);
+  }
+
   /// Rounds executed so far.
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   /// Entities consumed by the target since construction.

@@ -1,94 +1,8 @@
 #include "failure/failure_model.hpp"
 
-#include <algorithm>
-
 #include "util/check.hpp"
 
 namespace cellflow {
-
-ScriptedFailures::ScriptedFailures(std::vector<Action> actions)
-    : actions_(std::move(actions)) {
-  std::stable_sort(actions_.begin(), actions_.end(),
-                   [](const Action& a, const Action& b) {
-                     return a.round < b.round;
-                   });
-  for (const Action& a : actions_)
-    if (!a.recover) last_fail_round_ = std::max(last_fail_round_, a.round);
-}
-
-void ScriptedFailures::apply(System& sys) {
-  const std::uint64_t now = sys.round();
-  while (cursor_ < actions_.size() && actions_[cursor_].round <= now) {
-    const Action& a = actions_[cursor_];
-    if (a.recover) {
-      sys.recover(a.cell);
-    } else {
-      sys.fail(a.cell);
-    }
-    ++cursor_;
-  }
-}
-
-bool ScriptedFailures::quiescent() const noexcept {
-  for (std::size_t k = cursor_; k < actions_.size(); ++k)
-    if (!actions_[k].recover) return false;
-  return true;
-}
-
-void ScriptedFailures::encode_state(std::vector<std::uint64_t>& out) const {
-  out.push_back(cursor_);
-}
-
-bool ScriptedFailures::decode_state(std::span<const std::uint64_t> words) {
-  if (words.size() != 1 || words[0] > actions_.size()) return false;
-  cursor_ = static_cast<std::size_t>(words[0]);
-  return true;
-}
-
-RandomFailRecover::RandomFailRecover(double pf, double pr, std::uint64_t seed,
-                                     bool protect_target)
-    : pf_(pf), pr_(pr), rng_(seed), protect_target_(protect_target) {
-  CF_EXPECTS(pf >= 0.0 && pf <= 1.0);
-  CF_EXPECTS(pr >= 0.0 && pr <= 1.0);
-}
-
-void RandomFailRecover::apply(System& sys) {
-  // One Bernoulli draw per cell per round, in id order, so executions are
-  // reproducible from the seed regardless of grid contents.
-  for (const CellId id : sys.grid().all_cells()) {
-    const bool failed = sys.cell(id).failed;
-    if (failed) {
-      if (rng_.bernoulli(pr_)) {
-        sys.recover(id);
-        ++total_recoveries_;
-      }
-    } else {
-      if (protect_target_ && id == sys.target()) {
-        (void)rng_.bernoulli(pf_);  // keep the stream aligned
-        continue;
-      }
-      if (rng_.bernoulli(pf_)) {
-        sys.fail(id);
-        ++total_failures_;
-      }
-    }
-  }
-}
-
-void RandomFailRecover::encode_state(std::vector<std::uint64_t>& out) const {
-  const auto words = rng_.state();
-  out.insert(out.end(), words.begin(), words.end());
-  out.push_back(total_failures_);
-  out.push_back(total_recoveries_);
-}
-
-bool RandomFailRecover::decode_state(std::span<const std::uint64_t> words) {
-  if (words.size() != 6) return false;
-  rng_.set_state({words[0], words[1], words[2], words[3]});
-  total_failures_ = words[4];
-  total_recoveries_ = words[5];
-  return true;
-}
 
 void carve_path(System& sys, const Path& path) {
   for (const CellId id : sys.grid().all_cells())

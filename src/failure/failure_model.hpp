@@ -5,10 +5,17 @@
 // stabilization results), and §IV's stochastic regime where every cell
 // fails with probability pf and every failed cell recovers with
 // probability pr, independently per round (Figure 9). A FailureModel is
-// asked once per round, *before* the System's update(), to drive the
+// asked once per round, *before* the engine's update(), to drive the
 // fail/recover transitions.
+//
+// The models are class templates over the engine — System,
+// chunk::ChunkedSystem or MessageSystem, through the fail/recover/cell
+// surface all three share — so one fail/recover stream drives every
+// engine. The plain names (FailureModel, NoFailures, …) mean the System
+// instantiation.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -16,17 +23,19 @@
 
 #include "core/system.hpp"
 #include "grid/path.hpp"
+#include "util/check.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
 namespace cellflow {
 
-class FailureModel {
+template <class Engine>
+class BasicFailureModel {
  public:
-  virtual ~FailureModel() = default;
+  virtual ~BasicFailureModel() = default;
 
   /// Applies this round's fail/recover transitions to `sys`.
-  virtual void apply(System& sys) = 0;
+  virtual void apply(Engine& sys) = 0;
 
   /// True once the model will never issue another fail transition — the
   /// paper's "new failures cease" point, after which the stabilization
@@ -47,15 +56,17 @@ class FailureModel {
 };
 
 /// The failure-free environment.
-class NoFailures final : public FailureModel {
+template <class Engine>
+class BasicNoFailures final : public BasicFailureModel<Engine> {
  public:
-  void apply(System&) override {}
+  void apply(Engine&) override {}
 };
 
 /// A scripted schedule of fail/recover actions at specific rounds, for
 /// deterministic stabilization experiments ("fail these 3 cells at round
 /// 50, recover one at round 200").
-class ScriptedFailures final : public FailureModel {
+template <class Engine>
+class BasicScriptedFailures final : public BasicFailureModel<Engine> {
  public:
   struct Action {
     std::uint64_t round;
@@ -64,11 +75,35 @@ class ScriptedFailures final : public FailureModel {
   };
 
   /// Actions may be given in any order; they are applied at the matching
-  /// System round.
-  explicit ScriptedFailures(std::vector<Action> actions);
+  /// engine round.
+  explicit BasicScriptedFailures(std::vector<Action> actions)
+      : actions_(std::move(actions)) {
+    std::stable_sort(actions_.begin(), actions_.end(),
+                     [](const Action& a, const Action& b) {
+                       return a.round < b.round;
+                     });
+    for (const Action& a : actions_)
+      if (!a.recover) last_fail_round_ = std::max(last_fail_round_, a.round);
+  }
 
-  void apply(System& sys) override;
-  [[nodiscard]] bool quiescent() const noexcept override;
+  void apply(Engine& sys) override {
+    const std::uint64_t now = sys.round();
+    while (cursor_ < actions_.size() && actions_[cursor_].round <= now) {
+      const Action& a = actions_[cursor_];
+      if (a.recover) {
+        sys.recover(a.cell);
+      } else {
+        sys.fail(a.cell);
+      }
+      ++cursor_;
+    }
+  }
+
+  [[nodiscard]] bool quiescent() const noexcept override {
+    for (std::size_t k = cursor_; k < actions_.size(); ++k)
+      if (!actions_[k].recover) return false;
+    return true;
+  }
 
   /// Round after which no more *fail* actions remain (the xf of §III-C);
   /// 0 when the script contains no fails.
@@ -76,9 +111,15 @@ class ScriptedFailures final : public FailureModel {
     return last_fail_round_;
   }
 
-  void encode_state(std::vector<std::uint64_t>& out) const override;
+  void encode_state(std::vector<std::uint64_t>& out) const override {
+    out.push_back(cursor_);
+  }
   [[nodiscard]] bool decode_state(
-      std::span<const std::uint64_t> words) override;
+      std::span<const std::uint64_t> words) override {
+    if (words.size() != 1 || words[0] > actions_.size()) return false;
+    cursor_ = static_cast<std::size_t>(words[0]);
+    return true;
+  }
 
  private:
   std::vector<Action> actions_;  // sorted by round
@@ -91,12 +132,38 @@ class ScriptedFailures final : public FailureModel {
 /// i.i.d. across cells and rounds. `protect_target` exempts the target
 /// (assumption (a) of §III-B); Figure 9's experiment does not protect it
 /// (recovery explicitly resets dist_tid, so the paper's target does fail).
-class RandomFailRecover final : public FailureModel {
+template <class Engine>
+class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
  public:
-  RandomFailRecover(double pf, double pr, std::uint64_t seed,
-                    bool protect_target = false);
+  BasicRandomFailRecover(double pf, double pr, std::uint64_t seed,
+                         bool protect_target = false)
+      : pf_(pf), pr_(pr), rng_(seed), protect_target_(protect_target) {
+    CF_EXPECTS(pf >= 0.0 && pf <= 1.0);
+    CF_EXPECTS(pr >= 0.0 && pr <= 1.0);
+  }
 
-  void apply(System& sys) override;
+  void apply(Engine& sys) override {
+    // One Bernoulli draw per cell per round, in id order, so executions
+    // are reproducible from the seed regardless of grid contents.
+    for (const CellId id : sys.grid().all_cells()) {
+      const bool failed = sys.cell(id).failed;
+      if (failed) {
+        if (rng_.bernoulli(pr_)) {
+          sys.recover(id);
+          ++total_recoveries_;
+        }
+      } else {
+        if (protect_target_ && id == sys.target()) {
+          (void)rng_.bernoulli(pf_);  // keep the stream aligned
+          continue;
+        }
+        if (rng_.bernoulli(pf_)) {
+          sys.fail(id);
+          ++total_failures_;
+        }
+      }
+    }
+  }
   [[nodiscard]] bool quiescent() const noexcept override { return false; }
 
   [[nodiscard]] std::uint64_t total_failures() const noexcept {
@@ -106,9 +173,25 @@ class RandomFailRecover final : public FailureModel {
     return total_recoveries_;
   }
 
-  void encode_state(std::vector<std::uint64_t>& out) const override;
+  /// The stream's generator. The message snapshot carries it in its
+  /// env-rng section (snapshot::save/restore of a MessageSystem).
+  [[nodiscard]] Xoshiro256& generator() noexcept { return rng_; }
+  [[nodiscard]] const Xoshiro256& generator() const noexcept { return rng_; }
+
+  void encode_state(std::vector<std::uint64_t>& out) const override {
+    const auto words = rng_.state();
+    out.insert(out.end(), words.begin(), words.end());
+    out.push_back(total_failures_);
+    out.push_back(total_recoveries_);
+  }
   [[nodiscard]] bool decode_state(
-      std::span<const std::uint64_t> words) override;
+      std::span<const std::uint64_t> words) override {
+    if (words.size() != 6) return false;
+    rng_.set_state({words[0], words[1], words[2], words[3]});
+    total_failures_ = words[4];
+    total_recoveries_ = words[5];
+    return true;
+  }
 
  private:
   double pf_;
@@ -118,6 +201,11 @@ class RandomFailRecover final : public FailureModel {
   std::uint64_t total_failures_ = 0;
   std::uint64_t total_recoveries_ = 0;
 };
+
+using FailureModel = BasicFailureModel<System>;
+using NoFailures = BasicNoFailures<System>;
+using ScriptedFailures = BasicScriptedFailures<System>;
+using RandomFailRecover = BasicRandomFailRecover<System>;
 
 /// Permanently fails every cell NOT on `path` (at round 0, once). This
 /// carves the path into the grid so Route has exactly one choice at every

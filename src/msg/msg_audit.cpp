@@ -1,108 +1,31 @@
 #include "msg/msg_audit.hpp"
 
-#include <cmath>
 #include <string>
 #include <unordered_set>
 
-#include "geometry/rect.hpp"
-
 namespace cellflow::msg_audit {
-namespace {
 
-std::string describe_pair(const Entity& a, const Entity& b) {
-  return to_string(a.id) + " at " + to_string(a.center) + " vs " +
-         to_string(b.id) + " at " + to_string(b.center);
-}
-
-}  // namespace
-
-std::optional<Violation> check_safe(const MessageSystem& msg, double eps) {
-  const double d = msg.params().center_spacing() - eps;
-  for (const CellId id : msg.grid().all_cells()) {
-    const auto& members = msg.cell(id).members;
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      for (std::size_t b = a + 1; b < members.size(); ++b) {
-        if (std::abs(members[a].center.x - members[b].center.x) < d &&
-            std::abs(members[a].center.y - members[b].center.y) < d) {
-          return Violation{"Safe", id,
-                           describe_pair(members[a], members[b])};
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Violation> check_members_in_bounds(const MessageSystem& msg,
-                                                double eps) {
-  const double half = msg.params().entity_length() / 2.0;
-  for (const CellId id : msg.grid().all_cells()) {
-    const auto i = static_cast<double>(id.i);
-    const auto j = static_cast<double>(id.j);
-    for (const Entity& p : msg.cell(id).members) {
-      if (p.center.x < i + half - eps || p.center.x > i + 1.0 - half + eps ||
-          p.center.y < j + half - eps || p.center.y > j + 1.0 - half + eps) {
-        return Violation{"Invariant1", id,
-                         to_string(p.id) + " at " + to_string(p.center) +
-                             " outside its cell"};
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-std::optional<Violation> check_members_disjoint(const MessageSystem& msg) {
-  const std::vector<Entity> in_flight = msg.in_flight_entities();
-  return check_members_disjoint(msg, in_flight);
-}
-
-std::optional<Violation> check_members_disjoint(
+std::optional<Violation> check_in_flight_disjoint(
     const MessageSystem& msg, std::span<const Entity> in_flight) {
-  std::unordered_set<EntityId> seen;
-  for (const CellId id : msg.grid().all_cells()) {
-    for (const Entity& p : msg.cell(id).members) {
-      if (!seen.insert(p.id).second) {
-        return Violation{"Invariant2", id,
-                         to_string(p.id) + " appears twice"};
-      }
-    }
-  }
+  if (in_flight.empty()) return std::nullopt;
+  std::unordered_set<EntityId> flying;
   for (const Entity& p : in_flight) {
-    if (!seen.insert(p.id).second) {
+    if (!flying.insert(p.id).second) {
       return Violation{"Invariant2", CellId{-1, -1},
-                       to_string(p.id) +
-                           " is both placed and in flight (duplicated)"};
+                       to_string(p.id) + " is in flight twice (duplicated)"};
     }
   }
-  return std::nullopt;
-}
-
-std::optional<Violation> check_footprints_separated(const MessageSystem& msg,
-                                                    double eps) {
-  const double l = msg.params().entity_length();
-  const double rs = msg.params().safety_gap();
-  for (const CellId id : msg.grid().all_cells()) {
-    const auto& members = msg.cell(id).members;
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      for (std::size_t b = a + 1; b < members.size(); ++b) {
-        const Rect ra = members[a].footprint(l);
-        const Rect rb = members[b].footprint(l);
-        if (ra.overlaps(rb)) {
-          return Violation{"FootprintOverlap", id,
-                           describe_pair(members[a], members[b])};
-        }
-        if (ra.linf_gap(rb) < rs - eps) {
-          return Violation{"FootprintGap", id,
-                           describe_pair(members[a], members[b])};
-        }
+  std::optional<Violation> found;
+  msg.for_each_cell([&](CellId id, const CellState& c) {
+    for (const Entity& p : c.members) {
+      if (!found && flying.count(p.id) != 0) {
+        found = Violation{"Invariant2", id,
+                          to_string(p.id) +
+                              " is both placed and in flight (duplicated)"};
       }
     }
-  }
-  return std::nullopt;
-}
-
-std::optional<Violation> check_conservation(const MessageSystem& msg) {
-  return check_conservation(msg, msg.in_flight_entities().size());
+  });
+  return found;
 }
 
 std::optional<Violation> check_conservation(const MessageSystem& msg,
@@ -122,18 +45,9 @@ std::optional<Violation> check_conservation(const MessageSystem& msg,
 }
 
 std::vector<Violation> check_all(const MessageSystem& msg, double eps) {
-  // Single-pass sweep: the O(grid) in-flight snapshot is assembled once
-  // and shared by the two oracles that read it. check_all runs on every
-  // round of the fault-schedule property tests, so this halves the
-  // audit's allocation traffic (pinned by BM_MsgAuditSweep).
   const std::vector<Entity> in_flight = msg.in_flight_entities();
-  std::vector<Violation> out;
-  if (auto v = check_safe(msg, eps)) out.push_back(*std::move(v));
-  if (auto v = check_members_in_bounds(msg, eps))
-    out.push_back(*std::move(v));
-  if (auto v = check_members_disjoint(msg, in_flight))
-    out.push_back(*std::move(v));
-  if (auto v = check_footprints_separated(msg, eps))
+  std::vector<Violation> out = cellflow::check_all(msg, eps);
+  if (auto v = check_in_flight_disjoint(msg, in_flight))
     out.push_back(*std::move(v));
   if (auto v = check_conservation(msg, in_flight.size()))
     out.push_back(*std::move(v));

@@ -1,19 +1,15 @@
-// Independent oracles over MessageSystem states, mirroring the §III-A
-// predicates that src/core/predicates.hpp evaluates on the shared-
-// variable System — plus the conservation law the unreliable-network
-// data plane must uphold (DESIGN.md §8):
+// The message realization's audit (DESIGN.md §8): the shared §III-A
+// oracles of src/core/predicates.hpp over the processes' cells, plus the
+// two checks only the unreliable-network data plane needs:
 //
-//   Safe_{i,j}:     pairwise center spacing ≥ d along some axis
-//   Invariant 1:    members lie within their cell
-//   Invariant 2:    no entity id appears twice (across cells AND the
-//                   in-flight retained batches)
-//   Footprints:     physical l×l squares non-overlapping, rs-separated
+//   In-flight:      Invariant 2 continued over the not-yet-accepted
+//                   in-flight batches — no entity id sits both in a cell
+//                   and in flight, or in two batches
 //   Conservation:   injected = in cells + in flight + consumed, exactly
 //
-// Like the System oracles, H(x) is not re-checked at end of round; it
-// holds at the post-Signal point by construction (signal_step grants
-// only with the strip clear — the same code path the shared realization
-// uses, whose H pin is tests/test_lemmas.cpp).
+// H is checked too: every Simulator evaluates check_h_predicate at the
+// MessageSystem's kAfterSignal hook (after the grant exchange), as it does
+// on the shared-variable engines.
 //
 // These are evaluated every round of the fault-schedule property tests
 // (tests/test_net_faults.cpp): under ANY drop/delay/duplication/
@@ -30,39 +26,23 @@
 
 namespace cellflow::msg_audit {
 
-[[nodiscard]] std::optional<Violation> check_safe(
-    const MessageSystem& msg, double eps = kPredicateEps);
-
-[[nodiscard]] std::optional<Violation> check_members_in_bounds(
-    const MessageSystem& msg, double eps = kPredicateEps);
-
-/// Invariant 2 with global visibility: an entity id must appear exactly
-/// once across all Members sets plus the not-yet-accepted in-flight
-/// batches — a duplicated or double-accepted transfer trips this.
-[[nodiscard]] std::optional<Violation> check_members_disjoint(
-    const MessageSystem& msg);
-
-/// As above, but over a caller-provided in-flight snapshot (one
-/// `msg.in_flight_entities()` call shared across oracles — check_all
-/// uses this so the audit sweep assembles the O(grid) snapshot once).
-[[nodiscard]] std::optional<Violation> check_members_disjoint(
+/// Invariant 2 over the in-flight set (`msg.in_flight_entities()`): every
+/// in-flight id must be absent from the cells and from every other
+/// batch — a duplicated or double-accepted transfer trips this. The
+/// cells among themselves are the shared Invariant 2's (check_all).
+[[nodiscard]] std::optional<Violation> check_in_flight_disjoint(
     const MessageSystem& msg, std::span<const Entity> in_flight);
-
-[[nodiscard]] std::optional<Violation> check_footprints_separated(
-    const MessageSystem& msg, double eps = kPredicateEps);
 
 /// The data plane's ledger: every injected entity is in some cell, in
 /// flight (retained by a sender, unaccepted), or consumed at the target.
 /// Loss shows up as injected > accounted; duplication as the reverse.
-[[nodiscard]] std::optional<Violation> check_conservation(
-    const MessageSystem& msg);
-
-/// As above with the in-flight count precomputed (see the span overload
-/// of check_members_disjoint).
+/// `in_flight` is `msg.in_flight_entities().size()`.
 [[nodiscard]] std::optional<Violation> check_conservation(
     const MessageSystem& msg, std::uint64_t in_flight);
 
-/// Runs every oracle above; returns all violations (empty = all good).
+/// cellflow::check_all(msg), then the two checks above; returns all
+/// violations (empty = all good). The O(grid) in-flight snapshot is
+/// assembled once for both.
 [[nodiscard]] std::vector<Violation> check_all(const MessageSystem& msg,
                                                double eps = kPredicateEps);
 

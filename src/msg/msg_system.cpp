@@ -122,7 +122,9 @@ void MessageSystem::recover(CellId id) {
     metrics_->add_recovery();
 }
 
-void MessageSystem::update() {
+const RoundEvents& MessageSystem::update() {
+  events_.clear();
+  events_.round = round_;
   const std::uint64_t before = network_->total_messages();
   // Profiler/telemetry wrap, reporting only — exactly as in
   // System::update(); the exchanges are the serial realization's
@@ -144,13 +146,20 @@ void MessageSystem::update() {
         std::chrono::duration_cast<std::chrono::nanoseconds>(t1 - t0).count();
     work_ns += d > 0 ? static_cast<std::uint64_t>(d) : 0;
   };
+  const auto hook = [this](UpdatePhase phase) {
+    if (phase_hook_) phase_hook_(*this, phase);
+  };
   network_->begin_round(round_);
   timed("dist", [this] { exchange_dists(); });
+  hook(UpdatePhase::kAfterRoute);
   timed("intent", [this] { exchange_intents(); });
   timed("grant", [this] { exchange_grants(); });
+  hook(UpdatePhase::kAfterSignal);
   timed("transfer", [this] { exchange_transfers(); });
   timed("ack", [this] { exchange_acks(); });
+  hook(UpdatePhase::kAfterMove);
   timed("inject", [this] { inject(); });
+  hook(UpdatePhase::kAfterInject);
   if (track) {
     const auto t_end = ProfClock::now();
     if (profiler_ != nullptr)
@@ -174,6 +183,7 @@ void MessageSystem::update() {
   }
   flush_network_metrics();
   ++round_;
+  return events_;
 }
 
 void MessageSystem::exchange_dists() {
@@ -249,12 +259,14 @@ void MessageSystem::exchange_intents() {
         std::unique(p.heard_wanting.begin(), p.heard_wanting.end()),
         p.heard_wanting.end());
 
-    apply_signal(p.state, id, p.heard_wanting, SignalRule::kBlocking,
-                 config_.params, choose_,
-                 metrics_ ? &round_counts_ : nullptr);
+    if (apply_signal(p.state, id, p.heard_wanting, SignalRule::kBlocking,
+                     config_.params, choose_,
+                     metrics_ ? &round_counts_ : nullptr))
+      events_.blocked.push_back(id);
     // A grant opens a transfer session on that link: stamp a fresh seq.
-    // (Lemma 3's H holds here by construction: signal_step granted only
-    // with the entry strip clear of this process's current members.)
+    // (Lemma 3's H holds from here on: signal_step granted only with the
+    // entry strip clear of this process's current members. The harness
+    // checks it at the kAfterSignal hook, after the grant exchange.)
     if (p.state.signal.has_value())
       ++p.inbound[p.slot_of(*p.state.signal)].granted_seq;
   }
@@ -316,9 +328,10 @@ void MessageSystem::exchange_transfers() {
       // In-place Move: crossers land directly in the link's retained
       // batch (empty while the link is idle — pending() was false and
       // acks clear it), stayers partition in place.
-      apply_move(p.state, id, /*permitted=*/true, MovementRule::kCoupled,
-                 grid_, config_.params, ob.batch,
-                 metrics_ ? &round_counts_ : nullptr);
+      if (apply_move(p.state, id, /*permitted=*/true, MovementRule::kCoupled,
+                     grid_, config_.params, ob.batch,
+                     metrics_ ? &round_counts_ : nullptr))
+        events_.moved.push_back(id);
       if (!ob.batch.empty()) ob.batch_seq = ob.heard_seq;
     }
     for (std::size_t s = 0; s < p.nbrs.size(); ++s) {
@@ -360,10 +373,21 @@ void MessageSystem::exchange_transfers() {
         }
         for (const Entity& e : b->entities) p.state.members.push_back(e);
       }
+      for (const Entity& e : b->entities)
+        accepted_.push_back(PendingTransfer{e, m.sender, id});
       ib.completed_seq = b->seq;
       p.pending_acks.emplace_back(m.sender, b->seq);
     }
   }
+  // Receivers accept in their own order; the events follow System's.
+  canonical_transfer_order(grid_, accepted_);
+  for (const PendingTransfer& t : accepted_) {
+    const bool consumed = t.to == config_.target;
+    events_.transfers.push_back(TransferEvent{t.entity.id, t.from, t.to,
+                                              consumed});
+    if (consumed) ++events_.arrivals;
+  }
+  accepted_.clear();
 }
 
 void MessageSystem::exchange_acks() {
@@ -418,9 +442,11 @@ bool MessageSystem::landing_is_safe(const MessageProcess& p,
 
 void MessageSystem::inject() {
   for (const CellId s : config_.sources) {
-    apply_injection(processes_[grid_.index_of(s)].state, s, source_, grid_,
-                    config_.params, next_entity_id_,
-                    metrics_ ? &round_counts_ : nullptr);
+    const auto id = apply_injection(processes_[grid_.index_of(s)].state, s,
+                                    source_, grid_, config_.params,
+                                    next_entity_id_,
+                                    metrics_ ? &round_counts_ : nullptr);
+    if (id.has_value()) events_.injected.emplace_back(s, *id);
   }
 }
 

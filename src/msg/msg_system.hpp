@@ -37,6 +37,7 @@
 
 #include <array>
 #include <cstdint>
+#include <functional>
 #include <memory>
 #include <span>
 #include <utility>
@@ -46,6 +47,7 @@
 #include "core/choose.hpp"
 #include "core/params.hpp"
 #include "core/source.hpp"
+#include "core/system.hpp"  // RoundEvents, UpdatePhase
 #include "grid/grid.hpp"
 #include "net/network_model.hpp"
 #include "obs/protocol_metrics.hpp"
@@ -137,6 +139,17 @@ class MessageSystem {
   [[nodiscard]] const MessageProcess& process(CellId id) const {
     return processes_[grid_.index_of(id)];
   }
+
+  /// System::for_each_cell: f(id, state) for every process's Figure-3
+  /// state, in ascending dense index order. Entities retained in
+  /// unaccepted batches are not in any cell (see in_flight_entities).
+  template <class F>
+  void for_each_cell(F&& f) const {
+    std::size_t k = 0;
+    for (int j = 0; j < grid_.side(); ++j)
+      for (int i = 0; i < grid_.side(); ++i, ++k)
+        f(CellId{i, j}, processes_[k].state);
+  }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] std::uint64_t total_arrivals() const noexcept {
     return total_arrivals_;
@@ -182,7 +195,25 @@ class MessageSystem {
   void recover(CellId id);
 
   /// One protocol round = five message exchanges (see net/message.hpp).
-  void update();
+  /// Returns what happened, with System's meaning: Signal's blocked
+  /// grants, the processes that moved, the entities injected, and one
+  /// transfer per entity whose batch the receiver accepted this round
+  /// (consumed at the target), in System's origin order. On a
+  /// SyncNetwork the events equal System's field for field.
+  const RoundEvents& update();
+
+  /// Events of the most recent update().
+  [[nodiscard]] const RoundEvents& last_events() const noexcept {
+    return events_;
+  }
+
+  /// System::PhaseHook for this realization: fires after the dist
+  /// exchange (kAfterRoute), after the grant exchange (kAfterSignal — the
+  /// grants are out and no entity has moved, Lemma 3's xS), after the ack
+  /// exchange (kAfterMove) and after inject (kAfterInject). Observing
+  /// only.
+  using PhaseHook = std::function<void(const MessageSystem&, UpdatePhase)>;
+  void set_phase_hook(PhaseHook hook) { phase_hook_ = std::move(hook); }
 
   /// Attach (or detach, with nullptr) a metrics registry. Protocol
   /// families are labeled {realization="message"}; the message volume is
@@ -231,6 +262,11 @@ class MessageSystem {
   std::unique_ptr<NetworkModel> network_;
   RoundRobinChoose choose_;  // stateless, per-call; same as System default
   EntryEdgeSource source_;   // stateless; same as System default
+  PhaseHook phase_hook_;
+  RoundEvents events_;
+  /// This round's accepted batches, one entry per entity, before
+  /// canonical_transfer_order (capacity reused across rounds).
+  std::vector<PendingTransfer> accepted_;
 
   /// The current exchange's inboxes (views into the network's delivery
   /// buffer), refilled at every barrier; their arrays are reused, never

@@ -1,110 +1,6 @@
 #include "sim/observers.hpp"
 
-#include <algorithm>
-#include <ostream>
-#include <sstream>
-
-#include "obs/export.hpp"
-
 namespace cellflow {
-
-namespace {
-
-std::string cell_label_value(CellId id) {
-  return std::to_string(id.i) + "," + std::to_string(id.j);
-}
-
-}  // namespace
-
-MetricsObserver::MetricsObserver(obs::MetricsRegistry& registry)
-    : registry_(registry),
-      round_gauge_(&registry.gauge("cellflow_round",
-                                   "Protocol round counter (instantaneous).")),
-      population_(&registry.gauge(
-          "cellflow_population",
-          "Entities currently in the system (instantaneous).")) {}
-
-void MetricsObserver::stream_jsonl(std::ostream* out, std::uint64_t every) {
-  jsonl_out_ = out;
-  jsonl_every_ = every;
-}
-
-obs::Counter* MetricsObserver::cell_counter(
-    std::map<CellId, obs::Counter*>& cache, const char* name,
-    const char* help, CellId id) {
-  const auto it = cache.find(id);
-  if (it != cache.end()) return it->second;
-  obs::Counter& c =
-      registry_.counter(name, help, {{"cell", cell_label_value(id)}});
-  cache.emplace(id, &c);
-  return &c;
-}
-
-void MetricsObserver::on_round(const System& sys, const RoundEvents& ev) {
-  last_round_ = ev.round;
-  round_gauge_->set(static_cast<double>(ev.round));
-  population_->set(static_cast<double>(sys.entity_count()));
-  for (const CellId id : ev.blocked)
-    cell_counter(blocked_, "cellflow_cell_blocked_total",
-                 "Signal refusals, by granting cell.", id)
-        ->inc();
-  for (const CellId id : ev.moved)
-    cell_counter(moved_, "cellflow_cell_moved_total",
-                 "Applied movements, by moving cell.", id)
-        ->inc();
-  for (const auto& [cell, eid] : ev.injected) {
-    (void)eid;
-    cell_counter(injected_, "cellflow_cell_injected_total",
-                 "Accepted injections, by source cell.", cell)
-        ->inc();
-  }
-  if (jsonl_out_ != nullptr && jsonl_every_ != 0 &&
-      (ev.round + 1) % jsonl_every_ == 0)
-    *jsonl_out_ << obs::jsonl_snapshot(registry_, ev.round);
-}
-
-void MetricsObserver::on_finish(const System& /*sys*/) {
-  if (jsonl_out_ != nullptr)
-    *jsonl_out_ << obs::jsonl_snapshot(registry_, last_round_);
-}
-
-void ThroughputMeter::on_round(const System& /*sys*/, const RoundEvents& ev) {
-  ++rounds_;
-  arrivals_ += ev.arrivals;
-  if (window_ == 0) return;
-  window_arrivals_ += ev.arrivals;
-  if (++window_rounds_ == window_) {
-    windowed_.push_back(static_cast<double>(window_arrivals_) /
-                        static_cast<double>(window_));
-    window_arrivals_ = 0;
-    window_rounds_ = 0;
-  }
-}
-
-double ThroughputMeter::throughput() const noexcept {
-  return rounds_ == 0
-             ? 0.0
-             : static_cast<double>(arrivals_) / static_cast<double>(rounds_);
-}
-
-void SafetyMonitor::on_round(const System& sys, const RoundEvents& /*ev*/) {
-  for (auto& v : check_all(sys)) violations_.push_back(std::move(v));
-}
-
-void SafetyMonitor::on_phase(const System& sys, UpdatePhase phase) {
-  // Lemma 3 asserts H exactly at the post-Signal point of each round.
-  if (phase != UpdatePhase::kAfterSignal) return;
-  if (auto v = check_h_predicate(sys)) violations_.push_back(*std::move(v));
-}
-
-std::string SafetyMonitor::report(std::size_t limit) const {
-  std::ostringstream os;
-  os << violations_.size() << " violation(s)";
-  const std::size_t n = std::min(limit, violations_.size());
-  for (std::size_t k = 0; k < n; ++k)
-    os << "\n  " << to_string(violations_[k]);
-  return os.str();
-}
 
 bool RoutingStabilizationMonitor::agreement(const System& sys) {
   const auto rho = sys.reference_distances();
@@ -135,44 +31,6 @@ void RoutingStabilizationMonitor::on_round(const System& sys,
 std::optional<std::uint64_t> RoutingStabilizationMonitor::stabilized_at()
     const noexcept {
   return agrees_ ? agree_since_ : std::nullopt;
-}
-
-void BlockingStats::on_round(const System& /*sys*/, const RoundEvents& ev) {
-  ++rounds_;
-  moves_ += ev.moved.size();
-  blocks_ += ev.blocked.size();
-}
-
-double BlockingStats::mean_blocked_per_round() const noexcept {
-  return rounds_ == 0
-             ? 0.0
-             : static_cast<double>(blocks_) / static_cast<double>(rounds_);
-}
-
-double BlockingStats::mean_moving_per_round() const noexcept {
-  return rounds_ == 0
-             ? 0.0
-             : static_cast<double>(moves_) / static_cast<double>(rounds_);
-}
-
-void OccupancyTracker::on_round(const System& sys, const RoundEvents& /*ev*/) {
-  population_.add(static_cast<double>(sys.entity_count()));
-  for (const CellState& c : sys.cells())
-    peak_cell_ = std::max(peak_cell_, c.members.size());
-}
-
-void ProgressTracker::on_round(const System& /*sys*/, const RoundEvents& ev) {
-  for (const auto& [cell, eid] : ev.injected) {
-    (void)cell;
-    birth_round_.emplace(eid, ev.round);
-  }
-  for (const TransferEvent& t : ev.transfers) {
-    if (!t.consumed) continue;
-    const auto it = birth_round_.find(t.entity);
-    if (it == birth_round_.end()) continue;  // seeded, not injected
-    latency_.add(static_cast<double>(ev.round - it->second));
-    birth_round_.erase(it);
-  }
 }
 
 }  // namespace cellflow

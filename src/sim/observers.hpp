@@ -1,55 +1,87 @@
 // Observers: per-round instrumentation attached to a Simulator.
 //
-// Observers are passive — they read the System and the RoundEvents after
+// Observers are passive — they read the engine and the RoundEvents after
 // each round (and optionally the intermediate phase states) and accumulate
 // measurements. Everything reported in EXPERIMENTS.md flows through one of
 // these.
+//
+// The observer interface and the summary observers are class templates
+// over the engine — System, chunk::ChunkedSystem or MessageSystem — and
+// read it only through the surface the three share (round events,
+// entity_count, for_each_cell, the §III-A oracles of core/predicates.hpp),
+// so every engine gets the same checks and the same summary. The plain
+// names (Observer, ThroughputMeter, …) mean the System instantiation.
+// RoutingStabilizationMonitor and TraceRecorder (sim/trace.hpp) stay
+// System-only: each walks all N² cells every round (a BFS, a failed-flag
+// diff), which would defeat the chunked engine's sparse store.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
-#include <iosfwd>
 #include <map>
 #include <optional>
+#include <ostream>
+#include <sstream>
 #include <string>
+#include <type_traits>
 #include <unordered_map>
 #include <vector>
 
 #include "core/predicates.hpp"
 #include "core/system.hpp"
+#include "msg/msg_audit.hpp"
+#include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "util/stats.hpp"
 
 namespace cellflow {
 
-class Observer {
+template <class Engine>
+class BasicObserver {
  public:
-  virtual ~Observer() = default;
+  virtual ~BasicObserver() = default;
 
   /// Called after every completed round.
-  virtual void on_round(const System& sys, const RoundEvents& ev) = 0;
+  virtual void on_round(const Engine& sys, const RoundEvents& ev) = 0;
 
-  /// Called at the System's intermediate phase points (see UpdatePhase).
+  /// Called at the engine's intermediate phase points (see UpdatePhase).
   /// Default: ignore.
-  virtual void on_phase(const System& /*sys*/, UpdatePhase /*phase*/) {}
+  virtual void on_phase(const Engine& /*sys*/, UpdatePhase /*phase*/) {}
 
   /// Called once when the simulation ends.
-  virtual void on_finish(const System& /*sys*/) {}
+  virtual void on_finish(const Engine& /*sys*/) {}
 };
 
 /// K-round throughput (§IV): arrivals at the target over the observed
 /// rounds, divided by the number of rounds. Also keeps a windowed series
 /// so convergence of the estimate can be inspected.
-class ThroughputMeter final : public Observer {
+template <class Engine>
+class BasicThroughputMeter final : public BasicObserver<Engine> {
  public:
   /// `window` is the width of the windowed-throughput series (0 = off).
-  explicit ThroughputMeter(std::uint64_t window = 0) : window_(window) {}
+  explicit BasicThroughputMeter(std::uint64_t window = 0) : window_(window) {}
 
-  void on_round(const System& sys, const RoundEvents& ev) override;
+  void on_round(const Engine& /*sys*/, const RoundEvents& ev) override {
+    ++rounds_;
+    arrivals_ += ev.arrivals;
+    if (window_ == 0) return;
+    window_arrivals_ += ev.arrivals;
+    if (++window_rounds_ == window_) {
+      windowed_.push_back(static_cast<double>(window_arrivals_) /
+                          static_cast<double>(window_));
+      window_arrivals_ = 0;
+      window_rounds_ = 0;
+    }
+  }
 
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   [[nodiscard]] std::uint64_t arrivals() const noexcept { return arrivals_; }
   /// Arrivals / rounds; 0 before the first round.
-  [[nodiscard]] double throughput() const noexcept;
+  [[nodiscard]] double throughput() const noexcept {
+    return rounds_ == 0 ? 0.0
+                        : static_cast<double>(arrivals_) /
+                              static_cast<double>(rounds_);
+  }
   /// Windowed throughput samples (one per full window).
   [[nodiscard]] const std::vector<double>& windowed() const noexcept {
     return windowed_;
@@ -65,19 +97,41 @@ class ThroughputMeter final : public Observer {
 };
 
 /// Evaluates the §III-A safety oracles every round (Safe, Invariants 1–2,
-/// footprint separation) and predicate H at the post-Signal phase point.
-/// Collects violations instead of throwing so a test can report them all.
-class SafetyMonitor final : public Observer {
+/// footprint separation; on a MessageSystem msg_audit's full audit, which
+/// adds the in-flight batches and conservation) and predicate H at the
+/// post-Signal phase point. Collects violations instead of throwing so a
+/// test can report them all.
+template <class Engine>
+class BasicSafetyMonitor final : public BasicObserver<Engine> {
  public:
-  void on_round(const System& sys, const RoundEvents& ev) override;
-  void on_phase(const System& sys, UpdatePhase phase) override;
+  void on_round(const Engine& sys, const RoundEvents& /*ev*/) override {
+    std::vector<Violation> found;
+    if constexpr (std::is_same_v<Engine, MessageSystem>)
+      found = msg_audit::check_all(sys);
+    else
+      found = check_all(sys);
+    for (auto& v : found) violations_.push_back(std::move(v));
+  }
+
+  void on_phase(const Engine& sys, UpdatePhase phase) override {
+    // Lemma 3 asserts H exactly at the post-Signal point of each round.
+    if (phase != UpdatePhase::kAfterSignal) return;
+    if (auto v = check_h_predicate(sys)) violations_.push_back(*std::move(v));
+  }
 
   [[nodiscard]] bool clean() const noexcept { return violations_.empty(); }
   [[nodiscard]] const std::vector<Violation>& violations() const noexcept {
     return violations_;
   }
   /// First few violations, formatted (test-failure messages).
-  [[nodiscard]] std::string report(std::size_t limit = 5) const;
+  [[nodiscard]] std::string report(std::size_t limit = 5) const {
+    std::ostringstream os;
+    os << violations_.size() << " violation(s)";
+    const std::size_t n = std::min(limit, violations_.size());
+    for (std::size_t k = 0; k < n; ++k)
+      os << "\n  " << to_string(violations_[k]);
+    return os.str();
+  }
 
  private:
   std::vector<Violation> violations_;
@@ -87,8 +141,8 @@ class SafetyMonitor final : public Observer {
 /// (Lemma 6 / Corollary 7). Each round it checks whether every
 /// target-connected cell's dist equals ρ and next points along a shortest
 /// path; records the first round of an agreement that then persisted to
-/// the end of the run.
-class RoutingStabilizationMonitor final : public Observer {
+/// the end of the run. System-only (see the file comment).
+class RoutingStabilizationMonitor final : public BasicObserver<System> {
  public:
   void on_round(const System& sys, const RoundEvents& ev) override;
 
@@ -106,17 +160,30 @@ class RoutingStabilizationMonitor final : public Observer {
 
 /// Per-round movement/blocking counters: how often cells had permission,
 /// how often a token grant was blocked by an occupied strip.
-class BlockingStats final : public Observer {
+template <class Engine>
+class BasicBlockingStats final : public BasicObserver<Engine> {
  public:
-  void on_round(const System& sys, const RoundEvents& ev) override;
+  void on_round(const Engine& /*sys*/, const RoundEvents& ev) override {
+    ++rounds_;
+    moves_ += ev.moved.size();
+    blocks_ += ev.blocked.size();
+  }
 
   [[nodiscard]] std::uint64_t total_moves() const noexcept { return moves_; }
   [[nodiscard]] std::uint64_t total_blocks() const noexcept { return blocks_; }
   [[nodiscard]] std::uint64_t rounds() const noexcept { return rounds_; }
   /// Mean blocked cells per round.
-  [[nodiscard]] double mean_blocked_per_round() const noexcept;
+  [[nodiscard]] double mean_blocked_per_round() const noexcept {
+    return rounds_ == 0 ? 0.0
+                        : static_cast<double>(blocks_) /
+                              static_cast<double>(rounds_);
+  }
   /// Mean moving cells per round.
-  [[nodiscard]] double mean_moving_per_round() const noexcept;
+  [[nodiscard]] double mean_moving_per_round() const noexcept {
+    return rounds_ == 0 ? 0.0
+                        : static_cast<double>(moves_) /
+                              static_cast<double>(rounds_);
+  }
 
  private:
   std::uint64_t moves_ = 0;
@@ -124,10 +191,19 @@ class BlockingStats final : public Observer {
   std::uint64_t rounds_ = 0;
 };
 
-/// Tracks the entity population and per-cell occupancy.
-class OccupancyTracker final : public Observer {
+/// Tracks the entity population and per-cell occupancy (one for_each_cell
+/// walk per round).
+template <class Engine>
+class BasicOccupancyTracker final : public BasicObserver<Engine> {
  public:
-  void on_round(const System& sys, const RoundEvents& ev) override;
+  void on_round(const Engine& sys, const RoundEvents& /*ev*/) override {
+    std::size_t population = 0;
+    sys.for_each_cell([&](CellId, const CellState& c) {
+      population += c.members.size();
+      peak_cell_ = std::max(peak_cell_, c.members.size());
+    });
+    population_.add(static_cast<double>(population));
+  }
 
   [[nodiscard]] const RunningStats& population() const noexcept {
     return population_;
@@ -150,23 +226,68 @@ class OccupancyTracker final : public Observer {
 ///
 /// Runs entirely on the calling (driver) thread, after the round's phase
 /// barriers, so everything it derives is deterministic regardless of the
-/// System's ParallelPolicy. Per-cell counter handles are cached after the
-/// first touch; steady-state cost is one map lookup per event.
-class MetricsObserver final : public Observer {
+/// engine's ParallelPolicy. Per-cell counter handles are cached after the
+/// first touch; steady-state cost is one map lookup per event. Lines are
+/// stamped with the engine round of RoundEvents, so a restored run
+/// continues the stamps of the run it resumes.
+template <class Engine>
+class BasicMetricsObserver final : public BasicObserver<Engine> {
  public:
   /// Non-owning: `registry` must outlive the observer.
-  explicit MetricsObserver(obs::MetricsRegistry& registry);
+  explicit BasicMetricsObserver(obs::MetricsRegistry& registry)
+      : registry_(registry),
+        round_gauge_(&registry.gauge(
+            "cellflow_round", "Protocol round counter (instantaneous).")),
+        population_(&registry.gauge(
+            "cellflow_population",
+            "Entities currently in the system (instantaneous).")) {}
 
   /// Arms periodic JSONL snapshots: one line after every `every` rounds
   /// (0 disarms), plus a final line at on_finish. `out` is non-owning.
-  void stream_jsonl(std::ostream* out, std::uint64_t every);
+  void stream_jsonl(std::ostream* out, std::uint64_t every) {
+    jsonl_out_ = out;
+    jsonl_every_ = every;
+  }
 
-  void on_round(const System& sys, const RoundEvents& ev) override;
-  void on_finish(const System& sys) override;
+  void on_round(const Engine& sys, const RoundEvents& ev) override {
+    last_round_ = ev.round;
+    round_gauge_->set(static_cast<double>(ev.round));
+    population_->set(static_cast<double>(sys.entity_count()));
+    for (const CellId id : ev.blocked)
+      cell_counter(blocked_, "cellflow_cell_blocked_total",
+                   "Signal refusals, by granting cell.", id)
+          ->inc();
+    for (const CellId id : ev.moved)
+      cell_counter(moved_, "cellflow_cell_moved_total",
+                   "Applied movements, by moving cell.", id)
+          ->inc();
+    for (const auto& [cell, eid] : ev.injected) {
+      (void)eid;
+      cell_counter(injected_, "cellflow_cell_injected_total",
+                   "Accepted injections, by source cell.", cell)
+          ->inc();
+    }
+    if (jsonl_out_ != nullptr && jsonl_every_ != 0 &&
+        (ev.round + 1) % jsonl_every_ == 0)
+      *jsonl_out_ << obs::jsonl_snapshot(registry_, ev.round);
+  }
+
+  void on_finish(const Engine& /*sys*/) override {
+    if (jsonl_out_ != nullptr)
+      *jsonl_out_ << obs::jsonl_snapshot(registry_, last_round_);
+  }
 
  private:
   obs::Counter* cell_counter(std::map<CellId, obs::Counter*>& cache,
-                             const char* name, const char* help, CellId id);
+                             const char* name, const char* help, CellId id) {
+    const auto it = cache.find(id);
+    if (it != cache.end()) return it->second;
+    obs::Counter& c = registry_.counter(
+        name, help,
+        {{"cell", std::to_string(id.i) + "," + std::to_string(id.j)}});
+    cache.emplace(id, &c);
+    return &c;
+  }
 
   obs::MetricsRegistry& registry_;
   obs::Gauge* round_gauge_;
@@ -182,9 +303,22 @@ class MetricsObserver final : public Observer {
 
 /// Birth-to-consumption latency per entity (rounds), via injection and
 /// consumed-transfer events.
-class ProgressTracker final : public Observer {
+template <class Engine>
+class BasicProgressTracker final : public BasicObserver<Engine> {
  public:
-  void on_round(const System& sys, const RoundEvents& ev) override;
+  void on_round(const Engine& /*sys*/, const RoundEvents& ev) override {
+    for (const auto& [cell, eid] : ev.injected) {
+      (void)cell;
+      birth_round_.emplace(eid, ev.round);
+    }
+    for (const TransferEvent& t : ev.transfers) {
+      if (!t.consumed) continue;
+      const auto it = birth_round_.find(t.entity);
+      if (it == birth_round_.end()) continue;  // seeded, not injected
+      latency_.add(static_cast<double>(ev.round - it->second));
+      birth_round_.erase(it);
+    }
+  }
 
   [[nodiscard]] const RunningStats& latency() const noexcept {
     return latency_;
@@ -201,5 +335,13 @@ class ProgressTracker final : public Observer {
   std::unordered_map<EntityId, std::uint64_t> birth_round_;
   RunningStats latency_;
 };
+
+using Observer = BasicObserver<System>;
+using ThroughputMeter = BasicThroughputMeter<System>;
+using SafetyMonitor = BasicSafetyMonitor<System>;
+using BlockingStats = BasicBlockingStats<System>;
+using OccupancyTracker = BasicOccupancyTracker<System>;
+using MetricsObserver = BasicMetricsObserver<System>;
+using ProgressTracker = BasicProgressTracker<System>;
 
 }  // namespace cellflow

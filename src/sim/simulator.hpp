@@ -1,11 +1,18 @@
-// The Simulator: drives a System for K rounds under a FailureModel,
+// The Simulator: drives an engine for K rounds under a FailureModel,
 // fanning events out to Observers. Per round:
 //
 //   1. failure_model.apply(sys)   — environment fail/recover transitions
 //   2. sys.update()               — the protocol's atomic round
 //   3. observer.on_round(...)     — instrumentation
 //
-// (Intermediate-phase callbacks are forwarded through System's PhaseHook.)
+// (Intermediate-phase callbacks are forwarded through the engine's
+// PhaseHook.)
+//
+// One class template serves every engine — System, chunk::ChunkedSystem
+// and MessageSystem — through the surface they share: update() returning
+// RoundEvents, set_phase_hook firing at the four UpdatePhase points, and
+// the fail/recover transitions the FailureModel drives. `Simulator` is
+// the System instantiation.
 #pragma once
 
 #include <cstdint>
@@ -17,29 +24,46 @@
 
 namespace cellflow {
 
-class Simulator {
+template <class Engine>
+class BasicSimulator {
  public:
-  /// Non-owning: the System and FailureModel must outlive the Simulator.
-  Simulator(System& sys, FailureModel& failures);
-  ~Simulator();
+  /// Non-owning: the engine and FailureModel must outlive the Simulator.
+  BasicSimulator(Engine& sys, BasicFailureModel<Engine>& failures)
+      : sys_(sys), failures_(failures) {
+    sys_.set_phase_hook([this](const Engine& s, UpdatePhase phase) {
+      for (BasicObserver<Engine>* o : observers_) o->on_phase(s, phase);
+    });
+  }
+  ~BasicSimulator() { sys_.set_phase_hook(nullptr); }
 
-  Simulator(const Simulator&) = delete;
-  Simulator& operator=(const Simulator&) = delete;
+  BasicSimulator(const BasicSimulator&) = delete;
+  BasicSimulator& operator=(const BasicSimulator&) = delete;
 
   /// Attaches an observer (non-owning; must outlive the Simulator's runs).
-  void add_observer(Observer& obs);
+  void add_observer(BasicObserver<Engine>& obs) {
+    observers_.push_back(&obs);
+  }
 
   /// Executes exactly one round.
-  void step();
+  void step() {
+    failures_.apply(sys_);
+    const RoundEvents& ev = sys_.update();
+    for (BasicObserver<Engine>* o : observers_) o->on_round(sys_, ev);
+  }
 
   /// Executes `rounds` rounds, then notifies observers' on_finish.
-  void run(std::uint64_t rounds);
+  void run(std::uint64_t rounds) {
+    for (std::uint64_t k = 0; k < rounds; ++k) step();
+    finish();
+  }
 
   /// Notifies observers' on_finish. run()/run_until() call this
   /// themselves; a driver stepping manually (e.g. tools/cellflow_sim)
   /// calls it once after its loop so end-of-run observers (final JSONL
   /// snapshot, …) still fire.
-  void finish();
+  void finish() {
+    for (BasicObserver<Engine>* o : observers_) o->on_finish(sys_);
+  }
 
   /// Runs until `predicate(sys)` is true after a round, or `max_rounds`
   /// elapse. Returns true iff the predicate fired. on_finish is notified
@@ -48,7 +72,7 @@ class Simulator {
   bool run_until(Pred&& predicate, std::uint64_t max_rounds) {
     for (std::uint64_t k = 0; k < max_rounds; ++k) {
       step();
-      if (predicate(static_cast<const System&>(sys_))) {
+      if (predicate(static_cast<const Engine&>(sys_))) {
         finish();
         return true;
       }
@@ -57,22 +81,8 @@ class Simulator {
     return false;
   }
 
-  [[nodiscard]] const System& system() const noexcept { return sys_; }
-
-  /// Forwards to System::set_parallel_policy — lets a driver pick the
-  /// round engine without reaching around the Simulator. Results are
-  /// unaffected (the engines are bit-identical); only wall-clock is.
-  void set_parallel_policy(const ParallelPolicy& policy) {
-    sys_.set_parallel_policy(policy);
-  }
-
-  /// Forwards to System::set_round_scheduler — same contract as the
-  /// parallel policy: results are bit-identical across schedulers.
-  void set_round_scheduler(RoundScheduler scheduler) {
-    sys_.set_round_scheduler(scheduler);
-  }
-
-  /// Forward to System's observability attach points (DESIGN.md §7).
+  /// Forward to the engine's observability attach points (DESIGN.md §7),
+  /// where it has them.
   void set_metrics(obs::MetricsRegistry* registry) {
     sys_.set_metrics(registry);
   }
@@ -84,9 +94,11 @@ class Simulator {
   }
 
  private:
-  System& sys_;
-  FailureModel& failures_;
-  std::vector<Observer*> observers_;
+  Engine& sys_;
+  BasicFailureModel<Engine>& failures_;
+  std::vector<BasicObserver<Engine>*> observers_;
 };
+
+using Simulator = BasicSimulator<System>;
 
 }  // namespace cellflow

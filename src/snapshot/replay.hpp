@@ -28,8 +28,10 @@
 #include "util/ids.hpp"
 
 namespace cellflow {
-class FailureModel;
+template <class Engine>
+class BasicFailureModel;
 class System;
+using FailureModel = BasicFailureModel<System>;  // failure/failure_model.hpp
 }  // namespace cellflow
 
 namespace cellflow::snapshot {

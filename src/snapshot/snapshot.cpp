@@ -347,8 +347,9 @@ void write_state_section(Writer& w, std::uint32_t tag, const Policy& policy) {
 
 /// The choose, source and optional failure-model sections of the
 /// shared-variable realizations.
+template <class Failures>
 void write_policies(Writer& w, const ChoosePolicy& choose,
-                    const SourcePolicy& source, const FailureModel* failures) {
+                    const SourcePolicy& source, const Failures* failures) {
   write_state_section(w, kTagChoose, choose);
   write_state_section(w, kTagSource, source);
   if (failures != nullptr) write_state_section(w, kTagFailure, *failures);
@@ -474,8 +475,9 @@ void roll_back(Policy& policy, std::span<const std::uint64_t> old_words) {
 /// order, with rollback, so a mismatch in a later policy leaves the
 /// earlier ones untouched; the engine state is swapped in after this
 /// returns and cannot fail.
+template <class Failures>
 void commit_policies(ChoosePolicy& choose, SourcePolicy& source,
-                     FailureModel* failures, const Common& c) {
+                     Failures* failures, const Common& c) {
   std::vector<std::uint64_t> old_choose;
   choose.encode_state(old_choose);
   if (!choose.decode_state(c.choose)) {
@@ -542,7 +544,8 @@ struct Access {
   // ---- chunk::ChunkedSystem ------------------------------------------
 
   static std::vector<std::uint8_t> save_chunked(
-      const chunk::ChunkedSystem& sys, const FailureModel* failures) {
+      const chunk::ChunkedSystem& sys,
+      const BasicFailureModel<chunk::ChunkedSystem>* failures) {
     Writer w = begin_snapshot(kKindChunked, sys, echo_of(sys.config()));
     write_policies(w, *sys.choose_, *sys.source_, failures);
 
@@ -644,9 +647,9 @@ struct Access {
     return chunks;
   }
 
-  static void restore_chunked(chunk::ChunkedSystem& sys,
-                              std::span<const std::uint8_t> bytes,
-                              FailureModel* failures) {
+  static void restore_chunked(
+      chunk::ChunkedSystem& sys, std::span<const std::uint8_t> bytes,
+      BasicFailureModel<chunk::ChunkedSystem>* failures) {
     const chunk::ChunkLayout& layout = sys.layout_;
     std::vector<MatChunk> chunks;
     const Common c = read_snapshot(
@@ -1053,13 +1056,14 @@ std::uint64_t execution_digest(const MessageSystem& msg) {
   return Access::digest_message(msg, false);
 }
 
-std::vector<std::uint8_t> save(const chunk::ChunkedSystem& sys,
-                               const FailureModel* failures) {
+std::vector<std::uint8_t> save(
+    const chunk::ChunkedSystem& sys,
+    const BasicFailureModel<chunk::ChunkedSystem>* failures) {
   return Access::save_chunked(sys, failures);
 }
 
 void restore(chunk::ChunkedSystem& sys, std::span<const std::uint8_t> bytes,
-             FailureModel* failures) {
+             BasicFailureModel<chunk::ChunkedSystem>* failures) {
   Access::restore_chunked(sys, bytes, failures);
 }
 

@@ -42,10 +42,12 @@
 #include "snapshot/wire.hpp"
 
 namespace cellflow {
-class FailureModel;
+template <class Engine>
+class BasicFailureModel;
 class MessageSystem;
 class System;
 class Xoshiro256;
+using FailureModel = BasicFailureModel<System>;  // failure/failure_model.hpp
 }  // namespace cellflow
 
 namespace cellflow::chunk {
@@ -70,8 +72,8 @@ void restore(System& sys, std::span<const std::uint8_t> bytes,
              FailureModel* failures = nullptr);
 
 /// MessageSystem form. `env_rng` is the environment's fail/recover stream
-/// (the driver loop owns it — cellflow_sim's message mode); pass the same
-/// pointer shape on save and restore.
+/// (cellflow_sim hands over its RandomFailRecover's generator); pass the
+/// same pointer shape on save and restore.
 [[nodiscard]] std::vector<std::uint8_t> save(const MessageSystem& msg,
                                              const Xoshiro256* env_rng =
                                                  nullptr);
@@ -84,11 +86,13 @@ void restore(MessageSystem& msg, std::span<const std::uint8_t> bytes,
 /// active region, not N². Restore rebuilds the same chunk states (then
 /// re-derives scheduler aux), so a restored engine parks, faults-in, and
 /// computes exactly like the uninterrupted one.
-[[nodiscard]] std::vector<std::uint8_t> save(const chunk::ChunkedSystem& sys,
-                                             const FailureModel* failures =
-                                                 nullptr);
+/// `failures` is the chunked engine's failure model, with the same
+/// section as the System form.
+[[nodiscard]] std::vector<std::uint8_t> save(
+    const chunk::ChunkedSystem& sys,
+    const BasicFailureModel<chunk::ChunkedSystem>* failures = nullptr);
 void restore(chunk::ChunkedSystem& sys, std::span<const std::uint8_t> bytes,
-             FailureModel* failures = nullptr);
+             BasicFailureModel<chunk::ChunkedSystem>* failures = nullptr);
 
 /// FNV-1a-64 digest of the observable engine state (round, counters,
 /// every cell's protocol + physical variables; the message form adds the

@@ -19,64 +19,60 @@
 //                [--snapshot-out=FILE] [--snapshot-every=N]
 //                [--restore=FILE]
 //
-// Prints a one-line summary plus (optionally) periodic ASCII renders, the
-// full event trace, and a machine-readable CSV record. --metrics-out
-// writes a Prometheus text snapshot (plus a JSONL stream next to it when
-// --metrics-every > 0); --profile-out writes a Chrome trace_event JSON
-// viewable in Perfetto (with a worker track per pool thread when
-// --threads > 1); --telemetry adds the engine-telemetry families (round
-// decomposition, phase imbalance, Amdahl serial fraction; DESIGN.md §7)
-// to the metrics registry — kept opt-in because those series carry
-// timings, which byte-diff consumers of --metrics-out must exclude. Exits nonzero if any §III-A safety oracle fires —
-// so the tool doubles as a conformance checker for modified protocol
-// variants.
+// Every engine runs through one loop — one Simulator, one fail/recover
+// stream (--pf/--pr), the same summary observers — and prints an engine
+// line, the shared `throughput: … mean latency: … mean population: …
+// blocked/round: …` line, any engine lines, and a `safety:` line. The
+// §III-A oracles run every round and predicate H at every post-Signal
+// point; the exit code is nonzero if any fires, so the tool doubles as a
+// conformance checker for modified protocol variants. --metrics-out
+// writes a Prometheus text snapshot (plus a JSONL stream next to it,
+// stamped with the engine round, when --metrics-every > 0).
 //
-// --realization=message runs the §II-B message-passing realization
-// instead, over a FaultyNetwork when any --net-* / --partition flag is
-// set (src/net; DESIGN.md §8): --net-loss/--net-dup/--net-delay are
-// i.i.d. per-message probabilities, --net-delay-max the delay bound in
-// rounds, --net-until the last faulty round (0: faults never cease), and
-// --partition cuts columns j < COL from j >= COL for rounds
-// [START, END). Every round is audited with the msg_audit oracles
-// (safety + entity conservation); violations exit nonzero. --movement,
-// --carve-turns, --threads, --policy, --trace, and --profile-out are
-// shared-realization features and are rejected in message mode.
+// The engines, and the flags each accepts (others exit 2 with a typed
+// error):
 //
-// --store=chunked runs the sparse-world ChunkedSystem (src/chunk;
-// DESIGN.md §12) instead of the dense store — same automaton, memory
-// proportional to the materialized chunk set. Supported alongside it:
-// the core flags, --policy, --movement, --threads, --scheduler,
-// --metrics-*, and the snapshot flags (the chunked wire format writes
-// only materialized chunks). The observer-based instrumentation
-// (--trace/--csv/--render-every/--profile-out/--telemetry), --carve-turns
-// (which would materialize the whole grid), and --realization=message are
-// rejected with a typed error (exit 2). Every round is audited with the
-// §III-A oracles over the live chunks (parked/virgin chunks provably
-// hold no entities); violations exit nonzero, as in the other modes.
+//   * the dense shared-variable System (default): all but --net-* and
+//     --partition. --render-every, --trace and --csv print ASCII renders,
+//     the event trace and a CSV record; --profile-out writes a Chrome
+//     trace_event JSON for Perfetto (a worker track per pool thread when
+//     --threads > 1); --telemetry adds the engine-telemetry families
+//     (DESIGN.md §7) to the metrics registry — opt-in because they carry
+//     timings, which byte-diff consumers of --metrics-out must exclude.
+//   * --store=chunked, the sparse-world ChunkedSystem (DESIGN.md §12):
+//     the core flags (side/l/rs/v/source/target/rounds/pf/pr/seed),
+//     --policy, --movement, --threads, --scheduler, --metrics-* and the
+//     snapshot flags. Its oracles and observers walk only the live
+//     chunks; it also prints the chunk lifecycle.
+//   * --realization=message, the §II-B message-passing realization: the
+//     core flags, --metrics-*, --telemetry, the snapshot flags and the
+//     network flags, which run it over a FaultyNetwork (DESIGN.md §8):
+//     --net-loss/--net-dup/--net-delay are i.i.d. per-message
+//     probabilities, --net-delay-max the delay bound in rounds,
+//     --net-until the last faulty round (0: faults never cease), and
+//     --partition cuts columns j < COL from j >= COL for rounds
+//     [START, END). Its audit adds the in-flight batches and entity
+//     conservation (msg_audit); it also prints message and fault counts.
 //
-// Snapshots (src/snapshot, all realizations): --snapshot-out writes the
-// final engine state to FILE; with --snapshot-every=N the file is also
-// rewritten every N rounds (crash-resumable runs). --restore=FILE warm
-// starts from a snapshot taken under the SAME flags — the run then
-// executes --rounds additional rounds, bit-identically to the
-// uninterrupted run. A corrupt or mismatched snapshot exits 2 with a
-// typed error on stderr.
-#include <cmath>
+// Snapshots (src/snapshot): --snapshot-out writes the final engine state
+// to FILE; with --snapshot-every=N the file is also rewritten every N
+// rounds (crash-resumable runs). --restore=FILE warm starts from a
+// snapshot taken under the SAME flags — the run then executes --rounds
+// additional rounds, bit-identically to the uninterrupted run, and the
+// summary covers those rounds. A corrupt or mismatched snapshot exits 2
+// with a typed error on stderr.
 #include <fstream>
 #include <iostream>
-#include <limits>
 #include <memory>
 #include <optional>
+#include <sstream>
 #include <string>
-#include <unordered_set>
+#include <type_traits>
 
 #include "chunk/chunked_system.hpp"
 #include "core/choose.hpp"
-#include "core/predicates.hpp"
 #include "failure/failure_model.hpp"
-#include "geometry/rect.hpp"
 #include "grid/path.hpp"
-#include "msg/msg_audit.hpp"
 #include "msg/msg_system.hpp"
 #include "net/faulty_network.hpp"
 #include "obs/engine_telemetry.hpp"
@@ -138,120 +134,66 @@ struct NetOptions {
   }
 };
 
-/// The --realization=message driver: a manual round loop over the
-/// MessageSystem (the Simulator drives the shared-variable System only),
-/// auditing every round with the msg_audit oracles.
-int run_message_mode(const MsgSystemConfig& cfg, std::uint64_t rounds,
-                     double pf, double pr, std::uint64_t seed,
-                     const NetOptions& net, const std::string& metrics_out,
-                     std::uint64_t metrics_every, bool telemetry,
-                     const SnapshotOptions& snap) {
-  std::unique_ptr<NetworkModel> network;
-  if (net.any()) {
-    NetFaultSpec spec;
-    spec.drop_prob = net.loss;
-    spec.dup_prob = net.dup;
-    spec.delay_prob = net.delay;
-    spec.max_delay_rounds = net.delay_max;
-    if (net.until > 0) spec.last_fault_round = net.until;
-    if (!net.partition.empty())
-      spec.partitions = {parse_partition(net.partition, Grid(cfg.side))};
-    network = std::make_unique<FaultyNetwork>(spec, net.seed);
-  }
-  MessageSystem msg(cfg, std::move(network));
+/// The fail/recover environment, one stream for every engine: §IV's
+/// RandomFailRecover seeded seed ^ 0x51D, applied when --pf > 0 — so all
+/// three engines see the same schedule for the same flags. Snapshots
+/// carry it: the failure model's section on the shared-variable engines,
+/// the stream's generator (the env-rng section) on the message one.
+template <class Engine>
+class Environment {
+ public:
+  Environment(double pf, double pr, std::uint64_t seed)
+      : on_(pf > 0.0), random_(on_ ? pf : 0.0, on_ ? pr : 0.0, seed ^ 0x51D) {}
 
-  // The environment's fail/recover stream travels with the snapshot, so a
-  // restored run draws the same schedule tail as the uninterrupted one.
-  Xoshiro256 fail_rng(seed ^ 0x51D);
-  if (!snap.restore.empty()) {
-    try {
-      snapshot::restore(msg, snapshot::read_file(snap.restore), &fail_rng);
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
+  BasicFailureModel<Engine>& model() {
+    if (on_) return random_;
+    return none_;
   }
 
-  obs::MetricsRegistry registry;
-  std::ofstream jsonl_file;
-  std::optional<obs::EngineTelemetry> engine_telemetry;
-  if (!metrics_out.empty()) {
-    msg.set_metrics(&registry);
-    if (telemetry) {
-      engine_telemetry.emplace(registry, "message");
-      msg.set_telemetry(&*engine_telemetry);
-    }
-    if (metrics_every > 0) {
-      jsonl_file.open(metrics_out + ".jsonl");
-      if (!jsonl_file) {
-        std::cerr << "cannot open " << metrics_out << ".jsonl\n";
-        return 2;
-      }
-    }
+  std::vector<std::uint8_t> save(const Engine& sys) {
+    if constexpr (std::is_same_v<Engine, MessageSystem>)
+      return snapshot::save(sys, &random_.generator());
+    else
+      return snapshot::save(sys, &model());
+  }
+  void restore(Engine& sys, std::span<const std::uint8_t> bytes) {
+    if constexpr (std::is_same_v<Engine, MessageSystem>)
+      snapshot::restore(sys, bytes, &random_.generator());
+    else
+      snapshot::restore(sys, bytes, &model());
   }
 
-  // Stochastic fail/recover mirroring the shared driver's model (each
-  // round every live cell fails w.p. pf, every failed one recovers
-  // w.p. pr; the target is not protected).
-  std::string violation_report;
-  for (std::uint64_t k = 0; k < rounds; ++k) {
-    if (pf > 0.0) {
-      for (const CellId id : msg.grid().all_cells()) {
-        if (msg.cell(id).failed) {
-          if (fail_rng.bernoulli(pr)) msg.recover(id);
-        } else if (fail_rng.bernoulli(pf)) {
-          msg.fail(id);
-        }
-      }
-    }
-    msg.update();
-    if (violation_report.empty()) {
-      const auto violations = msg_audit::check_all(msg);
-      if (!violations.empty()) {
-        violation_report = violations.front().predicate + " at " +
-                           to_string(violations.front().cell) + " round " +
-                           std::to_string(k) + ": " +
-                           violations.front().detail;
-      }
-    }
-    if (jsonl_file.is_open() && (k + 1) % metrics_every == 0)
-      jsonl_file << obs::jsonl_snapshot(registry, k + 1);
-    if (!snap.out.empty() && snap.every > 0 && (k + 1) % snap.every == 0) {
-      try {
-        snapshot::write_file(snap.out, snapshot::save(msg, &fail_rng));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-      }
-    }
-  }
-  if (jsonl_file.is_open()) jsonl_file << obs::jsonl_snapshot(registry, rounds);
-  if (!snap.out.empty()) {
-    try {
-      snapshot::write_file(snap.out, snapshot::save(msg, &fail_rng));
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-  }
+ private:
+  bool on_;
+  BasicRandomFailRecover<Engine> random_;
+  BasicNoFailures<Engine> none_;
+};
 
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::cerr << "cannot open " << metrics_out << '\n';
-      return 2;
-    }
-    out << obs::to_prometheus(registry);
-  }
-
+// The run summary: an engine line, the observers' shared line, then any
+// engine-specific lines.
+void print_summary(const System& sys, const std::string& shared) {
+  std::cout << render_summary(sys) << '\n' << shared;
+}
+void print_summary(const chunk::ChunkedSystem& sys, const std::string& shared) {
+  const chunk::ChunkedCellStore& store = sys.store();
+  std::cout << "store=chunked round=" << sys.round()
+            << " arrivals=" << sys.total_arrivals()
+            << " injected=" << sys.total_injected() << '\n'
+            << shared << "entities in system: " << sys.entity_count() << '\n'
+            << "chunks: live=" << store.live_count()
+            << " parked=" << store.parked_count() << " virgin="
+            << (store.chunk_count() - store.live_count() -
+                store.parked_count())
+            << "  resident bytes: " << store.resident_bytes()
+            << "  materialized total: " << store.stats().materialized_total
+            << '\n';
+}
+void print_summary(const MessageSystem& msg, const std::string& shared) {
   const NetworkModel& n = msg.network();
   std::cout << "realization=message round=" << msg.round()
             << " arrivals=" << msg.total_arrivals()
             << " injected=" << msg.total_injected() << '\n'
-            << "throughput: "
-            << (static_cast<double>(msg.total_arrivals()) /
-                static_cast<double>(rounds))
-            << "  messages: " << n.total_messages()
+            << shared << "messages: " << n.total_messages()
             << "  in-flight entities: " << msg.in_flight_entities().size()
             << '\n'
             << "net faults: dropped=" << n.fault_count(NetFault::kDropped)
@@ -259,232 +201,7 @@ int run_message_mode(const MsgSystemConfig& cfg, std::uint64_t rounds,
             << " duplicated=" << n.fault_count(NetFault::kDuplicated)
             << " partitioned=" << n.fault_count(NetFault::kPartitioned)
             << "  expired grants: " << msg.expired_grants()
-            << "  deferred accepts: " << msg.deferred_acceptances() << '\n'
-            << "safety: "
-            << (violation_report.empty() ? "CLEAN" : violation_report)
-            << '\n';
-  return violation_report.empty() ? 0 : 1;
-}
-
-/// The stochastic environment for the chunked driver: RandomFailRecover's
-/// Bernoulli stream verbatim (one draw per cell per round, in id order,
-/// pr when failed / pf otherwise), applied through ChunkedSystem's
-/// fail/recover transitions. Same encode/decode word layout, so snapshots
-/// carry the schedule exactly like the dense driver's model does.
-class ChunkedFailEnv final : public FailureModel {
- public:
-  ChunkedFailEnv(double pf, double pr, std::uint64_t seed)
-      : pf_(pf), pr_(pr), rng_(seed) {}
-
-  void apply(System&) override {}  // dense form; unused by this driver
-
-  void apply_chunked(chunk::ChunkedSystem& sys) {
-    for (const CellId id : sys.grid().all_cells()) {
-      if (sys.cell(id).failed) {
-        if (rng_.bernoulli(pr_)) sys.recover(id);
-      } else if (rng_.bernoulli(pf_)) {
-        sys.fail(id);
-      }
-    }
-  }
-
-  void encode_state(std::vector<std::uint64_t>& out) const override {
-    const auto words = rng_.state();
-    out.insert(out.end(), words.begin(), words.end());
-    out.push_back(total_failures_);
-    out.push_back(total_recoveries_);
-  }
-  [[nodiscard]] bool decode_state(
-      std::span<const std::uint64_t> words) override {
-    if (words.size() != 6) return false;
-    rng_.set_state({words[0], words[1], words[2], words[3]});
-    total_failures_ = words[4];
-    total_recoveries_ = words[5];
-    return true;
-  }
-
- private:
-  double pf_;
-  double pr_;
-  Xoshiro256 rng_;
-  std::uint64_t total_failures_ = 0;
-  std::uint64_t total_recoveries_ = 0;
-};
-
-/// The §III-A oracles of check_all(System) — Safe, Invariants 1/2, and
-/// footprint separation — over a ChunkedSystem, reading live chunks
-/// directly. Parked and virgin chunks provably hold no entities (store
-/// invariant: occupied cells live in live chunks), so the scan cost is
-/// proportional to the materialized region, not N². `seen` is caller-
-/// owned scratch for the disjointness check (reused across rounds).
-std::optional<Violation> check_chunked_safety(
-    const chunk::ChunkedSystem& sys, std::unordered_set<EntityId>& seen) {
-  const Params& prm = sys.params();
-  const double d = prm.center_spacing();
-  const double l = prm.entity_length();
-  const double rs = prm.safety_gap();
-  const double half = l / 2.0;
-  const double eps = kPredicateEps;
-  const chunk::ChunkedCellStore& store = sys.store();
-  const chunk::ChunkLayout& layout = store.layout();
-  seen.clear();
-  for (std::size_t q = 0; q < layout.chunk_count(); ++q) {
-    if (!store.is_live(q)) continue;
-    const chunk::LiveChunk& lc = store.live(q);
-    for (std::size_t slot = 0; slot < lc.cells.size(); ++slot) {
-      const auto& members = lc.cells[slot].members;
-      if (members.empty()) continue;
-      const CellId id = layout.cell_at(q, slot);
-      const auto i = static_cast<double>(id.i);
-      const auto j = static_cast<double>(id.j);
-      for (const Entity& p : members) {
-        if (!seen.insert(p.id).second) {
-          return Violation{"Invariant2", id,
-                           to_string(p.id) + " appears in two cells"};
-        }
-        const bool in_bounds = p.center.x - half >= i - eps &&
-                               p.center.x + half <= i + 1.0 + eps &&
-                               p.center.y - half >= j - eps &&
-                               p.center.y + half <= j + 1.0 + eps;
-        if (!in_bounds) {
-          return Violation{"Invariant1", id,
-                           to_string(p.id) + " at " + to_string(p.center)};
-        }
-      }
-      for (std::size_t a = 0; a < members.size(); ++a) {
-        for (std::size_t b = a + 1; b < members.size(); ++b) {
-          const Vec2 pa = members[a].center;
-          const Vec2 pb = members[b].center;
-          if (std::abs(pa.x - pb.x) < d - eps &&
-              std::abs(pa.y - pb.y) < d - eps) {
-            return Violation{"Safe", id,
-                             to_string(members[a].id) + " vs " +
-                                 to_string(members[b].id)};
-          }
-          const Rect ra = members[a].footprint(l);
-          const Rect rb = members[b].footprint(l);
-          if (ra.overlaps(rb) || ra.linf_gap(rb) < rs - eps) {
-            return Violation{"FootprintGap", id,
-                             to_string(members[a].id) + " vs " +
-                                 to_string(members[b].id)};
-          }
-        }
-      }
-    }
-  }
-  return std::nullopt;
-}
-
-/// The --store=chunked driver: a manual round loop over the sparse-world
-/// engine (the Simulator and its observers drive the dense System only),
-/// auditing every round with the oracle scan above.
-int run_chunked_mode(const SystemConfig& cfg, const std::string& policy,
-                     std::uint64_t seed, RoundScheduler scheduler,
-                     std::uint64_t threads, std::uint64_t rounds, double pf,
-                     double pr, const std::string& metrics_out,
-                     std::uint64_t metrics_every, const SnapshotOptions& snap) {
-  chunk::ChunkedSystem sys(cfg, make_choose_policy(policy, seed));
-  sys.set_round_scheduler(scheduler);
-  if (threads > 0)
-    sys.set_parallel_policy(
-        ParallelPolicy::parallel(static_cast<int>(threads)));
-
-  // Same environment construction as the dense shared driver (seed ^
-  // 0x51D, one Bernoulli per cell per round), so the two stores see the
-  // identical fail/recover schedule for the same flags.
-  std::unique_ptr<FailureModel> failures;
-  ChunkedFailEnv* env = nullptr;
-  if (pf > 0.0) {
-    auto owned = std::make_unique<ChunkedFailEnv>(pf, pr, seed ^ 0x51D);
-    env = owned.get();
-    failures = std::move(owned);
-  } else {
-    failures = std::make_unique<NoFailures>();
-  }
-
-  if (!snap.restore.empty()) {
-    try {
-      snapshot::restore(sys, snapshot::read_file(snap.restore),
-                        failures.get());
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-  }
-
-  obs::MetricsRegistry registry;
-  std::ofstream jsonl_file;
-  if (!metrics_out.empty()) {
-    sys.set_metrics(&registry);
-    if (metrics_every > 0) {
-      jsonl_file.open(metrics_out + ".jsonl");
-      if (!jsonl_file) {
-        std::cerr << "cannot open " << metrics_out << ".jsonl\n";
-        return 2;
-      }
-    }
-  }
-
-  std::string violation_report;
-  std::unordered_set<EntityId> oracle_scratch;
-  for (std::uint64_t k = 0; k < rounds; ++k) {
-    if (env != nullptr) env->apply_chunked(sys);
-    sys.update();
-    if (violation_report.empty()) {
-      if (const auto v = check_chunked_safety(sys, oracle_scratch)) {
-        violation_report = v->predicate + " at " + to_string(v->cell) +
-                           " round " + std::to_string(k) + ": " + v->detail;
-      }
-    }
-    if (jsonl_file.is_open() && (k + 1) % metrics_every == 0)
-      jsonl_file << obs::jsonl_snapshot(registry, k + 1);
-    if (!snap.out.empty() && snap.every > 0 && (k + 1) % snap.every == 0) {
-      try {
-        snapshot::write_file(snap.out, snapshot::save(sys, failures.get()));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-      }
-    }
-  }
-  if (jsonl_file.is_open()) jsonl_file << obs::jsonl_snapshot(registry, rounds);
-  if (!snap.out.empty()) {
-    try {
-      snapshot::write_file(snap.out, snapshot::save(sys, failures.get()));
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-  }
-
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::cerr << "cannot open " << metrics_out << '\n';
-      return 2;
-    }
-    out << obs::to_prometheus(registry);
-  }
-
-  const chunk::ChunkedCellStore& store = sys.store();
-  std::cout << "store=chunked round=" << sys.round()
-            << " arrivals=" << sys.total_arrivals()
-            << " injected=" << sys.total_injected() << '\n'
-            << "throughput: "
-            << (static_cast<double>(sys.total_arrivals()) /
-                static_cast<double>(rounds))
-            << "  entities in system: " << sys.entity_count() << '\n'
-            << "chunks: live=" << store.live_count()
-            << " parked=" << store.parked_count() << " virgin="
-            << (store.chunk_count() - store.live_count() -
-                store.parked_count())
-            << "  resident bytes: " << store.resident_bytes()
-            << "  materialized total: " << store.stats().materialized_total
-            << '\n'
-            << "safety: "
-            << (violation_report.empty() ? "CLEAN" : violation_report)
-            << '\n';
-  return violation_report.empty() ? 0 : 1;
+            << "  deferred accepts: " << msg.deferred_acceptances() << '\n';
 }
 
 }  // namespace
@@ -586,6 +303,138 @@ int main(int argc, char** argv) {
     std::cerr << "--net-*/--partition require --realization=message\n";
     return 2;
   }
+
+  // The run every engine goes through: restore, a Simulator with the
+  // summary observers, the rounds with their render and snapshot
+  // cadences, finish, the final snapshot, the metrics and profile files,
+  // and the summary. Returns the exit code.
+  const auto run = [&]<class Engine>(Engine& sys) -> int {
+    constexpr bool kDense = std::is_same_v<Engine, System>;
+    Environment<Engine> env(pf, pr, seed);
+    const auto write_snapshot = [&] {
+      try {
+        snapshot::write_file(snap.out, env.save(sys));
+      } catch (const std::exception& e) {
+        std::cerr << e.what() << '\n';
+        return false;
+      }
+      return true;
+    };
+    if (!snap.restore.empty()) {
+      try {
+        env.restore(sys, snapshot::read_file(snap.restore));
+      } catch (const std::exception& e) {
+        std::cerr << e.what() << '\n';
+        return 2;
+      }
+    }
+
+    BasicSimulator<Engine> sim(sys, env.model());
+    BasicThroughputMeter<Engine> meter;
+    BasicSafetyMonitor<Engine> safety;
+    BasicBlockingStats<Engine> blocking;
+    BasicOccupancyTracker<Engine> occupancy;
+    BasicProgressTracker<Engine> progress;
+    TraceRecorder trace;
+    sim.add_observer(meter);
+    sim.add_observer(safety);
+    sim.add_observer(blocking);
+    sim.add_observer(occupancy);
+    sim.add_observer(progress);
+    if constexpr (kDense) {
+      if (dump_trace) sim.add_observer(trace);
+    }
+
+    obs::MetricsRegistry registry;
+    std::optional<BasicMetricsObserver<Engine>> metrics_obs;
+    std::ofstream jsonl_file;
+    if (!metrics_out.empty()) {
+      sim.set_metrics(&registry);
+      metrics_obs.emplace(registry);
+      if (metrics_every > 0) {
+        jsonl_file.open(metrics_out + ".jsonl");
+        if (!jsonl_file) {
+          std::cerr << "cannot open " << metrics_out << ".jsonl\n";
+          return 2;
+        }
+        metrics_obs->stream_jsonl(&jsonl_file, metrics_every);
+      }
+      sim.add_observer(*metrics_obs);
+    }
+    std::optional<obs::EngineTelemetry> engine_telemetry;
+    obs::PhaseProfiler profiler;
+    if constexpr (requires { sys.set_telemetry(nullptr); }) {
+      if (telemetry) {
+        engine_telemetry.emplace(registry, kDense ? "shared" : "message");
+        sim.set_telemetry(&*engine_telemetry);
+      }
+      if (!profile_out.empty()) sim.set_profiler(&profiler);
+    }
+
+    for (std::uint64_t k = 0; k < rounds; ++k) {
+      sim.step();
+      if constexpr (kDense) {
+        if (render_every > 0 && (k + 1) % render_every == 0) {
+          std::cout << "-- " << render_summary(sys) << " --\n"
+                    << render_ascii(sys) << '\n';
+        }
+      }
+      if (!snap.out.empty() && snap.every > 0 && (k + 1) % snap.every == 0 &&
+          !write_snapshot())
+        return 2;
+    }
+    sim.finish();
+
+    if (!snap.out.empty() && !write_snapshot()) return 2;
+    if (!metrics_out.empty()) {
+      std::ofstream out(metrics_out);
+      if (!out) {
+        std::cerr << "cannot open " << metrics_out << '\n';
+        return 2;
+      }
+      out << obs::to_prometheus(registry);
+    }
+    if (!profile_out.empty()) {
+      std::ofstream out(profile_out);
+      if (!out) {
+        std::cerr << "cannot open " << profile_out << '\n';
+        return 2;
+      }
+      out << obs::to_chrome_trace(profiler);
+    }
+
+    if (dump_trace) std::cout << trace.serialize();
+    std::ostringstream shared;
+    shared << "throughput: " << meter.throughput()
+           << "  mean latency: " << progress.latency().mean()
+           << "  mean population: " << occupancy.population().mean()
+           << "  blocked/round: " << blocking.mean_blocked_per_round()
+           << '\n';
+    print_summary(sys, shared.str());
+    std::cout << "safety: " << (safety.clean() ? "CLEAN" : safety.report())
+              << '\n';
+
+    if (emit_csv) {
+      CsvWriter csv(std::cout);
+      csv.header({"side", "l", "rs", "v", "pf", "pr", "policy", "movement",
+                  "rounds", "throughput", "mean_latency", "safety_clean"});
+      csv.field(std::uint64_t{static_cast<std::uint64_t>(side)})
+          .field(l)
+          .field(rs)
+          .field(v)
+          .field(pf)
+          .field(pr)
+          .field(policy)
+          .field(movement)
+          .field(rounds)
+          .field(meter.throughput())
+          .field(progress.latency().mean())
+          .field(std::uint64_t{safety.clean() ? 1u : 0u});
+      csv.end_row();
+    }
+    return safety.clean() ? 0 : 1;
+  };
+
   if (realization == "message") {
     if (movement != "coupled" || carve_turns >= 0 || threads > 0 ||
         policy != "round-robin" || dump_trace || !profile_out.empty() ||
@@ -602,8 +451,20 @@ int main(int argc, char** argv) {
     mcfg.sources = {msource};
     mcfg.target = target_s.empty() ? CellId{msource.i, side - 1}
                                    : parse_cell(target_s);
-    return run_message_mode(mcfg, rounds, pf, pr, seed, net, metrics_out,
-                            metrics_every, telemetry, snap);
+    std::unique_ptr<NetworkModel> network;
+    if (net.any()) {
+      NetFaultSpec spec;
+      spec.drop_prob = net.loss;
+      spec.dup_prob = net.dup;
+      spec.delay_prob = net.delay;
+      spec.max_delay_rounds = net.delay_max;
+      if (net.until > 0) spec.last_fault_round = net.until;
+      if (!net.partition.empty())
+        spec.partitions = {parse_partition(net.partition, Grid(side))};
+      network = std::make_unique<FaultyNetwork>(spec, net.seed);
+    }
+    MessageSystem msg(mcfg, std::move(network));
+    return run(msg);
   }
 
   SystemConfig cfg;
@@ -617,12 +478,26 @@ int main(int argc, char** argv) {
     std::cerr << "unknown movement rule: " << movement << '\n';
     return 2;
   }
+  const auto set_scheduler = [&](auto& sys) {
+    if (scheduler_s == "active") {
+      sys.set_round_scheduler(RoundScheduler::kActiveSet);
+    } else if (scheduler_s == "exhaustive") {
+      sys.set_round_scheduler(RoundScheduler::kExhaustive);
+    } else {
+      std::cerr << "unknown scheduler: " << scheduler_s << '\n';
+      return false;
+    }
+    if (threads > 0)
+      sys.set_parallel_policy(
+          ParallelPolicy::parallel(static_cast<int>(threads)));
+    return true;
+  };
 
   if (store_s == "chunked") {
-    // Observer-based instrumentation drives the dense System only, and
-    // carving would fail (hence materialize) every off-path chunk —
-    // defeating the sparse store. Typed rejection, same taxonomy as the
-    // message-mode check.
+    // Carving would fail (hence materialize) every off-path chunk —
+    // defeating the sparse store — and the render, trace, CSV, profiler
+    // and telemetry are the dense engine's. Typed rejection, same
+    // taxonomy as the message-mode check.
     if (carve_turns >= 0 || dump_trace || emit_csv || render_every > 0 ||
         !profile_out.empty() || telemetry) {
       std::cerr << "--store=chunked supports only the core flags "
@@ -635,17 +510,9 @@ int main(int argc, char** argv) {
     cfg.sources = {source};
     cfg.target = target_s.empty() ? CellId{source.i, side - 1}
                                   : parse_cell(target_s);
-    RoundScheduler scheduler;
-    if (scheduler_s == "active") {
-      scheduler = RoundScheduler::kActiveSet;
-    } else if (scheduler_s == "exhaustive") {
-      scheduler = RoundScheduler::kExhaustive;
-    } else {
-      std::cerr << "unknown scheduler: " << scheduler_s << '\n';
-      return 2;
-    }
-    return run_chunked_mode(cfg, policy, seed, scheduler, threads, rounds, pf,
-                            pr, metrics_out, metrics_every, snap);
+    chunk::ChunkedSystem sys(cfg, make_choose_policy(policy, seed));
+    if (!set_scheduler(sys)) return 2;
+    return run(sys);
   }
 
   std::optional<Path> carved;
@@ -664,146 +531,7 @@ int main(int argc, char** argv) {
   }
 
   System sys(cfg, make_choose_policy(policy, seed));
-  if (scheduler_s == "active") {
-    sys.set_round_scheduler(RoundScheduler::kActiveSet);
-  } else if (scheduler_s == "exhaustive") {
-    sys.set_round_scheduler(RoundScheduler::kExhaustive);
-  } else {
-    std::cerr << "unknown scheduler: " << scheduler_s << '\n';
-    return 2;
-  }
-  if (threads > 0)
-    sys.set_parallel_policy(
-        ParallelPolicy::parallel(static_cast<int>(threads)));
+  if (!set_scheduler(sys)) return 2;
   if (carved.has_value()) carve_path(sys, *carved);
-
-  std::unique_ptr<FailureModel> failures;
-  if (pf > 0.0) {
-    failures = std::make_unique<RandomFailRecover>(pf, pr, seed ^ 0x51D);
-  } else {
-    failures = std::make_unique<NoFailures>();
-  }
-
-  if (!snap.restore.empty()) {
-    try {
-      snapshot::restore(sys, snapshot::read_file(snap.restore),
-                        failures.get());
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-  }
-
-  Simulator sim(sys, *failures);
-  ThroughputMeter meter;
-  SafetyMonitor safety;
-  BlockingStats blocking;
-  OccupancyTracker occupancy;
-  ProgressTracker progress;
-  TraceRecorder trace;
-  sim.add_observer(meter);
-  sim.add_observer(safety);
-  sim.add_observer(blocking);
-  sim.add_observer(occupancy);
-  sim.add_observer(progress);
-  if (dump_trace) sim.add_observer(trace);
-
-  obs::MetricsRegistry registry;
-  std::optional<MetricsObserver> metrics_obs;
-  std::ofstream jsonl_file;
-  if (!metrics_out.empty()) {
-    sim.set_metrics(&registry);
-    metrics_obs.emplace(registry);
-    if (metrics_every > 0) {
-      jsonl_file.open(metrics_out + ".jsonl");
-      if (!jsonl_file) {
-        std::cerr << "cannot open " << metrics_out << ".jsonl\n";
-        return 2;
-      }
-      metrics_obs->stream_jsonl(&jsonl_file, metrics_every);
-    }
-    sim.add_observer(*metrics_obs);
-  }
-  std::optional<obs::EngineTelemetry> engine_telemetry;
-  if (telemetry) {
-    engine_telemetry.emplace(registry, "shared");
-    sim.set_telemetry(&*engine_telemetry);
-  }
-  obs::PhaseProfiler profiler;
-  if (!profile_out.empty()) sim.set_profiler(&profiler);
-
-  for (std::uint64_t k = 0; k < rounds; ++k) {
-    sim.step();
-    if (render_every > 0 && (k + 1) % render_every == 0) {
-      std::cout << "-- " << render_summary(sys) << " --\n"
-                << render_ascii(sys) << '\n';
-    }
-    if (!snap.out.empty() && snap.every > 0 && (k + 1) % snap.every == 0) {
-      try {
-        snapshot::write_file(snap.out,
-                             snapshot::save(sys, failures.get()));
-      } catch (const std::exception& e) {
-        std::cerr << e.what() << '\n';
-        return 2;
-      }
-    }
-  }
-  sim.finish();
-
-  if (!snap.out.empty()) {
-    try {
-      snapshot::write_file(snap.out, snapshot::save(sys, failures.get()));
-    } catch (const std::exception& e) {
-      std::cerr << e.what() << '\n';
-      return 2;
-    }
-  }
-
-  if (!metrics_out.empty()) {
-    std::ofstream out(metrics_out);
-    if (!out) {
-      std::cerr << "cannot open " << metrics_out << '\n';
-      return 2;
-    }
-    out << obs::to_prometheus(registry);
-  }
-  if (!profile_out.empty()) {
-    std::ofstream out(profile_out);
-    if (!out) {
-      std::cerr << "cannot open " << profile_out << '\n';
-      return 2;
-    }
-    out << obs::to_chrome_trace(profiler);
-  }
-
-  if (dump_trace) std::cout << trace.serialize();
-
-  std::cout << render_summary(sys) << '\n'
-            << "throughput: " << meter.throughput()
-            << "  mean latency: " << progress.latency().mean()
-            << "  mean population: " << occupancy.population().mean()
-            << "  blocked/round: " << blocking.mean_blocked_per_round()
-            << '\n'
-            << "safety: " << (safety.clean() ? "CLEAN" : safety.report())
-            << '\n';
-
-  if (emit_csv) {
-    CsvWriter csv(std::cout);
-    csv.header({"side", "l", "rs", "v", "pf", "pr", "policy", "movement",
-                "rounds", "throughput", "mean_latency", "safety_clean"});
-    csv.field(std::uint64_t{static_cast<std::uint64_t>(side)})
-        .field(l)
-        .field(rs)
-        .field(v)
-        .field(pf)
-        .field(pr)
-        .field(policy)
-        .field(movement)
-        .field(rounds)
-        .field(meter.throughput())
-        .field(progress.latency().mean())
-        .field(std::uint64_t{safety.clean() ? 1u : 0u});
-    csv.end_row();
-  }
-  return safety.clean() ? 0 : 1;
+  return run(sys);
 }
