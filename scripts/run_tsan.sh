@@ -12,10 +12,11 @@
 # stamps, and the chunk fault-ins of the merges all sit in its serial
 # stages, on the caller, while workers hold at the stage boundary.
 # PhaseHookDifferential drives exactly that — a hook reading the whole
-# System between pooled stages on every engine, with profiler and
-# telemetry attached to one of them — ActiveSetDifferential covers the
-# scheduler arrays the workers read inside stages and the caller mutates
-# only in the merges, and ChunkDifferential's pooled legs cover the
+# engine between pooled stages on every dense and chunked engine, with
+# profiler and telemetry attached to one of them — ActiveSetDifferential
+# covers the scheduler arrays the workers read inside stages and the
+# caller mutates only in the merges, and ChunkDifferential's pooled legs
+# cover the
 # live-chunk list each parallel stage shards. Any data race in the
 # parallel round engine or the instrumentation aborts the run.
 #

@@ -1,6 +1,8 @@
 // Shared helpers for the cellflow test suite.
 #pragma once
 
+#include <gtest/gtest.h>
+
 #include <memory>
 #include <vector>
 
@@ -58,6 +60,27 @@ inline bool run_until_routed(System& sys, std::uint64_t max_rounds) {
     if (ok) return true;
   }
   return false;
+}
+
+/// Per-round event-stream equality (the canonicalized order contract).
+inline void expect_same_events(const RoundEvents& a, const RoundEvents& b,
+                               int round) {
+  ASSERT_EQ(a.round, b.round) << "round " << round;
+  ASSERT_EQ(a.moved, b.moved) << "round " << round;
+  ASSERT_EQ(a.blocked, b.blocked) << "round " << round;
+  ASSERT_EQ(a.injected, b.injected) << "round " << round;
+  ASSERT_EQ(a.arrivals, b.arrivals) << "round " << round;
+  ASSERT_EQ(a.transfers.size(), b.transfers.size()) << "round " << round;
+  for (std::size_t k = 0; k < a.transfers.size(); ++k) {
+    ASSERT_EQ(a.transfers[k].entity, b.transfers[k].entity)
+        << "round " << round << " transfer " << k;
+    ASSERT_EQ(a.transfers[k].from, b.transfers[k].from)
+        << "round " << round << " transfer " << k;
+    ASSERT_EQ(a.transfers[k].to, b.transfers[k].to)
+        << "round " << round << " transfer " << k;
+    ASSERT_EQ(a.transfers[k].consumed, b.transfers[k].consumed)
+        << "round " << round << " transfer " << k;
+  }
 }
 
 }  // namespace cellflow::testing

@@ -15,6 +15,7 @@
 #include "core/choose.hpp"
 #include "core/source.hpp"
 #include "core/system.hpp"
+#include "helpers.hpp"
 #include "snapshot/snapshot.hpp"
 
 namespace cellflow {
@@ -69,27 +70,6 @@ void expect_same_state(const System& dense, const chunk::ChunkedSystem& ck,
   }
 }
 
-/// Per-round event-stream equality (the canonicalized order contract).
-void expect_same_events(const RoundEvents& a, const RoundEvents& b,
-                        int round) {
-  ASSERT_EQ(a.round, b.round) << "round " << round;
-  ASSERT_EQ(a.moved, b.moved) << "round " << round;
-  ASSERT_EQ(a.blocked, b.blocked) << "round " << round;
-  ASSERT_EQ(a.injected, b.injected) << "round " << round;
-  ASSERT_EQ(a.arrivals, b.arrivals) << "round " << round;
-  ASSERT_EQ(a.transfers.size(), b.transfers.size()) << "round " << round;
-  for (std::size_t k = 0; k < a.transfers.size(); ++k) {
-    ASSERT_EQ(a.transfers[k].entity, b.transfers[k].entity)
-        << "round " << round << " transfer " << k;
-    ASSERT_EQ(a.transfers[k].from, b.transfers[k].from)
-        << "round " << round << " transfer " << k;
-    ASSERT_EQ(a.transfers[k].to, b.transfers[k].to)
-        << "round " << round << " transfer " << k;
-    ASSERT_EQ(a.transfers[k].consumed, b.transfers[k].consumed)
-        << "round " << round << " transfer " << k;
-  }
-}
-
 TEST(ChunkSystem, MatchesDenseOnSingleChunkGrid) {
   // Side 6 fits one chunk: pins the engine mechanics (phases, events,
   // counters) without any cross-chunk machinery in play.
@@ -101,7 +81,7 @@ TEST(ChunkSystem, MatchesDenseOnSingleChunkGrid) {
     dense.update();
     ck.update();
     expect_same_state(dense, ck, r);
-    expect_same_events(dense.last_events(), ck.last_events(), r);
+    testing::expect_same_events(dense.last_events(), ck.last_events(), r);
   }
 }
 
@@ -118,7 +98,7 @@ TEST(ChunkSystem, MatchesDenseAcrossChunkBorders) {
     ck.update();
     ASSERT_EQ(snapshot::state_digest(dense), snapshot::state_digest(ck))
         << "round " << r;
-    expect_same_events(dense.last_events(), ck.last_events(), r);
+    testing::expect_same_events(dense.last_events(), ck.last_events(), r);
     if (r % 25 == 0) expect_same_state(dense, ck, r);
   }
 }
@@ -277,8 +257,8 @@ TEST(ChunkSystem, ParallelEngineMatchesSerialBitIdentically) {
     const std::uint64_t want = snapshot::state_digest(serial);
     ASSERT_EQ(want, snapshot::state_digest(par2)) << "round " << r;
     ASSERT_EQ(want, snapshot::state_digest(par7)) << "round " << r;
-    expect_same_events(serial.last_events(), par2.last_events(), r);
-    expect_same_events(serial.last_events(), par7.last_events(), r);
+    testing::expect_same_events(serial.last_events(), par2.last_events(), r);
+    testing::expect_same_events(serial.last_events(), par7.last_events(), r);
   }
 }
 

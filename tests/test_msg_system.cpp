@@ -1,7 +1,9 @@
 // Tests for the message-passing realization (paper §II-B). The headline
 // property is EXACT equivalence with the shared-variable System under
 // identical configurations and failure schedules — the evidence that the
-// §II automaton faithfully models the distributed implementation.
+// §II automaton faithfully models the distributed implementation. The
+// equivalence covers the round events too: MessageSystem::update()'s
+// RoundEvents equal System's field for field, every round.
 #include "msg/msg_system.hpp"
 
 #include <gtest/gtest.h>
@@ -9,6 +11,7 @@
 #include <algorithm>
 
 #include "core/system.hpp"
+#include "helpers.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -64,8 +67,9 @@ TEST(MessageSystem, ExactlyEquivalentToSharedVariableSystem) {
   System shared{shared_config(6)};
   MessageSystem msg{msg_config(6)};
   for (std::uint64_t k = 0; k < 800; ++k) {
-    shared.update();
-    msg.update();
+    const RoundEvents& want = shared.update();
+    const RoundEvents& got = msg.update();
+    testing::expect_same_events(want, got, static_cast<int>(k));
     expect_equal_states(shared, msg, k);
   }
   EXPECT_GT(shared.total_arrivals(), 0u);
@@ -87,8 +91,9 @@ TEST(MessageSystem, EquivalentUnderScriptedFailures) {
       shared.recover(CellId{1, 3});
       msg.recover(CellId{1, 3});
     }
-    shared.update();
-    msg.update();
+    const RoundEvents& want = shared.update();
+    const RoundEvents& got = msg.update();
+    testing::expect_same_events(want, got, static_cast<int>(k));
     expect_equal_states(shared, msg, k);
   }
 }
@@ -105,8 +110,9 @@ TEST(MessageSystem, EquivalentWithFailingTarget) {
       shared.recover(shared.target());
       msg.recover(msg.target());
     }
-    shared.update();
-    msg.update();
+    const RoundEvents& want = shared.update();
+    const RoundEvents& got = msg.update();
+    testing::expect_same_events(want, got, static_cast<int>(k));
     expect_equal_states(shared, msg, k);
   }
 }

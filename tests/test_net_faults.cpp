@@ -136,6 +136,10 @@ TEST_P(NetFaultProperty, SafetyAndConservationHoldUnderRandomSchedules) {
   MessageSystem msg{cfg, std::make_unique<FaultyNetwork>(
                              spec, GetParam().seed * 977 + 1)};
 
+  // The round events account for every consumption and injection, so
+  // observers see the data plane's ledger under any schedule.
+  std::uint64_t arrival_events = 0;
+  std::uint64_t injection_events = 0;
   for (int round = 0; round < 300; ++round) {
     if (with_crashes) {
       for (const CellId id : msg.grid().all_cells()) {
@@ -146,7 +150,11 @@ TEST_P(NetFaultProperty, SafetyAndConservationHoldUnderRandomSchedules) {
         }
       }
     }
-    msg.update();
+    const RoundEvents& ev = msg.update();
+    arrival_events += ev.arrivals;
+    injection_events += ev.injected.size();
+    ASSERT_EQ(arrival_events, msg.total_arrivals()) << "round " << round;
+    ASSERT_EQ(injection_events, msg.total_injected()) << "round " << round;
     const auto violations = msg_audit::check_all(msg);
     ASSERT_TRUE(violations.empty())
         << "round " << round << ": " << violations.front().predicate << " at "

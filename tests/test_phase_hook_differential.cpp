@@ -10,6 +10,10 @@
 // The parallel_auto(2) active-set engine also carries a profiler and
 // engine telemetry, which must perturb nothing and must show that the
 // engine pooled some rounds, so the hooked pooled plan is exercised.
+// chunk::ChunkedSystem's hook fires at the same points of the same plan:
+// its legs (the same four policies under both schedulers, on a grid of
+// 2×2 chunks so the pooled legs shard) must record the dense reference's
+// digests, which the chunked state_digest is built to be comparable with.
 //
 // (Suite name deliberately contains "Differential" so the TSan ctest
 // lane picks it up.)
@@ -21,6 +25,7 @@
 #include <string>
 #include <vector>
 
+#include "chunk/chunked_system.hpp"
 #include "core/choose.hpp"
 #include "core/system.hpp"
 #include "obs/engine_telemetry.hpp"
@@ -34,6 +39,7 @@ namespace cellflow {
 namespace {
 
 constexpr int kSide = 32;
+constexpr int kChunkedSide = 48;  // 2×2 chunks
 constexpr int kRounds = 50;
 
 // Histogram `_count` sample lines of the exposition, in exposition order.
@@ -47,12 +53,100 @@ std::string count_lines(const obs::MetricsRegistry& reg) {
   return out;
 }
 
+template <class Sys>
 struct Engine {
   std::string label;
-  std::unique_ptr<System> sys;
+  std::unique_ptr<Sys> sys;
   obs::MetricsRegistry reg;
   std::vector<std::uint64_t> seen;  ///< this round's hook digests
 };
+
+/// One seeded configuration: a random geometry with three sources, a
+/// crowd with one entity at the center of about half the cells, and
+/// whether the choose policy is the stateful RandomChoose. `rng` goes on
+/// to drive the fail/recover churn.
+struct Scenario {
+  SystemConfig cfg;
+  std::vector<CellId> crowd;
+  bool stateful_choose = false;
+};
+
+Scenario make_scenario(std::uint64_t seed, int side, Xoshiro256& rng) {
+  const auto u = [&rng](int n) {
+    return static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
+  };
+  Scenario sc;
+  SystemConfig& cfg = sc.cfg;
+  cfg.side = side;
+  const double l = rng.uniform(0.1, 0.3);
+  const double rs = rng.uniform(0.05, 0.95 - l);
+  cfg.params = Params(l, rs, rng.uniform(0.05, l));
+  cfg.target = CellId{u(side), u(side)};
+  cfg.sources.clear();
+  while (cfg.sources.size() < 3) {
+    const CellId c{u(side), u(side)};
+    if (c != cfg.target) cfg.sources.push_back(c);
+  }
+  cfg.movement_rule =
+      seed % 2 == 0 ? MovementRule::kCoupled : MovementRule::kCompacting;
+  sc.stateful_choose = seed % 3 == 0;
+  for (int j = 0; j < side; ++j)
+    for (int i = 0; i < side; ++i)
+      if (CellId{i, j} != cfg.target && rng.bernoulli(0.5))
+        sc.crowd.push_back(CellId{i, j});
+  return sc;
+}
+
+const ParallelPolicy kPolicies[] = {
+    ParallelPolicy::serial(), ParallelPolicy::parallel(2),
+    ParallelPolicy::parallel(4), ParallelPolicy::parallel_auto(2)};
+const RoundScheduler kSchedulers[] = {RoundScheduler::kExhaustive,
+                                      RoundScheduler::kActiveSet};
+
+/// Builds one leg of `sc`: crowd seeded, engine configured, metrics on,
+/// and a hook recording state_digest at every phase point.
+template <class Sys>
+std::unique_ptr<Engine<Sys>> make_leg(const Scenario& sc, std::uint64_t seed,
+                                      RoundScheduler sched,
+                                      const ParallelPolicy& policy) {
+  auto e = std::make_unique<Engine<Sys>>();
+  e->label = std::string(sched == RoundScheduler::kExhaustive ? "exhaustive"
+                                                              : "active") +
+             " threads=" + std::to_string(policy.num_threads) +
+             (policy.cutover == ParallelPolicy::Cutover::kAuto ? " auto" : "");
+  std::unique_ptr<ChoosePolicy> choose;
+  if (sc.stateful_choose) choose = std::make_unique<RandomChoose>(seed);
+  e->sys = std::make_unique<Sys>(sc.cfg, std::move(choose));
+  for (const CellId c : sc.crowd)
+    e->sys->seed_entity(c, Vec2{c.i + 0.5, c.j + 0.5});
+  e->sys->set_round_scheduler(sched);
+  e->sys->set_parallel_policy(policy);
+  e->sys->set_metrics(&e->reg);
+  Engine<Sys>* self = e.get();
+  e->sys->set_phase_hook([self](const Sys& s, UpdatePhase) {
+    self->seen.push_back(snapshot::state_digest(s));
+  });
+  return e;
+}
+
+/// Identical scripted fail/recover churn for every leg, decided on `ref`.
+template <class... Legs>
+void churn(const System& ref, Xoshiro256& rng, Legs&... legs) {
+  for (const CellId id : ref.grid().all_cells()) {
+    const bool failed = ref.cell(id).failed;
+    if (failed ? rng.bernoulli(0.1) : rng.bernoulli(0.004)) {
+      const auto apply = [&](auto& group) {
+        for (const auto& e : group) {
+          if (failed)
+            e->sys->recover(id);
+          else
+            e->sys->fail(id);
+        }
+      };
+      (apply(legs), ...);
+    }
+  }
+}
 
 class PhaseHookDifferential : public ::testing::TestWithParam<std::uint64_t> {
 };
@@ -60,64 +154,14 @@ class PhaseHookDifferential : public ::testing::TestWithParam<std::uint64_t> {
 TEST_P(PhaseHookDifferential, EveryEngineAgreesAtEveryPhasePoint) {
   const std::uint64_t seed = GetParam();
   Xoshiro256 rng(seed * 7919 + 3);
-  const auto u = [&rng](int n) {
-    return static_cast<std::int32_t>(rng.below(static_cast<std::uint64_t>(n)));
-  };
+  const Scenario sc = make_scenario(seed, kSide, rng);
 
-  SystemConfig cfg;
-  cfg.side = kSide;
-  const double l = rng.uniform(0.1, 0.3);
-  const double rs = rng.uniform(0.05, 0.95 - l);
-  cfg.params = Params(l, rs, rng.uniform(0.05, l));
-  cfg.target = CellId{u(kSide), u(kSide)};
-  cfg.sources.clear();
-  while (cfg.sources.size() < 3) {
-    const CellId c{u(kSide), u(kSide)};
-    if (c != cfg.target) cfg.sources.push_back(c);
-  }
-  cfg.movement_rule =
-      seed % 2 == 0 ? MovementRule::kCoupled : MovementRule::kCompacting;
-  const bool stateful_choose = seed % 3 == 0;
-
-  // The crowd: one entity at the center of about half the cells.
-  std::vector<CellId> crowd;
-  for (int j = 0; j < kSide; ++j)
-    for (int i = 0; i < kSide; ++i)
-      if (CellId{i, j} != cfg.target && rng.bernoulli(0.5))
-        crowd.push_back(CellId{i, j});
-
-  const ParallelPolicy policies[] = {
-      ParallelPolicy::serial(), ParallelPolicy::parallel(2),
-      ParallelPolicy::parallel(4), ParallelPolicy::parallel_auto(2)};
-  const RoundScheduler schedulers[] = {RoundScheduler::kExhaustive,
-                                       RoundScheduler::kActiveSet};
-  std::vector<std::unique_ptr<Engine>> engines;
-  for (const RoundScheduler sched : schedulers) {
-    for (const ParallelPolicy& policy : policies) {
-      auto e = std::make_unique<Engine>();
-      e->label = std::string(sched == RoundScheduler::kExhaustive
-                                 ? "exhaustive"
-                                 : "active") +
-                 " threads=" + std::to_string(policy.num_threads) +
-                 (policy.cutover == ParallelPolicy::Cutover::kAuto ? " auto"
-                                                                   : "");
-      std::unique_ptr<ChoosePolicy> choose;
-      if (stateful_choose) choose = std::make_unique<RandomChoose>(seed);
-      e->sys = std::make_unique<System>(cfg, std::move(choose));
-      for (const CellId c : crowd)
-        e->sys->seed_entity(c, Vec2{c.i + 0.5, c.j + 0.5});
-      e->sys->set_round_scheduler(sched);
-      e->sys->set_parallel_policy(policy);
-      e->sys->set_metrics(&e->reg);
-      Engine* self = e.get();
-      e->sys->set_phase_hook([self](const System& s, UpdatePhase) {
-        self->seen.push_back(snapshot::state_digest(s));
-      });
-      engines.push_back(std::move(e));
-    }
-  }
-  Engine& ref = *engines.front();  // serial, exhaustive
-  Engine& observed = *engines.back();  // parallel_auto(2), active set
+  std::vector<std::unique_ptr<Engine<System>>> engines;
+  for (const RoundScheduler sched : kSchedulers)
+    for (const ParallelPolicy& policy : kPolicies)
+      engines.push_back(make_leg<System>(sc, seed, sched, policy));
+  Engine<System>& ref = *engines.front();  // serial, exhaustive
+  Engine<System>& observed = *engines.back();  // parallel_auto(2), active
   obs::MetricsRegistry tel_reg;
   obs::EngineTelemetry telemetry(tel_reg);
   obs::PhaseProfiler profiler;
@@ -125,18 +169,7 @@ TEST_P(PhaseHookDifferential, EveryEngineAgreesAtEveryPhasePoint) {
   observed.sys->set_profiler(&profiler);
 
   for (int round = 0; round < kRounds; ++round) {
-    // Identical scripted fail/recover churn for every engine.
-    for (const CellId id : ref.sys->grid().all_cells()) {
-      const bool failed = ref.sys->cell(id).failed;
-      if (failed ? rng.bernoulli(0.1) : rng.bernoulli(0.004)) {
-        for (const auto& e : engines) {
-          if (failed)
-            e->sys->recover(id);
-          else
-            e->sys->fail(id);
-        }
-      }
-    }
+    churn(*ref.sys, rng, engines);
     for (const auto& e : engines) {
       e->seen.clear();
       e->sys->update();
@@ -158,6 +191,42 @@ TEST_P(PhaseHookDifferential, EveryEngineAgreesAtEveryPhasePoint) {
   // Round 0 never cuts over, so pooling must show up beyond it.
   EXPECT_GT(t.rounds - t.rounds_cutover, 1u) << "the auto engine never pooled";
   EXPECT_GT(profiler.total_ns("round"), 0u);
+}
+
+TEST_P(PhaseHookDifferential, ChunkedLegsAgreeWithDenseAtEveryPhasePoint) {
+  const std::uint64_t seed = GetParam();
+  Xoshiro256 rng(seed * 104729 + 5);
+  const Scenario sc = make_scenario(seed, kChunkedSide, rng);
+
+  std::vector<std::unique_ptr<Engine<System>>> dense;
+  dense.push_back(make_leg<System>(sc, seed, RoundScheduler::kExhaustive,
+                                   ParallelPolicy::serial()));
+  Engine<System>& ref = *dense.front();
+  std::vector<std::unique_ptr<Engine<chunk::ChunkedSystem>>> legs;
+  for (const RoundScheduler sched : kSchedulers)
+    for (const ParallelPolicy& policy : kPolicies)
+      legs.push_back(make_leg<chunk::ChunkedSystem>(sc, seed, sched, policy));
+
+  for (int round = 0; round < kRounds; ++round) {
+    churn(*ref.sys, rng, dense, legs);
+    ref.seen.clear();
+    ref.sys->update();
+    for (const auto& e : legs) {
+      e->seen.clear();
+      e->sys->update();
+    }
+    ASSERT_EQ(ref.seen.size(), 4u) << "hook must fire at all four points";
+    for (const auto& e : legs) {
+      ASSERT_EQ(e->seen, ref.seen)
+          << "chunked " << e->label << " diverged at a phase point, round "
+          << round;
+    }
+  }
+
+  const std::string want = count_lines(ref.reg);
+  ASSERT_FALSE(want.empty());
+  for (const auto& e : legs)
+    EXPECT_EQ(count_lines(e->reg), want) << "chunked " << e->label;
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, PhaseHookDifferential,

@@ -4,8 +4,15 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
+#include "chunk/chunked_system.hpp"
 #include "core/predicates.hpp"
+#include "failure/failure_model.hpp"
 #include "helpers.hpp"
+#include "msg/msg_system.hpp"
+#include "sim/observers.hpp"
+#include "sim/simulator.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -263,6 +270,56 @@ TEST(SystemPhaseHook, FiresInOrder) {
   EXPECT_EQ(phases[1], UpdatePhase::kAfterSignal);
   EXPECT_EQ(phases[2], UpdatePhase::kAfterMove);
   EXPECT_EQ(phases[3], UpdatePhase::kAfterInject);
+}
+
+/// Logs a Simulator's callbacks: each on_phase's UpdatePhase, and -1 for
+/// each on_round.
+template <class Engine>
+class CallbackLog final : public BasicObserver<Engine> {
+ public:
+  void on_round(const Engine&, const RoundEvents&) override {
+    log.push_back(-1);
+  }
+  void on_phase(const Engine&, UpdatePhase p) override {
+    log.push_back(static_cast<int>(p));
+  }
+  std::vector<int> log;
+};
+
+/// A Simulator over `sys` calls on_phase four times per round, in
+/// UpdatePhase order, before that round's on_round.
+template <class Engine>
+void expect_simulator_phases_in_order(Engine& sys) {
+  BasicNoFailures<Engine> none;
+  BasicSimulator<Engine> sim(sys, none);
+  CallbackLog<Engine> calls;
+  sim.add_observer(calls);
+  sim.run(3);
+  const std::vector<int> round = {0, 1, 2, 3, -1};
+  std::vector<int> want;
+  for (int k = 0; k < 3; ++k)
+    want.insert(want.end(), round.begin(), round.end());
+  EXPECT_EQ(calls.log, want);
+}
+
+TEST(SystemPhaseHook, SimulatorFiresInOrderOnChunkedSystem) {
+  SystemConfig cfg;
+  cfg.side = 3;
+  cfg.params = kP;
+  cfg.sources = {CellId{1, 0}};
+  cfg.target = CellId{1, 2};
+  chunk::ChunkedSystem sys(cfg);
+  expect_simulator_phases_in_order(sys);
+}
+
+TEST(SystemPhaseHook, SimulatorFiresInOrderOnMessageSystem) {
+  MsgSystemConfig cfg;
+  cfg.side = 3;
+  cfg.params = kP;
+  cfg.sources = {CellId{1, 0}};
+  cfg.target = CellId{1, 2};
+  MessageSystem msg(cfg);
+  expect_simulator_phases_in_order(msg);
 }
 
 TEST(SystemAliveMask, TracksFailures) {
