@@ -16,9 +16,8 @@
 # profiler and telemetry attached to one of them — ActiveSetDifferential
 # covers the scheduler arrays the workers read inside stages and the
 # caller mutates only in the merges, and ChunkDifferential's pooled legs
-# cover the
-# live-chunk list each parallel stage shards. Any data race in the
-# parallel round engine or the instrumentation aborts the run.
+# cover the live-chunk list each parallel stage shards. Any data race in
+# the parallel round engine or the instrumentation aborts the run.
 #
 # Exits 0 with a notice when the toolchain cannot link -fsanitize=thread
 # (some minimal images ship gcc without libtsan) so CI lanes without the
