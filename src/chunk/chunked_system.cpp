@@ -23,7 +23,7 @@ namespace {
 /// `chunks`, chunk by chunk, row-major within each.
 template <class F>
 void for_each_cell_in(ChunkedCellStore& store, const ChunkLayout& layout,
-                   std::span<const std::uint32_t> chunks, F&& f) {
+                      std::span<const std::uint32_t> chunks, F&& f) {
   for (const std::uint32_t q : chunks) {
     LiveChunk& lc = store.live(q);
     const ChunkLayout::Rect rect = layout.rect_of(q);
@@ -413,7 +413,7 @@ const RoundEvents& ChunkedSystem::update() {
   const auto shard = [&](std::size_t t, const auto& at) {
     ShardScratch& sc = scratch_.shards[t];
     for_each_cell_in(store_, layout_, slice(t),
-                  [&](auto&&... cell) { at(sc, cell...); });
+                     [&](auto&&... cell) { at(sc, cell...); });
   };
   const auto route = [&](std::size_t t) { shard(t, route_at); };
   const auto signal = [&](std::size_t t) { shard(t, signal_at); };
