@@ -8,9 +8,10 @@
 //      the shared-variable realization.
 //   2. Property fuzz: under 48 randomized drop/delay/duplication(/crash)
 //      schedules, every §III-A safety oracle and the entity-conservation
-//      ledger hold after EVERY round (msg_audit::check_all) — message
-//      faults can stall the flow but can never make it unsafe, lose an
-//      entity, or duplicate one.
+//      ledger hold after EVERY round (msg_audit::check_all), H holds at
+//      every post-grant point, and the round events account for every
+//      arrival and injection — message faults can stall the flow but can
+//      never make it unsafe, lose an entity, or duplicate one.
 //   3. Stabilization: once the network quiesces (Lemma 6's "failures
 //      cease" read as "faults cease"), dist/next reconverge to the BFS
 //      reference within the 4·N² bound and throughput resumes — including
@@ -19,6 +20,7 @@
 
 #include <algorithm>
 #include <memory>
+#include <optional>
 
 #include "grid/mask.hpp"
 #include "msg/msg_audit.hpp"
@@ -136,6 +138,12 @@ TEST_P(NetFaultProperty, SafetyAndConservationHoldUnderRandomSchedules) {
   MessageSystem msg{cfg, std::make_unique<FaultyNetwork>(
                              spec, GetParam().seed * 977 + 1)};
 
+  // Lemma 3's H holds at the post-grant point under any schedule.
+  std::optional<Violation> h_violation;
+  msg.set_phase_hook([&](const MessageSystem& m, UpdatePhase phase) {
+    if (phase == UpdatePhase::kAfterSignal && !h_violation)
+      h_violation = check_h_predicate(m);
+  });
   // The round events account for every consumption and injection, so
   // observers see the data plane's ledger under any schedule.
   std::uint64_t arrival_events = 0;
@@ -160,6 +168,8 @@ TEST_P(NetFaultProperty, SafetyAndConservationHoldUnderRandomSchedules) {
         << "round " << round << ": " << violations.front().predicate << " at "
         << to_string(violations.front().cell) << " — "
         << violations.front().detail;
+    ASSERT_FALSE(h_violation.has_value())
+        << "round " << round << ": " << to_string(*h_violation);
   }
   // The adversary actually fired on stochastic schedules.
   if (spec.stochastic()) {
