@@ -157,6 +157,8 @@ TEST(ThreeWay, MultiSourceAgreement) {
     msg.update();
     expect_exact_equal(serial, par, k);
     expect_equal_states(serial, msg, k);
+    testing::expect_same_events(serial.last_events(), msg.last_events(),
+                                static_cast<int>(k));
   }
   EXPECT_GT(serial.total_arrivals(), 0u);
 }
@@ -181,6 +183,8 @@ TEST(ThreeWay, AgreementUnderScriptedFailures) {
     msg.update();
     expect_exact_equal(serial, par, k);
     expect_equal_states(serial, msg, k);
+    testing::expect_same_events(serial.last_events(), msg.last_events(),
+                                static_cast<int>(k));
   }
 }
 
@@ -207,6 +211,8 @@ TEST(ThreeWay, AgreementThroughFailureAndRecovery) {
     msg.update();
     expect_exact_equal(serial, par, k);
     expect_equal_states(serial, msg, k);
+    testing::expect_same_events(serial.last_events(), msg.last_events(),
+                                static_cast<int>(k));
   }
   // Flow resumes through the recovered cell.
   EXPECT_GT(serial.total_arrivals(), 0u);

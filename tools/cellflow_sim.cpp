@@ -84,7 +84,6 @@
 #include "snapshot/snapshot.hpp"
 #include "util/cli.hpp"
 #include "util/csv.hpp"
-#include "util/rng.hpp"
 
 namespace {
 
