@@ -5,7 +5,10 @@
 
 #include <gtest/gtest.h>
 
+#include <vector>
+
 #include "flow3d/predicates3.hpp"
+#include "snapshot/wire.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -272,6 +275,153 @@ TEST(System3, FrozenWhenWalledIn) {
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->center, (Vec3{0.5, 0.5, 0.5}));
   EXPECT_EQ(sys.total_arrivals(), 0u);
+}
+
+// --- System3Golden: the whole per-round state, pinned ------------------
+//
+// A source at each bottom corner of the tower feeds one target, so cells
+// see several nonempty predecessors at once and the token rotates among
+// them; a seeded fail/recover stream (target exempt) resets cells
+// mid-flight. Every round folds every cell's Figure-3 variables and
+// members into one digest, and every 100 rounds the BFS reference ρ too.
+// The literals pin the protocol step on this lattice.
+
+void fold_id(snapshot::DigestAccumulator& d, const OptCellId3& id) {
+  d.boolean(id.has_value());
+  if (id.has_value()) {
+    d.i32(id->x);
+    d.i32(id->y);
+    d.i32(id->z);
+  }
+}
+
+void fold_dist(snapshot::DigestAccumulator& d, Dist x) {
+  d.u64(x.is_infinite() ? ~0ULL : x.hops());
+}
+
+struct GoldenRun3 {
+  std::uint64_t digest = 0;
+  std::uint64_t arrivals = 0;
+  std::uint64_t injected = 0;
+  std::uint64_t multi_pred_cell_rounds = 0;  ///< |NEPrev| ≥ 2
+  std::uint64_t grant_handoffs = 0;  ///< grant to a new holder
+};
+
+GoldenRun3 run_golden3(std::uint64_t seed) {
+  System3Config cfg;
+  cfg.nx = 4;
+  cfg.ny = 4;
+  cfg.nz = 6;
+  cfg.params = kP;
+  cfg.sources = {CellId3{0, 0, 0}, CellId3{3, 0, 0}, CellId3{0, 3, 0},
+                 CellId3{3, 3, 0}};
+  cfg.target = CellId3{1, 1, 5};
+  System3 sys(cfg);
+  const Grid3& g = sys.grid();
+  Xoshiro256 rng(seed);
+  snapshot::DigestAccumulator d;
+  GoldenRun3 out;
+  std::vector<OptCellId3> last_grant(g.cell_count());
+  for (int k = 0; k < 800; ++k) {
+    for (const CellId3 id : g.all_cells()) {
+      if (id == cfg.target) continue;
+      if (sys.cell(id).failed) {
+        if (rng.bernoulli(0.1)) sys.recover(id);
+      } else if (rng.bernoulli(0.02)) {
+        sys.fail(id);
+      }
+    }
+    sys.update();
+    EXPECT_TRUE(check_all3(sys).empty()) << "round " << k;
+    for (const CellId3 id : g.all_cells()) {
+      const CellState3& c = sys.cell(id);
+      d.boolean(c.failed);
+      fold_dist(d, c.dist);
+      fold_id(d, c.next);
+      fold_id(d, c.token);
+      fold_id(d, c.signal);
+      d.u64(c.ne_prev.size());
+      for (const CellId3 p : c.ne_prev) fold_id(d, p);
+      d.u64(c.members.size());
+      for (const Entity3& e : c.members) {
+        d.u64(e.id.value);
+        d.f64(e.center.x);
+        d.f64(e.center.y);
+        d.f64(e.center.z);
+      }
+      if (c.ne_prev.size() >= 2) ++out.multi_pred_cell_rounds;
+      OptCellId3& last = last_grant[g.index_of(id)];
+      if (c.signal.has_value()) {
+        if (last.has_value() && *last != *c.signal) ++out.grant_handoffs;
+        last = c.signal;
+      }
+    }
+    if (k % 100 == 99)
+      for (const Dist x : sys.reference_distances()) fold_dist(d, x);
+  }
+  out.digest = d.value();
+  out.arrivals = sys.total_arrivals();
+  out.injected = sys.total_injected();
+  return out;
+}
+
+TEST(System3Golden, SeedOnePinsStateArrivalsAndTokenTraffic) {
+  const GoldenRun3 r = run_golden3(1);
+  EXPECT_EQ(r.digest, 0xa8b3ac54e287907eULL);
+  EXPECT_EQ(r.arrivals, 128u);
+  EXPECT_EQ(r.injected, 210u);
+  // Non-vacuity: the run exercises rotation among several predecessors.
+  EXPECT_EQ(r.multi_pred_cell_rounds, 5418u);
+  EXPECT_EQ(r.grant_handoffs, 2113u);
+}
+
+TEST(System3Golden, SeedTwoPinsStateArrivalsAndTokenTraffic) {
+  const GoldenRun3 r = run_golden3(2);
+  EXPECT_EQ(r.digest, 0x57d3a955d40fe0f5ULL);
+  EXPECT_EQ(r.arrivals, 133u);
+  EXPECT_EQ(r.injected, 210u);
+  EXPECT_EQ(r.multi_pred_cell_rounds, 5261u);
+  EXPECT_EQ(r.grant_handoffs, 2004u);
+}
+
+TEST(System3Golden, TwoPredecessorsShareTheTokenAndABlockKeepsIt) {
+  // Every neighbor of the target ⟨1,1,3⟩ but x = ⟨1,1,2⟩ is failed, so
+  // x's live neighbors a = ⟨0,1,2⟩ and b = ⟨1,1,1⟩ both route through x.
+  System3Config cfg;
+  cfg.nx = 3;
+  cfg.ny = 3;
+  cfg.nz = 4;
+  cfg.params = kP;
+  cfg.sources = {};
+  cfg.target = CellId3{1, 1, 3};
+  System3 sys(cfg);
+  const CellId3 x{1, 1, 2};
+  const CellId3 a{0, 1, 2};
+  const CellId3 b{1, 1, 1};
+  for (const CellId3 nb : sys.grid().neighbors(cfg.target))
+    if (nb != x) sys.fail(nb);
+  for (int k = 0; k < 20; ++k) sys.update();
+  ASSERT_EQ(sys.cell(a).next, OptCellId3{x});
+  ASSERT_EQ(sys.cell(b).next, OptCellId3{x});
+  sys.seed_entity(a, Vec3{0.5, 1.5, 2.5});
+  sys.seed_entity(b, Vec3{1.5, 1.5, 1.5});
+  // x's own entity occupies the strip toward b: pz − l/2 = 2.05 < 2 + d.
+  sys.seed_entity(x, Vec3{1.5, 1.5, 2.15});
+
+  // Round 1: x acquires the smaller id, grants it, and rotates the token
+  // to the other predecessor (a < b).
+  sys.update();
+  EXPECT_EQ(sys.cell(x).ne_prev.size(), 2u);
+  EXPECT_EQ(sys.cell(x).signal, OptCellId3{a});
+  EXPECT_EQ(sys.cell(x).token, OptCellId3{b});
+
+  // Round 2: x's entity climbed v toward the target but still occupies
+  // the strip toward the token holder b, so x blocks everyone and keeps
+  // serving b.
+  ASSERT_FALSE(entry_strip_clear3(x, b, sys.cell(x).members, kP));
+  sys.update();
+  EXPECT_EQ(sys.cell(x).signal, OptCellId3{});
+  EXPECT_EQ(sys.cell(x).token, OptCellId3{b});
 }
 
 }  // namespace

@@ -7,7 +7,9 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <vector>
 
+#include "snapshot/wire.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -261,6 +263,147 @@ TEST(HexSystem, FrozenWhenDisconnected) {
   const HexEntity* p = sys.cell(HexId{0, 0}).find(e);
   ASSERT_NE(p, nullptr);
   EXPECT_EQ(p->center, sys.grid().center(HexId{0, 0}));
+}
+
+// --- HexGolden: the whole per-round state, pinned ----------------------
+//
+// Three sources feed one target, so cells see several nonempty
+// predecessors at once and the token rotates among them; a seeded
+// fail/recover stream (target exempt) resets cells mid-flight. Every
+// round folds every cell's Figure-3 variables and members into one
+// digest, and every 100 rounds the BFS reference ρ too. The literals
+// pin the protocol step: any change to Route, the token discipline,
+// the resets, movement or injection on this lattice moves them.
+
+void fold_id(snapshot::DigestAccumulator& d, const OptHexId& id) {
+  d.boolean(id.has_value());
+  if (id.has_value()) {
+    d.i32(id->q);
+    d.i32(id->r);
+  }
+}
+
+void fold_dist(snapshot::DigestAccumulator& d, Dist x) {
+  d.u64(x.is_infinite() ? ~0ULL : x.hops());
+}
+
+struct HexGoldenRun {
+  std::uint64_t digest = 0;
+  std::uint64_t arrivals = 0;
+  std::uint64_t injected = 0;
+  std::uint64_t multi_pred_cell_rounds = 0;  ///< |NEPrev| ≥ 2
+  std::uint64_t grant_handoffs = 0;  ///< grant to a new holder
+};
+
+HexGoldenRun run_hex_golden(std::uint64_t seed) {
+  HexSystemConfig cfg;
+  cfg.side = 6;
+  cfg.params = kP;
+  cfg.sources = {HexId{0, 0}, HexId{3, 0}, HexId{5, 0}};
+  cfg.target = HexId{2, 5};
+  HexSystem sys(cfg);
+  const HexGrid& g = sys.grid();
+  Xoshiro256 rng(seed);
+  snapshot::DigestAccumulator d;
+  HexGoldenRun out;
+  std::vector<OptHexId> last_grant(g.cell_count());
+  for (int k = 0; k < 1200; ++k) {
+    for (const HexId id : g.all_cells()) {
+      if (id == cfg.target) continue;
+      if (sys.cell(id).failed) {
+        if (rng.bernoulli(0.08)) sys.recover(id);
+      } else if (rng.bernoulli(0.015)) {
+        sys.fail(id);
+      }
+    }
+    sys.update();
+    EXPECT_TRUE(check_hex_safe(sys).empty()) << "round " << k;
+    for (const HexId id : g.all_cells()) {
+      const HexCellState& c = sys.cell(id);
+      d.boolean(c.failed);
+      fold_dist(d, c.dist);
+      fold_id(d, c.next);
+      fold_id(d, c.token);
+      fold_id(d, c.signal);
+      d.u64(c.ne_prev.size());
+      for (const HexId p : c.ne_prev) fold_id(d, p);
+      d.u64(c.members.size());
+      for (const HexEntity& e : c.members) {
+        d.u64(e.id.value);
+        d.f64(e.center.x);
+        d.f64(e.center.y);
+      }
+      if (c.ne_prev.size() >= 2) ++out.multi_pred_cell_rounds;
+      OptHexId& last = last_grant[g.index_of(id)];
+      if (c.signal.has_value()) {
+        if (last.has_value() && *last != *c.signal) ++out.grant_handoffs;
+        last = c.signal;
+      }
+    }
+    if (k % 100 == 99)
+      for (const Dist x : sys.reference_distances()) fold_dist(d, x);
+  }
+  out.digest = d.value();
+  out.arrivals = sys.total_arrivals();
+  out.injected = sys.total_injected();
+  return out;
+}
+
+TEST(HexGolden, SeedOnePinsStateArrivalsAndTokenTraffic) {
+  const HexGoldenRun r = run_hex_golden(1);
+  EXPECT_EQ(r.digest, 0x008bab00a943f99fULL);
+  EXPECT_EQ(r.arrivals, 3u);
+  EXPECT_EQ(r.injected, 231u);
+  // Non-vacuity: the run exercises rotation among several predecessors.
+  EXPECT_EQ(r.multi_pred_cell_rounds, 5345u);
+  EXPECT_EQ(r.grant_handoffs, 1814u);
+}
+
+TEST(HexGolden, SeedTwoPinsStateArrivalsAndTokenTraffic) {
+  const HexGoldenRun r = run_hex_golden(2);
+  EXPECT_EQ(r.digest, 0x127816643bdf74c8ULL);
+  EXPECT_EQ(r.arrivals, 2u);
+  EXPECT_EQ(r.injected, 205u);
+  EXPECT_EQ(r.multi_pred_cell_rounds, 4979u);
+  EXPECT_EQ(r.grant_handoffs, 1585u);
+}
+
+TEST(HexGolden, TwoPredecessorsShareTheTokenAndABlockKeepsIt) {
+  // Every neighbor of the target ⟨2,2⟩ but x = ⟨2,3⟩ is failed, so x's
+  // live neighbors a = ⟨1,4⟩ and b = ⟨3,3⟩ both route through x.
+  HexSystemConfig cfg;
+  cfg.side = 6;
+  cfg.params = kP;
+  cfg.sources = {};
+  cfg.target = HexId{2, 2};
+  HexSystem sys(cfg);
+  const HexId x{2, 3};
+  const HexId a{1, 4};
+  const HexId b{3, 3};
+  for (const HexId nb : sys.grid().neighbors(cfg.target))
+    if (nb != x) sys.fail(nb);
+  for (int k = 0; k < 20; ++k) sys.update();
+  ASSERT_EQ(sys.cell(a).next, OptHexId{x});
+  ASSERT_EQ(sys.cell(b).next, OptHexId{x});
+  sys.seed_entity(a, sys.grid().center(a));
+  sys.seed_entity(b, sys.grid().center(b));
+  // x's own entity sits 0.2 < d + v from the edge it shares with b.
+  sys.seed_entity(x, sys.grid().center(x) +
+                         (kHexInradius - 0.2) * sys.grid().edge_normal(x, b));
+
+  // Round 1: x acquires the smaller id, grants it, and rotates the token
+  // to the other predecessor (a < b).
+  sys.update();
+  EXPECT_EQ(sys.cell(x).ne_prev.size(), 2u);
+  EXPECT_EQ(sys.cell(x).signal, OptHexId{a});
+  EXPECT_EQ(sys.cell(x).token, OptHexId{b});
+
+  // Round 2: the strip toward the token holder b is still occupied, so
+  // x blocks everyone and keeps serving b.
+  ASSERT_FALSE(sys.strip_clear(x, b));
+  sys.update();
+  EXPECT_EQ(sys.cell(x).signal, OptHexId{});
+  EXPECT_EQ(sys.cell(x).token, OptHexId{b});
 }
 
 }  // namespace
