@@ -1,24 +1,11 @@
 #include "core/choose.hpp"
 
-#include <algorithm>
 #include <stdexcept>
 #include <string>
 
 #include "util/check.hpp"
 
 namespace cellflow {
-
-CellId RoundRobinChoose::choose(CellId /*self*/,
-                                std::span<const CellId> candidates,
-                                OptCellId previous) {
-  CF_EXPECTS(!candidates.empty());
-  CF_EXPECTS(std::is_sorted(candidates.begin(), candidates.end()));
-  if (!previous.has_value()) return candidates.front();
-  // First candidate strictly greater than the previous token, cyclically.
-  const auto it =
-      std::upper_bound(candidates.begin(), candidates.end(), *previous);
-  return it == candidates.end() ? candidates.front() : *it;
-}
 
 CellId RandomChoose::choose(CellId /*self*/,
                             std::span<const CellId> candidates,

@@ -7,7 +7,9 @@
 // predecessor must be chosen infinitely often. We provide:
 //
 //   * RoundRobinChoose (default) — cycles through candidates in id order
-//     relative to the previous token. Deterministic and fair.
+//     relative to the previous token. Deterministic and fair. Its rule,
+//     round_robin_choice, is a template over the cell-id type: the hex
+//     and 3-D engines rotate their tokens with it too.
 //   * RandomChoose — uniform over candidates from a seeded stream.
 //     Fair with probability 1; used to reproduce the paper's
 //     nondeterminism statistically.
@@ -17,15 +19,33 @@
 //     test for the fairness assumption in Lemma 9.
 #pragma once
 
+#include <algorithm>
 #include <cstdint>
 #include <memory>
+#include <optional>
 #include <span>
 #include <vector>
 
+#include "util/check.hpp"
 #include "util/ids.hpp"
 #include "util/rng.hpp"
 
 namespace cellflow {
+
+/// Deterministic fair rotation over any ordered id type: the smallest
+/// candidate strictly greater than `previous` in id order, wrapping to
+/// the smallest overall; the smallest when `previous` is ⊥. Precondition:
+/// `candidates` is nonempty and sorted ascending.
+template <typename Id>
+[[nodiscard]] Id round_robin_choice(std::span<const Id> candidates,
+                                    const std::optional<Id>& previous) {
+  CF_EXPECTS(!candidates.empty());
+  CF_EXPECTS(std::is_sorted(candidates.begin(), candidates.end()));
+  if (!previous.has_value()) return candidates.front();
+  const auto it =
+      std::upper_bound(candidates.begin(), candidates.end(), *previous);
+  return it == candidates.end() ? candidates.front() : *it;
+}
 
 /// Strategy for the Signal function's `choose`.
 class ChoosePolicy {
@@ -64,12 +84,14 @@ class ChoosePolicy {
   }
 };
 
-/// Deterministic fair rotation: the smallest candidate strictly greater
-/// than `previous` in id order, wrapping to the smallest overall.
+/// round_robin_choice as a ChoosePolicy.
 class RoundRobinChoose final : public ChoosePolicy {
  public:
-  [[nodiscard]] CellId choose(CellId self, std::span<const CellId> candidates,
-                              OptCellId previous) override;
+  [[nodiscard]] CellId choose(CellId /*self*/,
+                              std::span<const CellId> candidates,
+                              OptCellId previous) override {
+    return round_robin_choice(candidates, previous);
+  }
   [[nodiscard]] bool concurrent_safe() const noexcept override {
     return true;
   }

@@ -1,30 +1,8 @@
 #include "core/route.hpp"
 
 #include "obs/protocol_metrics.hpp"
-#include "util/check.hpp"
 
 namespace cellflow {
-
-RouteResult route_step(std::span<const NeighborDist> neighbor_dists) {
-  CF_EXPECTS_MSG(!neighbor_dists.empty(),
-                 "a grid cell always has at least two neighbors");
-  // argmin over (dist, id), lexicographic — the paper's tie-break.
-  const NeighborDist* best = &neighbor_dists.front();
-  for (const NeighborDist& nd : neighbor_dists.subspan(1)) {
-    if (nd.dist < best->dist ||
-        (nd.dist == best->dist && nd.id < best->id)) {
-      best = &nd;
-    }
-  }
-  RouteResult r;
-  r.dist = best->dist.plus_one();
-  if (r.dist.is_infinite()) {
-    r.next = std::nullopt;
-  } else {
-    r.next = best->id;
-  }
-  return r;
-}
 
 bool apply_route(CellState& c, bool is_target,
                  std::span<const NeighborDist> neighbor_dists,

@@ -38,88 +38,32 @@ bool entry_strip_clear(CellId self, CellId toward,
   return false;
 }
 
-SignalResult signal_step(SignalInputs in, const Params& params,
-                         ChoosePolicy& choose) {
-  CF_EXPECTS(std::is_sorted(in.ne_prev.begin(), in.ne_prev.end()));
+namespace {
 
-  SignalResult out;
-  out.ne_prev = std::move(in.ne_prev);
-  out.token = in.token;
-
-  // Self-stabilization hygiene: a token naming a non-neighbor can only
-  // arise from transient state corruption (the protocol itself only ever
-  // stores neighbor ids). Drop it so the acquisition rule below re-seats
-  // the token from NEPrev instead of tripping over garbage.
-  if (out.token.has_value()) {
-    const int di = out.token->i - in.self.i;
-    const int dj = out.token->j - in.self.j;
-    if (!((di == 0 || dj == 0) && di * di + dj * dj == 1))
-      out.token = std::nullopt;
-  }
-
-  // Figure 5 line 3: acquire a token if none held.
-  if (!out.token.has_value() && !out.ne_prev.empty())
-    out.token = choose.choose(in.self, out.ne_prev, std::nullopt);
-
-  if (!out.token.has_value()) {
-    // No nonempty predecessor wants in; nothing to grant.
-    out.signal = std::nullopt;
-    return out;
-  }
-
-  // Figure 5 lines 4–7: grant only if the entry strip toward the token
-  // holder is free of our own entities' safety regions.
-  if (entry_strip_clear(in.self, *out.token, in.members, params)) {
-    out.signal = out.token;  // line 9
-    // Lines 10–12: rotate the token for the next round.
-    if (out.ne_prev.size() > 1) {
-      NeighborSet others;
-      for (const CellId c : out.ne_prev)
-        if (c != *out.token) others.push_back(c);
-      // `others` may equal ne_prev when the stale token holder left NEPrev.
-      out.token = choose.choose(in.self, others, out.token);
-    } else if (out.ne_prev.size() == 1) {
-      out.token = out.ne_prev.front();
-    } else {
-      out.token = std::nullopt;
-    }
-  } else {
-    // Line 14: block, and keep serving the same neighbor next round.
-    out.signal = std::nullopt;
-  }
-  return out;
+/// signal_step under either grant rule: kAlwaysGrant, the UNSAFE
+/// ablation, skips the entry-strip check and grants the token holder
+/// unconditionally.
+SignalResult square_signal_step(SignalInputs in, SignalRule rule,
+                                const Params& params, ChoosePolicy& choose) {
+  const CellId self = in.self;
+  return token_discipline(
+      std::move(in.ne_prev), in.token,
+      [self](CellId t) { return Grid::are_neighbors(self, t); },
+      [&](CellId t) {
+        return rule == SignalRule::kAlwaysGrant ||
+               entry_strip_clear(self, t, in.members, params);
+      },
+      [&](std::span<const CellId> candidates, OptCellId previous) {
+        return choose.choose(self, candidates, previous);
+      });
 }
 
-SignalResult signal_step_always_grant(SignalInputs in, ChoosePolicy& choose) {
-  CF_EXPECTS(std::is_sorted(in.ne_prev.begin(), in.ne_prev.end()));
-  SignalResult out;
-  out.ne_prev = std::move(in.ne_prev);
-  out.token = in.token;
-  if (out.token.has_value()) {
-    const int di = out.token->i - in.self.i;
-    const int dj = out.token->j - in.self.j;
-    if (!((di == 0 || dj == 0) && di * di + dj * dj == 1))
-      out.token = std::nullopt;
-  }
-  if (!out.token.has_value() && !out.ne_prev.empty())
-    out.token = choose.choose(in.self, out.ne_prev, std::nullopt);
-  if (!out.token.has_value()) {
-    out.signal = std::nullopt;
-    return out;
-  }
-  // The deliberate bug: no entry-strip check before granting.
-  out.signal = out.token;
-  if (out.ne_prev.size() > 1) {
-    NeighborSet others;
-    for (const CellId c : out.ne_prev)
-      if (c != *out.token) others.push_back(c);
-    out.token = choose.choose(in.self, others, out.token);
-  } else if (out.ne_prev.size() == 1) {
-    out.token = out.ne_prev.front();
-  } else {
-    out.token = std::nullopt;
-  }
-  return out;
+}  // namespace
+
+SignalResult signal_step(SignalInputs in, const Params& params,
+                         ChoosePolicy& choose) {
+  return square_signal_step(std::move(in), SignalRule::kBlocking, params,
+                            choose);
 }
 
 bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
@@ -133,9 +77,7 @@ bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
   in.token = c.token;
   const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
   const std::size_t ne_prev_size = in.ne_prev.size();
-  SignalResult r = rule == SignalRule::kBlocking
-                       ? signal_step(std::move(in), params, choose)
-                       : signal_step_always_grant(std::move(in), choose);
+  SignalResult r = square_signal_step(std::move(in), rule, params, choose);
   const bool blocked = had_candidate && !r.signal.has_value();
   if (counts != nullptr) {
     ++counts->ne_prev_sizes[std::min<std::size_t>(

@@ -13,19 +13,28 @@
 //     signal := ⊥ ; token unchanged   // keep serving the same neighbor —
 //                                     // this retry is what makes blocking fair
 //
+// Only the strip test depends on the tessellation, so token_discipline
+// is written once over the cell-id type, taking the adjacency test, the
+// strip test and `choose` as parameters: signal_step instantiates it for
+// the square grid, the hex and 3-D engines for theirs.
+//
 // Note on the published pseudocode: Figure 5's fourth strip condition reads
 // "token = i−1 ∧ py − l/2 ≥ j + d", an obvious typo for the *south*
 // neighbor ⟨i,j−1⟩ (the first two cases cover east/west, the third north).
 // We implement the evident intent; predicate H in §III-A confirms it.
 #pragma once
 
+#include <algorithm>
+#include <optional>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "core/cell_state.hpp"
 #include "core/choose.hpp"
 #include "core/params.hpp"
 #include "grid/grid.hpp"
+#include "util/check.hpp"
 #include "util/ids.hpp"
 
 namespace cellflow::obs {
@@ -57,14 +66,59 @@ enum class SignalRule {
                                      std::span<const Entity> members,
                                      const Params& params);
 
-struct SignalResult {
-  OptCellId signal;
-  OptCellId token;
+template <typename Id>
+struct BasicSignalResult {
+  std::optional<Id> signal;
+  std::optional<Id> token;
   /// NEPrev as computed this round (sorted ascending by id). Inline
   /// storage (see cell_state.hpp's NeighborSet): moving it into the
   /// cell's ne_prev never allocates.
-  NeighborSet ne_prev;
+  BasicNeighborSet<Id> ne_prev;
 };
+using SignalResult = BasicSignalResult<CellId>;
+
+/// Figure 5's token discipline for one non-faulty cell on any
+/// tessellation. `ne_prev` holds the nonempty predecessors, sorted
+/// ascending; `token` is the cell's previous token. The tessellation
+/// supplies `adjacent(id)` (is `id` a lattice neighbor of the cell?),
+/// `strip_clear(id)` (is the entry strip toward `id` free of the cell's
+/// members?) and `choose(candidates, previous)`. In order:
+///   1. drop a token naming a non-neighbor — only transient corruption
+///      can put one there, and the protocol itself only ever stores
+///      neighbor ids;
+///   2. acquire a token from NEPrev if none is held (line 3);
+///   3. grant the holder iff its strip is clear (lines 4–9);
+///   4. after a grant, rotate the token away from the served neighbor
+///      (lines 10–12);
+///   5. on a block, keep the token: the same neighbor is retried next
+///      round, which is what makes blocking fair (line 14).
+template <typename Id, typename Adjacent, typename StripClear,
+          typename Choose>
+[[nodiscard]] BasicSignalResult<Id> token_discipline(
+    BasicNeighborSet<Id> ne_prev, std::optional<Id> token,
+    Adjacent&& adjacent, StripClear&& strip_clear, Choose&& choose) {
+  CF_EXPECTS(std::is_sorted(ne_prev.begin(), ne_prev.end()));
+  BasicSignalResult<Id> out;
+  out.ne_prev = std::move(ne_prev);
+  if (token.has_value() && !adjacent(*token)) token = std::nullopt;
+  if (!token.has_value() && !out.ne_prev.empty())
+    token = choose(std::span<const Id>(out.ne_prev), std::optional<Id>{});
+  out.token = token;
+  if (!token.has_value() || !strip_clear(*token)) return out;
+  out.signal = token;
+  if (out.ne_prev.size() > 1) {
+    BasicNeighborSet<Id> others;
+    for (const Id c : out.ne_prev)
+      if (c != *token) others.push_back(c);
+    // `others` may equal ne_prev when the stale token holder left NEPrev.
+    out.token = choose(std::span<const Id>(others), token);
+  } else if (out.ne_prev.size() == 1) {
+    out.token = out.ne_prev.front();
+  } else {
+    out.token = std::nullopt;
+  }
+  return out;
+}
 
 /// Inputs to one Signal step for cell `self`. `ne_prev` must already hold
 /// the nonempty predecessors — the System computes it from neighbors'
@@ -77,26 +131,22 @@ struct SignalInputs {
   OptCellId token;
 };
 
-/// Executes Figure 5 for one non-faulty cell. `choose` realizes the two
+/// Executes Figure 5 for one non-faulty square-grid cell: token_discipline
+/// with the square entry strip. `choose` realizes the two
 /// nondeterministic choices (see choose.hpp).
 [[nodiscard]] SignalResult signal_step(SignalInputs in, const Params& params,
                                        ChoosePolicy& choose);
 
-/// The UNSAFE always-grant ablation (see SignalRule::kAlwaysGrant):
-/// identical token bookkeeping, but the entry-strip check is skipped —
-/// the token holder is always granted. Exists only to demonstrate that
-/// the blocking rule is necessary for Theorem 5.
-[[nodiscard]] SignalResult signal_step_always_grant(SignalInputs in,
-                                                    ChoosePolicy& choose);
-
-/// One cell's Signal transition, shared by every square-grid engine once
-/// it has gathered the cell's NEPrev (the nonempty neighbors whose fresh
-/// next names `self`, in any order). Precondition: the cell is not
-/// failed. Runs signal_step or signal_step_always_grant by `rule`, writes
-/// signal, token and ne_prev back into `c` and, unless `counts` is null,
-/// tallies |NEPrev|, grants, blocks and token rotations. Returns true iff
-/// the cell had a candidate (a token or a nonempty NEPrev) yet granted
-/// nobody — a blocked grant (RoundEvents::blocked).
+/// One cell's Signal transition for the square-grid engines, which also
+/// keep ProtocolCounts; every tessellation shares the token_discipline
+/// inside it. Call it once the cell's NEPrev is gathered (the nonempty
+/// neighbors whose fresh next names `self`, in any order). Precondition:
+/// the cell is not failed. Runs signal_step — for kAlwaysGrant with a
+/// strip test that always passes — writes signal, token and ne_prev back
+/// into `c` and, unless `counts` is null, tallies |NEPrev|, grants,
+/// blocks and token rotations. Returns true iff the cell had a candidate
+/// (a token or a nonempty NEPrev) yet granted nobody — a blocked grant
+/// (RoundEvents::blocked).
 bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
                   SignalRule rule, const Params& params, ChoosePolicy& choose,
                   obs::ProtocolCounts* counts);

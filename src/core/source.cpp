@@ -9,25 +9,28 @@
 
 namespace cellflow {
 
-std::optional<Vec2> EntryEdgeSource::propose(const Grid& grid,
-                                             const Params& params, CellId self,
-                                             const CellState& state) {
+Vec2 entry_edge_center(const Grid& grid, const Params& params, CellId self,
+                       OptCellId next) {
   const double half = params.entity_length() / 2.0;
   const auto i = static_cast<double>(self.i);
   const auto j = static_cast<double>(self.j);
-  if (!state.next.has_value()) {
-    return Vec2{i + 0.5, j + 0.5};
+  if (next.has_value()) {
+    // Flush against the edge opposite the travel direction, centered on
+    // the perpendicular axis.
+    switch (opposite(grid.direction_between(self, *next))) {
+      case Direction::kEast: return Vec2{i + 1.0 - half, j + 0.5};
+      case Direction::kWest: return Vec2{i + half, j + 0.5};
+      case Direction::kNorth: return Vec2{i + 0.5, j + 1.0 - half};
+      case Direction::kSouth: return Vec2{i + 0.5, j + half};
+    }
   }
-  // Flush against the edge opposite the travel direction, centered on the
-  // perpendicular axis.
-  const Direction toward = grid.direction_between(self, *state.next);
-  switch (opposite(toward)) {
-    case Direction::kEast: return Vec2{i + 1.0 - half, j + 0.5};
-    case Direction::kWest: return Vec2{i + half, j + 0.5};
-    case Direction::kNorth: return Vec2{i + 0.5, j + 1.0 - half};
-    case Direction::kSouth: return Vec2{i + 0.5, j + half};
-  }
-  return std::nullopt;
+  return Vec2{i + 0.5, j + 0.5};
+}
+
+std::optional<Vec2> EntryEdgeSource::propose(const Grid& grid,
+                                             const Params& params, CellId self,
+                                             const CellState& state) {
+  return entry_edge_center(grid, params, self, state.next);
 }
 
 RateLimitedSource::RateLimitedSource(double rate, std::uint64_t seed)

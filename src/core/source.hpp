@@ -59,10 +59,14 @@ class SourcePolicy {
   }
 };
 
-/// Injects at the center of the edge *opposite* the cell's current `next`
-/// direction (entities then traverse the whole cell, as a car entering a
-/// highway segment would). Falls back to the cell center while `next` is ⊥
-/// (e.g. before routing stabilizes).
+/// The center of an entity of side l flush against the edge of `self`
+/// *opposite* `next` and centered along it (entities then traverse the
+/// whole cell, as a car entering a highway segment would); the cell center
+/// while `next` is ⊥ (e.g. before routing stabilizes).
+[[nodiscard]] Vec2 entry_edge_center(const Grid& grid, const Params& params,
+                                     CellId self, OptCellId next);
+
+/// Injects at entry_edge_center for the cell's current `next`.
 class EntryEdgeSource final : public SourcePolicy {
  public:
   [[nodiscard]] std::optional<Vec2> propose(const Grid& grid,

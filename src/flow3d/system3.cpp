@@ -2,8 +2,10 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
 
+#include "core/route.hpp"
+#include "core/signal.hpp"
+#include "grid/mask.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -50,47 +52,14 @@ std::size_t System3::entity_count() const noexcept {
 }
 
 std::vector<Dist> System3::reference_distances() const {
-  std::vector<Dist> dist(grid_.cell_count(), Dist::infinity());
-  if (cells_[grid_.index_of(config_.target)].failed) return dist;
-  std::deque<CellId3> frontier;
-  dist[grid_.index_of(config_.target)] = Dist::zero();
-  frontier.push_back(config_.target);
-  while (!frontier.empty()) {
-    const CellId3 cur = frontier.front();
-    frontier.pop_front();
-    const Dist next_d = dist[grid_.index_of(cur)].plus_one();
-    for (const CellId3 nb : grid_.neighbors(cur)) {
-      if (cells_[grid_.index_of(nb)].failed) continue;
-      if (dist[grid_.index_of(nb)].is_infinite()) {
-        dist[grid_.index_of(nb)] = next_d;
-        frontier.push_back(nb);
-      }
-    }
-  }
-  return dist;
+  return path_distances(grid_, config_.target,
+                        [&](CellId3 id) { return !cell(id).failed; });
 }
 
-void System3::fail(CellId3 id) {
-  CF_EXPECTS(grid_.contains(id));
-  CellState3& c = cells_[grid_.index_of(id)];
-  c.failed = true;
-  c.dist = Dist::infinity();
-  c.next = std::nullopt;
-  c.signal = std::nullopt;
-  c.token = std::nullopt;
-  c.ne_prev.clear();
-}
+void System3::fail(CellId3 id) { apply_fail(cells_[grid_.index_of(id)]); }
 
 void System3::recover(CellId3 id) {
-  CF_EXPECTS(grid_.contains(id));
-  CellState3& c = cells_[grid_.index_of(id)];
-  if (!c.failed) return;
-  c.failed = false;
-  c.dist = (id == config_.target) ? Dist::zero() : Dist::infinity();
-  c.next = std::nullopt;
-  c.token = std::nullopt;
-  c.signal = std::nullopt;
-  c.ne_prev.clear();
+  apply_recover(cells_[grid_.index_of(id)], id == config_.target);
 }
 
 const RoundEvents3& System3::update() {
@@ -117,31 +86,14 @@ void System3::route_phase() {
       c.next = std::nullopt;
       continue;
     }
-    // argmin over (dist, id) among up to six neighbors.
-    OptCellId3 best;
-    Dist best_dist = Dist::infinity();
-    for (const Direction3 d : kAllDirections3) {
-      const auto nb = grid_.neighbor(id, d);
-      if (!nb) continue;
-      const Dist nd = dist_snapshot_[grid_.index_of(*nb)];
-      if (!best.has_value() || nd < best_dist ||
-          (nd == best_dist && *nb < *best)) {
-        best = *nb;
-        best_dist = nd;
-      }
-    }
-    c.dist = best_dist.plus_one();
-    c.next = c.dist.is_infinite() ? std::nullopt : best;
+    SmallVec<BasicNeighborDist<CellId3>, 6> nds;
+    for (const Direction3 d : kAllDirections3)
+      if (const auto nb = grid_.neighbor(id, d))
+        nds.push_back({*nb, dist_snapshot_[grid_.index_of(*nb)]});
+    const auto r = route_step<CellId3>(nds);
+    c.dist = r.dist;
+    c.next = r.next;
   }
-}
-
-CellId3 System3::rotate_choice(std::span<const CellId3> sorted_candidates,
-                               const OptCellId3& previous) {
-  CF_EXPECTS(!sorted_candidates.empty());
-  if (!previous.has_value()) return sorted_candidates.front();
-  const auto it = std::upper_bound(sorted_candidates.begin(),
-                                   sorted_candidates.end(), *previous);
-  return it == sorted_candidates.end() ? sorted_candidates.front() : *it;
 }
 
 void System3::signal_phase() {
@@ -149,47 +101,25 @@ void System3::signal_phase() {
     CellState3& c = cells_[k];
     if (c.failed) continue;
     const CellId3 id = grid_.id_of(k);
-
-    std::vector<CellId3> ne_prev;
+    BasicNeighborSet<CellId3> ne_prev;
     for (const Direction3 d : kAllDirections3) {
       const auto nb = grid_.neighbor(id, d);
       if (!nb) continue;
       const CellState3& nc = cells_[grid_.index_of(*nb)];
-      if (nc.failed) continue;
-      if (nc.next == OptCellId3{id} && nc.has_entities())
+      if (!nc.failed && nc.next == OptCellId3{id} && nc.has_entities())
         ne_prev.push_back(*nb);
     }
     std::sort(ne_prev.begin(), ne_prev.end());
-
-    // Stale-token hygiene, as in 2-D: drop non-neighbors (corruption).
-    if (c.token.has_value() && !grid_.are_neighbors(id, *c.token))
-      c.token = std::nullopt;
-    if (!c.token.has_value() && !ne_prev.empty())
-      c.token = rotate_choice(ne_prev, std::nullopt);
-
-    if (!c.token.has_value()) {
-      c.signal = std::nullopt;
-      c.ne_prev = std::move(ne_prev);
-      continue;
-    }
-
-    if (entry_strip_clear3(id, *c.token, c.members, config_.params)) {
-      c.signal = c.token;
-      if (ne_prev.size() > 1) {
-        std::vector<CellId3> others;
-        others.reserve(ne_prev.size());
-        for (const CellId3 cand : ne_prev)
-          if (cand != *c.token) others.push_back(cand);
-        c.token = rotate_choice(others, c.token);
-      } else if (ne_prev.size() == 1) {
-        c.token = ne_prev.front();
-      } else {
-        c.token = std::nullopt;
-      }
-    } else {
-      c.signal = std::nullopt;  // block; token unchanged (fairness)
-    }
-    c.ne_prev = std::move(ne_prev);
+    auto r = token_discipline(
+        std::move(ne_prev), c.token,
+        [&](CellId3 t) { return grid_.are_neighbors(id, t); },
+        [&](CellId3 t) {
+          return entry_strip_clear3(id, t, c.members, config_.params);
+        },
+        round_robin_choice<CellId3>);
+    c.signal = r.signal;
+    c.token = r.token;
+    c.ne_prev = std::move(r.ne_prev);
   }
 }
 

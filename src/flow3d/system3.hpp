@@ -11,13 +11,19 @@
 // d = rs + l); the safety predicate becomes "centers differ by ≥ d along
 // some of the THREE axes", and Theorem 5's argument carries over because
 // transfers still only reset the motion-axis coordinate.
+//
+// Only the geometry lives here: the lattice, the entry strip, movement
+// and injection. The Figure-3 state, Route's argmin, Figure 5's token
+// discipline with round-robin choose, the fail/recover resets and the
+// BFS reference ρ are core/'s and grid/mask.hpp's, instantiated over
+// CellId3.
 #pragma once
 
 #include <cstdint>
-#include <memory>
 #include <span>
 #include <vector>
 
+#include "core/cell_state.hpp"
 #include "core/params.hpp"
 #include "flow3d/grid3.hpp"
 #include "util/dist_value.hpp"
@@ -34,22 +40,7 @@ struct Entity3 {
 };
 
 /// Figure-3 variables, verbatim, over CellId3.
-struct CellState3 {
-  std::vector<Entity3> members;
-  Dist dist = Dist::infinity();
-  OptCellId3 next;
-  OptCellId3 token;
-  OptCellId3 signal;
-  std::vector<CellId3> ne_prev;
-  bool failed = false;
-
-  [[nodiscard]] bool has_entities() const noexcept { return !members.empty(); }
-  [[nodiscard]] const Entity3* find(EntityId id) const noexcept {
-    for (const Entity3& e : members)
-      if (e.id == id) return &e;
-    return nullptr;
-  }
-};
+using CellState3 = BasicCellState<CellId3, Entity3>;
 
 struct TransferEvent3 {
   EntityId entity;
@@ -127,12 +118,6 @@ class System3 {
   void move_phase();
   void inject_phase();
   [[nodiscard]] bool injection_is_safe(CellId3 id, Vec3 center) const;
-
-  // The paper's `choose` realized over CellId3 via the 2-D policy
-  // interface is impossible (types differ), so System3 keeps its own
-  // fair round-robin rotation (the default policy of the 2-D system).
-  [[nodiscard]] static CellId3 rotate_choice(
-      std::span<const CellId3> sorted_candidates, const OptCellId3& previous);
 
   System3Config config_;
   Grid3 grid_;

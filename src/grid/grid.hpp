@@ -91,7 +91,7 @@ class Grid {
   [[nodiscard]] std::vector<CellId> neighbors(CellId id) const;
 
   /// True iff |i−m| + |j−n| = 1.
-  [[nodiscard]] bool are_neighbors(CellId a, CellId b) const noexcept {
+  [[nodiscard]] static bool are_neighbors(CellId a, CellId b) noexcept {
     const int di = a.i - b.i;
     const int dj = a.j - b.j;
     return (di == 0 || dj == 0) && (di * di + dj * dj == 1);

@@ -1,7 +1,5 @@
 #include "grid/mask.hpp"
 
-#include <deque>
-
 namespace cellflow {
 
 CellMask CellMask::all(const Grid& grid) {
@@ -52,25 +50,8 @@ std::vector<Dist> path_distances(const Grid& grid, const CellMask& alive,
                                  CellId target) {
   CF_EXPECTS(grid.contains(target));
   CF_EXPECTS(grid.side() == alive.side());
-  std::vector<Dist> dist(grid.cell_count(), Dist::infinity());
-  if (!alive.test(target)) return dist;
-
-  std::deque<CellId> frontier;
-  dist[grid.index_of(target)] = Dist::zero();
-  frontier.push_back(target);
-  while (!frontier.empty()) {
-    const CellId cur = frontier.front();
-    frontier.pop_front();
-    const Dist next_d = dist[grid.index_of(cur)].plus_one();
-    for (const CellId nb : grid.neighbors(cur)) {
-      if (!alive.test(nb)) continue;
-      if (dist[grid.index_of(nb)].is_infinite()) {
-        dist[grid.index_of(nb)] = next_d;
-        frontier.push_back(nb);
-      }
-    }
-  }
-  return dist;
+  return path_distances(grid, target,
+                        [&](CellId id) { return alive.test(id); });
 }
 
 CellMask target_connected(const Grid& grid, const CellMask& alive,

@@ -5,10 +5,12 @@
 // through non-faulty cells — and the target-connected set TC(x) (§III-B),
 // by plain BFS over a snapshot of which cells are alive. The distributed
 // Route function must converge to exactly these values once failures cease
-// (Lemma 6); tests compare the two.
+// (Lemma 6); tests compare the two. The BFS is written once over the grid
+// type, so the hex and 3-D engines' reference ρ is this one too.
 #pragma once
 
 #include <cstddef>
+#include <deque>
 #include <vector>
 
 #include "grid/grid.hpp"
@@ -58,10 +60,35 @@ class CellMask {
   std::vector<bool> bits_;
 };
 
-/// ρ(x, ·): BFS hop distance from every cell to `target` through cells
-/// where `alive` is set. Cells with `alive` false get ∞ (the paper defines
-/// ρ = ∞ for failed cells); unreachable alive cells also get ∞. The
-/// target itself gets 0 if alive, else ∞.
+/// ρ(x, ·) on any lattice: BFS hop distance from every cell to `target`
+/// through cells where `alive(id)` holds, indexed like `grid.index_of`.
+/// Cells that are not alive get ∞ (the paper defines ρ = ∞ for failed
+/// cells); unreachable alive cells also get ∞. The target itself gets 0
+/// if alive, else ∞. `GridT` provides cell_count, index_of and neighbors.
+template <typename GridT, typename Id, typename Alive>
+[[nodiscard]] std::vector<Dist> path_distances(const GridT& grid, Id target,
+                                               Alive&& alive) {
+  std::vector<Dist> dist(grid.cell_count(), Dist::infinity());
+  if (!alive(target)) return dist;
+  std::deque<Id> frontier;
+  dist[grid.index_of(target)] = Dist::zero();
+  frontier.push_back(target);
+  while (!frontier.empty()) {
+    const Id cur = frontier.front();
+    frontier.pop_front();
+    const Dist next_d = dist[grid.index_of(cur)].plus_one();
+    for (const Id nb : grid.neighbors(cur)) {
+      if (!alive(nb)) continue;
+      if (dist[grid.index_of(nb)].is_infinite()) {
+        dist[grid.index_of(nb)] = next_d;
+        frontier.push_back(nb);
+      }
+    }
+  }
+  return dist;
+}
+
+/// ρ(x, ·) on the square grid, with `alive` as a mask.
 [[nodiscard]] std::vector<Dist> path_distances(const Grid& grid,
                                                const CellMask& alive,
                                                CellId target);

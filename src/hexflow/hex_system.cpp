@@ -2,10 +2,11 @@
 
 #include <algorithm>
 #include <cmath>
-#include <deque>
-#include <limits>
 #include <sstream>
 
+#include "core/route.hpp"
+#include "core/signal.hpp"
+#include "grid/mask.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -54,47 +55,14 @@ std::size_t HexSystem::entity_count() const noexcept {
 }
 
 std::vector<Dist> HexSystem::reference_distances() const {
-  std::vector<Dist> dist(grid_.cell_count(), Dist::infinity());
-  if (cells_[grid_.index_of(config_.target)].failed) return dist;
-  std::deque<HexId> frontier;
-  dist[grid_.index_of(config_.target)] = Dist::zero();
-  frontier.push_back(config_.target);
-  while (!frontier.empty()) {
-    const HexId cur = frontier.front();
-    frontier.pop_front();
-    const Dist next_d = dist[grid_.index_of(cur)].plus_one();
-    for (const HexId nb : grid_.neighbors(cur)) {
-      if (cells_[grid_.index_of(nb)].failed) continue;
-      if (dist[grid_.index_of(nb)].is_infinite()) {
-        dist[grid_.index_of(nb)] = next_d;
-        frontier.push_back(nb);
-      }
-    }
-  }
-  return dist;
+  return path_distances(grid_, config_.target,
+                        [&](HexId id) { return !cell(id).failed; });
 }
 
-void HexSystem::fail(HexId id) {
-  CF_EXPECTS(grid_.contains(id));
-  HexCellState& c = cells_[grid_.index_of(id)];
-  c.failed = true;
-  c.dist = Dist::infinity();
-  c.next = std::nullopt;
-  c.signal = std::nullopt;
-  c.token = std::nullopt;
-  c.ne_prev.clear();
-}
+void HexSystem::fail(HexId id) { apply_fail(cells_[grid_.index_of(id)]); }
 
 void HexSystem::recover(HexId id) {
-  CF_EXPECTS(grid_.contains(id));
-  HexCellState& c = cells_[grid_.index_of(id)];
-  if (!c.failed) return;
-  c.failed = false;
-  c.dist = (id == config_.target) ? Dist::zero() : Dist::infinity();
-  c.next = std::nullopt;
-  c.token = std::nullopt;
-  c.signal = std::nullopt;
-  c.ne_prev.clear();
+  apply_recover(cells_[grid_.index_of(id)], id == config_.target);
 }
 
 double HexSystem::edge_distance(HexId self, HexId toward, Vec2 p) const {
@@ -139,30 +107,14 @@ void HexSystem::route_phase() {
       c.next = std::nullopt;
       continue;
     }
-    OptHexId best;
-    Dist best_dist = Dist::infinity();
-    for (int slot = 0; slot < 6; ++slot) {
-      const auto nb = grid_.neighbor(id, slot);
-      if (!nb) continue;
-      const Dist nd = dist_snapshot_[grid_.index_of(*nb)];
-      if (!best.has_value() || nd < best_dist ||
-          (nd == best_dist && *nb < *best)) {
-        best = *nb;
-        best_dist = nd;
-      }
-    }
-    c.dist = best_dist.plus_one();
-    c.next = c.dist.is_infinite() ? std::nullopt : best;
+    SmallVec<BasicNeighborDist<HexId>, 6> nds;
+    for (int slot = 0; slot < 6; ++slot)
+      if (const auto nb = grid_.neighbor(id, slot))
+        nds.push_back({*nb, dist_snapshot_[grid_.index_of(*nb)]});
+    const auto r = route_step<HexId>(nds);
+    c.dist = r.dist;
+    c.next = r.next;
   }
-}
-
-HexId HexSystem::rotate_choice(std::span<const HexId> sorted_candidates,
-                               const OptHexId& previous) {
-  CF_EXPECTS(!sorted_candidates.empty());
-  if (!previous.has_value()) return sorted_candidates.front();
-  const auto it = std::upper_bound(sorted_candidates.begin(),
-                                   sorted_candidates.end(), *previous);
-  return it == sorted_candidates.end() ? sorted_candidates.front() : *it;
 }
 
 void HexSystem::signal_phase() {
@@ -170,44 +122,23 @@ void HexSystem::signal_phase() {
     HexCellState& c = cells_[k];
     if (c.failed) continue;
     const HexId id = grid_.id_of(k);
-
-    std::vector<HexId> ne_prev;
+    BasicNeighborSet<HexId> ne_prev;
     for (int slot = 0; slot < 6; ++slot) {
       const auto nb = grid_.neighbor(id, slot);
       if (!nb) continue;
       const HexCellState& nc = cells_[grid_.index_of(*nb)];
-      if (nc.failed) continue;
-      if (nc.next == OptHexId{id} && nc.has_entities())
+      if (!nc.failed && nc.next == OptHexId{id} && nc.has_entities())
         ne_prev.push_back(*nb);
     }
     std::sort(ne_prev.begin(), ne_prev.end());
-
-    if (c.token.has_value() && !grid_.are_neighbors(id, *c.token))
-      c.token = std::nullopt;  // corruption hygiene
-    if (!c.token.has_value() && !ne_prev.empty())
-      c.token = rotate_choice(ne_prev, std::nullopt);
-
-    if (!c.token.has_value()) {
-      c.signal = std::nullopt;
-      c.ne_prev = std::move(ne_prev);
-      continue;
-    }
-    if (strip_clear(id, *c.token)) {
-      c.signal = c.token;
-      if (ne_prev.size() > 1) {
-        std::vector<HexId> others;
-        for (const HexId cand : ne_prev)
-          if (cand != *c.token) others.push_back(cand);
-        c.token = rotate_choice(others, c.token);
-      } else if (ne_prev.size() == 1) {
-        c.token = ne_prev.front();
-      } else {
-        c.token = std::nullopt;
-      }
-    } else {
-      c.signal = std::nullopt;  // blocked; token retained
-    }
-    c.ne_prev = std::move(ne_prev);
+    auto r = token_discipline(
+        std::move(ne_prev), c.token,
+        [&](HexId t) { return grid_.are_neighbors(id, t); },
+        [&](HexId t) { return strip_clear(id, t); },
+        round_robin_choice<HexId>);
+    c.signal = r.signal;
+    c.token = r.token;
+    c.ne_prev = std::move(r.ne_prev);
   }
 }
 

@@ -1,9 +1,11 @@
 // The protocol on the hexagonal tessellation — what changes and why.
 //
-// The square-grid design carries over wholesale: per-round Route
-// (Bellman–Ford with id tie-break), the token/signal blocking discipline,
-// simultaneous movement, source injection, fail/recover. Three things had
-// to be re-derived for non-square cells:
+// The square-grid design carries over wholesale, and so does its code:
+// the Figure-3 state (BasicCellState), Route's argmin (route_step),
+// Figure 5's token discipline with round-robin choose, the fail/recover
+// resets and the BFS reference ρ all come from core/ and grid/mask.hpp.
+// This file keeps the geometry. Three things had to be re-derived for
+// non-square cells:
 //
 // 1. MEMBERSHIP IS BY CENTER. On squares, entities transfer when their
 //    *edge* touches the boundary and are then snapped flush inside the
@@ -37,13 +39,18 @@
 //    granted the reverse direction.)
 //
 // Feasibility: d + v ≤ a (the strip fits inside the inradius) and l ≤ a.
+//
+// Limitation: only straight routes deliver. Compaction moves entities
+// along the exit normal alone, so an entity that entered through any edge
+// but the one opposite the exit reaches a non-granted edge plane and is
+// capped at 0 from then on: a route with a turn wedges, safely (see
+// HexSystem.DocumentedTurnGridlockRegime).
 #pragma once
 
 #include <cstdint>
-#include <memory>
-#include <span>
 #include <vector>
 
+#include "core/cell_state.hpp"
 #include "core/params.hpp"
 #include "hexflow/hex_grid.hpp"
 #include "util/dist_value.hpp"
@@ -59,22 +66,7 @@ struct HexEntity {
       default;
 };
 
-struct HexCellState {
-  std::vector<HexEntity> members;
-  Dist dist = Dist::infinity();
-  OptHexId next;
-  OptHexId token;
-  OptHexId signal;
-  std::vector<HexId> ne_prev;
-  bool failed = false;
-
-  [[nodiscard]] bool has_entities() const noexcept { return !members.empty(); }
-  [[nodiscard]] const HexEntity* find(EntityId id) const noexcept {
-    for (const HexEntity& e : members)
-      if (e.id == id) return &e;
-    return nullptr;
-  }
-};
+using HexCellState = BasicCellState<HexId, HexEntity>;
 
 struct HexSystemConfig {
   int side = 6;                      ///< N×N rhombus of hexagons
@@ -136,8 +128,6 @@ class HexSystem {
   void signal_phase();
   void move_phase();
   void inject_phase();
-  [[nodiscard]] static HexId rotate_choice(
-      std::span<const HexId> sorted_candidates, const OptHexId& previous);
 
   HexSystemConfig config_;
   HexGrid grid_;

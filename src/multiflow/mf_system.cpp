@@ -1,11 +1,11 @@
 #include "multiflow/mf_system.hpp"
 
 #include <algorithm>
-#include <cmath>
 
 #include "core/move.hpp"
 #include "core/route.hpp"
 #include "core/signal.hpp"
+#include "core/source.hpp"
 #include "grid/path.hpp"
 #include "util/check.hpp"
 
@@ -261,34 +261,7 @@ void MfSystem::move_phase() {
   }
 }
 
-bool MfSystem::placement_safe(const MfCellState& c, CellId id,
-                              Vec2 center) const {
-  const Params& p = config_.params;
-  const double half = p.entity_length() / 2.0;
-  const double d = p.center_spacing();
-  const auto i = static_cast<double>(id.i);
-  const auto j = static_cast<double>(id.j);
-  if (center.x - half < i || center.x + half > i + 1.0 ||
-      center.y - half < j || center.y + half > j + 1.0)
-    return false;
-  for (const MfEntity& q : c.members) {
-    if (std::abs(center.x - q.entity.center.x) < d &&
-        std::abs(center.y - q.entity.center.y) < d)
-      return false;
-  }
-  if (c.token.has_value()) {
-    std::vector<Entity> with_new = bare_entities(c.members);
-    with_new.push_back(Entity{EntityId{~0ULL}, center});
-    const bool was_clear =
-        entry_strip_clear(id, *c.token, bare_entities(c.members), p);
-    const bool still_clear = entry_strip_clear(id, *c.token, with_new, p);
-    if (was_clear && !still_clear) return false;
-  }
-  return true;
-}
-
 void MfSystem::inject_phase() {
-  const double half = config_.params.entity_length() / 2.0;
   // At most one injection per source cell per round (the paper's "at
   // most one entity in each round"). At a cell shared between flows the
   // flow whose injection succeeded last goes to the back of the queue —
@@ -331,18 +304,10 @@ void MfSystem::inject_phase() {
     if (!admission_ok(c, f)) continue;
 
     // Entry-edge placement opposite this flow's next direction.
-    const auto i = static_cast<double>(s.i);
-    const auto j = static_cast<double>(s.j);
-    Vec2 center{i + 0.5, j + 0.5};
-    if (c.next[f].has_value()) {
-      switch (opposite(grid_.direction_between(s, *c.next[f]))) {
-        case Direction::kEast: center = {i + 1.0 - half, j + 0.5}; break;
-        case Direction::kWest: center = {i + half, j + 0.5}; break;
-        case Direction::kNorth: center = {i + 0.5, j + 1.0 - half}; break;
-        case Direction::kSouth: center = {i + 0.5, j + half}; break;
-      }
-    }
-    if (!placement_safe(c, s, center)) continue;
+    const Vec2 center = entry_edge_center(grid_, config_.params, s, c.next[f]);
+    if (!injection_is_safe(s, center, bare_entities(c.members), c.token,
+                           config_.params))
+      continue;
     const EntityId eid{next_entity_id_++};
     c.members.push_back(MfEntity{Entity{eid, center}, f});
     events_.injected.emplace_back(s, eid);
@@ -355,7 +320,8 @@ EntityId MfSystem::seed_entity(CellId id, FlowId flow, Vec2 center) {
   CF_EXPECTS(flow < config_.flows.size());
   MfCellState& c = cells_[grid_.index_of(id)];
   CF_EXPECTS_MSG(admission_ok(c, flow), "flow purity: cell holds another flow");
-  CF_EXPECTS_MSG(placement_safe(c, id, center),
+  CF_EXPECTS_MSG(injection_is_safe(id, center, bare_entities(c.members),
+                                   c.token, config_.params),
                  "seed_entity: unsafe placement");
   const EntityId eid{next_entity_id_++};
   c.members.push_back(MfEntity{Entity{eid, center}, flow});

@@ -174,8 +174,6 @@ class MfSystem {
   [[nodiscard]] bool admission_ok(const MfCellState& c, FlowId f) const {
     return c.members.empty() || c.members_flow() == f;
   }
-  [[nodiscard]] bool placement_safe(const MfCellState& c, CellId id,
-                                    Vec2 center) const;
 
   MfSystemConfig config_;
   Grid grid_;

@@ -235,6 +235,36 @@ TEST(HexSystem, SaturatedThroughputComparableToSquare) {
   EXPECT_LT(thr, 0.5);
 }
 
+TEST(HexSystem, DocumentedTurnGridlockRegime) {
+  // The hex lattice's documented limitation: only straight routes
+  // deliver. Compaction moves entities along the exit normal alone, so an
+  // entity that entered through any edge other than the one opposite its
+  // cell's exit drifts until it reaches a non-granted edge plane and is
+  // capped at 0 from then on. On ⟨0,0⟩ → ⟨2,5⟩ the route turns at
+  // ⟨0,5⟩: its lead entity sits at distance 0 from the edge it shares
+  // with ⟨1,4⟩ although ⟨1,5⟩ grants ⟨0,5⟩, and the whole route wedges —
+  // safely: spacing and membership hold every round, throughput freezes.
+  // The straight twin ⟨0,0⟩ → ⟨0,5⟩ delivers at the same load.
+  HexSystemConfig cfg;
+  cfg.side = 6;
+  cfg.params = kP;
+  cfg.sources = {HexId{0, 0}};
+  cfg.target = HexId{2, 5};
+  HexSystem turn(cfg);
+  for (int k = 0; k < 5000; ++k) {
+    turn.update();
+    ASSERT_TRUE(check_hex_safe(turn).empty()) << "round " << k;
+    ASSERT_TRUE(check_hex_membership(turn).empty()) << "round " << k;
+  }
+  EXPECT_EQ(turn.total_arrivals(), 0u);
+  EXPECT_EQ(turn.entity_count(), 32u);
+
+  cfg.target = HexId{0, 5};
+  HexSystem straight(cfg);
+  for (int k = 0; k < 5000; ++k) straight.update();
+  EXPECT_EQ(straight.total_arrivals(), 984u);
+}
+
 TEST(HexSystem, SeedValidation) {
   HexSystem sys = rhombus(6);
   const Vec2 c = sys.grid().center(HexId{2, 2});
