@@ -101,18 +101,6 @@ class ChunkLayout {
         r.j0 + static_cast<std::int32_t>(slot / static_cast<std::size_t>(r.w))};
   }
 
-  /// Lattice degree of a cell: 4 minus one per grid boundary it touches.
-  /// (A 1×1 grid has degree 0.) Used for the skipped-chunk relaxation
-  /// tally — see ChunkedSystem's Route phase.
-  [[nodiscard]] int degree_of(CellId id) const noexcept {
-    int d = 4;
-    if (id.i == 0) --d;
-    if (id.i == side_ - 1) --d;
-    if (id.j == 0) --d;
-    if (id.j == side_ - 1) --d;
-    return d;
-  }
-
  private:
   int side_;
   int chunks_x_;

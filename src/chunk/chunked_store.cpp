@@ -123,11 +123,6 @@ void ChunkedCellStore::park(std::size_t q) {
     parked->meta[slot] =
         static_cast<std::uint8_t>(code | (c.failed ? ParkedChunk::kFailedBit
                                                    : std::uint8_t{0}));
-    if (!c.failed) {
-      ++parked->live_cells;
-      if (id != target_)
-        parked->route_comp += static_cast<std::uint64_t>(layout_.degree_of(id));
-    }
   }
   recycle_buffer(std::move(s.live));
   s.parked = std::move(parked);

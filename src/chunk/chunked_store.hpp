@@ -80,11 +80,6 @@ struct ParkedChunk {
   std::vector<std::uint32_t> dist;
   std::vector<std::uint8_t> meta;
 
-  // Cached compensation terms for the scheduler's skipped-chunk tallies
-  // (see ChunkedSystem's phase loops):
-  std::uint64_t route_comp = 0;  ///< Σ degree over non-failed non-target cells
-  std::uint32_t live_cells = 0;  ///< # non-failed cells
-
   [[nodiscard]] std::uint64_t resident_bytes() const noexcept;
 };
 

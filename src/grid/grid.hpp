@@ -90,6 +90,17 @@ class Grid {
   /// Nbrs_{i,j}: all in-grid neighbors, in kAllDirections order.
   [[nodiscard]] std::vector<CellId> neighbors(CellId id) const;
 
+  /// |Nbrs_{i,j}|: 4 minus one per grid boundary the cell touches (the
+  /// only cell of a 1×1 grid has degree 0).
+  [[nodiscard]] int degree(CellId id) const noexcept {
+    int d = 4;
+    if (id.i == 0) --d;
+    if (id.i == side_ - 1) --d;
+    if (id.j == 0) --d;
+    if (id.j == side_ - 1) --d;
+    return d;
+  }
+
   /// True iff |i−m| + |j−n| = 1.
   [[nodiscard]] static bool are_neighbors(CellId a, CellId b) noexcept {
     const int di = a.i - b.i;

@@ -669,9 +669,9 @@ struct Access {
         }
       } else {
         // Reconstruct the cells from the summary, then park again: the
-        // restored store holds the identical ParkedChunk (park() re-
-        // derives the compensation terms), and the validation above
-        // guarantees park()'s encodability preconditions.
+        // restored store holds the identical ParkedChunk, and the
+        // validation above guarantees park()'s encodability
+        // preconditions.
         for (std::size_t slot = 0; slot < mc.meta.size(); ++slot) {
           CellState& cell = lc.cells[slot];
           cell.dist = mc.dist[slot] == chunk::ParkedChunk::kInfDist32

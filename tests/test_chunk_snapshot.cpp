@@ -17,6 +17,8 @@
 #include "chunk/chunked_system.hpp"
 #include "core/source.hpp"
 #include "core/system.hpp"
+#include "obs/export.hpp"
+#include "obs/metrics.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/wire.hpp"
 
@@ -156,6 +158,38 @@ TEST(ChunkSnapshot, ParkedRegionsTravelAsSummaries) {
     ASSERT_EQ(snapshot::state_digest(sys), snapshot::state_digest(restored))
         << "round " << r;
   }
+}
+
+TEST(ChunkSnapshot, RestoredEngineCountsSkippedCellsLikeTheOriginal) {
+  // The tallies of the cells a round skips come from live totals that a
+  // restore recounts, parked summaries' failed cells included: both
+  // failures below sit in chunks that park.
+  const auto world = [] {
+    SystemConfig cfg;
+    cfg.side = 64;
+    cfg.params = Params(0.25, 0.05, 0.1);
+    cfg.sources = {};
+    cfg.target = CellId{33, 33};
+    return chunk::ChunkedSystem(std::move(cfg), nullptr,
+                                std::make_unique<NullSource>());
+  };
+  chunk::ChunkedSystem sys = world();
+  sys.fail(CellId{5, 5});
+  sys.fail(CellId{40, 3});
+  for (int r = 0; r < 160; ++r) sys.update();
+  ASSERT_EQ(sys.store().parked_count(), 3u);
+
+  chunk::ChunkedSystem restored = world();
+  snapshot::restore(restored, snapshot::save(sys));
+  obs::MetricsRegistry original_reg;
+  obs::MetricsRegistry restored_reg;
+  sys.set_metrics(&original_reg);
+  restored.set_metrics(&restored_reg);
+  for (int r = 0; r < 20; ++r) {
+    sys.update();
+    restored.update();
+  }
+  EXPECT_EQ(obs::to_prometheus(restored_reg), obs::to_prometheus(original_reg));
 }
 
 TEST(ChunkSnapshot, DigestAgreesAcrossStorageModels) {

@@ -61,16 +61,6 @@ TEST(ChunkLayout, EdgeChunksAreClipped) {
   EXPECT_EQ(layout.cells_in(15), 16u);
 }
 
-TEST(ChunkLayout, DegreeMatchesLattice) {
-  const ChunkLayout layout(64);
-  EXPECT_EQ(layout.degree_of(CellId{0, 0}), 2);
-  EXPECT_EQ(layout.degree_of(CellId{63, 63}), 2);
-  EXPECT_EQ(layout.degree_of(CellId{0, 10}), 3);
-  EXPECT_EQ(layout.degree_of(CellId{10, 63}), 3);
-  EXPECT_EQ(layout.degree_of(CellId{31, 32}), 4);
-  EXPECT_EQ(ChunkLayout(1).degree_of(CellId{0, 0}), 0);
-}
-
 TEST(ChunkStore, StartsFullyVirgin) {
   const CellId target{50, 50};
   ChunkedCellStore store(100, target);
@@ -192,26 +182,6 @@ TEST(ChunkStore, ParkableRefusesUnencodableState) {
   EXPECT_FALSE(store.parkable(0));
   store.live(0).cells[7].next = CellId{8, 0};  // east neighbor of slot 7
   EXPECT_TRUE(store.parkable(0));
-}
-
-TEST(ChunkStore, ParkComputesCompensationTerms) {
-  const CellId target{0, 0};  // inside chunk 0, which we park
-  ChunkedCellStore store(64, target);
-  store.ensure_live(0);
-  const ChunkLayout& layout = store.layout();
-  store.live(0).cells[layout.slot_of(CellId{3, 3})].failed = true;
-  store.live(0).cells[layout.slot_of(CellId{0, 5})].failed = true;
-  store.park(0);
-
-  const ParkedChunk& p = store.parked(0);
-  EXPECT_EQ(p.live_cells, 32u * 32u - 2);
-  std::uint64_t expect_comp = 0;
-  for (std::size_t slot = 0; slot < layout.cells_in(0); ++slot) {
-    const CellId id = layout.cell_at(0, slot);
-    if (id == target || id == CellId{3, 3} || id == CellId{0, 5}) continue;
-    expect_comp += static_cast<std::uint64_t>(layout.degree_of(id));
-  }
-  EXPECT_EQ(p.route_comp, expect_comp);
 }
 
 TEST(ChunkStore, ResidentBytesShrinkPastTheFreelist) {

@@ -6,7 +6,10 @@
 // every observed value differs. Also pins: telemetry is
 // observation-only (attaching it perturbs no protocol state), the
 // component decomposition actually explains the round wall clock, and
-// the worker/counter tracks in the Chrome-trace export.
+// the worker/counter tracks in the Chrome-trace export. The first two
+// contracts also run on chunk::ChunkedSystem, whose round is the same
+// driver: at one chunk (side 8, never pooled) and at 3×3 chunks (side 70,
+// whose pooled stages shard live-chunk slices).
 #include "obs/engine_telemetry.hpp"
 
 #include <gtest/gtest.h>
@@ -15,22 +18,28 @@
 #include <string>
 #include <vector>
 
+#include "chunk/chunked_system.hpp"
 #include "core/system.hpp"
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
 #include "obs/profiler.hpp"
+#include "snapshot/snapshot.hpp"
 
 namespace cellflow {
 namespace {
 
-SystemConfig telemetry_config() {
+SystemConfig telemetry_config(int side = 8) {
   SystemConfig cfg;
-  cfg.side = 8;
+  cfg.side = side;
   cfg.params = Params(0.25, 0.05, 0.1);
-  cfg.target = CellId{7, 4};
-  cfg.sources = {CellId{0, 1}, CellId{0, 6}};
+  cfg.target = CellId{side - 1, side / 2};
+  cfg.sources = {CellId{0, 1}, CellId{0, side - 2}};
   return cfg;
 }
+
+constexpr int kChunkedSides[] = {8, 70};
+const ParallelPolicy kChunkedPolicies[] = {ParallelPolicy::serial(),
+                                           ParallelPolicy::parallel(2)};
 
 /// Every Prometheus line that carries an observation/sample COUNT (the
 /// deterministic part of a histogram family) — values and sums are
@@ -48,9 +57,10 @@ std::vector<std::string> count_lines(const std::string& prom) {
   return out;
 }
 
+template <class Engine = System>
 std::uint64_t run_with_telemetry(const ParallelPolicy& policy, int rounds,
-                                 std::string* prom_out) {
-  System sys(telemetry_config());
+                                 std::string* prom_out, int side = 8) {
+  Engine sys(telemetry_config(side));
   sys.set_parallel_policy(policy);
   obs::MetricsRegistry reg;
   obs::EngineTelemetry telemetry(reg);
@@ -75,6 +85,19 @@ TEST(Telemetry, ObservationCountsIdenticalAcrossThreadCounts) {
     EXPECT_EQ(count_lines(prom), serial_counts)
         << "observation counts diverged at " << threads << " threads";
   }
+  for (const int side : kChunkedSides) {
+    for (const ParallelPolicy& policy : kChunkedPolicies) {
+      std::string prom;
+      const std::uint64_t arrivals = run_with_telemetry<chunk::ChunkedSystem>(
+          policy, kRounds, &prom, side);
+      if (side == 8) {
+        EXPECT_EQ(arrivals, serial_arrivals);
+      }
+      EXPECT_EQ(count_lines(prom), serial_counts)
+          << "chunked observation counts diverged at side " << side << ", "
+          << policy.num_threads << " threads";
+    }
+  }
 }
 
 TEST(Telemetry, AttachingTelemetryPerturbsNoProtocolState) {
@@ -97,6 +120,32 @@ TEST(Telemetry, AttachingTelemetryPerturbsNoProtocolState) {
     ASSERT_EQ(a.token, b.token) << to_string(id);
     ASSERT_EQ(a.signal, b.signal) << to_string(id);
     ASSERT_EQ(a.members, b.members) << to_string(id);
+  }
+  for (const int side : kChunkedSides) {
+    for (const ParallelPolicy& policy : kChunkedPolicies) {
+      chunk::ChunkedSystem plain(telemetry_config(side));
+      chunk::ChunkedSystem timed(telemetry_config(side));
+      plain.set_parallel_policy(policy);
+      timed.set_parallel_policy(policy);
+      obs::MetricsRegistry chunked_reg;
+      obs::EngineTelemetry chunked_telemetry(chunked_reg);
+      obs::PhaseProfiler profiler;
+      timed.set_telemetry(&chunked_telemetry);
+      timed.set_profiler(&profiler);
+      for (int r = 0; r < 60; ++r) {
+        plain.update();
+        timed.update();
+        ASSERT_EQ(snapshot::state_digest(plain), snapshot::state_digest(timed))
+            << "side " << side << ", " << policy.num_threads
+            << " threads, round " << r;
+      }
+      // Side 8 is one chunk, so no round pools; side 70 pins three
+      // chunks live (the target's and both sources'), so every
+      // parallel(2) round does.
+      const bool pools = side == 70 && policy.num_threads > 1;
+      EXPECT_EQ(chunked_telemetry.totals().rounds, 60u);
+      EXPECT_EQ(chunked_telemetry.totals().dispatches, pools ? 60u : 0u);
+    }
   }
 }
 

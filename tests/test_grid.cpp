@@ -109,6 +109,19 @@ TEST(Grid, ManhattanDistance) {
   EXPECT_EQ(g.manhattan(CellId{7, 2}, CellId{2, 4}), 7);
 }
 
+TEST(Grid, DegreeMatchesLattice) {
+  const Grid g(64);
+  EXPECT_EQ(g.degree(CellId{0, 0}), 2);
+  EXPECT_EQ(g.degree(CellId{63, 63}), 2);
+  EXPECT_EQ(g.degree(CellId{0, 10}), 3);
+  EXPECT_EQ(g.degree(CellId{10, 63}), 3);
+  EXPECT_EQ(g.degree(CellId{31, 32}), 4);
+  EXPECT_EQ(Grid(1).degree(CellId{0, 0}), 0);
+  for (const CellId id : Grid(5).all_cells())
+    EXPECT_EQ(static_cast<std::size_t>(Grid(5).degree(id)),
+              Grid(5).neighbors(id).size());
+}
+
 TEST(Grid, CellRectMatchesUnitSquare) {
   const Grid g(4);
   const Rect r = g.cell_rect(CellId{2, 1});

@@ -41,9 +41,10 @@
 //     timings, which byte-diff consumers of --metrics-out must exclude.
 //   * --store=chunked, the sparse-world ChunkedSystem (DESIGN.md §12):
 //     the core flags (side/l/rs/v/source/target/rounds/pf/pr/seed),
-//     --policy, --movement, --threads, --scheduler, --metrics-* and the
-//     snapshot flags. Its oracles and observers walk only the live
-//     chunks; it also prints the chunk lifecycle.
+//     --policy, --movement, --threads, --scheduler, --metrics-*,
+//     --profile-out, --telemetry and the snapshot flags. Its oracles and
+//     observers walk only the live chunks, and its profile's shard
+//     tracks are live-chunk slices; it also prints the chunk lifecycle.
 //   * --realization=message, the §II-B message-passing realization: the
 //     core flags, --metrics-*, --telemetry, the snapshot flags and the
 //     network flags, which run it over a FaultyNetwork (DESIGN.md §8):
@@ -362,13 +363,13 @@ int main(int argc, char** argv) {
     }
     std::optional<obs::EngineTelemetry> engine_telemetry;
     obs::PhaseProfiler profiler;
-    if constexpr (requires { sys.set_telemetry(nullptr); }) {
-      if (telemetry) {
-        engine_telemetry.emplace(registry, kDense ? "shared" : "message");
-        sim.set_telemetry(&*engine_telemetry);
-      }
-      if (!profile_out.empty()) sim.set_profiler(&profiler);
+    if (telemetry) {
+      engine_telemetry.emplace(
+          registry, std::is_same_v<Engine, MessageSystem> ? "message"
+                                                          : "shared");
+      sim.set_telemetry(&*engine_telemetry);
     }
+    if (!profile_out.empty()) sim.set_profiler(&profiler);
 
     for (std::uint64_t k = 0; k < rounds; ++k) {
       sim.step();
@@ -494,15 +495,15 @@ int main(int argc, char** argv) {
 
   if (store_s == "chunked") {
     // Carving would fail (hence materialize) every off-path chunk —
-    // defeating the sparse store — and the render, trace, CSV, profiler
-    // and telemetry are the dense engine's. Typed rejection, same
-    // taxonomy as the message-mode check.
-    if (carve_turns >= 0 || dump_trace || emit_csv || render_every > 0 ||
-        !profile_out.empty() || telemetry) {
+    // defeating the sparse store — and the render, trace and CSV are the
+    // dense engine's. Typed rejection, same taxonomy as the message-mode
+    // check.
+    if (carve_turns >= 0 || dump_trace || emit_csv || render_every > 0) {
       std::cerr << "--store=chunked supports only the core flags "
                    "(side/l/rs/v/source/target/rounds/pf/pr/seed), "
                    "--policy, --movement, --threads, --scheduler, "
-                   "--metrics-*, and --snapshot-*/--restore\n";
+                   "--metrics-*, --profile-out, --telemetry, and "
+                   "--snapshot-*/--restore\n";
       return 2;
     }
     const CellId source = parse_cell(source_s);
