@@ -1,8 +1,10 @@
 #include "core/predicates.hpp"
 
+#include <bit>
 #include <cmath>
+#include <cstdint>
 #include <sstream>
-#include <unordered_set>
+#include <utility>
 
 #include "chunk/chunked_system.hpp"
 #include "geometry/rect.hpp"
@@ -19,72 +21,178 @@ std::string describe_pair(const Entity& p, const Entity& q) {
   return os.str();
 }
 
-// The oracle bodies, one per predicate, each a template over the engine's
-// for_each_cell visitor. `check(id, cell, found)` records the cell's
-// violation, if any, in `found`; first_violation stops checking at the
-// first, in visiting order.
+// The oracle bodies. Safe, Invariant 1, Invariant 2 and footprint
+// separation each look at one cell's members; the sweep below runs all
+// four in one for_each_cell pass and keeps each one's first violation in
+// visiting order.
 using Found = std::optional<Violation>;
+using Members = std::vector<Entity>;
 
-template <class Engine, class Check>
-Found first_violation(const Engine& sys, Check check) {
-  Found found;
-  sys.for_each_cell([&](CellId id, const CellState& c) {
-    if (!found) check(id, c, found);
-  });
-  return found;
+/// Safe_{i,j}: the first pair of members closer than d on both axes.
+std::optional<std::pair<std::size_t, std::size_t>> unsafe_pair(
+    const Members& members, double d, double eps) {
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    for (std::size_t b = a + 1; b < members.size(); ++b) {
+      const Vec2 pa = members[a].center;
+      const Vec2 pb = members[b].center;
+      if (std::abs(pa.x - pb.x) < d - eps && std::abs(pa.y - pb.y) < d - eps)
+        return std::pair{a, b};
+    }
+  }
+  return std::nullopt;
 }
 
+/// Invariant 1 on one cell.
+Found in_bounds_violation(CellId id, const Members& members, double half,
+                          double eps) {
+  const auto i = static_cast<double>(id.i);
+  const auto j = static_cast<double>(id.j);
+  for (const Entity& p : members) {
+    const bool ok = p.center.x - half >= i - eps &&
+                    p.center.x + half <= i + 1.0 + eps &&
+                    p.center.y - half >= j - eps &&
+                    p.center.y + half <= j + 1.0 + eps;
+    if (!ok)
+      return Violation{"Invariant1", id,
+                       to_string(p.id) + " at " + to_string(p.center)};
+  }
+  return std::nullopt;
+}
+
+/// Invariant 2's seen set, reused by every sweep on its thread: a flat
+/// open-addressing table of entity ids, linear probing. Each slot holds
+/// the epoch of the sweep that wrote it, so starting a sweep clears the
+/// table in one increment. The capacity is a power of two at least twice
+/// the most members one sweep has recorded — proportional to the live
+/// entities whatever their ids, so an id far above next_entity_id (a
+/// patched snapshot can hold any) is compared exactly like any other.
+class SeenIds {
+ public:
+  void begin() noexcept {
+    ++epoch_;
+    count_ = 0;
+  }
+
+  /// Records `id`; false when this sweep has already recorded it.
+  bool insert(std::uint64_t id) {
+    if (2 * (count_ + 1) > slots_.size()) grow();
+    const std::size_t mask = slots_.size() - 1;
+    for (std::size_t k = home(id);; k = (k + 1) & mask) {
+      Slot& s = slots_[k];
+      if (s.epoch != epoch_) {
+        s = Slot{id, epoch_};
+        ++count_;
+        return true;
+      }
+      if (s.id == id) return false;
+    }
+  }
+
+ private:
+  struct Slot {
+    std::uint64_t id = 0;
+    std::uint64_t epoch = 0;  // 0 = never written; epochs start at 1
+  };
+
+  /// Fibonacci hashing: the top bits of id·2⁶⁴/φ.
+  [[nodiscard]] std::size_t home(std::uint64_t id) const noexcept {
+    return static_cast<std::size_t>((id * 0x9E3779B97F4A7C15ULL) >> shift_);
+  }
+
+  void grow() {
+    std::vector<Slot> old(slots_.size() < 64 ? 64 : 2 * slots_.size());
+    old.swap(slots_);
+    shift_ = 64 - std::countr_zero(slots_.size());
+    count_ = 0;
+    for (const Slot& s : old)
+      if (s.epoch == epoch_) (void)insert(s.id);
+  }
+
+  std::vector<Slot> slots_;
+  int shift_ = 0;  // set by grow(), which runs before the first probe
+  std::uint64_t epoch_ = 0;
+  std::size_t count_ = 0;
+};
+
+/// One seen set per thread, shared by every engine type.
+SeenIds& seen_ids() {
+  thread_local SeenIds seen;
+  return seen;
+}
+
+/// Footprint separation on one cell: no two l×l footprints overlap, and
+/// each pair is rs-separated along some axis.
+Found footprint_violation(CellId id, const Members& members, double l,
+                          double rs, double eps) {
+  for (std::size_t a = 0; a < members.size(); ++a) {
+    for (std::size_t b = a + 1; b < members.size(); ++b) {
+      const Rect ra = members[a].footprint(l);
+      const Rect rb = members[b].footprint(l);
+      if (ra.overlaps(rb))
+        return Violation{"FootprintOverlap", id,
+                         describe_pair(members[a], members[b])};
+      if (ra.linf_gap(rb) < rs - eps)
+        return Violation{"FootprintGap", id,
+                         describe_pair(members[a], members[b])};
+    }
+  }
+  return std::nullopt;
+}
+
+/// The first violation of each round-end predicate, in visiting order.
+struct Sweep {
+  Found safe;
+  Found in_bounds;
+  Found disjoint;
+  Found footprint;
+};
+
+/// One for_each_cell pass for the four round-end predicates. They
+/// involve only Members_{i,j} (Theorem 5's proof is per cell), so an
+/// empty cell cannot violate them and is skipped.
 template <class Engine>
-std::optional<Violation> safe_pass(const Engine& sys, double eps) {
-  const double d = sys.params().center_spacing();
-  return first_violation(sys, [&](CellId id, const CellState& c, Found& found) {
-    const auto& members = c.members;
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      for (std::size_t b = a + 1; b < members.size(); ++b) {
-        const Vec2 pa = members[a].center;
-        const Vec2 pb = members[b].center;
-        if (std::abs(pa.x - pb.x) < d - eps &&
-            std::abs(pa.y - pb.y) < d - eps) {
-          found = Violation{"Safe", id, describe_pair(members[a], members[b])};
-          return;
+Sweep sweep(const Engine& sys, double eps) {
+  const Params& prm = sys.params();
+  const double d = prm.center_spacing();
+  const double l = prm.entity_length();
+  const double half = l / 2.0;
+  const double rs = prm.safety_gap();
+  SeenIds& seen = seen_ids();
+  seen.begin();
+  Sweep out;
+  sys.for_each_cell([&](CellId id, const CellState& c) {
+    const Members& members = c.members;
+    if (members.empty()) return;
+    if (!out.safe) {
+      if (const auto ab = unsafe_pair(members, d, eps))
+        out.safe = Violation{"Safe", id,
+                             describe_pair(members[ab->first],
+                                           members[ab->second])};
+    }
+    if (!out.in_bounds)
+      out.in_bounds = in_bounds_violation(id, members, half, eps);
+    if (!out.disjoint) {
+      for (const Entity& p : members) {
+        if (!seen.insert(p.id.value)) {
+          out.disjoint = Violation{"Invariant2", id,
+                                   to_string(p.id) + " appears in two cells"};
+          break;
         }
       }
     }
+    if (!out.footprint)
+      out.footprint = footprint_violation(id, members, l, rs, eps);
   });
+  return out;
 }
 
 template <class Engine>
-std::optional<Violation> in_bounds_pass(const Engine& sys, double eps) {
-  const double half = sys.params().entity_length() / 2.0;
-  return first_violation(sys, [&](CellId id, const CellState& c, Found& found) {
-    const auto i = static_cast<double>(id.i);
-    const auto j = static_cast<double>(id.j);
-    for (const Entity& p : c.members) {
-      const bool ok = p.center.x - half >= i - eps &&
-                      p.center.x + half <= i + 1.0 + eps &&
-                      p.center.y - half >= j - eps &&
-                      p.center.y + half <= j + 1.0 + eps;
-      if (!ok) {
-        found = Violation{"Invariant1", id,
-                          to_string(p.id) + " at " + to_string(p.center)};
-        return;
-      }
-    }
-  });
-}
-
-template <class Engine>
-std::optional<Violation> disjoint_pass(const Engine& sys) {
-  std::unordered_set<EntityId> seen;
-  return first_violation(sys, [&](CellId id, const CellState& c, Found& found) {
-    for (const Entity& p : c.members) {
-      if (!seen.insert(p.id).second) {
-        found = Violation{"Invariant2", id,
-                          to_string(p.id) + " appears in two cells"};
-        return;
-      }
-    }
-  });
+std::vector<Violation> sweep_all(const Engine& sys, double eps) {
+  Sweep s = sweep(sys, eps);
+  std::vector<Violation> out;
+  for (Found* v : {&s.safe, &s.in_bounds, &s.disjoint, &s.footprint})
+    if (*v) out.push_back(*std::move(*v));
+  return out;
 }
 
 template <class Engine>
@@ -94,8 +202,9 @@ std::optional<Violation> h_pass(const Engine& sys, double eps) {
   const Params& prm = sys.params();
   const double half = prm.entity_length() / 2.0;
   const double d = prm.center_spacing() - eps;
-  return first_violation(sys, [&](CellId id, const CellState& c, Found& found) {
-    if (!c.signal.has_value()) return;
+  Found found;
+  sys.for_each_cell([&](CellId id, const CellState& c) {
+    if (found || !c.signal.has_value()) return;
     const CellId t = *c.signal;
     const int di = t.i - id.i;
     const int dj = t.j - id.j;
@@ -123,71 +232,27 @@ std::optional<Violation> h_pass(const Engine& sys, double eps) {
       }
     }
   });
-}
-
-template <class Engine>
-std::optional<Violation> footprint_pass(const Engine& sys, double eps) {
-  const double l = sys.params().entity_length();
-  const double rs = sys.params().safety_gap();
-  return first_violation(sys, [&](CellId id, const CellState& c, Found& found) {
-    const auto& members = c.members;
-    for (std::size_t a = 0; a < members.size(); ++a) {
-      for (std::size_t b = a + 1; b < members.size(); ++b) {
-        const Rect ra = members[a].footprint(l);
-        const Rect rb = members[b].footprint(l);
-        if (ra.overlaps(rb)) {
-          found = Violation{"FootprintOverlap", id,
-                            describe_pair(members[a], members[b])};
-          return;
-        }
-        if (ra.linf_gap(rb) < rs - eps) {
-          found = Violation{"FootprintGap", id,
-                            describe_pair(members[a], members[b])};
-          return;
-        }
-      }
-    }
-  });
-}
-
-template <class Engine>
-std::vector<Violation> all_passes(const Engine& sys, double eps) {
-  std::vector<Violation> out;
-  if (auto v = safe_pass(sys, eps)) out.push_back(*std::move(v));
-  if (auto v = in_bounds_pass(sys, eps)) out.push_back(*std::move(v));
-  if (auto v = disjoint_pass(sys)) out.push_back(*std::move(v));
-  if (auto v = footprint_pass(sys, eps)) out.push_back(*std::move(v));
-  return out;
+  return found;
 }
 
 }  // namespace
 
 bool safe_cell(const System& sys, CellId id, double eps) {
-  const double d = sys.params().center_spacing();
-  const auto& members = sys.cell(id).members;
-  for (std::size_t a = 0; a < members.size(); ++a) {
-    for (std::size_t b = a + 1; b < members.size(); ++b) {
-      const Vec2 pa = members[a].center;
-      const Vec2 pb = members[b].center;
-      const bool ok = std::abs(pa.x - pb.x) >= d - eps ||
-                      std::abs(pa.y - pb.y) >= d - eps;
-      if (!ok) return false;
-    }
-  }
-  return true;
+  return !unsafe_pair(sys.cell(id).members, sys.params().center_spacing(),
+                      eps);
 }
 
 std::optional<Violation> check_safe(const System& sys, double eps) {
-  return safe_pass(sys, eps);
+  return sweep(sys, eps).safe;
 }
 
 std::optional<Violation> check_members_in_bounds(const System& sys,
                                                  double eps) {
-  return in_bounds_pass(sys, eps);
+  return sweep(sys, eps).in_bounds;
 }
 
 std::optional<Violation> check_members_disjoint(const System& sys) {
-  return disjoint_pass(sys);
+  return sweep(sys, kPredicateEps).disjoint;
 }
 
 std::optional<Violation> check_h_predicate(const System& sys, double eps) {
@@ -196,20 +261,20 @@ std::optional<Violation> check_h_predicate(const System& sys, double eps) {
 
 std::optional<Violation> check_footprints_separated(const System& sys,
                                                     double eps) {
-  return footprint_pass(sys, eps);
+  return sweep(sys, eps).footprint;
 }
 
 std::vector<Violation> check_all(const System& sys, double eps) {
-  return all_passes(sys, eps);
+  return sweep_all(sys, eps);
 }
 
 std::vector<Violation> check_all(const chunk::ChunkedSystem& sys,
                                  double eps) {
-  return all_passes(sys, eps);
+  return sweep_all(sys, eps);
 }
 
 std::vector<Violation> check_all(const MessageSystem& msg, double eps) {
-  return all_passes(msg, eps);
+  return sweep_all(msg, eps);
 }
 
 std::optional<Violation> check_h_predicate(const chunk::ChunkedSystem& sys,

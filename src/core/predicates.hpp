@@ -14,14 +14,25 @@
 // false alarms; the protocol's safety margins are ~1e-1, twelve orders of
 // magnitude above the tolerance.
 //
-// Each oracle is written once (predicates.cpp), as a template over the
-// engine's for_each_cell visitor, and evaluated on all three engines:
-// the System forms below are the reference the tests pin, and check_all /
+// Each oracle is written once (predicates.cpp), over the engine's
+// for_each_cell visitor, and evaluated on all three engines: the System
+// forms below are the reference the tests pin, and check_all /
 // check_h_predicate also take a chunk::ChunkedSystem (live chunks only —
 // parked and virgin cells provably hold neither members nor a signal) and
 // a MessageSystem (its processes' cells; msg/msg_audit.hpp adds the
 // in-flight batches and conservation). Every Simulator evaluates H at the
 // kAfterSignal hook of each round, whichever engine it drives.
+//
+// The four round-end predicates — Safe, Invariants 1–2 and footprint
+// separation — share one sweep: a single for_each_cell pass that skips
+// empty cells (all four involve only Members_{i,j}; Theorem 5's proof is
+// per cell) and evaluates each on every occupied cell, keeping each one's
+// first violation in visiting order. check_all returns the four results;
+// check_safe, check_members_in_bounds, check_members_disjoint and
+// check_footprints_separated each run the sweep and return their own.
+// Invariant 2 marks ids in a flat table reused across sweeps, so a clean
+// sweep allocates nothing. H is a separate pass: it holds at another
+// phase point.
 #pragma once
 
 #include <optional>
@@ -75,8 +86,8 @@ struct Violation {
 [[nodiscard]] std::optional<Violation> check_footprints_separated(
     const System& sys, double eps = kPredicateEps);
 
-/// Runs every oracle above except H (a mid-round predicate); returns all
-/// violations, in the order above (empty = all good).
+/// Runs every oracle above except H (a mid-round predicate) in one sweep;
+/// returns all violations, in the order above (empty = all good).
 [[nodiscard]] std::vector<Violation> check_all(const System& sys,
                                                double eps = kPredicateEps);
 
