@@ -74,24 +74,26 @@ bool valid_metric_name(std::string_view name) {
   return true;
 }
 
-struct MetricsRegistry::Family {
-  std::string name;
-  std::string help;
-  MetricType type = MetricType::kCounter;
-  std::vector<double> bounds;  // histograms only
-  std::vector<Labels> labels;  // parallel to the active metric vector
-  std::vector<std::unique_ptr<Counter>> counters;
-  std::vector<std::unique_ptr<Gauge>> gauges;
-  std::vector<std::unique_ptr<Histogram>> histograms;
-
-  [[nodiscard]] std::size_t find(const Labels& want) const {
-    for (std::size_t k = 0; k < labels.size(); ++k)
-      if (labels[k] == want) return k;
-    return labels.size();
-  }
-};
-
 namespace {
+
+/// FNV-1a over a label set's keys and values, each followed by a 0 byte
+/// (so {"ab","c"} and {"a","bc"} differ), with the high half folded into
+/// the low bits the index masks.
+std::uint64_t label_hash(const Labels& labels) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  const auto mix = [&h](std::string_view s) {
+    for (const char c : s) {
+      h ^= static_cast<unsigned char>(c);
+      h *= 0x100000001b3ULL;
+    }
+    h *= 0x100000001b3ULL;  // the 0 separator
+  };
+  for (const Label& l : labels) {
+    mix(l.key);
+    mix(l.value);
+  }
+  return h ^ (h >> 32);
+}
 
 Labels canonical(Labels labels) {
   std::sort(labels.begin(), labels.end());
@@ -103,6 +105,52 @@ Labels canonical(Labels labels) {
 }
 
 }  // namespace
+
+struct MetricsRegistry::Family {
+  std::string name;
+  std::string help;
+  MetricType type = MetricType::kCounter;
+  std::vector<double> bounds;  // histograms only
+  std::vector<Labels> labels;  // parallel to the active metric vector
+  std::vector<std::unique_ptr<Counter>> counters;
+  std::vector<std::unique_ptr<Gauge>> gauges;
+  std::vector<std::unique_ptr<Histogram>> histograms;
+  /// Open-addressing index over `labels`, linear probing: each entry is
+  /// a slot number + 1 (0 = empty), placed by label_hash of the canonical
+  /// set; a power-of-two table at most half full. A probe compares
+  /// against labels[slot], so the index holds no copy of any label.
+  std::vector<std::uint32_t> index;
+
+  /// The slot of `want` (canonical), or labels.size() when absent.
+  [[nodiscard]] std::size_t find(const Labels& want) const {
+    if (index.empty()) return labels.size();
+    const std::size_t mask = index.size() - 1;
+    for (std::size_t k = label_hash(want) & mask; index[k] != 0;
+         k = (k + 1) & mask)
+      if (labels[index[k] - 1] == want) return index[k] - 1;
+    return labels.size();
+  }
+
+  /// Appends `want` (canonical, absent) as a new slot and indexes it; the
+  /// caller appends the slot's metric.
+  void add(Labels want) {
+    labels.push_back(std::move(want));
+    if (2 * labels.size() <= index.size()) {
+      place(labels.size() - 1);
+      return;
+    }
+    index.assign(std::max<std::size_t>(16, 2 * index.size()), 0);
+    for (std::size_t k = 0; k < labels.size(); ++k) place(k);
+  }
+
+ private:
+  void place(std::size_t slot) {
+    const std::size_t mask = index.size() - 1;
+    std::size_t k = label_hash(labels[slot]) & mask;
+    while (index[k] != 0) k = (k + 1) & mask;
+    index[k] = static_cast<std::uint32_t>(slot + 1);
+  }
+};
 
 MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;
@@ -138,7 +186,7 @@ Counter& MetricsRegistry::counter(std::string_view name, std::string_view help,
   Labels want = canonical(std::move(labels));
   const std::size_t k = f.find(want);
   if (k < f.counters.size()) return *f.counters[k];
-  f.labels.push_back(std::move(want));
+  f.add(std::move(want));
   f.counters.push_back(std::make_unique<Counter>());
   return *f.counters.back();
 }
@@ -150,7 +198,7 @@ Gauge& MetricsRegistry::gauge(std::string_view name, std::string_view help,
   Labels want = canonical(std::move(labels));
   const std::size_t k = f.find(want);
   if (k < f.gauges.size()) return *f.gauges[k];
-  f.labels.push_back(std::move(want));
+  f.add(std::move(want));
   f.gauges.push_back(std::make_unique<Gauge>());
   return *f.gauges.back();
 }
@@ -164,7 +212,7 @@ Histogram& MetricsRegistry::histogram(std::string_view name,
   Labels want = canonical(std::move(labels));
   const std::size_t k = f.find(want);
   if (k < f.histograms.size()) return *f.histograms[k];
-  f.labels.push_back(std::move(want));
+  f.add(std::move(want));
   f.histograms.push_back(std::make_unique<Histogram>(std::move(upper_bounds)));
   return *f.histograms.back();
 }

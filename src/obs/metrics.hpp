@@ -19,7 +19,10 @@
 // valid for the registry's lifetime. Attach points (System::set_metrics,
 // MessageSystem::set_metrics, MetricsObserver) resolve their handles once
 // so per-round cost is plain pointer arithmetic, and every path is a
-// no-op when no registry is attached.
+// no-op when no registry is attached. Resolving one is a name lookup and
+// then a probe of the family's label index — a hash table of slot
+// numbers over the canonical label sets — so registering the thousands of
+// per-cell series a large run creates costs O(1) each, not O(series).
 #pragma once
 
 #include <atomic>
@@ -124,8 +127,9 @@ struct FamilySnapshot {
 /// set. Re-requesting an existing series returns the same object;
 /// re-requesting a name with a mismatched type/help/bounds throws
 /// std::runtime_error (silent divergence would corrupt exports).
-/// Get-or-create is mutex-guarded; see the file comment for how the hot
-/// paths avoid the registry entirely.
+/// Get-or-create is mutex-guarded and finds a series through its
+/// family's label index; see the file comment for how the hot paths avoid
+/// the registry entirely.
 class MetricsRegistry {
  public:
   // Both out of line: Family is incomplete here.

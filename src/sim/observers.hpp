@@ -17,8 +17,9 @@
 #pragma once
 
 #include <algorithm>
+#include <array>
 #include <cstdint>
-#include <map>
+#include <memory>
 #include <optional>
 #include <ostream>
 #include <sstream>
@@ -226,10 +227,12 @@ class BasicOccupancyTracker final : public BasicObserver<Engine> {
 ///
 /// Runs entirely on the calling (driver) thread, after the round's phase
 /// barriers, so everything it derives is deterministic regardless of the
-/// engine's ParallelPolicy. Per-cell counter handles are cached after the
-/// first touch; steady-state cost is one map lookup per event. Lines are
-/// stamped with the engine round of RoundEvents, so a restored run
-/// continues the stamps of the run it resumes.
+/// engine's ParallelPolicy. Each per-cell counter is looked up in the
+/// registry once, on its cell's first event, and its handle kept in a
+/// table indexed by cell (allocated on the first round, paged by tile);
+/// steady-state cost is one table load per event. Lines are stamped with
+/// the engine round of RoundEvents, so a restored run continues the
+/// stamps of the run it resumes.
 template <class Engine>
 class BasicMetricsObserver final : public BasicObserver<Engine> {
  public:
@@ -250,22 +253,27 @@ class BasicMetricsObserver final : public BasicObserver<Engine> {
   }
 
   void on_round(const Engine& sys, const RoundEvents& ev) override {
+    if (side_ != sys.grid().side()) {  // first round, or another grid
+      side_ = sys.grid().side();
+      for (CellCounters* t : {&blocked_, &moved_, &injected_})
+        t->reset(side_);
+    }
     last_round_ = ev.round;
     round_gauge_->set(static_cast<double>(ev.round));
     population_->set(static_cast<double>(sys.entity_count()));
     for (const CellId id : ev.blocked)
       cell_counter(blocked_, "cellflow_cell_blocked_total",
                    "Signal refusals, by granting cell.", id)
-          ->inc();
+          .inc();
     for (const CellId id : ev.moved)
       cell_counter(moved_, "cellflow_cell_moved_total",
                    "Applied movements, by moving cell.", id)
-          ->inc();
+          .inc();
     for (const auto& [cell, eid] : ev.injected) {
       (void)eid;
       cell_counter(injected_, "cellflow_cell_injected_total",
                    "Accepted injections, by source cell.", cell)
-          ->inc();
+          .inc();
     }
     if (jsonl_out_ != nullptr && jsonl_every_ != 0 &&
         (ev.round + 1) % jsonl_every_ == 0)
@@ -278,23 +286,56 @@ class BasicMetricsObserver final : public BasicObserver<Engine> {
   }
 
  private:
-  obs::Counter* cell_counter(std::map<CellId, obs::Counter*>& cache,
-                             const char* name, const char* help, CellId id) {
-    const auto it = cache.find(id);
-    if (it != cache.end()) return it->second;
-    obs::Counter& c = registry_.counter(
-        name, help,
-        {{"cell", std::to_string(id.i) + "," + std::to_string(id.j)}});
-    cache.emplace(id, &c);
-    return &c;
+  /// Per-cell counter handles of one metric family, indexed by cell and
+  /// paged by 32×32 tile: the tile index is sized on reset(), and a tile is
+  /// allocated on the first lookup of one of its cells, so a sparse run on
+  /// a large grid holds only the tiles its events touch. A null handle is
+  /// one not yet resolved from the registry.
+  class CellCounters {
+   public:
+    /// Forgets every handle and sizes the tile index for a side×side grid.
+    void reset(int side) {
+      tiles_x_ = (side + kTile - 1) / kTile;
+      tiles_.clear();
+      tiles_.resize(static_cast<std::size_t>(tiles_x_) *
+                    static_cast<std::size_t>(tiles_x_));
+    }
+
+    /// The handle slot of `id`. Precondition: id is on the reset() grid.
+    obs::Counter*& at(CellId id) {
+      auto& tile = tiles_[static_cast<std::size_t>(id.j / kTile) *
+                              static_cast<std::size_t>(tiles_x_) +
+                          static_cast<std::size_t>(id.i / kTile)];
+      if (!tile) tile = std::make_unique<Tile>();
+      return (*tile)[static_cast<std::size_t>((id.j % kTile) * kTile +
+                                              id.i % kTile)];
+    }
+
+   private:
+    static constexpr int kTile = 32;
+    using Tile = std::array<obs::Counter*, kTile * kTile>;
+
+    int tiles_x_ = 0;
+    std::vector<std::unique_ptr<Tile>> tiles_;
+  };
+
+  obs::Counter& cell_counter(CellCounters& table, const char* name,
+                             const char* help, CellId id) {
+    obs::Counter*& c = table.at(id);
+    if (c == nullptr)
+      c = &registry_.counter(
+          name, help,
+          {{"cell", std::to_string(id.i) + "," + std::to_string(id.j)}});
+    return *c;
   }
 
   obs::MetricsRegistry& registry_;
   obs::Gauge* round_gauge_;
   obs::Gauge* population_;
-  std::map<CellId, obs::Counter*> blocked_;
-  std::map<CellId, obs::Counter*> moved_;
-  std::map<CellId, obs::Counter*> injected_;
+  int side_ = 0;  // the grid the tables are sized for; 0 before a round
+  CellCounters blocked_;
+  CellCounters moved_;
+  CellCounters injected_;
 
   std::ostream* jsonl_out_ = nullptr;
   std::uint64_t jsonl_every_ = 0;

@@ -5,14 +5,21 @@
 
 #include <gtest/gtest.h>
 
+#include <algorithm>
+#include <array>
+#include <set>
 #include <stdexcept>
+#include <string>
+#include <vector>
 
 #include "core/system.hpp"
 #include "failure/failure_model.hpp"
 #include "helpers.hpp"
+#include "obs/export.hpp"
 #include "obs/profiler.hpp"
 #include "obs/protocol_metrics.hpp"
 #include "sim/simulator.hpp"
+#include "util/rng.hpp"
 
 namespace cellflow {
 namespace {
@@ -61,6 +68,97 @@ TEST(Metrics, InvalidNamesAndDuplicateLabelKeysThrow) {
   EXPECT_TRUE(obs::valid_metric_name("cellflow_rounds_total"));
   EXPECT_TRUE(obs::valid_metric_name("_private:scoped"));
   EXPECT_FALSE(obs::valid_metric_name(""));
+}
+
+// --- the label index -------------------------------------------------------
+
+/// Label set k of a family: cell="i,j", plus a "kind" label on every
+/// third and none at all for k == 0.
+obs::Labels labels_of(int k) {
+  if (k == 0) return {};
+  obs::Labels out{{"cell", std::to_string(k % 141) + "," +
+                               std::to_string(k / 141)}};
+  if (k % 3 == 0) out.push_back({"kind", std::to_string(k % 7)});
+  return out;
+}
+
+TEST(MetricsRegistryIndex, GetOrCreateFindsEachOfTwentyThousandSeries) {
+  obs::MetricsRegistry reg;
+  constexpr int kSeries = 20000;
+  std::vector<obs::Counter*> first;
+  for (int k = 0; k < kSeries; ++k)
+    first.push_back(&reg.counter("cf_cell_total", "help", labels_of(k)));
+  EXPECT_EQ(std::set<obs::Counter*>(first.begin(), first.end()).size(),
+            static_cast<std::size_t>(kSeries));
+  for (int k = kSeries - 1; k >= 0; --k)
+    ASSERT_EQ(&reg.counter("cf_cell_total", "help", labels_of(k)),
+              first[static_cast<std::size_t>(k)])
+        << k;
+  ASSERT_EQ(reg.snapshot().size(), 1u);
+  EXPECT_EQ(reg.snapshot().front().series.size(),
+            static_cast<std::size_t>(kSeries));
+}
+
+TEST(MetricsRegistryIndex, PermutedKeyOrderIsOneSeries) {
+  obs::MetricsRegistry reg;
+  for (int k = 1; k < 500; ++k) (void)reg.gauge("cf_g", "help", labels_of(k));
+  std::array<obs::Label, 3> labels{
+      {{"a", "1"}, {"b", "2"}, {"c", "3"}}};
+  obs::Gauge& want = reg.gauge("cf_g", "help", {labels.begin(), labels.end()});
+  int orders = 0;
+  do {
+    EXPECT_EQ(&reg.gauge("cf_g", "help", {labels.begin(), labels.end()}),
+              &want);
+    ++orders;
+  } while (std::next_permutation(
+      labels.begin(), labels.end(),
+      [](const obs::Label& x, const obs::Label& y) { return x.key < y.key; }));
+  EXPECT_EQ(orders, 6);
+  EXPECT_EQ(reg.snapshot().front().series.size(), 500u);
+}
+
+TEST(MetricsRegistryIndex, ConflictingRedefinitionStillThrows) {
+  obs::MetricsRegistry reg;
+  for (int k = 0; k < 1000; ++k)
+    (void)reg.counter("cf_cell_total", "help", labels_of(k));
+  EXPECT_THROW(reg.gauge("cf_cell_total", "help", labels_of(5)),
+               std::runtime_error);
+  EXPECT_THROW(reg.counter("cf_cell_total", "other help", labels_of(5)),
+               std::runtime_error);
+  EXPECT_THROW(
+      reg.histogram("cf_cell_total", "help", {1.0, 2.0}, labels_of(5)),
+      std::runtime_error);
+  EXPECT_THROW(reg.counter("cf_cell_total", "help", {{"k", "1"}, {"k", "2"}}),
+               std::runtime_error);
+  EXPECT_EQ(reg.snapshot().front().series.size(), 1000u);
+}
+
+TEST(MetricsRegistryIndex, ExportBytesDoNotDependOnRegistrationOrder) {
+  constexpr int kSeries = 3000;
+  std::vector<int> order;
+  for (int k = 0; k < kSeries; ++k) order.push_back(k);
+  const auto fill = [](obs::MetricsRegistry& reg, const std::vector<int>& ks) {
+    for (const int k : ks) {
+      reg.counter("cf_c_total", "c", labels_of(k))
+          .inc(static_cast<std::uint64_t>(k));
+      reg.gauge("cf_g", "g", labels_of(k)).set(0.5 * k);
+      reg.histogram("cf_h", "h", {1.0, 10.0, 100.0}, labels_of(k))
+          .observe(static_cast<double>(k % 200));
+    }
+  };
+  obs::MetricsRegistry forward;
+  fill(forward, order);
+  std::reverse(order.begin(), order.end());
+  obs::MetricsRegistry backward;
+  fill(backward, order);
+  Xoshiro256 rng(17);
+  for (std::size_t k = order.size(); k > 1; --k)
+    std::swap(order[k - 1], order[rng.below(k)]);
+  obs::MetricsRegistry shuffled;
+  fill(shuffled, order);
+  const std::string want = obs::to_prometheus(forward);
+  EXPECT_EQ(obs::to_prometheus(backward), want);
+  EXPECT_EQ(obs::to_prometheus(shuffled), want);
 }
 
 TEST(Metrics, GaugeIsLastWriteWins) {

@@ -3,8 +3,12 @@
 
 #include <gtest/gtest.h>
 
+#include <map>
+#include <string>
+
 #include "failure/failure_model.hpp"
 #include "helpers.hpp"
+#include "obs/metrics.hpp"
 #include "sim/simulator.hpp"
 
 namespace cellflow {
@@ -148,6 +152,95 @@ TEST(ProgressTracker, InFlightMatchesSystemPopulation) {
   sim.add_observer(progress);
   sim.run(700);
   EXPECT_EQ(progress.in_flight(), sys.entity_count());
+}
+
+// --- MetricsObserver's per-cell handles -----------------------------------
+
+using CellTally = std::map<std::string, std::uint64_t>;  // "i,j" → count
+
+std::string cell_label(CellId id) {
+  return std::to_string(id.i) + "," + std::to_string(id.j);
+}
+
+/// The per-cell event counts, tallied the plain way.
+class EventTally final : public Observer {
+ public:
+  void on_round(const System& /*sys*/, const RoundEvents& ev) override {
+    for (const CellId id : ev.blocked) ++blocked[cell_label(id)];
+    for (const CellId id : ev.moved) ++moved[cell_label(id)];
+    for (const auto& [id, eid] : ev.injected) {
+      (void)eid;
+      ++injected[cell_label(id)];
+    }
+  }
+  CellTally blocked;
+  CellTally moved;
+  CellTally injected;
+};
+
+/// The values of one per-cell family, keyed by its cell label.
+CellTally family_values(const obs::MetricsRegistry& reg,
+                        const std::string& name) {
+  CellTally out;
+  for (const obs::FamilySnapshot& f : reg.snapshot()) {
+    if (f.name != name) continue;
+    for (const obs::SeriesSnapshot& s : f.series)
+      out[s.labels.at(0).value] = s.counter_value;
+  }
+  return out;
+}
+
+TEST(MetricsObserverHandles, PerCellCountersMatchTheEvents) {
+  SystemConfig cfg;
+  cfg.side = 40;  // a partial second tile on each axis
+  cfg.params = kP;
+  cfg.sources = {CellId{38, 0}, CellId{1, 0}, CellId{0, 33}};
+  cfg.target = CellId{20, 39};
+  System sys(cfg);
+  RandomFailRecover failures(0.01, 0.2, 5);
+  Simulator sim(sys, failures);
+  obs::MetricsRegistry reg;
+  MetricsObserver metrics(reg);
+  EventTally tally;
+  sim.add_observer(metrics);
+  sim.add_observer(tally);
+  sim.run(400);
+  ASSERT_GT(tally.blocked.size(), 0u);
+  EXPECT_EQ(family_values(reg, "cellflow_cell_blocked_total"), tally.blocked);
+  EXPECT_EQ(family_values(reg, "cellflow_cell_moved_total"), tally.moved);
+  EXPECT_EQ(family_values(reg, "cellflow_cell_injected_total"),
+            tally.injected);
+}
+
+TEST(MetricsObserverHandles, TileEdgesAndGridChangesKeepOneSeriesPerCell) {
+  const System small = testing::make_column_system(8, kP);
+  const System odd = testing::make_column_system(70, kP);  // 3×3 tiles
+  obs::MetricsRegistry reg;
+  MetricsObserver metrics(reg);
+  const std::vector<CellId> edges{{0, 0},   {69, 69}, {31, 32}, {32, 31},
+                                  {69, 0},  {0, 69},  {63, 64}, {64, 63},
+                                  {31, 31}, {32, 32}, {3, 3}};
+  RoundEvents ev;
+  CellTally want;
+  for (std::uint64_t round = 0; round < 6; ++round) {
+    ev.clear();
+    ev.round = round;
+    for (std::size_t k = 0; k < edges.size(); ++k) {
+      if ((k + round) % 2 == 0) continue;
+      ev.moved.push_back(edges[k]);
+      ++want[cell_label(edges[k])];
+    }
+    metrics.on_round(odd, ev);
+    // The same observer on another grid: its tables are rebuilt, and the
+    // cells they share resolve to the same series.
+    ev.clear();
+    ev.round = round;
+    ev.moved = {CellId{3, 3}, CellId{7, 7}};
+    ++want["3,3"];
+    ++want["7,7"];
+    metrics.on_round(small, ev);
+  }
+  EXPECT_EQ(family_values(reg, "cellflow_cell_moved_total"), want);
 }
 
 TEST(Simulator, RunUntilStopsEarly) {
