@@ -16,6 +16,7 @@
 #pragma once
 
 #include <algorithm>
+#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -137,27 +138,27 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
  public:
   BasicRandomFailRecover(double pf, double pr, std::uint64_t seed,
                          bool protect_target = false)
-      : pf_(pf), pr_(pr), rng_(seed), protect_target_(protect_target) {
-    CF_EXPECTS(pf >= 0.0 && pf <= 1.0);
-    CF_EXPECTS(pr >= 0.0 && pr <= 1.0);
-  }
+      : fail_cut_(draw_cut(pf)),
+        recover_cut_(draw_cut(pr)),
+        rng_(seed),
+        protect_target_(protect_target) {}
 
   void apply(Engine& sys) override {
-    // One Bernoulli draw per cell per round, in id order, so executions
-    // are reproducible from the seed regardless of grid contents.
-    for (const CellId id : sys.grid().all_cells()) {
-      const bool failed = sys.cell(id).failed;
-      if (failed) {
-        if (rng_.bernoulli(pr_)) {
-          sys.recover(id);
-          ++total_recoveries_;
-        }
-      } else {
-        if (protect_target_ && id == sys.target()) {
-          (void)rng_.bernoulli(pf_);  // keep the stream aligned
-          continue;
-        }
-        if (rng_.bernoulli(pf_)) {
+    // One Bernoulli draw per cell per round, in id order (j, then i, as
+    // Grid::id_of), so executions are reproducible from the seed
+    // regardless of grid contents. The protected target's draw is made
+    // and ignored, which keeps the stream aligned.
+    const int side = sys.grid().side();
+    const CellId target = sys.target();
+    for (int j = 0; j < side; ++j) {
+      for (int i = 0; i < side; ++i) {
+        const CellId id{i, j};
+        if (sys.cell(id).failed) {
+          if (draw(recover_cut_)) {
+            sys.recover(id);
+            ++total_recoveries_;
+          }
+        } else if (draw(fail_cut_) && !(protect_target_ && id == target)) {
           sys.fail(id);
           ++total_failures_;
         }
@@ -194,8 +195,18 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
   }
 
  private:
-  double pf_;
-  double pr_;
+  /// ⌈p·2⁵³⌉. Xoshiro256::bernoulli(p) tests m·2⁻⁵³ < p on the raw
+  /// 53-bit draw m = rng() >> 11; p·2⁵³ is exact and m an integer, so that
+  /// holds exactly when m < ⌈p·2⁵³⌉ — the same draw, the same decision,
+  /// without the conversion to double.
+  static std::uint64_t draw_cut(double p) {
+    CF_EXPECTS(p >= 0.0 && p <= 1.0);
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+  bool draw(std::uint64_t cut) noexcept { return (rng_() >> 11) < cut; }
+
+  std::uint64_t fail_cut_;
+  std::uint64_t recover_cut_;
   Xoshiro256 rng_;
   bool protect_target_;
   std::uint64_t total_failures_ = 0;

@@ -3,8 +3,13 @@
 
 #include <gtest/gtest.h>
 
+#include <utility>
+#include <vector>
+
+#include "chunk/chunked_system.hpp"
 #include "grid/path.hpp"
 #include "helpers.hpp"
+#include "msg/msg_system.hpp"
 
 namespace cellflow {
 namespace {
@@ -134,6 +139,132 @@ TEST(RandomFailRecover, DeterministicUnderSeed) {
   };
   EXPECT_EQ(run(5), run(5));
   EXPECT_NE(run(5), run(6));
+}
+
+// --- the fail/recover stream, pinned against the loop it replaced --------
+
+/// Forwards to an engine and logs every fail/recover call.
+template <class Engine>
+class Recording {
+ public:
+  explicit Recording(Engine& sys) : sys_(sys) {}
+  [[nodiscard]] const Grid& grid() const { return sys_.grid(); }
+  [[nodiscard]] CellId target() const { return sys_.target(); }
+  [[nodiscard]] decltype(auto) cell(CellId id) const { return sys_.cell(id); }
+  void fail(CellId id) {
+    calls_.emplace_back(false, id);
+    sys_.fail(id);
+  }
+  void recover(CellId id) {
+    calls_.emplace_back(true, id);
+    sys_.recover(id);
+  }
+  /// The calls since the last take(), as (recover?, cell).
+  std::vector<std::pair<bool, CellId>> take() {
+    return std::exchange(calls_, {});
+  }
+
+ private:
+  Engine& sys_;
+  std::vector<std::pair<bool, CellId>> calls_;
+};
+
+/// RandomFailRecover as it was first written: Grid::all_cells() and one
+/// Xoshiro256::bernoulli per cell, the protected target's draw consumed
+/// and ignored.
+struct ReferenceFailRecover {
+  double pf;
+  double pr;
+  bool protect_target;
+  Xoshiro256 rng;
+  std::uint64_t failures = 0;
+  std::uint64_t recoveries = 0;
+
+  template <class Engine>
+  void apply(Engine& sys) {
+    for (const CellId id : sys.grid().all_cells()) {
+      if (sys.cell(id).failed) {
+        if (rng.bernoulli(pr)) {
+          sys.recover(id);
+          ++recoveries;
+        }
+      } else {
+        if (protect_target && id == sys.target()) {
+          (void)rng.bernoulli(pf);
+          continue;
+        }
+        if (rng.bernoulli(pf)) {
+          sys.fail(id);
+          ++failures;
+        }
+      }
+    }
+  }
+};
+
+/// 300 rounds of the model and the reference on twin engines: the same
+/// calls every round, the same totals, the same generator state.
+template <class Engine, class Config>
+void expect_same_stream(const Config& cfg, double pf, double pr,
+                        bool protect) {
+  Engine a(cfg);
+  Engine b(cfg);
+  Recording<Engine> ra(a);
+  Recording<Engine> rb(b);
+  BasicRandomFailRecover<Recording<Engine>> model(pf, pr, 321, protect);
+  ReferenceFailRecover ref{pf, pr, protect, Xoshiro256(321)};
+  std::uint64_t calls = 0;
+  for (int round = 0; round < 300; ++round) {
+    model.apply(ra);
+    ref.apply(rb);
+    const auto got = ra.take();
+    ASSERT_EQ(got, rb.take()) << "round " << round;
+    calls += got.size();
+    a.update();
+    b.update();
+  }
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(model.total_failures(), ref.failures);
+  EXPECT_EQ(model.total_recoveries(), ref.recoveries);
+  EXPECT_EQ(model.generator().state(), ref.rng.state());
+}
+
+SystemConfig stream_config() {
+  SystemConfig cfg;
+  cfg.side = 12;
+  cfg.params = kP;
+  cfg.sources = {CellId{1, 0}, CellId{7, 0}};
+  cfg.target = CellId{5, 11};
+  return cfg;
+}
+
+TEST(FailRecoverStream, MatchesTheBernoulliLoopOnSystem) {
+  for (const bool protect : {true, false}) {
+    expect_same_stream<System>(stream_config(), 0.05, 0.2, protect);
+    expect_same_stream<System>(stream_config(), 0.5, 1.0, protect);
+  }
+}
+
+TEST(FailRecoverStream, MatchesTheBernoulliLoopOnChunkedSystem) {
+  for (const bool protect : {true, false}) {
+    expect_same_stream<chunk::ChunkedSystem>(stream_config(), 0.05, 0.2,
+                                             protect);
+    expect_same_stream<chunk::ChunkedSystem>(stream_config(), 0.5, 1.0,
+                                             protect);
+  }
+}
+
+TEST(FailRecoverStream, MatchesTheBernoulliLoopOnMessageSystem) {
+  const SystemConfig sc = stream_config();
+  MsgSystemConfig mc;
+  mc.side = sc.side;
+  mc.params = sc.params;
+  mc.target = sc.target;
+  mc.sources = sc.sources;
+  for (const bool protect : {true, false}) {
+    expect_same_stream<MessageSystem>(mc, 0.05, 0.2, protect);
+    expect_same_stream<MessageSystem>(mc, 0.5, 1.0, protect);
+  }
 }
 
 TEST(CarvePath, FailsExactlyOffPathCells) {

@@ -7,6 +7,7 @@
 
 #include <array>
 #include <cmath>
+#include <cstdint>
 #include <vector>
 
 #include "util/check.hpp"
@@ -129,6 +130,36 @@ TEST(Xoshiro256, BernoulliRejectsOutOfRange) {
   Xoshiro256 rng(11);
   EXPECT_THROW((void)rng.bernoulli(-0.1), ContractViolation);
   EXPECT_THROW((void)rng.bernoulli(1.1), ContractViolation);
+}
+
+// BasicRandomFailRecover draws its Bernoulli trials in integer form: the
+// raw 53-bit draw m = rng() >> 11 against ⌈p·2⁵³⌉. That must make the
+// same decision as bernoulli(p), i.e. m·2⁻⁵³ < p, on every draw.
+TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
+  for (const double p :
+       {0.0, 0x1.0p-53, 1e-4, 0.05, 0.1, std::nextafter(0.5, 0.0),
+        1.0 - 0x1.0p-53, 1.0}) {
+    const auto cut = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    // The boundary itself, which random draws essentially never reach:
+    // m = cut − 1 is a success and m = cut is not.
+    if (cut > 0) {
+      EXPECT_LT(static_cast<double>(cut - 1) * 0x1.0p-53, p) << p;
+    }
+    if (cut < (std::uint64_t{1} << 53)) {
+      EXPECT_GE(static_cast<double>(cut) * 0x1.0p-53, p) << p;
+    }
+    Xoshiro256 by_double(2024);
+    Xoshiro256 by_integer(2024);
+    std::uint64_t hits = 0;
+    for (int k = 0; k < 1'000'000; ++k) {
+      const bool want = by_double.bernoulli(p);
+      const bool got = (by_integer() >> 11) < cut;
+      ASSERT_EQ(got, want) << "p=" << p << " draw " << k;
+      hits += got ? 1 : 0;
+    }
+    EXPECT_EQ(by_integer.state(), by_double.state());
+    EXPECT_NEAR(static_cast<double>(hits) * 1e-6, p, 0.002) << p;
+  }
 }
 
 TEST(Xoshiro256, SplitGivesIndependentStream) {
