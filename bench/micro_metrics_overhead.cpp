@@ -127,15 +127,19 @@ int main(int argc, char** argv) {
     if (side > max_side) continue;
     Row row{side, {}, {}};
     std::uint64_t baseline_digest = 0;
-    for (int m = 0; m < kModes; ++m) {
-      std::vector<double> samples;
-      samples.reserve(reps);
-      for (std::size_t r = 0; r < reps; ++r) {
+    // The modes are interleaved inside each rep, starting one mode later
+    // each rep, so host drift over the run lands on every mode alike
+    // instead of reading as one mode's overhead.
+    std::vector<double> samples[kModes];
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (int k = 0; k < kModes; ++k) {
+        const int m = static_cast<int>((r + static_cast<std::size_t>(k)) %
+                                       kModes);
         const Measurement meas =
             measure(side, policy, static_cast<Mode>(m), warmup, rounds);
         recorder.note_rounds(warmup + rounds);
-        samples.push_back(meas.rounds_per_sec);
-        if (m == 0 && r == 0) {
+        samples[m].push_back(meas.rounds_per_sec);
+        if (r == 0 && k == 0) {
           baseline_digest = meas.state_digest;
         } else if (meas.state_digest != baseline_digest) {
           digests_agree = false;
@@ -144,18 +148,20 @@ int main(int argc, char** argv) {
                     << " — instrumentation perturbed protocol state\n";
         }
       }
+    }
+    for (int m = 0; m < kModes; ++m) {
       // Best-of-reps is the reported statistic (on a contended machine
       // noise is one-sided slowdown, so the max is the clean speed); the
       // _rd column is the best-to-second-best gap — the reproducibility
       // of that statistic, not the raw scatter.
-      std::sort(samples.begin(), samples.end(), std::greater<>());
-      row.rps[m] = samples[0];
-      row.rps_rd[m] = samples.size() > 1 && samples[0] > 0.0
-                          ? (samples[0] - samples[1]) / samples[0]
+      std::sort(samples[m].begin(), samples[m].end(), std::greater<>());
+      row.rps[m] = samples[m][0];
+      row.rps_rd[m] = samples[m].size() > 1 && samples[m][0] > 0.0
+                          ? (samples[m][0] - samples[m][1]) / samples[m][0]
                           : 0.0;
       recorder.note_samples("rounds_per_sec[" + std::to_string(side) + "/" +
                                 mode_names[m] + "]",
-                            samples);
+                            samples[m]);
     }
     const auto overhead = [&](int m) {
       return row.rps[m] > 0.0
