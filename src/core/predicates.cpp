@@ -100,9 +100,9 @@ class SeenIds {
   }
 
   void grow() {
-    std::vector<Slot> old(slots_.size() < 64 ? 64 : 2 * slots_.size());
-    old.swap(slots_);
-    shift_ = 64 - std::countr_zero(slots_.size());
+    const std::size_t n = slots_.empty() ? 64 : 2 * slots_.size();
+    const std::vector<Slot> old = std::exchange(slots_, std::vector<Slot>(n));
+    shift_ = 64 - std::countr_zero(n);
     count_ = 0;
     for (const Slot& s : old)
       if (s.epoch == epoch_) (void)insert(s.id);
