@@ -17,7 +17,6 @@
 #pragma once
 
 #include <algorithm>
-#include <array>
 #include <cstdint>
 #include <memory>
 #include <optional>
@@ -287,15 +286,18 @@ class BasicMetricsObserver final : public BasicObserver<Engine> {
 
  private:
   /// Per-cell counter handles of one metric family, indexed by cell and
-  /// paged by 32×32 tile: the tile index is sized on reset(), and a tile is
-  /// allocated on the first lookup of one of its cells, so a sparse run on
-  /// a large grid holds only the tiles its events touch. A null handle is
-  /// one not yet resolved from the registry.
+  /// paged by square tile: 32×32 on a large grid, the whole grid on one
+  /// of side 32 or less. reset() sizes the tile index; a tile is
+  /// allocated on the first lookup of one of its cells, so a sparse run
+  /// on a large grid holds only the tiles its events touch. A null handle
+  /// is one not yet resolved from the registry.
   class CellCounters {
    public:
-    /// Forgets every handle and sizes the tile index for a side×side grid.
+    /// Forgets every handle and sizes the tiles for a side×side grid.
     void reset(int side) {
-      tiles_x_ = (side + kTile - 1) / kTile;
+      shift_ = 0;
+      while (shift_ < kMaxShift && (1 << shift_) < side) ++shift_;
+      tiles_x_ = ((side - 1) >> shift_) + 1;
       tiles_.clear();
       tiles_.resize(static_cast<std::size_t>(tiles_x_) *
                     static_cast<std::size_t>(tiles_x_));
@@ -303,20 +305,22 @@ class BasicMetricsObserver final : public BasicObserver<Engine> {
 
     /// The handle slot of `id`. Precondition: id is on the reset() grid.
     obs::Counter*& at(CellId id) {
-      auto& tile = tiles_[static_cast<std::size_t>(id.j / kTile) *
-                              static_cast<std::size_t>(tiles_x_) +
-                          static_cast<std::size_t>(id.i / kTile)];
-      if (!tile) tile = std::make_unique<Tile>();
-      return (*tile)[static_cast<std::size_t>((id.j % kTile) * kTile +
-                                              id.i % kTile)];
+      auto& tile = tiles_[static_cast<std::size_t>(
+          (id.j >> shift_) * tiles_x_ + (id.i >> shift_))];
+      if (!tile)
+        tile = std::make_unique<obs::Counter*[]>(std::size_t{1}
+                                                 << (2 * shift_));
+      const int mask = (1 << shift_) - 1;
+      return tile[static_cast<std::size_t>(((id.j & mask) << shift_) |
+                                           (id.i & mask))];
     }
 
    private:
-    static constexpr int kTile = 32;
-    using Tile = std::array<obs::Counter*, kTile * kTile>;
+    static constexpr int kMaxShift = 5;  // 32×32 tiles at most
 
+    int shift_ = 0;
     int tiles_x_ = 0;
-    std::vector<std::unique_ptr<Tile>> tiles_;
+    std::vector<std::unique_ptr<obs::Counter*[]>> tiles_;
   };
 
   obs::Counter& cell_counter(CellCounters& table, const char* name,

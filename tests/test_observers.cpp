@@ -192,7 +192,7 @@ CellTally family_values(const obs::MetricsRegistry& reg,
 
 TEST(MetricsObserverHandles, PerCellCountersMatchTheEvents) {
   SystemConfig cfg;
-  cfg.side = 40;  // a partial second tile on each axis
+  cfg.side = 40;  // 32×32 tiles, the second partial on each axis
   cfg.params = kP;
   cfg.sources = {CellId{38, 0}, CellId{1, 0}, CellId{0, 33}};
   cfg.target = CellId{20, 39};
