@@ -95,15 +95,6 @@ std::uint64_t label_hash(const Labels& labels) {
   return h ^ (h >> 32);
 }
 
-Labels canonical(Labels labels) {
-  std::sort(labels.begin(), labels.end());
-  for (std::size_t k = 1; k < labels.size(); ++k)
-    if (labels[k].key == labels[k - 1].key)
-      throw std::runtime_error("MetricsRegistry: duplicate label key '" +
-                               labels[k].key + "'");
-  return labels;
-}
-
 }  // namespace
 
 struct MetricsRegistry::Family {
@@ -159,6 +150,19 @@ struct MetricsRegistry::Family {
     index[k] = static_cast<std::uint32_t>(slot + 1);
   }
 };
+
+namespace {
+
+Labels canonical(Labels labels) {
+  std::sort(labels.begin(), labels.end());
+  for (std::size_t k = 1; k < labels.size(); ++k)
+    if (labels[k].key == labels[k - 1].key)
+      throw std::runtime_error("MetricsRegistry: duplicate label key '" +
+                               labels[k].key + "'");
+  return labels;
+}
+
+}  // namespace
 
 MetricsRegistry::MetricsRegistry() = default;
 MetricsRegistry::~MetricsRegistry() = default;

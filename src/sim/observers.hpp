@@ -286,11 +286,12 @@ class BasicMetricsObserver final : public BasicObserver<Engine> {
 
  private:
   /// Per-cell counter handles of one metric family, indexed by cell and
-  /// paged by square tile: 32×32 on a large grid, the whole grid on one
-  /// of side 32 or less. reset() sizes the tile index; a tile is
-  /// allocated on the first lookup of one of its cells, so a sparse run
-  /// on a large grid holds only the tiles its events touch. A null handle
-  /// is one not yet resolved from the registry.
+  /// paged by square tile: 32×32, or on a grid of side 32 or less one
+  /// tile of that side rounded up to a power of two. reset() sizes the
+  /// tile index; a tile is allocated on the first lookup of one of its
+  /// cells, so a sparse run on a large grid holds only the tiles its
+  /// events touch. A null handle is one not yet resolved from the
+  /// registry.
   class CellCounters {
    public:
     /// Forgets every handle and sizes the tiles for a side×side grid.
