@@ -16,7 +16,6 @@
 #pragma once
 
 #include <algorithm>
-#include <cmath>
 #include <cstdint>
 #include <memory>
 #include <span>
@@ -138,8 +137,8 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
  public:
   BasicRandomFailRecover(double pf, double pr, std::uint64_t seed,
                          bool protect_target = false)
-      : fail_cut_(draw_cut(pf)),
-        recover_cut_(draw_cut(pr)),
+      : fail_cut_(Xoshiro256::bernoulli_cut(pf)),
+        recover_cut_(Xoshiro256::bernoulli_cut(pr)),
         rng_(seed),
         protect_target_(protect_target) {}
 
@@ -154,11 +153,12 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
       for (int i = 0; i < side; ++i) {
         const CellId id{i, j};
         if (sys.cell(id).failed) {
-          if (draw(recover_cut_)) {
+          if (rng_.draw_below(recover_cut_)) {
             sys.recover(id);
             ++total_recoveries_;
           }
-        } else if (draw(fail_cut_) && !(protect_target_ && id == target)) {
+        } else if (rng_.draw_below(fail_cut_) &&
+                   !(protect_target_ && id == target)) {
           sys.fail(id);
           ++total_failures_;
         }
@@ -195,18 +195,8 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
   }
 
  private:
-  /// ⌈p·2⁵³⌉. Xoshiro256::bernoulli(p) tests m·2⁻⁵³ < p on the raw
-  /// 53-bit draw m = rng() >> 11; p·2⁵³ is exact and m an integer, so that
-  /// holds exactly when m < ⌈p·2⁵³⌉ — the same draw, the same decision,
-  /// without the conversion to double.
-  static std::uint64_t draw_cut(double p) {
-    CF_EXPECTS(p >= 0.0 && p <= 1.0);
-    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
-  }
-  bool draw(std::uint64_t cut) noexcept { return (rng_() >> 11) < cut; }
-
-  std::uint64_t fail_cut_;
-  std::uint64_t recover_cut_;
+  std::uint64_t fail_cut_;     // Xoshiro256::bernoulli_cut(pf)
+  std::uint64_t recover_cut_;  // Xoshiro256::bernoulli_cut(pr)
   Xoshiro256 rng_;
   bool protect_target_;
   std::uint64_t total_failures_ = 0;

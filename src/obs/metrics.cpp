@@ -108,20 +108,14 @@ struct MetricsRegistry::Family {
   std::vector<std::unique_ptr<Histogram>> histograms;
   /// Open-addressing index over `labels`, linear probing: each entry is
   /// a slot number + 1 (0 = empty), placed by label_hash of the canonical
-  /// set; a power-of-two table at most half full. A probe compares
-  /// against labels[slot], so the index holds no copy of any label. Built
-  /// once the family outgrows kScanLimit series; smaller families, most
-  /// of them, are scanned, which costs less than hashing.
+  /// set; a power-of-two table at most half full, allocated with the
+  /// family's first series. A probe compares against labels[slot], so the
+  /// index holds no copy of any label.
   std::vector<std::uint32_t> index;
-  static constexpr std::size_t kScanLimit = 8;
 
   /// The slot of `want` (canonical), or labels.size() when absent.
   [[nodiscard]] std::size_t find(const Labels& want) const {
-    if (index.empty()) {
-      for (std::size_t k = 0; k < labels.size(); ++k)
-        if (labels[k] == want) return k;
-      return labels.size();
-    }
+    if (index.empty()) return labels.size();  // no series yet
     const std::size_t mask = index.size() - 1;
     for (std::size_t k = label_hash(want) & mask; index[k] != 0;
          k = (k + 1) & mask)
@@ -133,12 +127,11 @@ struct MetricsRegistry::Family {
   /// caller appends the slot's metric.
   void add(Labels want) {
     labels.push_back(std::move(want));
-    if (labels.size() <= kScanLimit) return;
     if (2 * labels.size() <= index.size()) {
       place(labels.size() - 1);
       return;
     }
-    index.assign(std::max<std::size_t>(4 * kScanLimit, 2 * index.size()), 0);
+    index.assign(std::max<std::size_t>(4, 2 * index.size()), 0);
     for (std::size_t k = 0; k < labels.size(); ++k) place(k);
   }
 

@@ -11,6 +11,7 @@
 #pragma once
 
 #include <array>
+#include <cmath>
 #include <cstdint>
 
 #include "util/check.hpp"
@@ -86,6 +87,22 @@ class Xoshiro256 {
   constexpr bool bernoulli(double p) {
     CF_EXPECTS(p >= 0.0 && p <= 1.0);
     return uniform01() < p;
+  }
+
+  /// bernoulli(p) in integer form, for a p tried on many draws: compute
+  /// cut = bernoulli_cut(p) once, then draw_below(cut) per trial. bernoulli
+  /// tests m·2⁻⁵³ < p on the raw 53-bit draw m = (*this)() >> 11; p·2⁵³ is
+  /// exact and m an integer, so that holds exactly when m < ⌈p·2⁵³⌉ — the
+  /// same draw and the same decision, without the conversion to double.
+  static std::uint64_t bernoulli_cut(double p) {
+    CF_EXPECTS(p >= 0.0 && p <= 1.0);
+    return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+  }
+
+  /// One trial against a bernoulli_cut: consumes one draw, true with
+  /// probability cut·2⁻⁵³.
+  constexpr bool draw_below(std::uint64_t cut) noexcept {
+    return ((*this)() >> 11) < cut;
   }
 
   /// A decorrelated child stream, for handing to sub-components.

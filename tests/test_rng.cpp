@@ -132,19 +132,21 @@ TEST(Xoshiro256, BernoulliRejectsOutOfRange) {
   EXPECT_THROW((void)rng.bernoulli(1.1), ContractViolation);
 }
 
-// BasicRandomFailRecover draws its Bernoulli trials in integer form: the
-// raw 53-bit draw m = rng() >> 11 against ⌈p·2⁵³⌉. That must make the
-// same decision as bernoulli(p), i.e. m·2⁻⁵³ < p, on every draw.
+// bernoulli_cut/draw_below are bernoulli(p) in integer form (the
+// stochastic failure model draws through them): the raw 53-bit draw
+// m = rng() >> 11 against ⌈p·2⁵³⌉. That must make the same decision as
+// bernoulli(p), i.e. m·2⁻⁵³ < p, on every draw.
 TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
   for (const double p :
        {0.0, 0x1.0p-53, 1e-4, 0.05, 0.1, std::nextafter(0.5, 0.0),
         1.0 - 0x1.0p-53, 1.0}) {
-    const auto cut = static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
+    const std::uint64_t cut = Xoshiro256::bernoulli_cut(p);
     // The boundary itself, which random draws essentially never reach:
     // m = cut − 1 is a success and m = cut is not.
     if (cut > 0) {
       EXPECT_LT(static_cast<double>(cut - 1) * 0x1.0p-53, p) << p;
     }
+    EXPECT_LE(cut, std::uint64_t{1} << 53) << p;
     if (cut < (std::uint64_t{1} << 53)) {
       EXPECT_GE(static_cast<double>(cut) * 0x1.0p-53, p) << p;
     }
@@ -153,12 +155,31 @@ TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
     std::uint64_t hits = 0;
     for (int k = 0; k < 1'000'000; ++k) {
       const bool want = by_double.bernoulli(p);
-      const bool got = (by_integer() >> 11) < cut;
+      const bool got = by_integer.draw_below(cut);
       ASSERT_EQ(got, want) << "p=" << p << " draw " << k;
       hits += got ? 1 : 0;
     }
     EXPECT_EQ(by_integer.state(), by_double.state());
     EXPECT_NEAR(static_cast<double>(hits) * 1e-6, p, 0.002) << p;
+  }
+  EXPECT_THROW((void)Xoshiro256::bernoulli_cut(-0.1), ContractViolation);
+  EXPECT_THROW((void)Xoshiro256::bernoulli_cut(1.1), ContractViolation);
+}
+
+// draw_below at its boundary: a cut equal to the next draw's m fails and
+// one above it succeeds, each consuming exactly that one draw.
+TEST(Xoshiro256, DrawBelowComparesStrictly) {
+  Xoshiro256 rng(77);
+  for (int k = 0; k < 1000; ++k) {
+    Xoshiro256 peek = rng;
+    const std::uint64_t m = peek() >> 11;
+    Xoshiro256 at = rng;
+    Xoshiro256 above = rng;
+    EXPECT_FALSE(at.draw_below(m)) << k;
+    EXPECT_TRUE(above.draw_below(m + 1)) << k;
+    EXPECT_EQ(at.state(), peek.state());
+    EXPECT_EQ(above.state(), peek.state());
+    rng();
   }
 }
 
