@@ -5,6 +5,8 @@
 #include <limits>
 #include <stdexcept>
 
+#include "util/small_vec.hpp"
+
 namespace cellflow::obs {
 
 namespace {
@@ -108,10 +110,13 @@ struct MetricsRegistry::Family {
   std::vector<std::unique_ptr<Histogram>> histograms;
   /// Open-addressing index over `labels`, linear probing: each entry is
   /// a slot number + 1 (0 = empty), placed by label_hash of the canonical
-  /// set; a power-of-two table at most half full, allocated with the
-  /// family's first series. A probe compares against labels[slot], so the
-  /// index holds no copy of any label.
-  std::vector<std::uint32_t> index;
+  /// set; a power-of-two table at most half full, sized with the family's
+  /// first series. Its first kInline entries live in the Family, so a
+  /// family of up to kInline / 2 series, as most are, allocates nothing
+  /// for it. A probe compares against labels[slot], so the index holds no
+  /// copy of any label.
+  static constexpr std::size_t kInline = 8;
+  SmallVec<std::uint32_t, kInline> index;
 
   /// The slot of `want` (canonical), or labels.size() when absent.
   [[nodiscard]] std::size_t find(const Labels& want) const {
@@ -131,7 +136,9 @@ struct MetricsRegistry::Family {
       place(labels.size() - 1);
       return;
     }
-    index.assign(std::max<std::size_t>(4, 2 * index.size()), 0);
+    const std::size_t size = std::max(kInline, 2 * index.size());
+    index.clear();
+    index.resize(size);
     for (std::size_t k = 0; k < labels.size(); ++k) place(k);
   }
 
