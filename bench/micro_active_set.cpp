@@ -22,6 +22,15 @@
 // chunked, so this bench doubles as an end-to-end equivalence check — any
 // digest mismatch aborts nonzero. scripts/plot_figures.py consumes the
 // CSV.
+//
+// Each workload runs --reps repetitions (default 5) of every engine. The
+// engines are interleaved inside each rep, starting one engine later each
+// rep, so host drift lands on every engine alike; each r/s column is the
+// median over the reps, and chunked/active is the median of the per-rep
+// ratios (each ratio pairs two runs taken back to back). The default
+// 4000 timed rounds make one run long enough to decide ROADMAP item 3's
+// 0.9 gate; the ctest smoke run passes short horizons instead.
+#include <algorithm>
 #include <chrono>
 #include <cstdint>
 #include <iostream>
@@ -136,17 +145,20 @@ Measurement measure(const SystemConfig& cfg, bool sparse, const Engine& eng,
 
 int main(int argc, char** argv) {
   CliArgs cli(argc, argv);
-  const auto rounds = cli.get_uint("rounds", 400, "timed rounds per engine");
+  const auto rounds = cli.get_uint("rounds", 4000, "timed rounds per engine");
   const auto warmup =
       cli.get_uint("warmup", 80, "untimed rounds to reach steady state");
   const auto max_side = static_cast<int>(
       cli.get_uint("max-side", 100, "largest grid side to measure"));
+  const auto reps = static_cast<std::size_t>(cli.get_uint(
+      "reps", 5, "repetitions per engine (the median is reported)"));
   if (cli.help_requested()) {
     std::cout << cli.help_text();
     return 0;
   }
   cli.finish();
   cellflow::bench::BenchRecorder recorder("micro_active_set");
+  recorder.set_repetitions(static_cast<int>(reps));
 
   bench::banner(
       "Micro: active-set round scheduler",
@@ -169,8 +181,14 @@ int main(int argc, char** argv) {
   struct Row {
     std::string workload;
     int side;
-    std::vector<double> rps;  // engines order
+    std::vector<double> rps;  // engines order, median over reps
+    double chunked_over_active;  // median of the per-rep ratios
     double visited_frac;
+  };
+  const auto median = [](std::vector<double> v) {
+    std::sort(v.begin(), v.end());
+    const std::size_t n = v.size();
+    return n == 0 ? 0.0 : n % 2 == 1 ? v[n / 2] : (v[n / 2 - 1] + v[n / 2]) / 2;
   };
   std::vector<Row> results;
   bool digests_agree = true;
@@ -183,25 +201,45 @@ int main(int argc, char** argv) {
       if (!sparse && side > 50) continue;
       const SystemConfig cfg = sparse ? sparse_config(side) : dense_config(side);
       Row row{(sparse ? "sparse-" : "dense-") + std::to_string(side), side, {},
-              0.0};
+              0.0, 0.0};
+      std::vector<std::vector<double>> samples(engines.size());
+      std::vector<double> ratios;
+      // Rep 0 runs exhaustive serial first: its digest is the reference.
       std::uint64_t ref_digest = 0;
-      for (const Engine& eng : engines) {
-        const Measurement m = measure(cfg, sparse, eng, warmup, rounds);
-        recorder.note_rounds(warmup + rounds);
-        row.rps.push_back(m.rounds_per_sec);
-        // The visit fraction reported is the dense active engine's.
-        if (&eng == &engines[1]) row.visited_frac = m.visited_frac;
-        if (&eng == &engines.front()) {
-          ref_digest = m.state_digest;
-        } else if (m.state_digest != ref_digest) {
-          digests_agree = false;
-          std::cerr << "DIGEST MISMATCH: " << row.workload << " engine="
-                    << eng.label << " diverged from exhaustive serial\n";
+      bool have_ref = false;
+      for (std::size_t r = 0; r < reps; ++r) {
+        std::vector<double> rep_rps(engines.size(), 0.0);
+        for (std::size_t k = 0; k < engines.size(); ++k) {
+          const std::size_t e = (r + k) % engines.size();
+          const Engine& eng = engines[e];
+          const Measurement m = measure(cfg, sparse, eng, warmup, rounds);
+          recorder.note_rounds(warmup + rounds);
+          rep_rps[e] = m.rounds_per_sec;
+          samples[e].push_back(m.rounds_per_sec);
+          // The visit fraction reported is the dense active engine's.
+          if (e == 1) row.visited_frac = m.visited_frac;
+          if (!have_ref) {
+            ref_digest = m.state_digest;
+            have_ref = true;
+          } else if (m.state_digest != ref_digest) {
+            digests_agree = false;
+            std::cerr << "DIGEST MISMATCH: " << row.workload << " engine="
+                      << eng.label << " rep " << r
+                      << " diverged from exhaustive serial\n";
+          }
         }
+        if (rep_rps[1] > 0.0) ratios.push_back(rep_rps[3] / rep_rps[1]);
       }
+      for (std::size_t e = 0; e < engines.size(); ++e) {
+        row.rps.push_back(median(samples[e]));
+        recorder.note_samples(row.workload + "/" + engines[e].label,
+                              samples[e]);
+      }
+      row.chunked_over_active = median(ratios);
+      recorder.note_samples(row.workload + "/chunked_over_active", ratios);
       std::vector<double> cells = row.rps;
       cells.push_back(row.rps[1] / row.rps[0]);  // active-serial speedup
-      cells.push_back(row.rps[3] / row.rps[1]);  // chunked ÷ active
+      cells.push_back(row.chunked_over_active);  // chunked ÷ active
       cells.push_back(row.visited_frac);
       table.add_numeric_row(row.workload, cells);
       results.push_back(std::move(row));

@@ -111,7 +111,7 @@ void ChunkedCellStore::park(std::size_t q) {
     // The caller proved quiescence: an unoccupied cell carries no
     // members, token, signal, or NEPrev — nothing else to summarize.
     CF_EXPECTS_MSG(c.members.empty() && !c.token.has_value() &&
-                       !c.signal.has_value() && c.ne_prev.empty(),
+                       !c.signal.has_value() && c.ne_prev == 0,
                    "park() on an occupied cell");
     parked->dist[slot] =
         c.dist.is_infinite()
@@ -150,6 +150,20 @@ Dist ChunkedCellStore::boundary_dist(CellId id) const {
       return id == target_ ? Dist::zero() : Dist::infinity();
   }
   return Dist::infinity();
+}
+
+bool ChunkedCellStore::is_failed(CellId id) const {
+  const Slot& s = slots_[layout_.chunk_of(id)];
+  switch (s.state) {
+    case State::kLive:
+      return s.live->cells[layout_.slot_of(id)].failed;
+    case State::kParked:
+      return (s.parked->meta[layout_.slot_of(id)] &
+              ParkedChunk::kFailedBit) != 0;
+    case State::kVirgin:
+      return false;
+  }
+  return false;
 }
 
 CellState ChunkedCellStore::rest_cell(std::size_t q, std::size_t slot) const {

@@ -44,7 +44,7 @@ struct StoreStatsSample;  // obs/alloc_stats.hpp
 namespace cellflow::chunk {
 
 /// Heap bytes owned by one CellState beyond sizeof(CellState): the
-/// members vector's buffer (NeighborSet is inline by construction).
+/// members vector's buffer (NEPrev is a one-byte mask in the cell).
 [[nodiscard]] inline std::uint64_t cell_heap_bytes(
     const CellState& c) noexcept {
   return static_cast<std::uint64_t>(c.members.capacity()) * sizeof(Entity);
@@ -131,6 +131,11 @@ class ChunkedCellStore {
   /// its chunk's state (live: the snapshot; parked: the summary; virgin:
   /// the initial value — ∞ except a hypothetical virgin target).
   [[nodiscard]] Dist boundary_dist(CellId id) const;
+
+  /// The `failed` flag of cell `id` in any chunk state (live: the cell;
+  /// parked: the summary's kFailedBit; virgin: false), without building
+  /// the cell.
+  [[nodiscard]] bool is_failed(CellId id) const;
 
   /// The full CellState of a *non-live* cell, reconstructed: from the
   /// summary when parked, the initial state when virgin. Everything the

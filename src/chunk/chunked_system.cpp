@@ -103,6 +103,11 @@ CellState ChunkedSystem::cell(CellId id) const {
   return store_.rest_cell(q, layout_.slot_of(id));
 }
 
+bool ChunkedSystem::is_failed(CellId id) const {
+  CF_EXPECTS(grid_.contains(id));
+  return store_.is_failed(id);
+}
+
 std::size_t ChunkedSystem::entity_count() const noexcept {
   std::size_t n = 0;
   for (std::size_t q = 0; q < store_.chunk_count(); ++q) {
@@ -382,20 +387,17 @@ void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
                                 std::size_t slot, CellId id) {
   CellState& c = lc.cells[slot];
   if (c.failed) return;
-  NeighborSet ne_prev;
-  for (const Direction d : kAllDirections) {
-    const auto st = step_of(d);
-    const CellId nid{id.i + st[0], id.j + st[1]};
-    if (!grid_.contains(nid)) continue;
+  const NeighborMask ne_prev = neighbor_mask(id, [&](CellId nid) {
+    if (!grid_.contains(nid)) return false;
     // A non-live neighbor has no members, so it can never be a nonempty
     // predecessor — skipping it reads exactly what the dense engine reads
     // from the same (empty) cell.
     const auto ns = slot_in(rect, nid);
     const CellState* nc = ns ? &lc.cells[*ns] : peek_live(nid);
-    if (nc == nullptr || nc->failed) continue;
-    if (nc->next == OptCellId{id} && nc->has_entities()) ne_prev.push_back(nid);
-  }
-  if (apply_signal(c, id, std::move(ne_prev), config_.signal_rule,
+    return nc != nullptr && !nc->failed && nc->next == OptCellId{id} &&
+           nc->has_entities();
+  });
+  if (apply_signal(c, id, ne_prev, config_.signal_rule,
                    config_.params, *choose_, metrics_ ? &sc.counts : nullptr))
     sc.blocked.push_back(id);
   if (active() && occupied(c) != (lc.occ_b[slot] != 0)) sc.flips.push_back(id);

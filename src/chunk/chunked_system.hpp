@@ -103,6 +103,11 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   /// reference would force a fault-in on a pure read.)
   [[nodiscard]] CellState cell(CellId id) const;
 
+  /// failed_{i,j}, the one field the fail/recover models read, without
+  /// building the cell: the live cell's flag, the parked summary's
+  /// kFailedBit, or false in a virgin chunk.
+  [[nodiscard]] bool is_failed(CellId id) const;
+
   /// Entities currently in the system (live chunks only hold them;
   /// parked/virgin cells are provably empty).
   [[nodiscard]] std::size_t entity_count() const noexcept;

@@ -504,7 +504,7 @@ class ShardedEngine {
   /// neighborhoods scheduled exactly as the exhaustive loop behaves.
   [[nodiscard]] static bool occupied(const CellState& c) noexcept {
     return !c.members.empty() || c.token.has_value() || c.signal.has_value() ||
-           !c.ne_prev.empty();
+           c.ne_prev != 0;
   }
 
   /// The live totals as if no cell had failed; rebuild_active_sets then

@@ -40,18 +40,19 @@ bool entry_strip_clear(CellId self, CellId toward,
 
 namespace {
 
-/// signal_step under either grant rule: kAlwaysGrant, the UNSAFE
-/// ablation, skips the entry-strip check and grants the token holder
-/// unconditionally.
-SignalResult square_signal_step(SignalInputs in, SignalRule rule,
+/// Figure 5 on the square grid under either grant rule: kAlwaysGrant, the
+/// UNSAFE ablation, skips the entry-strip check and grants the token
+/// holder unconditionally.
+SignalResult square_signal_step(CellId self, std::span<const Entity> members,
+                                std::span<const CellId> ne_prev,
+                                OptCellId token, SignalRule rule,
                                 const Params& params, ChoosePolicy& choose) {
-  const CellId self = in.self;
   return token_discipline(
-      std::move(in.ne_prev), in.token,
+      ne_prev, token,
       [self](CellId t) { return Grid::are_neighbors(self, t); },
       [&](CellId t) {
         return rule == SignalRule::kAlwaysGrant ||
-               entry_strip_clear(self, t, in.members, params);
+               entry_strip_clear(self, t, members, params);
       },
       [&](std::span<const CellId> candidates, OptCellId previous) {
         return choose.choose(self, candidates, previous);
@@ -62,26 +63,21 @@ SignalResult square_signal_step(SignalInputs in, SignalRule rule,
 
 SignalResult signal_step(SignalInputs in, const Params& params,
                          ChoosePolicy& choose) {
-  return square_signal_step(std::move(in), SignalRule::kBlocking, params,
-                            choose);
+  return square_signal_step(in.self, in.members, in.ne_prev, in.token,
+                            SignalRule::kBlocking, params, choose);
 }
 
-bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
+bool apply_signal(CellState& c, CellId self, NeighborMask ne_prev,
                   SignalRule rule, const Params& params, ChoosePolicy& choose,
                   obs::ProtocolCounts* counts) {
-  std::sort(ne_prev.begin(), ne_prev.end());
-  SignalInputs in;
-  in.self = self;
-  in.members = c.members;
-  in.ne_prev = std::move(ne_prev);
-  in.token = c.token;
-  const bool had_candidate = in.token.has_value() || !in.ne_prev.empty();
-  const std::size_t ne_prev_size = in.ne_prev.size();
-  SignalResult r = square_signal_step(std::move(in), rule, params, choose);
+  const NeighborSet candidates = neighbors_in(self, ne_prev);
+  const bool had_candidate = c.token.has_value() || ne_prev != 0;
+  const SignalResult r = square_signal_step(self, c.members, candidates,
+                                            c.token, rule, params, choose);
   const bool blocked = had_candidate && !r.signal.has_value();
   if (counts != nullptr) {
     ++counts->ne_prev_sizes[std::min<std::size_t>(
-        ne_prev_size, counts->ne_prev_sizes.size() - 1)];
+        candidates.size(), counts->ne_prev_sizes.size() - 1)];
     if (r.signal.has_value()) ++counts->signal_grants;
     if (blocked) ++counts->signal_blocks;
     if (c.token.has_value() && r.token != c.token)
@@ -89,7 +85,7 @@ bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
   }
   c.signal = r.signal;
   c.token = r.token;
-  c.ne_prev = std::move(r.ne_prev);
+  c.ne_prev = ne_prev;
   return blocked;
 }
 

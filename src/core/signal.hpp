@@ -70,19 +70,16 @@ template <typename Id>
 struct BasicSignalResult {
   std::optional<Id> signal;
   std::optional<Id> token;
-  /// NEPrev as computed this round (sorted ascending by id). Inline
-  /// storage (see cell_state.hpp's NeighborSet): moving it into the
-  /// cell's ne_prev never allocates.
-  BasicNeighborSet<Id> ne_prev;
 };
 using SignalResult = BasicSignalResult<CellId>;
 
 /// Figure 5's token discipline for one non-faulty cell on any
-/// tessellation. `ne_prev` holds the nonempty predecessors, sorted
-/// ascending; `token` is the cell's previous token. The tessellation
-/// supplies `adjacent(id)` (is `id` a lattice neighbor of the cell?),
-/// `strip_clear(id)` (is the entry strip toward `id` free of the cell's
-/// members?) and `choose(candidates, previous)`. In order:
+/// tessellation. `ne_prev` lists the nonempty predecessors, sorted
+/// ascending (neighbors_in of the cell's NEPrev mask); `token` is the
+/// cell's previous token. The tessellation supplies `adjacent(id)` (is
+/// `id` a lattice neighbor of the cell?), `strip_clear(id)` (is the entry
+/// strip toward `id` free of the cell's members?) and
+/// `choose(candidates, previous)`. In order:
 ///   1. drop a token naming a non-neighbor — only transient corruption
 ///      can put one there, and the protocol itself only ever stores
 ///      neighbor ids;
@@ -92,28 +89,28 @@ using SignalResult = BasicSignalResult<CellId>;
 ///      (lines 10–12);
 ///   5. on a block, keep the token: the same neighbor is retried next
 ///      round, which is what makes blocking fair (line 14).
+/// The caller stores NEPrev itself, as a mask (see apply_signal).
 template <typename Id, typename Adjacent, typename StripClear,
           typename Choose>
 [[nodiscard]] BasicSignalResult<Id> token_discipline(
-    BasicNeighborSet<Id> ne_prev, std::optional<Id> token,
+    std::span<const Id> ne_prev, std::optional<Id> token,
     Adjacent&& adjacent, StripClear&& strip_clear, Choose&& choose) {
   CF_EXPECTS(std::is_sorted(ne_prev.begin(), ne_prev.end()));
   BasicSignalResult<Id> out;
-  out.ne_prev = std::move(ne_prev);
   if (token.has_value() && !adjacent(*token)) token = std::nullopt;
-  if (!token.has_value() && !out.ne_prev.empty())
-    token = choose(std::span<const Id>(out.ne_prev), std::optional<Id>{});
+  if (!token.has_value() && !ne_prev.empty())
+    token = choose(ne_prev, std::optional<Id>{});
   out.token = token;
   if (!token.has_value() || !strip_clear(*token)) return out;
   out.signal = token;
-  if (out.ne_prev.size() > 1) {
+  if (ne_prev.size() > 1) {
     BasicNeighborSet<Id> others;
-    for (const Id c : out.ne_prev)
+    for (const Id c : ne_prev)
       if (c != *token) others.push_back(c);
     // `others` may equal ne_prev when the stale token holder left NEPrev.
     out.token = choose(std::span<const Id>(others), token);
-  } else if (out.ne_prev.size() == 1) {
-    out.token = out.ne_prev.front();
+  } else if (ne_prev.size() == 1) {
+    out.token = ne_prev.front();
   } else {
     out.token = std::nullopt;
   }
@@ -132,22 +129,22 @@ struct SignalInputs {
 };
 
 /// Executes Figure 5 for one non-faulty square-grid cell: token_discipline
-/// with the square entry strip. `choose` realizes the two
-/// nondeterministic choices (see choose.hpp).
+/// with the square entry strip over `in.ne_prev`. `choose` realizes the
+/// two nondeterministic choices (see choose.hpp).
 [[nodiscard]] SignalResult signal_step(SignalInputs in, const Params& params,
                                        ChoosePolicy& choose);
 
 /// One cell's Signal transition for the square-grid engines, which also
 /// keep ProtocolCounts; every tessellation shares the token_discipline
-/// inside it. Call it once the cell's NEPrev is gathered (the nonempty
-/// neighbors whose fresh next names `self`, in any order). Precondition:
-/// the cell is not failed. Runs signal_step — for kAlwaysGrant with a
-/// strip test that always passes — writes signal, token and ne_prev back
-/// into `c` and, unless `counts` is null, tallies |NEPrev|, grants,
-/// blocks and token rotations. Returns true iff the cell had a candidate
-/// (a token or a nonempty NEPrev) yet granted nobody — a blocked grant
-/// (RoundEvents::blocked).
-bool apply_signal(CellState& c, CellId self, NeighborSet ne_prev,
+/// inside it. Call it once the cell's NEPrev is gathered as a mask (the
+/// nonempty neighbors whose fresh next names `self`). Precondition: the
+/// cell is not failed. Runs token_discipline over the mask's ids with the
+/// square entry strip — for kAlwaysGrant a strip test that always passes
+/// — writes signal, token and the mask back into `c` and, unless `counts`
+/// is null, tallies |NEPrev|, grants, blocks and token rotations. Returns
+/// true iff the cell had a candidate (a token or a nonempty NEPrev) yet
+/// granted nobody — a blocked grant (RoundEvents::blocked).
+bool apply_signal(CellState& c, CellId self, NeighborMask ne_prev,
                   SignalRule rule, const Params& params, ChoosePolicy& choose,
                   obs::ProtocolCounts* counts);
 

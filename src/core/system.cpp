@@ -24,10 +24,11 @@ System::System(SystemConfig config, std::unique_ptr<ChoosePolicy> choose,
   for (std::size_t k = 0; k < cells_.size(); ++k) {
     const CellId id = grid_.id_of(k);
     cell_id_[k] = id;
-    for (std::size_t d = 0; d < kAllDirections.size(); ++d) {
-      const auto nb = grid_.neighbor(id, kAllDirections[d]);
-      nbr_idx_[k][d] =
-          nb ? static_cast<std::uint32_t>(grid_.index_of(*nb)) : kNoNbr;
+    const auto nbrs = ascending_neighbors(id);
+    for (std::size_t d = 0; d < nbrs.size(); ++d) {
+      nbr_idx_[k][d] = grid_.contains(nbrs[d])
+                           ? static_cast<std::uint32_t>(grid_.index_of(nbrs[d]))
+                           : kNoNbr;
     }
   }
   rebuild_active_sets();
@@ -185,18 +186,20 @@ void System::signal_cell(ShardScratch& sc, std::size_t k) {
   // Signal reads neighbors' fresh `next` (Route's output) and pre-Move
   // Members; it writes only its own ne_prev/token/signal — disjoint
   // struct fields, so concurrent cells never touch the same memory.
+  // nbr_idx_ is in ascending id order, so slot d is NEPrev's bit d.
   CellState& c = cells_[k];
   if (c.failed) return;
   const CellId id = cell_id_[k];
-  NeighborSet ne_prev;
-  for (const std::uint32_t nk : nbr_idx_[k]) {
+  NeighborMask ne_prev = 0;
+  for (std::size_t d = 0; d < nbr_idx_[k].size(); ++d) {
+    const std::uint32_t nk = nbr_idx_[k][d];
     if (nk == kNoNbr) continue;
     const CellState& nc = cells_[nk];
     if (nc.failed) continue;  // a failed cell never communicates
     if (nc.next == OptCellId{id} && nc.has_entities())
-      ne_prev.push_back(cell_id_[nk]);
+      ne_prev |= static_cast<NeighborMask>(1u << d);
   }
-  if (apply_signal(c, id, std::move(ne_prev), config_.signal_rule,
+  if (apply_signal(c, id, ne_prev, config_.signal_rule,
                    config_.params, *choose_, metrics_ ? &sc.counts : nullptr))
     sc.blocked.push_back(id);
   if (active() && occupied(c) != (occ_b_[k] != 0)) sc.flips.push_back(id);

@@ -65,6 +65,8 @@ class System : public ShardedEngine<System> {
   [[nodiscard]] const CellState& cell(CellId id) const {
     return cells_[grid_.index_of(id)];
   }
+  /// failed_{i,j}, the one field the fail/recover models read.
+  [[nodiscard]] bool is_failed(CellId id) const { return cell(id).failed; }
   [[nodiscard]] std::span<const CellState> cells() const noexcept {
     return cells_;
   }
@@ -179,8 +181,9 @@ class System : public ShardedEngine<System> {
   static constexpr std::uint32_t kNoNbr =
       std::numeric_limits<std::uint32_t>::max();
 
-  /// nbr_idx_[k][d]: dense index of cell k's neighbor in kAllDirections
-  /// order, or kNoNbr at the boundary.
+  /// nbr_idx_[k][d]: dense index of cell k's neighbor
+  /// ascending_neighbors(id)[d] (ascending id order, so d is also the
+  /// neighbor's NEPrev bit), or kNoNbr at the boundary.
   std::vector<std::array<std::uint32_t, 4>> nbr_idx_;
   /// cell_id_[k] == grid_.id_of(k), cached (avoids a div/mod per access).
   std::vector<CellId> cell_id_;

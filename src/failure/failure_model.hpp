@@ -9,7 +9,7 @@
 // fail/recover transitions.
 //
 // The models are class templates over the engine — System,
-// chunk::ChunkedSystem or MessageSystem, through the fail/recover/cell
+// chunk::ChunkedSystem or MessageSystem, through the fail/recover/is_failed
 // surface all three share — so one fail/recover stream drives every
 // engine. The plain names (FailureModel, NoFailures, …) mean the System
 // instantiation.
@@ -139,25 +139,31 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
                          bool protect_target = false)
       : fail_cut_(Xoshiro256::bernoulli_cut(pf)),
         recover_cut_(Xoshiro256::bernoulli_cut(pr)),
+        either_cut_(std::max(fail_cut_, recover_cut_)),
         rng_(seed),
         protect_target_(protect_target) {}
 
   void apply(Engine& sys) override {
     // One Bernoulli draw per cell per round, in id order (j, then i, as
     // Grid::id_of), so executions are reproducible from the seed
-    // regardless of grid contents. The protected target's draw is made
-    // and ignored, which keeps the stream aligned.
+    // regardless of grid contents. The cell's state only picks which of
+    // the two trials its draw serves, so the draw comes first: one that
+    // fails both cuts does nothing whatever the cell holds, and only a
+    // draw below the larger cut reads `failed`. The protected target's
+    // draw is made and ignored, which keeps the stream aligned.
     const int side = sys.grid().side();
     const CellId target = sys.target();
     for (int j = 0; j < side; ++j) {
       for (int i = 0; i < side; ++i) {
+        const std::uint64_t m = rng_.draw53();
+        if (!Xoshiro256::succeeds(m, either_cut_)) continue;
         const CellId id{i, j};
-        if (sys.cell(id).failed) {
-          if (rng_.draw_below(recover_cut_)) {
+        if (sys.is_failed(id)) {
+          if (Xoshiro256::succeeds(m, recover_cut_)) {
             sys.recover(id);
             ++total_recoveries_;
           }
-        } else if (rng_.draw_below(fail_cut_) &&
+        } else if (Xoshiro256::succeeds(m, fail_cut_) &&
                    !(protect_target_ && id == target)) {
           sys.fail(id);
           ++total_failures_;
@@ -197,6 +203,7 @@ class BasicRandomFailRecover final : public BasicFailureModel<Engine> {
  private:
   std::uint64_t fail_cut_;     // Xoshiro256::bernoulli_cut(pf)
   std::uint64_t recover_cut_;  // Xoshiro256::bernoulli_cut(pr)
+  std::uint64_t either_cut_;   // the larger of the two
   Xoshiro256 rng_;
   bool protect_target_;
   std::uint64_t total_failures_ = 0;

@@ -79,6 +79,19 @@ inline constexpr std::array<Direction3, 6> kAllDirections3 = {
     Direction3{0, 1}, Direction3{0, -1}, Direction3{1, 1},
     Direction3{1, -1}, Direction3{2, 1}, Direction3{2, -1}};
 
+/// The six face neighbors of `id` in ascending CellId3 order, on the
+/// lattice or not. Position k is bit k of a NeighborMask
+/// (core/cell_state.hpp).
+[[nodiscard]] constexpr std::array<CellId3, 6> ascending_neighbors(
+    CellId3 id) noexcept {
+  return {{{id.x - 1, id.y, id.z},
+           {id.x, id.y - 1, id.z},
+           {id.x, id.y, id.z - 1},
+           {id.x, id.y, id.z + 1},
+           {id.x, id.y + 1, id.z},
+           {id.x + 1, id.y, id.z}}};
+}
+
 /// The rectangular box lattice.
 class Grid3 {
  public:

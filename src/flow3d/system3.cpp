@@ -101,17 +101,14 @@ void System3::signal_phase() {
     CellState3& c = cells_[k];
     if (c.failed) continue;
     const CellId3 id = grid_.id_of(k);
-    BasicNeighborSet<CellId3> ne_prev;
-    for (const Direction3 d : kAllDirections3) {
-      const auto nb = grid_.neighbor(id, d);
-      if (!nb) continue;
-      const CellState3& nc = cells_[grid_.index_of(*nb)];
-      if (!nc.failed && nc.next == OptCellId3{id} && nc.has_entities())
-        ne_prev.push_back(*nb);
-    }
-    std::sort(ne_prev.begin(), ne_prev.end());
-    auto r = token_discipline(
-        std::move(ne_prev), c.token,
+    const NeighborMask ne_prev = neighbor_mask(id, [&](CellId3 nb) {
+      if (!grid_.contains(nb)) return false;
+      const CellState3& nc = cells_[grid_.index_of(nb)];
+      return !nc.failed && nc.next == OptCellId3{id} && nc.has_entities();
+    });
+    const BasicNeighborSet<CellId3> candidates = neighbors_in(id, ne_prev);
+    const auto r = token_discipline<CellId3>(
+        candidates, c.token,
         [&](CellId3 t) { return grid_.are_neighbors(id, t); },
         [&](CellId3 t) {
           return entry_strip_clear3(id, t, c.members, config_.params);
@@ -119,7 +116,7 @@ void System3::signal_phase() {
         round_robin_choice<CellId3>);
     c.signal = r.signal;
     c.token = r.token;
-    c.ne_prev = std::move(r.ne_prev);
+    c.ne_prev = ne_prev;
   }
 }
 

@@ -45,6 +45,15 @@ inline constexpr std::array<Direction, 4> kAllDirections = {
 
 [[nodiscard]] const char* to_cstring(Direction d) noexcept;
 
+/// The four lattice neighbors of `id` in ascending CellId order —
+/// ⟨i−1,j⟩, ⟨i,j−1⟩, ⟨i,j+1⟩, ⟨i+1,j⟩ — on the grid or not. Position k
+/// is bit k of a NeighborMask (core/cell_state.hpp).
+[[nodiscard]] constexpr std::array<CellId, 4> ascending_neighbors(
+    CellId id) noexcept {
+  return {{{id.i - 1, id.j}, {id.i, id.j - 1}, {id.i, id.j + 1},
+           {id.i + 1, id.j}}};
+}
+
 /// The square grid. Stateless beyond its side length; provides id/index
 /// mapping, adjacency, and geometry of cells.
 class Grid {

@@ -46,6 +46,19 @@ using OptHexId = std::optional<HexId>;
 inline constexpr std::array<std::array<std::int32_t, 2>, 6> kHexDirections = {
     {{1, 0}, {1, -1}, {0, -1}, {-1, 0}, {-1, 1}, {0, 1}}};
 
+/// The six axial neighbors of `id` in ascending HexId order, on the
+/// rhombus or not. Position k is bit k of a NeighborMask
+/// (core/cell_state.hpp).
+[[nodiscard]] constexpr std::array<HexId, 6> ascending_neighbors(
+    HexId id) noexcept {
+  return {{{id.q - 1, id.r},
+           {id.q - 1, id.r + 1},
+           {id.q, id.r - 1},
+           {id.q, id.r + 1},
+           {id.q + 1, id.r - 1},
+           {id.q + 1, id.r}}};
+}
+
 /// Side length of every hexagon (fixed at 1).
 inline constexpr double kHexSide = 1.0;
 /// Inradius a = √3/2 · s: distance from a cell center to each edge.

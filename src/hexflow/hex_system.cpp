@@ -122,23 +122,20 @@ void HexSystem::signal_phase() {
     HexCellState& c = cells_[k];
     if (c.failed) continue;
     const HexId id = grid_.id_of(k);
-    BasicNeighborSet<HexId> ne_prev;
-    for (int slot = 0; slot < 6; ++slot) {
-      const auto nb = grid_.neighbor(id, slot);
-      if (!nb) continue;
-      const HexCellState& nc = cells_[grid_.index_of(*nb)];
-      if (!nc.failed && nc.next == OptHexId{id} && nc.has_entities())
-        ne_prev.push_back(*nb);
-    }
-    std::sort(ne_prev.begin(), ne_prev.end());
-    auto r = token_discipline(
-        std::move(ne_prev), c.token,
+    const NeighborMask ne_prev = neighbor_mask(id, [&](HexId nb) {
+      if (!grid_.contains(nb)) return false;
+      const HexCellState& nc = cells_[grid_.index_of(nb)];
+      return !nc.failed && nc.next == OptHexId{id} && nc.has_entities();
+    });
+    const BasicNeighborSet<HexId> candidates = neighbors_in(id, ne_prev);
+    const auto r = token_discipline<HexId>(
+        candidates, c.token,
         [&](HexId t) { return grid_.are_neighbors(id, t); },
         [&](HexId t) { return strip_clear(id, t); },
         round_robin_choice<HexId>);
     c.signal = r.signal;
     c.token = r.token;
-    c.ne_prev = std::move(r.ne_prev);
+    c.ne_prev = ne_prev;
   }
 }
 

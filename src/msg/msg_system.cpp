@@ -242,24 +242,21 @@ void MessageSystem::exchange_intents() {
   network_->deliver_all(grid_, inboxes_);
 
   // Local Signal step: NEPrev = senders whose intent names me and who
-  // carry entities (deduplicated — the network may deliver copies).
+  // carry entities. Every sender is a lattice neighbor, and a copy the
+  // network delivers twice sets the same bit again.
   for (std::size_t k = 0; k < processes_.size(); ++k) {
     MessageProcess& p = processes_[k];
     if (p.state.failed) continue;
     const CellId id = grid_.id_of(k);
-    p.heard_wanting.clear();
+    NeighborMask heard_wanting = 0;
     for (const Message& m : inboxes_[k]) {
       if (const auto* intent = std::get_if<IntentAnnounce>(&m.payload)) {
         if (intent->next == OptCellId{id} && intent->has_entities)
-          p.heard_wanting.push_back(m.sender);
+          heard_wanting |= neighbor_bit(id, m.sender);
       }
     }
-    std::sort(p.heard_wanting.begin(), p.heard_wanting.end());
-    p.heard_wanting.erase(
-        std::unique(p.heard_wanting.begin(), p.heard_wanting.end()),
-        p.heard_wanting.end());
 
-    if (apply_signal(p.state, id, p.heard_wanting, SignalRule::kBlocking,
+    if (apply_signal(p.state, id, heard_wanting, SignalRule::kBlocking,
                      config_.params, choose_,
                      metrics_ ? &round_counts_ : nullptr))
       events_.blocked.push_back(id);

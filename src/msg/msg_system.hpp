@@ -107,7 +107,6 @@ struct MessageProcess {
 
   // Views assembled from the current round's inboxes:
   std::vector<NeighborDistView> heard_dists;
-  NeighborSet heard_wanting;               // NEPrev candidates (inline)
   std::vector<std::size_t> heard_grants;   // link slots granted this round
   std::vector<std::pair<CellId, std::uint64_t>> pending_acks;
 
@@ -136,6 +135,8 @@ class MessageSystem {
   [[nodiscard]] const CellState& cell(CellId id) const {
     return processes_[grid_.index_of(id)].state;
   }
+  /// failed_{i,j}, the one field the fail/recover models read.
+  [[nodiscard]] bool is_failed(CellId id) const { return cell(id).failed; }
   [[nodiscard]] const MessageProcess& process(CellId id) const {
     return processes_[grid_.index_of(id)];
   }

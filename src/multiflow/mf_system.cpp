@@ -100,7 +100,7 @@ void MfSystem::fail(CellId id) {
   }
   c.signal = std::nullopt;
   c.token = std::nullopt;
-  c.ne_prev.clear();
+  c.ne_prev = 0;
 }
 
 void MfSystem::recover(CellId id) {
@@ -115,7 +115,7 @@ void MfSystem::recover(CellId id) {
   }
   c.signal = std::nullopt;
   c.token = std::nullopt;
-  c.ne_prev.clear();
+  c.ne_prev = 0;
 }
 
 const MfRoundEvents& MfSystem::update() {
@@ -190,30 +190,28 @@ void MfSystem::signal_phase() {
         if (tc.next[tf] == OptCellId{id} && !admission_ok(c, tf) &&
             !is_target_of(id, tf)) {
           c.signal = std::nullopt;
-          c.ne_prev = std::move(in.ne_prev);
+          c.ne_prev = 0;
           continue;  // token unchanged — retry the same flow
         }
       }
     }
-    for (const Direction d : kAllDirections) {
-      const auto nb = grid_.neighbor(id, d);
-      if (!nb) continue;
-      const MfCellState& nc = cells_[grid_.index_of(*nb)];
-      if (nc.failed || !nc.has_entities()) continue;
+    const NeighborMask ne_prev = neighbor_mask(id, [&](CellId nb) {
+      if (!grid_.contains(nb)) return false;
+      const MfCellState& nc = cells_[grid_.index_of(nb)];
+      if (nc.failed || !nc.has_entities()) return false;
       const FlowId nf = nc.members_flow();
       // Flow-pure admission: only predecessors whose flow we can accept.
       // A flow's own target is always admissible to it — arrivals are
       // consumed, never stored, so they cannot mix with our members.
-      if (nc.next[nf] == OptCellId{id} &&
-          (admission_ok(c, nf) || is_target_of(id, nf)))
-        in.ne_prev.push_back(*nb);
-    }
-    std::sort(in.ne_prev.begin(), in.ne_prev.end());
+      return nc.next[nf] == OptCellId{id} &&
+             (admission_ok(c, nf) || is_target_of(id, nf));
+    });
+    in.ne_prev = neighbors_in(id, ne_prev);
 
-    SignalResult r = signal_step(std::move(in), config_.params, *choose_);
+    const SignalResult r = signal_step(std::move(in), config_.params, *choose_);
     c.signal = r.signal;
     c.token = r.token;
-    c.ne_prev = std::move(r.ne_prev);
+    c.ne_prev = ne_prev;
   }
 }
 

@@ -78,7 +78,7 @@ struct MfCellState {
   std::vector<OptCellId> next;  ///< next[f]
   OptCellId token;
   OptCellId signal;
-  NeighborSet ne_prev;
+  NeighborMask ne_prev = 0;  ///< as BasicCellState::ne_prev
   bool failed = false;
 
   [[nodiscard]] bool has_entities() const noexcept { return !members.empty(); }

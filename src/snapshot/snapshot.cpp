@@ -95,15 +95,17 @@ void write_entity(Sink& out, const Entity& e) {
   out.f64(e.center.y);
 }
 
+/// Cell `self`'s state. NEPrev goes on the wire as its count and then its
+/// ids, ascending — the mask's bit order.
 template <typename Sink>
-void write_cell(Sink& out, const CellState& c) {
+void write_cell(Sink& out, CellId self, const CellState& c) {
   out.boolean(c.failed);
   out.u64(encode_dist(c.dist));
   write_opt_cell(out, c.next);
   write_opt_cell(out, c.token);
   write_opt_cell(out, c.signal);
-  out.u8(static_cast<std::uint8_t>(c.ne_prev.size()));
-  for (const CellId id : c.ne_prev) write_cell_id(out, id);
+  out.u8(static_cast<std::uint8_t>(neighbor_count(c.ne_prev)));
+  for (const CellId id : neighbors_in(self, c.ne_prev)) write_cell_id(out, id);
   out.u64(static_cast<std::uint64_t>(c.members.size()));
   for (const Entity& e : c.members) write_entity(out, e);
 }
@@ -183,7 +185,9 @@ Entity read_entity(Reader& r) {
   return Entity{EntityId{id}, Vec2{x, y}};
 }
 
-CellState read_cell(Reader& r, const Grid& grid) {
+/// Cell `self`'s state. NEPrev must list lattice neighbors of `self`,
+/// strictly ascending — the only lists write_cell emits.
+CellState read_cell(Reader& r, const Grid& grid, CellId self) {
   CellState c;
   c.failed = r.boolean();
   c.dist = decode_dist(r.u64());
@@ -191,8 +195,19 @@ CellState read_cell(Reader& r, const Grid& grid) {
   c.token = read_opt_cell(r, grid);
   c.signal = read_opt_cell(r, grid);
   const std::uint8_t nne = r.u8();
-  if (nne > 8) fail(Errc::kMalformed, "NEPrev beyond lattice degree bound");
-  for (std::uint8_t n = 0; n < nne; ++n) c.ne_prev.push_back(read_cell_id(r, grid));
+  if (nne > ascending_neighbors(self).size()) {
+    fail(Errc::kMalformed, "NEPrev beyond the lattice degree");
+  }
+  for (std::uint8_t n = 0; n < nne; ++n) {
+    const NeighborMask bit = neighbor_bit(self, read_cell_id(r, grid));
+    if (bit == 0) fail(Errc::kMalformed, "NEPrev id is not a lattice neighbor");
+    // Bits run in ascending id order, so a bit at or below one already
+    // set is a repeated id or a descending pair.
+    if (bit <= c.ne_prev) {
+      fail(Errc::kMalformed, "NEPrev ids not strictly ascending");
+    }
+    c.ne_prev |= bit;
+  }
   const std::uint64_t nm = r.count(kEntityBytes);
   c.members.reserve(static_cast<std::size_t>(nm));
   for (std::uint64_t n = 0; n < nm; ++n) c.members.push_back(read_entity(r));
@@ -207,7 +222,9 @@ std::vector<CellState> read_cells(Reader& r, const Grid& grid) {
   }
   std::vector<CellState> cells;
   cells.reserve(static_cast<std::size_t>(n));
-  for (std::uint64_t k = 0; k < n; ++k) cells.push_back(read_cell(r, grid));
+  for (std::uint64_t k = 0; k < n; ++k) {
+    cells.push_back(read_cell(r, grid, grid.id_of(static_cast<std::size_t>(k))));
+  }
   return cells;
 }
 
@@ -517,7 +534,8 @@ struct Access {
     Writer w = begin_snapshot(kKindShared, sys, echo_of(sys.config()));
     w.begin_section(kTagCells);
     w.u64(static_cast<std::uint64_t>(sys.cells().size()));
-    for (const CellState& c : sys.cells()) write_cell(w, c);
+    sys.for_each_cell(
+        [&](CellId id, const CellState& c) { write_cell(w, id, c); });
     w.end_section();
     write_policies(w, *sys.choose_, *sys.source_, failures);
     return w.finish();
@@ -563,7 +581,9 @@ struct Access {
         case chunk::ChunkedCellStore::State::kLive: {
           w.u32(static_cast<std::uint32_t>(q));
           w.u8(kChunkLive);
-          for (const CellState& c : store.live(q).cells) write_cell(w, c);
+          const std::vector<CellState>& cells = store.live(q).cells;
+          for (std::size_t slot = 0; slot < cells.size(); ++slot)
+            write_cell(w, sys.layout_.cell_at(q, slot), cells[slot]);
           break;
         }
         case chunk::ChunkedCellStore::State::kParked: {
@@ -615,7 +635,7 @@ struct Access {
       if (mc.state == kChunkLive) {
         mc.cells.reserve(cells_n);
         for (std::size_t slot = 0; slot < cells_n; ++slot) {
-          mc.cells.push_back(read_cell(r, grid));
+          mc.cells.push_back(read_cell(r, grid, layout.cell_at(mc.q, slot)));
         }
       } else if (mc.state == kChunkParked) {
         mc.meta.resize(cells_n);
@@ -719,9 +739,9 @@ struct Access {
       const std::size_t q = layout.chunk_of(id);
       const std::size_t slot = layout.slot_of(id);
       if (store.is_live(q)) {
-        write_cell(d, store.live(q).cells[slot]);
+        write_cell(d, id, store.live(q).cells[slot]);
       } else {
-        write_cell(d, store.rest_cell(q, slot));
+        write_cell(d, id, store.rest_cell(q, slot));
       }
     }
     return d.value();
@@ -893,7 +913,8 @@ struct Access {
     Writer w = begin_snapshot(kKindMessage, msg, echo_of(msg.config_));
     w.begin_section(kTagCells);
     w.u64(static_cast<std::uint64_t>(msg.processes_.size()));
-    for (const MessageProcess& p : msg.processes_) write_cell(w, p.state);
+    for (std::size_t k = 0; k < msg.processes_.size(); ++k)
+      write_cell(w, msg.grid_.id_of(k), msg.processes_[k].state);
     w.end_section();
 
     w.begin_section(kTagLinks);
@@ -986,7 +1007,6 @@ struct Access {
       p.inbound = std::move(links[k].inbound);
       // Per-round views; rebuilt from received messages before every use.
       p.heard_dists.clear();
-      p.heard_wanting.clear();
       p.heard_grants.clear();
       p.pending_acks.clear();
     }
@@ -1003,8 +1023,9 @@ struct Access {
                                       bool with_fault_schedule) {
     DigestAccumulator d;
     write_counters(d, msg);
-    for (const MessageProcess& p : msg.processes_) {
-      write_cell(d, p.state);
+    for (std::size_t k = 0; k < msg.processes_.size(); ++k) {
+      const MessageProcess& p = msg.processes_[k];
+      write_cell(d, msg.grid_.id_of(k), p.state);
       for (std::size_t slot = 0; slot < p.nbrs.size(); ++slot) {
         write_link(d, p.outbound[slot], p.inbound[slot]);
       }
@@ -1044,7 +1065,8 @@ void restore(MessageSystem& msg, std::span<const std::uint8_t> bytes,
 std::uint64_t state_digest(const System& sys) {
   DigestAccumulator d;
   write_counters(d, sys);
-  for (const CellState& c : sys.cells()) write_cell(d, c);
+  sys.for_each_cell(
+      [&](CellId id, const CellState& c) { write_cell(d, id, c); });
   return d.value();
 }
 

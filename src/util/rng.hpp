@@ -62,9 +62,13 @@ class Xoshiro256 {
     return result;
   }
 
+  /// The raw 53-bit draw m = (*this)() >> 11 that uniform01 scales and
+  /// every Bernoulli trial here decides on.
+  constexpr std::uint64_t draw53() noexcept { return (*this)() >> 11; }
+
   /// Uniform double in [0, 1). 53 bits of entropy per draw.
   constexpr double uniform01() noexcept {
-    return static_cast<double>((*this)() >> 11) * 0x1.0p-53;
+    return static_cast<double>(draw53()) * 0x1.0p-53;
   }
 
   /// Uniform double in [lo, hi). Precondition: lo <= hi.
@@ -91,18 +95,27 @@ class Xoshiro256 {
 
   /// bernoulli(p) in integer form, for a p tried on many draws: compute
   /// cut = bernoulli_cut(p) once, then draw_below(cut) per trial. bernoulli
-  /// tests m·2⁻⁵³ < p on the raw 53-bit draw m = (*this)() >> 11; p·2⁵³ is
-  /// exact and m an integer, so that holds exactly when m < ⌈p·2⁵³⌉ — the
-  /// same draw and the same decision, without the conversion to double.
+  /// tests m·2⁻⁵³ < p on the raw draw m = draw53(); p·2⁵³ is exact and m
+  /// an integer, so that holds exactly when m < ⌈p·2⁵³⌉ — the same draw
+  /// and the same decision, without the conversion to double.
   static std::uint64_t bernoulli_cut(double p) {
     CF_EXPECTS(p >= 0.0 && p <= 1.0);
     return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
   }
 
+  /// Whether draw53() value `m` succeeds against a bernoulli_cut. Monotone
+  /// in the cut: a draw that fails the larger of two cuts fails both, so a
+  /// caller may take the draw first and decide which trial it serves only
+  /// when it can matter.
+  [[nodiscard]] static constexpr bool succeeds(std::uint64_t m,
+                                               std::uint64_t cut) noexcept {
+    return m < cut;
+  }
+
   /// One trial against a bernoulli_cut: consumes one draw, true with
   /// probability cut·2⁻⁵³.
   constexpr bool draw_below(std::uint64_t cut) noexcept {
-    return ((*this)() >> 11) < cut;
+    return succeeds(draw53(), cut);
   }
 
   /// A decorrelated child stream, for handing to sub-components.

@@ -2,12 +2,13 @@
 // inline (in-object) capacity, spilling to the heap only beyond N.
 //
 // Motivation (DESIGN.md §10): the round hot path manipulates many tiny
-// per-cell sequences — NEPrev is at most 4 ids on the square grid (6 on
-// hex / 3d lattices), Signal's rotation candidates at most |NEPrev|, a
-// cell's crossing batch usually a handful of entities. Storing those in
-// std::vector means one heap allocation per sequence per round; with
-// inline capacity 8 they never touch the allocator at all, and iteration
-// stays within the owning cache line(s).
+// per-cell sequences — Signal's candidate list is NEPrev decoded from its
+// neighbor mask, at most 4 ids on the square grid (6 on hex / 3d
+// lattices), its rotation candidates at most as many, a hex or 3-D
+// cell's Route neighbors at most 6. Storing those in std::vector means
+// one heap allocation per sequence per round; with inline capacity they
+// never touch the allocator at all, and iteration stays within the
+// owning cache line(s).
 //
 // Scope: deliberately a subset of std::vector —
 //   * contiguous storage, raw-pointer iterators (works with std::span,

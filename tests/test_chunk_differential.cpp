@@ -51,8 +51,7 @@ void expect_cells_equal(const System& dense, const chunk::ChunkedSystem& ck,
         << leg << " " << to_string(id) << " round " << round;
     ASSERT_EQ(a.signal, b.signal)
         << leg << " " << to_string(id) << " round " << round;
-    ASSERT_TRUE(std::equal(a.ne_prev.begin(), a.ne_prev.end(),
-                           b.ne_prev.begin(), b.ne_prev.end()))
+    ASSERT_EQ(a.ne_prev, b.ne_prev)
         << leg << " " << to_string(id) << " round " << round;
     ASSERT_EQ(a.members, b.members)
         << leg << " " << to_string(id) << " round " << round;

@@ -145,7 +145,7 @@ TEST(ChunkStore, ParkUnparkRoundTripsState) {
     EXPECT_TRUE(rest.members.empty());
     EXPECT_FALSE(rest.token.has_value());
     EXPECT_FALSE(rest.signal.has_value());
-    EXPECT_TRUE(rest.ne_prev.empty());
+    EXPECT_EQ(rest.ne_prev, 0);
   }
   // The summary is an order of magnitude smaller than the live cells
   // alone (5 bytes/cell vs sizeof(CellState) plus aux arrays).

@@ -63,8 +63,7 @@ void expect_same_state(const System& dense, const chunk::ChunkedSystem& ck,
     ASSERT_EQ(a.next, b.next) << to_string(id) << " round " << round;
     ASSERT_EQ(a.token, b.token) << to_string(id) << " round " << round;
     ASSERT_EQ(a.signal, b.signal) << to_string(id) << " round " << round;
-    ASSERT_TRUE(std::equal(a.ne_prev.begin(), a.ne_prev.end(),
-                           b.ne_prev.begin(), b.ne_prev.end()))
+    ASSERT_EQ(a.ne_prev, b.ne_prev)
         << to_string(id) << " round " << round;
     ASSERT_EQ(a.members, b.members) << to_string(id) << " round " << round;
   }

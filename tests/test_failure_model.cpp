@@ -151,6 +151,7 @@ class Recording {
   [[nodiscard]] const Grid& grid() const { return sys_.grid(); }
   [[nodiscard]] CellId target() const { return sys_.target(); }
   [[nodiscard]] decltype(auto) cell(CellId id) const { return sys_.cell(id); }
+  [[nodiscard]] bool is_failed(CellId id) const { return sys_.is_failed(id); }
   void fail(CellId id) {
     calls_.emplace_back(false, id);
     sys_.fail(id);
@@ -252,6 +253,66 @@ TEST(FailRecoverStream, MatchesTheBernoulliLoopOnChunkedSystem) {
     expect_same_stream<chunk::ChunkedSystem>(stream_config(), 0.5, 1.0,
                                              protect);
   }
+}
+
+// A side-160 store whose routing wave is still spreading from a corner
+// target: chunks behind the wave park once quiet — some of them holding
+// failed cells — and chunks ahead of it stay virgin until a failure or
+// the wave reaches them. The trial then reads `failed` in every chunk
+// state, in a parked chunk through the summary's kFailedBit (is_failed),
+// while the reference reads the cell ChunkedSystem::cell rebuilds.
+TEST(FailRecoverStream, MatchesTheBernoulliLoopOnParkedAndVirginChunks) {
+  using chunk::ChunkedCellStore;
+  using chunk::ChunkedSystem;
+  SystemConfig cfg;
+  cfg.side = 160;
+  cfg.params = kP;
+  cfg.sources = {};
+  cfg.target = CellId{2, 2};
+  constexpr double kPf = 2e-5;
+  constexpr double kPr = 0.05;
+  ChunkedSystem a(cfg);
+  ChunkedSystem b(cfg);
+  Recording<ChunkedSystem> ra(a);
+  Recording<ChunkedSystem> rb(b);
+  BasicRandomFailRecover<Recording<ChunkedSystem>> model(kPf, kPr, 321, true);
+  ReferenceFailRecover ref{kPf, kPr, true, Xoshiro256(321)};
+  const ChunkedCellStore& store = a.store();
+  int rounds_with_virgin_and_parked = 0;
+  std::uint64_t parked_failed_cells = 0;  // summed over rounds
+  std::uint64_t recoveries_in_parked = 0;
+  std::uint64_t calls = 0;
+  std::vector<ChunkedCellStore::State> before(store.chunk_count());
+  for (int round = 0; round < 300; ++round) {
+    std::size_t virgin = 0;
+    for (std::size_t q = 0; q < store.chunk_count(); ++q) {
+      before[q] = store.state(q);
+      if (before[q] == ChunkedCellStore::State::kVirgin) ++virgin;
+      if (before[q] != ChunkedCellStore::State::kParked) continue;
+      for (const std::uint8_t meta : store.parked(q).meta)
+        if ((meta & chunk::ParkedChunk::kFailedBit) != 0) ++parked_failed_cells;
+    }
+    if (virgin > 0 && store.parked_count() > 0) ++rounds_with_virgin_and_parked;
+    model.apply(ra);
+    ref.apply(rb);
+    const auto got = ra.take();
+    ASSERT_EQ(got, rb.take()) << "round " << round;
+    calls += got.size();
+    for (const auto& [recover, id] : got) {
+      if (recover && before[store.layout().chunk_of(id)] ==
+                         ChunkedCellStore::State::kParked)
+        ++recoveries_in_parked;
+    }
+    a.update();
+    b.update();
+  }
+  EXPECT_GT(calls, 0u);
+  EXPECT_EQ(model.total_failures(), ref.failures);
+  EXPECT_EQ(model.total_recoveries(), ref.recoveries);
+  EXPECT_EQ(model.generator().state(), ref.rng.state());
+  EXPECT_GT(rounds_with_virgin_and_parked, 0);
+  EXPECT_GT(parked_failed_cells, 0u);
+  EXPECT_GT(recoveries_in_parked, 0u);
 }
 
 TEST(FailRecoverStream, MatchesTheBernoulliLoopOnMessageSystem) {

@@ -340,8 +340,8 @@ GoldenRun3 run_golden3(std::uint64_t seed) {
       fold_id(d, c.next);
       fold_id(d, c.token);
       fold_id(d, c.signal);
-      d.u64(c.ne_prev.size());
-      for (const CellId3 p : c.ne_prev) fold_id(d, p);
+      d.u64(neighbor_count(c.ne_prev));
+      for (const CellId3 p : neighbors_in(id, c.ne_prev)) fold_id(d, p);
       d.u64(c.members.size());
       for (const Entity3& e : c.members) {
         d.u64(e.id.value);
@@ -349,7 +349,7 @@ GoldenRun3 run_golden3(std::uint64_t seed) {
         d.f64(e.center.y);
         d.f64(e.center.z);
       }
-      if (c.ne_prev.size() >= 2) ++out.multi_pred_cell_rounds;
+      if (neighbor_count(c.ne_prev) >= 2) ++out.multi_pred_cell_rounds;
       OptCellId3& last = last_grant[g.index_of(id)];
       if (c.signal.has_value()) {
         if (last.has_value() && *last != *c.signal) ++out.grant_handoffs;
@@ -411,7 +411,7 @@ TEST(System3Golden, TwoPredecessorsShareTheTokenAndABlockKeepsIt) {
   // Round 1: x acquires the smaller id, grants it, and rotates the token
   // to the other predecessor (a < b).
   sys.update();
-  EXPECT_EQ(sys.cell(x).ne_prev.size(), 2u);
+  EXPECT_EQ(neighbor_count(sys.cell(x).ne_prev), 2u);
   EXPECT_EQ(sys.cell(x).signal, OptCellId3{a});
   EXPECT_EQ(sys.cell(x).token, OptCellId3{b});
 

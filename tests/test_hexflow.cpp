@@ -355,15 +355,15 @@ HexGoldenRun run_hex_golden(std::uint64_t seed) {
       fold_id(d, c.next);
       fold_id(d, c.token);
       fold_id(d, c.signal);
-      d.u64(c.ne_prev.size());
-      for (const HexId p : c.ne_prev) fold_id(d, p);
+      d.u64(neighbor_count(c.ne_prev));
+      for (const HexId p : neighbors_in(id, c.ne_prev)) fold_id(d, p);
       d.u64(c.members.size());
       for (const HexEntity& e : c.members) {
         d.u64(e.id.value);
         d.f64(e.center.x);
         d.f64(e.center.y);
       }
-      if (c.ne_prev.size() >= 2) ++out.multi_pred_cell_rounds;
+      if (neighbor_count(c.ne_prev) >= 2) ++out.multi_pred_cell_rounds;
       OptHexId& last = last_grant[g.index_of(id)];
       if (c.signal.has_value()) {
         if (last.has_value() && *last != *c.signal) ++out.grant_handoffs;
@@ -424,7 +424,7 @@ TEST(HexGolden, TwoPredecessorsShareTheTokenAndABlockKeepsIt) {
   // Round 1: x acquires the smaller id, grants it, and rotates the token
   // to the other predecessor (a < b).
   sys.update();
-  EXPECT_EQ(sys.cell(x).ne_prev.size(), 2u);
+  EXPECT_EQ(neighbor_count(sys.cell(x).ne_prev), 2u);
   EXPECT_EQ(sys.cell(x).signal, OptHexId{a});
   EXPECT_EQ(sys.cell(x).token, OptHexId{b});
 

@@ -166,6 +166,46 @@ TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
   EXPECT_THROW((void)Xoshiro256::bernoulli_cut(1.1), ContractViolation);
 }
 
+// draw53 is the raw draw every Bernoulli form decides on, and succeeds
+// is the decision: at its boundary a cut equal to the draw fails and one
+// above it succeeds. A draw-first caller (the stochastic failure model)
+// that takes draw53 and then asks succeeds for either of two cuts must
+// get what bernoulli(p) on the same draw gives, for p on both sides of
+// the boundary.
+TEST(Xoshiro256, Draw53IsTheBernoulliDraw) {
+  Xoshiro256 rng(99);
+  for (int k = 0; k < 1000; ++k) {
+    Xoshiro256 raw = rng;
+    Xoshiro256 below = rng;
+    Xoshiro256 at = rng;
+    Xoshiro256 above = rng;
+    const std::uint64_t m = rng.draw53();
+    EXPECT_EQ(m, raw() >> 11) << k;
+    EXPECT_LT(m, std::uint64_t{1} << 53) << k;
+    EXPECT_EQ(rng.state(), raw.state()) << k;
+    EXPECT_FALSE(Xoshiro256::succeeds(m, m)) << k;
+    EXPECT_TRUE(Xoshiro256::succeeds(m, m + 1)) << k;
+    // p = m·2⁻⁵³ exactly: bernoulli fails, and so does its cut.
+    const double p_at = static_cast<double>(m) * 0x1.0p-53;
+    EXPECT_FALSE(at.bernoulli(p_at)) << k;
+    EXPECT_FALSE(Xoshiro256::succeeds(m, Xoshiro256::bernoulli_cut(p_at)))
+        << k;
+    // One ulp of the draw grid above: both succeed.
+    const double p_above = static_cast<double>(m + 1) * 0x1.0p-53;
+    EXPECT_TRUE(above.bernoulli(p_above)) << k;
+    EXPECT_TRUE(Xoshiro256::succeeds(m, Xoshiro256::bernoulli_cut(p_above)))
+        << k;
+    // Just below the draw: both fail.
+    if (m > 0) {
+      const double p_below = std::nextafter(p_at, 0.0);
+      EXPECT_FALSE(below.bernoulli(p_below)) << k;
+      EXPECT_FALSE(
+          Xoshiro256::succeeds(m, Xoshiro256::bernoulli_cut(p_below)))
+          << k;
+    }
+  }
+}
+
 // draw_below at its boundary: a cut equal to the next draw's m fails and
 // one above it succeeds, each consuming exactly that one draw.
 TEST(Xoshiro256, DrawBelowComparesStrictly) {

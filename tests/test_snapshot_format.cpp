@@ -5,7 +5,7 @@
 // a flipped bit in EVERY byte, wrong magic/version, and checksum-valid
 // crafted buffers (duplicate/unknown/out-of-order tags, short and
 // overlong sections, dangling section headers, lying element counts,
-// non-0/1 booleans). After every failed restore the target engine's
+// non-0/1 booleans, NEPrev lists the encoder cannot emit). After every failed restore the target engine's
 // digest is unchanged — atomicity under attack, not just under success.
 // The ASan/UBSan preset (cmake --preset asan) runs this suite with
 // -fsanitize=address,undefined to turn latent UB into hard failures.
@@ -14,6 +14,7 @@
 #include <cstdint>
 #include <vector>
 
+#include "core/cell_state.hpp"
 #include "core/system.hpp"
 #include "snapshot/snapshot.hpp"
 #include "snapshot/wire.hpp"
@@ -394,6 +395,113 @@ TEST(SnapshotFormat, NonBinaryBooleanIsMalformed) {
   } catch (const SnapshotError& e) {
     EXPECT_EQ(e.code(), Errc::kMalformed);
   }
+}
+
+// --- NEPrev on the wire ------------------------------------------------
+//
+// A cell's NEPrev is written as its count and then its ids, ascending. The
+// decoder rebuilds the neighbor mask from them, so it must refuse every
+// list write_cell cannot emit. Each case re-seals a real snapshot whose
+// cell ⟨1,1⟩ has its NEPrev list replaced.
+
+std::uint64_t le_u64(const std::vector<std::uint8_t>& b, std::size_t at) {
+  std::uint64_t v = 0;
+  for (std::size_t k = 0; k < 8; ++k)
+    v |= static_cast<std::uint64_t>(b[at + k]) << (8 * k);
+  return v;
+}
+
+void put_le(std::vector<std::uint8_t>& out, std::uint64_t v, int bytes) {
+  for (int k = 0; k < bytes; ++k)
+    out.push_back(static_cast<std::uint8_t>((v >> (8 * k)) & 0xFFu));
+}
+
+/// `bytes` with the NEPrev list of cell `index` (dense order) replaced by
+/// `count` followed by `ids`, the cells section's length patched and the
+/// checksum re-sealed.
+std::vector<std::uint8_t> with_ne_prev(const std::vector<std::uint8_t>& bytes,
+                                       std::size_t index, std::uint8_t count,
+                                       const std::vector<CellId>& ids) {
+  const auto [start, end] = section_span(bytes, 3);  // cells
+  std::size_t at = start + 12 + 8;                   // past the cell count
+  const auto skip_opt_cell = [&] { at += bytes[at] != 0 ? 9u : 1u; };
+  for (std::size_t k = 0;; ++k) {
+    at += 1 + 8;  // failed, dist
+    skip_opt_cell();  // next
+    skip_opt_cell();  // token
+    skip_opt_cell();  // signal
+    const std::size_t list = at;
+    at += 1 + 8 * static_cast<std::size_t>(bytes[at]);
+    if (k == index) {
+      std::vector<std::uint8_t> out(bytes.begin(),
+                                    bytes.begin() + static_cast<long>(list));
+      out.push_back(count);
+      for (const CellId id : ids) {
+        put_le(out, static_cast<std::uint32_t>(id.i), 4);
+        put_le(out, static_cast<std::uint32_t>(id.j), 4);
+      }
+      const std::size_t grown = out.size() - list;
+      out.insert(out.end(), bytes.begin() + static_cast<long>(at),
+                 bytes.end());
+      const std::uint64_t len = le_u64(bytes, start + 4) + grown - (at - list);
+      for (std::size_t b = 0; b < 8; ++b)
+        out[start + 4 + b] = static_cast<std::uint8_t>((len >> (8 * b)) & 0xFFu);
+      return refix_checksum(std::move(out));
+    }
+    at += 8 + 24 * static_cast<std::size_t>(le_u64(bytes, at));  // members
+    EXPECT_LT(at, end);
+  }
+}
+
+void expect_ne_prev_malformed(std::uint8_t count,
+                              const std::vector<CellId>& ids,
+                              const char* what) {
+  System sys(small_config());
+  const auto bytes = sample_snapshot(sys);
+  System target(small_config());
+  const std::uint64_t before = snapshot::state_digest(target);
+  try {
+    snapshot::restore(target, with_ne_prev(bytes, 5, count, ids));
+    ADD_FAILURE() << what << ": restored";
+  } catch (const SnapshotError& e) {
+    EXPECT_EQ(e.code(), Errc::kMalformed) << what;
+  }
+  EXPECT_EQ(snapshot::state_digest(target), before) << what;
+}
+
+TEST(SnapshotFormat, NePrevPatchOfAValidListRestores) {
+  // The control for the cases below: the same surgery with a list the
+  // encoder could have written restores, and the cell holds exactly it.
+  System sys(small_config());
+  const auto bytes = sample_snapshot(sys);
+  System target(small_config());
+  snapshot::restore(target,
+                    with_ne_prev(bytes, 5, 2, {CellId{0, 1}, CellId{2, 1}}));
+  const CellId self{1, 1};
+  const auto got = neighbors_in(self, target.cell(self).ne_prev);
+  EXPECT_EQ(std::vector<CellId>(got.begin(), got.end()),
+            (std::vector<CellId>{CellId{0, 1}, CellId{2, 1}}));
+}
+
+TEST(SnapshotFormat, NePrevNonNeighborIsMalformed) {
+  expect_ne_prev_malformed(1, {CellId{3, 3}}, "non-neighbor");
+  expect_ne_prev_malformed(1, {CellId{1, 1}}, "the cell itself");
+  expect_ne_prev_malformed(1, {CellId{2, 2}}, "diagonal");
+}
+
+TEST(SnapshotFormat, NePrevRepeatedIdIsMalformed) {
+  expect_ne_prev_malformed(2, {CellId{0, 1}, CellId{0, 1}}, "repeated id");
+}
+
+TEST(SnapshotFormat, NePrevDescendingPairIsMalformed) {
+  expect_ne_prev_malformed(2, {CellId{1, 2}, CellId{1, 0}}, "descending");
+}
+
+TEST(SnapshotFormat, NePrevCountAboveDegreeIsMalformed) {
+  expect_ne_prev_malformed(5,
+                           {CellId{0, 1}, CellId{1, 0}, CellId{1, 2},
+                            CellId{2, 1}, CellId{2, 1}},
+                           "count of 5");
 }
 
 TEST(SnapshotFormat, EmptyBufferIsTruncated) {
