@@ -94,10 +94,10 @@ class Xoshiro256 {
   }
 
   /// bernoulli(p) in integer form, for a p tried on many draws: compute
-  /// cut = bernoulli_cut(p) once, then draw_below(cut) per trial. bernoulli
-  /// tests m·2⁻⁵³ < p on the raw draw m = draw53(); p·2⁵³ is exact and m
-  /// an integer, so that holds exactly when m < ⌈p·2⁵³⌉ — the same draw
-  /// and the same decision, without the conversion to double.
+  /// cut = bernoulli_cut(p) once, then succeeds(draw53(), cut) per trial.
+  /// bernoulli tests m·2⁻⁵³ < p on the raw draw m = draw53(); p·2⁵³ is
+  /// exact and m an integer, so that holds exactly when m < ⌈p·2⁵³⌉ — the
+  /// same draw and the same decision, without the conversion to double.
   static std::uint64_t bernoulli_cut(double p) {
     CF_EXPECTS(p >= 0.0 && p <= 1.0);
     return static_cast<std::uint64_t>(std::ceil(p * 0x1.0p53));
@@ -110,12 +110,6 @@ class Xoshiro256 {
   [[nodiscard]] static constexpr bool succeeds(std::uint64_t m,
                                                std::uint64_t cut) noexcept {
     return m < cut;
-  }
-
-  /// One trial against a bernoulli_cut: consumes one draw, true with
-  /// probability cut·2⁻⁵³.
-  constexpr bool draw_below(std::uint64_t cut) noexcept {
-    return succeeds(draw53(), cut);
   }
 
   /// A decorrelated child stream, for handing to sub-components.

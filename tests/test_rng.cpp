@@ -132,10 +132,10 @@ TEST(Xoshiro256, BernoulliRejectsOutOfRange) {
   EXPECT_THROW((void)rng.bernoulli(1.1), ContractViolation);
 }
 
-// bernoulli_cut/draw_below are bernoulli(p) in integer form (the
-// stochastic failure model draws through them): the raw 53-bit draw
-// m = rng() >> 11 against ⌈p·2⁵³⌉. That must make the same decision as
-// bernoulli(p), i.e. m·2⁻⁵³ < p, on every draw.
+// bernoulli_cut with succeeds(draw53(), cut) is bernoulli(p) in integer
+// form (the stochastic failure model draws through them): the raw 53-bit
+// draw m = rng() >> 11 against ⌈p·2⁵³⌉. That must make the same decision
+// as bernoulli(p), i.e. m·2⁻⁵³ < p, on every draw.
 TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
   for (const double p :
        {0.0, 0x1.0p-53, 1e-4, 0.05, 0.1, std::nextafter(0.5, 0.0),
@@ -155,7 +155,7 @@ TEST(Xoshiro256, IntegerCutMatchesBernoulli) {
     std::uint64_t hits = 0;
     for (int k = 0; k < 1'000'000; ++k) {
       const bool want = by_double.bernoulli(p);
-      const bool got = by_integer.draw_below(cut);
+      const bool got = Xoshiro256::succeeds(by_integer.draw53(), cut);
       ASSERT_EQ(got, want) << "p=" << p << " draw " << k;
       hits += got ? 1 : 0;
     }
@@ -206,8 +206,9 @@ TEST(Xoshiro256, Draw53IsTheBernoulliDraw) {
   }
 }
 
-// draw_below at its boundary: a cut equal to the next draw's m fails and
-// one above it succeeds, each consuming exactly that one draw.
+// A trial at its boundary: against a cut equal to the next draw's m,
+// succeeds(draw53(), cut) fails, and against one above it succeeds, each
+// consuming exactly that one draw.
 TEST(Xoshiro256, DrawBelowComparesStrictly) {
   Xoshiro256 rng(77);
   for (int k = 0; k < 1000; ++k) {
@@ -215,8 +216,8 @@ TEST(Xoshiro256, DrawBelowComparesStrictly) {
     const std::uint64_t m = peek() >> 11;
     Xoshiro256 at = rng;
     Xoshiro256 above = rng;
-    EXPECT_FALSE(at.draw_below(m)) << k;
-    EXPECT_TRUE(above.draw_below(m + 1)) << k;
+    EXPECT_FALSE(Xoshiro256::succeeds(at.draw53(), m)) << k;
+    EXPECT_TRUE(Xoshiro256::succeeds(above.draw53(), m + 1)) << k;
     EXPECT_EQ(at.state(), peek.state());
     EXPECT_EQ(above.state(), peek.state());
     rng();
