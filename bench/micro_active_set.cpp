@@ -56,8 +56,8 @@ using namespace cellflow;
 constexpr double kSparseRate = 0.05;
 constexpr std::uint64_t kSparseSeed = 17;
 /// Repetitions of every engine per workload; each column is their median.
-/// Fifteen short reps keep chunked/active within about ±0.05 from run to
-/// run on a noisy host, where five moved it by ±0.25.
+/// Fifteen short reps held every chunked/active within ±0.08 over five
+/// runs on a 4-vCPU guest, where five reps moved dense-20's by ±0.25.
 constexpr std::size_t kReps = 15;
 
 /// Sparse corner-to-corner trickle: one source, Bernoulli(kSparseRate)
