@@ -5,8 +5,8 @@
 //   sparse  one rate-limited source in a corner, target in the opposite
 //           corner — after routing stabilizes almost every cell is
 //           provably quiescent, the regime the scheduler exists for
-//   dense   saturated west-edge sources (micro_parallel_scaling's
-//           workload) — the zero-regression check: with every
+//   dense   every cell seeded with one entity, no sources, one
+//           consuming target — the zero-regression check: with every
 //           neighborhood occupied the scheduler may skip nothing, and
 //           its bookkeeping must cost (almost) nothing
 //
