@@ -3,8 +3,8 @@
 # `tsan` CMake preset) and runs the concurrency-sensitive subset: the
 # ThreadPool/PlanStage unit tests, the serial-vs-parallel differential
 # suites, the three-way equivalence tests, the observability layer
-# (metrics registry under the parallel engine, profiler shard spans,
-# concurrent logger writers), the net-layer suites, the active-set
+# (metrics registry under the parallel engine, profiler shard spans),
+# the net-layer suites, the active-set
 # scheduler suites, the snapshot/replay suites and the chunked store.
 # System::update and chunk::ChunkedSystem::update run every round as one
 # stage plan through run_plan, the pool's only entry point; phase hooks,

@@ -61,12 +61,6 @@ SignalResult square_signal_step(CellId self, std::span<const Entity> members,
 
 }  // namespace
 
-SignalResult signal_step(SignalInputs in, const Params& params,
-                         ChoosePolicy& choose) {
-  return square_signal_step(in.self, in.members, in.ne_prev, in.token,
-                            SignalRule::kBlocking, params, choose);
-}
-
 bool apply_signal(CellState& c, CellId self, NeighborMask ne_prev,
                   SignalRule rule, const Params& params, ChoosePolicy& choose,
                   obs::ProtocolCounts* counts) {

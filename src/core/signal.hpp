@@ -15,8 +15,9 @@
 //
 // Only the strip test depends on the tessellation, so token_discipline
 // is written once over the cell-id type, taking the adjacency test, the
-// strip test and `choose` as parameters: signal_step instantiates it for
-// the square grid, the hex and 3-D engines for theirs.
+// strip test and `choose` as parameters: apply_signal instantiates it for
+// the square-grid engines, MfSystem for its flow-pure NEPrev, and
+// core/lattice_system.hpp for the hex and 3-D lattices.
 //
 // Note on the published pseudocode: Figure 5's fourth strip condition reads
 // "token = i−1 ∧ py − l/2 ≥ j + d", an obvious typo for the *south*
@@ -27,8 +28,6 @@
 #include <algorithm>
 #include <optional>
 #include <span>
-#include <utility>
-#include <vector>
 
 #include "core/cell_state.hpp"
 #include "core/choose.hpp"
@@ -116,23 +115,6 @@ template <typename Id, typename Adjacent, typename StripClear,
   }
   return out;
 }
-
-/// Inputs to one Signal step for cell `self`. `ne_prev` must already hold
-/// the nonempty predecessors — the System computes it from neighbors'
-/// freshly-routed `next` values and their (pre-Move) Members — sorted
-/// ascending. `token` is the cell's previous token value.
-struct SignalInputs {
-  CellId self;
-  std::span<const Entity> members;
-  NeighborSet ne_prev;
-  OptCellId token;
-};
-
-/// Executes Figure 5 for one non-faulty square-grid cell: token_discipline
-/// with the square entry strip over `in.ne_prev`. `choose` realizes the
-/// two nondeterministic choices (see choose.hpp).
-[[nodiscard]] SignalResult signal_step(SignalInputs in, const Params& params,
-                                       ChoosePolicy& choose);
 
 /// One cell's Signal transition for the square-grid engines, which also
 /// keep ProtocolCounts; every tessellation shares the token_discipline

@@ -12,23 +12,20 @@
 // some of the THREE axes", and Theorem 5's argument carries over because
 // transfers still only reset the motion-axis coordinate.
 //
-// Only the geometry lives here: the lattice, the entry strip, movement
-// and injection. The Figure-3 state, Route's argmin, Figure 5's token
-// discipline with round-robin choose, the fail/recover resets and the
-// BFS reference ρ are core/'s and grid/mask.hpp's, instantiated over
-// CellId3.
+// Only the geometry lives here: the entry strip, movement and injection.
+// The Figure-3 state, Route, Figure 5's token discipline with round-robin
+// choose, the fail/recover resets, the BFS reference ρ and the round
+// around them are core/lattice_system.hpp's, instantiated over CellId3.
 #pragma once
 
-#include <cstdint>
 #include <span>
 #include <vector>
 
 #include "core/cell_state.hpp"
+#include "core/lattice_system.hpp"
 #include "core/params.hpp"
 #include "flow3d/grid3.hpp"
-#include "util/dist_value.hpp"
 #include "util/ids.hpp"
-#include "util/rng.hpp"
 
 namespace cellflow {
 
@@ -41,21 +38,6 @@ struct Entity3 {
 
 /// Figure-3 variables, verbatim, over CellId3.
 using CellState3 = BasicCellState<CellId3, Entity3>;
-
-struct TransferEvent3 {
-  EntityId entity;
-  CellId3 from;
-  CellId3 to;
-  bool consumed = false;
-};
-
-struct RoundEvents3 {
-  std::uint64_t round = 0;
-  std::vector<TransferEvent3> transfers;
-  std::vector<CellId3> moved;
-  std::vector<std::pair<CellId3, EntityId>> injected;
-  std::uint64_t arrivals = 0;
-};
 
 struct System3Config {
   int nx = 4;
@@ -73,61 +55,28 @@ struct System3Config {
                                       std::span<const Entity3> members,
                                       const Params& params);
 
-class System3 {
+class System3 : public LatticeSystem<System3, Grid3, Entity3> {
  public:
   explicit System3(System3Config config);
 
-  [[nodiscard]] const Grid3& grid() const noexcept { return grid_; }
-  [[nodiscard]] const Params& params() const noexcept {
-    return config_.params;
-  }
-  [[nodiscard]] CellId3 target() const noexcept { return config_.target; }
-
-  [[nodiscard]] const CellState3& cell(CellId3 id) const {
-    return cells_[grid_.index_of(id)];
-  }
-  [[nodiscard]] std::span<const CellState3> cells() const noexcept {
-    return cells_;
-  }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
-  [[nodiscard]] std::uint64_t total_arrivals() const noexcept {
-    return total_arrivals_;
-  }
-  [[nodiscard]] std::uint64_t total_injected() const noexcept {
-    return next_entity_id_;
-  }
-  [[nodiscard]] std::size_t entity_count() const noexcept;
-
-  /// BFS reference ρ over the current failure pattern.
-  [[nodiscard]] std::vector<Dist> reference_distances() const;
-
-  void fail(CellId3 id);
-  void recover(CellId3 id);
-
-  const RoundEvents3& update();
-  [[nodiscard]] const RoundEvents3& last_events() const noexcept {
-    return events_;
-  }
-
-  /// Validated direct placement (tests / initial conditions).
+  /// Validated direct placement (tests / initial conditions): the rule
+  /// injection applies.
   EntityId seed_entity(CellId3 id, Vec3 center);
 
  private:
-  void route_phase();
-  void signal_phase();
-  void move_phase();
-  void inject_phase();
-  [[nodiscard]] bool injection_is_safe(CellId3 id, Vec3 center) const;
+  friend LatticeSystem;
 
-  System3Config config_;
-  Grid3 grid_;
-  std::vector<CellState3> cells_;
-
-  std::uint64_t round_ = 0;
-  std::uint64_t total_arrivals_ = 0;
-  std::uint64_t next_entity_id_ = 0;
-  RoundEvents3 events_;
-  std::vector<Dist> dist_snapshot_;
+  [[nodiscard]] bool strip_clear(CellId3 self, CellId3 toward) const {
+    return entry_strip_clear3(self, toward, cell(self).members, params());
+  }
+  void move_cell(CellState3& c, CellId3 self, CellId3 dest, bool permitted,
+                 std::vector<Entity3>& crossed) const;
+  [[nodiscard]] Vec3 entry_point(CellId3 source) const;
+  /// Inside the cube, separated from every member along some axis, and
+  /// not newly blocking the strip toward the token holder.
+  [[nodiscard]] bool admits(CellId3 source, Vec3 center) const;
 };
+
+extern template class LatticeSystem<System3, Grid3, Entity3>;
 
 }  // namespace cellflow

@@ -1,11 +1,11 @@
 // The protocol on the hexagonal tessellation — what changes and why.
 //
 // The square-grid design carries over wholesale, and so does its code:
-// the Figure-3 state (BasicCellState), Route's argmin (route_step),
-// Figure 5's token discipline with round-robin choose, the fail/recover
-// resets and the BFS reference ρ all come from core/ and grid/mask.hpp.
-// This file keeps the geometry. Three things had to be re-derived for
-// non-square cells:
+// the Figure-3 state, Route, Figure 5's token discipline with round-robin
+// choose, the fail/recover resets, the BFS reference ρ and the round
+// around them all come from core/lattice_system.hpp. This file keeps the
+// geometry: the strip test, movement and injection. Three things had to
+// be re-derived for non-square cells:
 //
 // 1. MEMBERSHIP IS BY CENTER. On squares, entities transfer when their
 //    *edge* touches the boundary and are then snapped flush inside the
@@ -47,13 +47,13 @@
 // HexSystem.DocumentedTurnGridlockRegime).
 #pragma once
 
-#include <cstdint>
+#include <string>
 #include <vector>
 
 #include "core/cell_state.hpp"
+#include "core/lattice_system.hpp"
 #include "core/params.hpp"
 #include "hexflow/hex_grid.hpp"
-#include "util/dist_value.hpp"
 #include "util/ids.hpp"
 
 namespace cellflow {
@@ -79,34 +79,9 @@ struct HexSystemConfig {
 /// (d + v ≤ inradius, l ≤ inradius) on top of Params' own constraints.
 [[nodiscard]] bool hex_feasible(const Params& params) noexcept;
 
-class HexSystem {
+class HexSystem : public LatticeSystem<HexSystem, HexGrid, HexEntity> {
  public:
   explicit HexSystem(HexSystemConfig config);
-
-  [[nodiscard]] const HexGrid& grid() const noexcept { return grid_; }
-  [[nodiscard]] const Params& params() const noexcept {
-    return config_.params;
-  }
-  [[nodiscard]] HexId target() const noexcept { return config_.target; }
-
-  [[nodiscard]] const HexCellState& cell(HexId id) const {
-    return cells_[grid_.index_of(id)];
-  }
-  [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
-  [[nodiscard]] std::uint64_t total_arrivals() const noexcept {
-    return total_arrivals_;
-  }
-  [[nodiscard]] std::uint64_t total_injected() const noexcept {
-    return next_entity_id_;
-  }
-  [[nodiscard]] std::size_t entity_count() const noexcept;
-
-  [[nodiscard]] std::vector<Dist> reference_distances() const;
-
-  void fail(HexId id);
-  void recover(HexId id);
-
-  void update();
 
   /// Validated direct placement (tests / initial conditions): center
   /// inside the cell's hexagon, pairwise L2 spacing ≥ d.
@@ -124,20 +99,18 @@ class HexSystem {
   [[nodiscard]] bool inside_hex(HexId id, Vec2 p, double eps = 0.0) const;
 
  private:
-  void route_phase();
-  void signal_phase();
-  void move_phase();
-  void inject_phase();
+  friend LatticeSystem;
 
-  HexSystemConfig config_;
-  HexGrid grid_;
-  std::vector<HexCellState> cells_;
-
-  std::uint64_t round_ = 0;
-  std::uint64_t total_arrivals_ = 0;
-  std::uint64_t next_entity_id_ = 0;
-  std::vector<Dist> dist_snapshot_;
+  void move_cell(HexCellState& c, HexId self, HexId dest, bool permitted,
+                 std::vector<HexEntity>& crossed) const;
+  [[nodiscard]] Vec2 entry_point(HexId source) const;
+  /// Center inside the hexagon and ≥ d (L2) from every member: the
+  /// seeding rule, which injection extends with the token-strip test.
+  [[nodiscard]] bool fits(HexId id, Vec2 center) const;
+  [[nodiscard]] bool admits(HexId source, Vec2 center) const;
 };
+
+extern template class LatticeSystem<HexSystem, HexGrid, HexEntity>;
 
 /// Safe-hex oracle: pairwise center distance ≥ d within every cell.
 /// Returns a description of the first violation, or empty.
@@ -147,5 +120,12 @@ class HexSystem {
 /// Membership oracle: every entity's center inside its cell's hexagon.
 [[nodiscard]] std::string check_hex_membership(const HexSystem& sys,
                                                double eps = 1e-9);
+
+/// Predicate H on the hexagon (Lemma 3), for the post-Signal state: every
+/// cell's signal names a lattice neighbor, and every member's center is
+/// at least d + v − eps from the edge shared with it (the strip depth
+/// derived above).
+[[nodiscard]] std::string check_hex_h(const HexSystem& sys,
+                                      double eps = 1e-9);
 
 }  // namespace cellflow

@@ -261,7 +261,7 @@ void MessageSystem::exchange_intents() {
                      metrics_ ? &round_counts_ : nullptr))
       events_.blocked.push_back(id);
     // A grant opens a transfer session on that link: stamp a fresh seq.
-    // (Lemma 3's H holds from here on: signal_step granted only with the
+    // (Lemma 3's H holds from here on: apply_signal granted only with the
     // entry strip clear of this process's current members. The harness
     // checks it at the kAfterSignal hook, after the grant exchange.)
     if (p.state.signal.has_value())

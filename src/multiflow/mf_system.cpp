@@ -167,11 +167,6 @@ void MfSystem::signal_phase() {
     if (c.failed) continue;
     const CellId id = grid_.id_of(k);
 
-    SignalInputs in;
-    in.self = id;
-    const std::vector<Entity> bare = bare_entities(c.members);
-    in.members = bare;
-    in.token = c.token;
     // Flow-purity guard on tokens: Figure 5 grants the token holder even
     // when it has dropped out of NEPrev, which is harmless in the base
     // protocol (a holder that left NEPrev no longer moves here). In the
@@ -183,8 +178,8 @@ void MfSystem::signal_phase() {
     // BLOCK (signal := ⊥) and hold the token — when our members drain,
     // the waiting flow is served next. This is the multi-flow analogue
     // of Figure 5 line 14 and what makes crossing flows live.
-    if (in.token.has_value() && grid_.contains(*in.token)) {
-      const MfCellState& tc = cells_[grid_.index_of(*in.token)];
+    if (c.token.has_value() && grid_.contains(*c.token)) {
+      const MfCellState& tc = cells_[grid_.index_of(*c.token)];
       if (!tc.failed && tc.has_entities()) {
         const FlowId tf = tc.members_flow();
         if (tc.next[tf] == OptCellId{id} && !admission_ok(c, tf) &&
@@ -206,9 +201,16 @@ void MfSystem::signal_phase() {
       return nc.next[nf] == OptCellId{id} &&
              (admission_ok(c, nf) || is_target_of(id, nf));
     });
-    in.ne_prev = neighbors_in(id, ne_prev);
-
-    const SignalResult r = signal_step(std::move(in), config_.params, *choose_);
+    const std::vector<Entity> bare = bare_entities(c.members);
+    const SignalResult r = token_discipline<CellId>(
+        neighbors_in(id, ne_prev), c.token,
+        [id](CellId t) { return Grid::are_neighbors(id, t); },
+        [&](CellId t) {
+          return entry_strip_clear(id, t, bare, config_.params);
+        },
+        [&](std::span<const CellId> cands, OptCellId previous) {
+          return choose_->choose(id, cands, previous);
+        });
     c.signal = r.signal;
     c.token = r.token;
     c.ne_prev = ne_prev;

@@ -280,9 +280,4 @@ std::vector<FamilySnapshot> MetricsRegistry::snapshot() const {
   return out;
 }
 
-std::size_t MetricsRegistry::family_count() const {
-  const std::lock_guard<std::mutex> lock(mu_);
-  return families_.size();
-}
-
 }  // namespace cellflow::obs

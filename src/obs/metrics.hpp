@@ -8,7 +8,7 @@
 // round engine accumulates into per-shard plain structs (see
 // obs/protocol_metrics.hpp) and merges them in shard order at the phase
 // barriers. The metric objects themselves are nevertheless atomic, so a
-// stray concurrent increment (e.g. from CF_LOG-style harness code) is
+// stray concurrent increment (e.g. from harness code on another thread) is
 // safe rather than undefined; atomicity is a belt, the shard merge is
 // the suspenders.
 //
@@ -150,8 +150,6 @@ class MetricsRegistry {
   /// sorted by label set — the same registry contents always export the
   /// same bytes no matter the creation order.
   [[nodiscard]] std::vector<FamilySnapshot> snapshot() const;
-
-  [[nodiscard]] std::size_t family_count() const;
 
  private:
   struct Family;

@@ -5,6 +5,7 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
 #include <vector>
 
 #include "flow3d/predicates3.hpp"
@@ -202,8 +203,26 @@ TEST(System3, SeedEntityValidation) {
 
 class System3Safety : public ::testing::TestWithParam<std::uint64_t> {};
 
+// Counts the grants at every post-Signal point and keeps the first
+// violation of H (Lemma 3) seen there.
+struct HWatch3 {
+  std::uint64_t grants = 0;
+  std::string violation;
+
+  void attach(System3& sys) {
+    sys.set_phase_hook([this](const System3& s, UpdatePhase phase) {
+      if (phase != UpdatePhase::kAfterSignal) return;
+      for (const CellState3& c : s.cells()) grants += c.signal.has_value();
+      if (violation.empty())
+        if (const auto v = check_h3(s)) violation = to_string(*v);
+    });
+  }
+};
+
 TEST_P(System3Safety, OraclesHoldUnderRandomFailures) {
   System3 sys = tower(4, 4, 6);
+  HWatch3 h;
+  h.attach(sys);
   Xoshiro256 rng(GetParam());
   for (int k = 0; k < 800; ++k) {
     // Inline fail/recover environment (pf = 0.02, pr = 0.1).
@@ -215,26 +234,32 @@ TEST_P(System3Safety, OraclesHoldUnderRandomFailures) {
       }
     }
     sys.update();
+    ASSERT_TRUE(h.violation.empty()) << h.violation << " round " << k;
     const auto vs = check_all3(sys);
     ASSERT_TRUE(vs.empty()) << to_string(vs.front()) << " round " << k;
   }
   EXPECT_GT(sys.total_injected(), 0u);
+  // Non-vacuity: H covered thousands of grants.
+  EXPECT_GT(h.grants, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, System3Safety,
                          ::testing::Values(1u, 2u, 3u));
 
 TEST(System3, HPredicateHoldsAfterEveryRound) {
-  // Post-round signals are exactly the post-Signal values (Move does not
-  // touch signal), but entities have moved; H may legitimately fail then.
-  // What must hold after every round: Safe + bounds + disjoint. H is
-  // checked in the 2-D suite via the phase hook; here we check the
-  // conservative all3 set plus H right after construction grants.
+  // H is a statement about the post-Signal state: after Move the signals
+  // are unchanged but entities have moved, so H may legitimately fail at
+  // the end of a round. It is checked at the phase hook; Safe, bounds
+  // and disjointness after every round.
   System3 sys = tower();
+  HWatch3 h;
+  h.attach(sys);
   for (int k = 0; k < 400; ++k) {
     sys.update();
+    ASSERT_TRUE(h.violation.empty()) << h.violation << " round " << k;
     ASSERT_TRUE(check_all3(sys).empty());
   }
+  EXPECT_GT(h.grants, 0u);
 }
 
 TEST(System3, PlanarInstanceMatches2DThroughputClosely) {

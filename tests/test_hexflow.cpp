@@ -7,6 +7,7 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
 #include <vector>
 
 #include "snapshot/wire.hpp"
@@ -199,10 +200,50 @@ TEST(HexSystem, ContinuousTransferPreservesPosition) {
   }
 }
 
+// Counts the grants at every post-Signal point and keeps the first
+// violation of H (Lemma 3) seen there.
+struct HWatchHex {
+  std::uint64_t grants = 0;
+  std::string violation;
+
+  void attach(HexSystem& sys) {
+    sys.set_phase_hook([this](const HexSystem& s, UpdatePhase phase) {
+      if (phase != UpdatePhase::kAfterSignal) return;
+      for (const HexCellState& c : s.cells()) grants += c.signal.has_value();
+      if (violation.empty()) violation = check_hex_h(s);
+    });
+  }
+};
+
+TEST(HexOracles, HFiresOnAnOccupiedGrantedStrip) {
+  // x = ⟨1,3⟩ grants its predecessor below; an entity then placed 0.3 <
+  // d + v from the shared edge occupies the strip H promised clear.
+  HexSystemConfig cfg;
+  cfg.side = 5;
+  cfg.params = kP;
+  cfg.sources = {};
+  cfg.target = HexId{1, 4};
+  HexSystem sys(cfg);
+  const HexId x{1, 3};
+  const HexId pred{1, 2};
+  for (int k = 0; k < 10; ++k) sys.update();
+  ASSERT_EQ(sys.cell(pred).next, OptHexId{x});
+  sys.seed_entity(pred, sys.grid().center(pred));
+  sys.update();
+  ASSERT_EQ(sys.cell(x).signal, OptHexId{pred});
+  EXPECT_TRUE(check_hex_h(sys).empty());
+  const Vec2 n = sys.grid().edge_normal(x, pred);
+  sys.seed_entity(x, sys.grid().center(x) + (kHexInradius - 0.3) * n);
+  EXPECT_EQ(check_hex_h(sys).rfind("H violated at " + to_string(x), 0), 0u)
+      << check_hex_h(sys);
+}
+
 class HexSafety : public ::testing::TestWithParam<std::uint64_t> {};
 
 TEST_P(HexSafety, OraclesHoldUnderTrafficAndFailures) {
   HexSystem sys = rhombus(6);
+  HWatchHex h;
+  h.attach(sys);
   Xoshiro256 rng(GetParam());
   for (int k = 0; k < 1200; ++k) {
     for (const HexId id : sys.grid().all_cells()) {
@@ -213,12 +254,15 @@ TEST_P(HexSafety, OraclesHoldUnderTrafficAndFailures) {
       }
     }
     sys.update();
+    ASSERT_TRUE(h.violation.empty()) << h.violation << " at round " << k;
     const std::string safe = check_hex_safe(sys);
     ASSERT_TRUE(safe.empty()) << safe << " at round " << k;
     const std::string member = check_hex_membership(sys, 1e-9);
     ASSERT_TRUE(member.empty()) << member << " at round " << k;
   }
   EXPECT_GT(sys.total_injected(), 0u);
+  // Non-vacuity: H covered thousands of grants.
+  EXPECT_GT(h.grants, 1000u);
 }
 
 INSTANTIATE_TEST_SUITE_P(Seeds, HexSafety,

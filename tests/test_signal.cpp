@@ -4,6 +4,9 @@
 
 #include <gtest/gtest.h>
 
+#include <span>
+#include <vector>
+
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -71,17 +74,21 @@ TEST(EntryStrip, NonNeighborViolatesContract) {
                ContractViolation);
 }
 
-// --- signal_step -----------------------------------------------------
+// --- apply_signal ----------------------------------------------------
 
-SignalResult step(std::vector<Entity> members, NeighborSet ne_prev,
+SignalResult step(std::vector<Entity> members, const NeighborSet& ne_prev,
                   OptCellId token) {
   RoundRobinChoose rr;
-  SignalInputs in;
-  in.self = kSelf;
-  in.members = members;
-  in.ne_prev = std::move(ne_prev);
-  in.token = token;
-  return signal_step(std::move(in), kP, rr);
+  CellState c;
+  c.members = std::move(members);
+  c.token = token;
+  NeighborMask mask = 0;
+  for (const CellId id : ne_prev) {
+    EXPECT_NE(neighbor_bit(kSelf, id), 0) << to_string(id);
+    mask |= neighbor_bit(kSelf, id);
+  }
+  (void)apply_signal(c, kSelf, mask, SignalRule::kBlocking, kP, rr, nullptr);
+  return SignalResult{c.signal, c.token};
 }
 
 TEST(SignalStep, NoPredecessorsNoGrant) {
@@ -200,12 +207,12 @@ TEST(SignalStep, GrantRequiresOnlyTokenDirectionClear) {
 }
 
 TEST(SignalStep, UnsortedNEPrevViolatesContract) {
-  RoundRobinChoose rr;
-  SignalInputs in;
-  in.self = kSelf;
-  in.ne_prev = {kEast, kWest};  // kWest < kEast: unsorted
-  in.token = std::nullopt;
-  EXPECT_THROW((void)signal_step(std::move(in), kP, rr), ContractViolation);
+  const CellId unsorted[] = {kEast, kWest};  // kWest < kEast
+  const auto any = [](CellId) { return true; };
+  EXPECT_THROW((void)token_discipline(std::span<const CellId>(unsorted),
+                                      OptCellId{}, any, any,
+                                      round_robin_choice<CellId>),
+               ContractViolation);
 }
 
 }  // namespace

@@ -176,8 +176,8 @@ TEST(NeighborSet, LatticeDegreeNeverSpills) {
 }
 
 TEST(NeighborSet, SortedCellIdOrderingMatchesProtocolContract) {
-  // Signal stores NEPrev sorted ascending (signal_step's precondition);
-  // the std::sort/std::find idioms the phases use must keep working.
+  // Signal's candidate lists are sorted ascending (token_discipline's
+  // precondition); the std::sort/std::find idioms must keep working.
   NeighborSet ne = {CellId{2, 1}, CellId{0, 3}, CellId{1, 1}};
   std::sort(ne.begin(), ne.end());
   EXPECT_TRUE(std::is_sorted(ne.begin(), ne.end()));
