@@ -26,6 +26,7 @@
 #include "msg/msg_audit.hpp"
 #include "msg/msg_system.hpp"
 #include "net/faulty_network.hpp"
+#include "snapshot/snapshot.hpp"
 #include "util/rng.hpp"
 
 namespace cellflow {
@@ -339,6 +340,42 @@ TEST(GrantReplayAdversary, StaleDuplicatedGrantsAuthorizeNothing) {
       EXPECT_TRUE(msg.cell(id).members.empty()) << to_string(id);
     }
   }
+}
+
+// cfbench's message_net episode, pinned in tier-1: side 32, source (0,16),
+// target (31,16), Params(0.25, 0.05, 0.2), drop 0.05 and delay 0.01 for
+// 1–3 rounds until round 250, then a clean network, 500 rounds, audited
+// every round. The network seed is the one cfbench derives from --seed 1
+// (the third SplitMix64 draw), so these literals equal the fields of
+// message_net's seed-1 digest line. Any change to the send order, the
+// fault draws or the inbox merge moves them.
+TEST(MessageSystem, MessageNetEpisodeIsPinned) {
+  MsgSystemConfig cfg;
+  cfg.side = 32;
+  cfg.params = Params(0.25, 0.05, 0.2);
+  cfg.sources = {CellId{0, 16}};
+  cfg.target = CellId{31, 16};
+  NetFaultSpec spec;
+  spec.drop_prob = 0.05;
+  spec.delay_prob = 0.01;
+  spec.max_delay_rounds = 3;
+  spec.last_fault_round = 250;
+  SplitMix64 seeds(1);
+  (void)seeds.next();
+  (void)seeds.next();
+  MessageSystem msg{cfg, std::make_unique<FaultyNetwork>(spec, seeds.next())};
+  for (int round = 0; round < 500; ++round) {
+    msg.update();
+    ASSERT_TRUE(msg_audit::check_all(msg).empty()) << "round " << round;
+  }
+  const NetworkModel& net = msg.network();
+  EXPECT_EQ(snapshot::state_digest(msg), 0xe9866517bdecbb16ULL);
+  EXPECT_EQ(msg.total_messages(), 5955148u);
+  EXPECT_EQ(net.fault_count(NetFault::kDropped), 149981u);
+  EXPECT_EQ(net.fault_count(NetFault::kDelayed), 28276u);
+  EXPECT_EQ(msg.expired_grants(), 9445u);
+  EXPECT_EQ(msg.total_arrivals(), 32u);
+  EXPECT_EQ(msg.total_injected(), 56u);
 }
 
 std::vector<FuzzCase> fuzz_cases() {
