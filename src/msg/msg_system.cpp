@@ -2,6 +2,7 @@
 
 #include <algorithm>
 #include <cmath>
+#include <limits>
 
 #include "core/move.hpp"
 #include "core/route.hpp"
@@ -12,46 +13,64 @@
 
 namespace cellflow {
 
-std::size_t MessageProcess::slot_of(CellId nb) const {
-  for (std::size_t s = 0; s < nbrs.size(); ++s)
-    if (nbrs[s] == nb) return s;
-  CF_CHECK_MSG(false, "slot_of: not a neighbor");
+namespace {
+
+/// The bit of the neighbour in direction d in a NeighborMask, whose bit k
+/// is ascending_neighbors(self)[k] — the order of kAscendingDirections.
+constexpr NeighborMask ascending_bit(Direction d) noexcept {
+  switch (d) {
+    case Direction::kWest: return 1;
+    case Direction::kSouth: return 2;
+    case Direction::kNorth: return 4;
+    case Direction::kEast: return 8;
+  }
   return 0;
 }
+
+/// direction_bit of the lattice neighbour `to` of `from`; 0 for ⊥ or a
+/// cell that is not adjacent.
+constexpr std::uint8_t bit_toward(CellId from, OptCellId to) noexcept {
+  if (!to.has_value()) return 0;
+  for (const Direction d : kAllDirections) {
+    const auto [di, dj] = step_of(d);
+    if (*to == CellId{from.i + di, from.j + dj}) return direction_bit(d);
+  }
+  return 0;
+}
+
+}  // namespace
 
 MessageSystem::MessageSystem(MsgSystemConfig config,
                              std::unique_ptr<NetworkModel> network)
     : config_(std::move(config)),
       grid_(config_.side),
-      processes_(grid_.cell_count()),
+      cells_(grid_.cell_count()),
+      sessions_(grid_.cell_count()),
       network_(network ? std::move(network)
-                       : std::make_unique<SyncNetwork>()) {
+                       : std::make_unique<SyncNetwork>()),
+      fresh_(grid_.cell_count()),
+      dist_out_(grid_.cell_count()),
+      aim_(grid_.cell_count()),
+      grant_seq_(grid_.cell_count()) {
   canonicalize_sources(grid_, config_.target, config_.sources);
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    p.nbrs = grid_.neighbors(grid_.id_of(k));
-    p.outbound.resize(p.nbrs.size());
-    p.inbound.resize(p.nbrs.size());
-  }
-  processes_[grid_.index_of(config_.target)].state.dist = Dist::zero();
+  cells_[grid_.index_of(config_.target)].dist = Dist::zero();
 }
 
 std::size_t MessageSystem::entity_count() const noexcept {
   std::size_t n = 0;
-  for (const MessageProcess& p : processes_) n += p.state.members.size();
+  for (const CellState& c : cells_) n += c.members.size();
   return n;
 }
 
 std::vector<Entity> MessageSystem::in_flight_entities() const {
   std::vector<Entity> out;
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    const MessageProcess& p = processes_[k];
-    const CellId id = grid_.id_of(k);
-    for (std::size_t s = 0; s < p.nbrs.size(); ++s) {
-      const OutboundLink& ob = p.outbound[s];
+  for (std::size_t k = 0; k < sessions_.size(); ++k) {
+    for (const Direction d : kAllDirections) {
+      const OutboundLink& ob = sessions_[k].outbound[static_cast<std::size_t>(d)];
       if (!ob.pending()) continue;
-      const MessageProcess& r = processes_[grid_.index_of(p.nbrs[s])];
-      if (r.inbound[r.slot_of(id)].completed_seq >= ob.batch_seq)
+      const LinkSessions& r = sessions_[neighbor_index(grid_, k, d)];
+      if (r.inbound[static_cast<std::size_t>(opposite(d))].completed_seq >=
+          ob.batch_seq)
         continue;  // accepted; the retained copy is just an unacked ledger
       out.insert(out.end(), ob.batch.begin(), ob.batch.end());
     }
@@ -110,13 +129,13 @@ void MessageSystem::fail(CellId id) {
   CF_EXPECTS(grid_.contains(id));
   // Transport-session state (outbound/inbound links) deliberately kept:
   // it is stable storage, the exactly-once ledger of the data plane.
-  if (apply_fail(processes_[grid_.index_of(id)].state) && metrics_)
+  if (apply_fail(cells_[grid_.index_of(id)]) && metrics_)
     metrics_->add_failure();
 }
 
 void MessageSystem::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  if (apply_recover(processes_[grid_.index_of(id)].state,
+  if (apply_recover(cells_[grid_.index_of(id)],
                     id == config_.target) &&
       metrics_)
     metrics_->add_recovery();
@@ -186,77 +205,117 @@ const RoundEvents& MessageSystem::update() {
   return events_;
 }
 
-void MessageSystem::exchange_dists() {
-  // Every live process broadcasts its previous-round dist to its
-  // neighbors; a crashed process is silent.
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    const MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
-    for (const CellId nb : p.nbrs)
-      network_->send(Message{id, nb, DistAnnounce{p.state.dist}});
-  }
-  network_->deliver_all(grid_, inboxes_);
-
-  // Local Route step. A neighbor that stayed silent reads as dist = ∞
-  // (paper footnote 1) — which is exactly what NOT listing it achieves,
-  // except route_step needs every neighbor present; so synthesize ∞
-  // entries for silent neighbors. Under a faulty network an inbox may
-  // hold several announcements from one sender (a delayed copy released
-  // before the fresh one, canonical order); the first per sender wins —
-  // a stale estimate for one round, which Route self-stabilizes away.
-  obs::ProtocolCounts* const pc = metrics_ ? &round_counts_ : nullptr;
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
-    p.heard_dists.clear();
-    for (const Message& m : inboxes_[k]) {
-      if (const auto* ann = std::get_if<DistAnnounce>(&m.payload))
-        p.heard_dists.push_back(NeighborDistView{m.sender, ann->dist});
+template <class F>
+void MessageSystem::for_each_live(F&& f) {
+  std::size_t k = 0;
+  for (int j = 0; j < grid_.side(); ++j) {
+    for (int i = 0; i < grid_.side(); ++i, ++k) {
+      CellState& c = cells_[k];
+      if (!c.failed) f(k, CellId{i, j}, c);
     }
-    NeighborDist nds[4];  // lattice degree ≤ 4; no heap
-    std::size_t n = 0;
-    for (const CellId nb : p.nbrs) {
-      const auto it = std::find_if(
-          p.heard_dists.begin(), p.heard_dists.end(),
-          [nb](const NeighborDistView& v) { return v.id == nb; });
-      nds[n++] = NeighborDist{
-          nb, it == p.heard_dists.end() ? Dist::infinity() : it->dist};
-    }
-    apply_route(p.state, id == config_.target,
-                std::span<const NeighborDist>(nds, n), pc);
   }
 }
 
-void MessageSystem::exchange_intents() {
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    const MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
-    for (const CellId nb : p.nbrs) {
-      network_->send(Message{
-          id, nb, IntentAnnounce{p.state.next, p.state.has_entities()}});
+template <class Write>
+std::uint64_t MessageSystem::broadcast(Write&& write) {
+  std::fill(fresh_.begin(), fresh_.end(), std::uint8_t{0});
+  std::uint64_t sent = 0;
+  for_each_live([&](std::size_t k, CellId id, const CellState& c) {
+    fresh_[k] = lattice_links(grid_, id);
+    sent += static_cast<std::uint64_t>(grid_.degree(id));
+    write(k, id, c);
+  });
+  return sent;
+}
+
+void MessageSystem::exchange_dists() {
+  // Every live process broadcasts its previous-round dist to its
+  // neighbors.
+  const std::uint64_t sent =
+      broadcast([this](std::size_t k, CellId, const CellState& c) {
+        dist_out_[k] = DistAnnounce{c.dist};
+      });
+  Exchange x(
+      PayloadType::kDist, grid_, fresh_, sent,
+      [](const void* self, const Link& l) -> Payload {
+        return static_cast<const MessageSystem*>(self)->dist_out_[l.sender];
+      },
+      this);
+  network_->exchange(x);
+
+  // Local Route step. A neighbor that stayed silent reads as dist = ∞
+  // (paper footnote 1). Under a faulty network an inbox may hold several
+  // announcements from one sender (a late copy ahead of the fresh slot,
+  // canonical order); the first per sender wins — a stale estimate for
+  // one round, which Route self-stabilizes away.
+  obs::ProtocolCounts* const pc = metrics_ ? &round_counts_ : nullptr;
+  std::span<const Message> late = network_->late();
+  for_each_live([&](std::size_t, CellId id, CellState& c) {
+    std::array<Dist, 4> heard;  // by Direction
+    heard.fill(Dist::infinity());
+    std::uint8_t seen = 0;
+    read_inbox(x, late, id,
+               [&](Direction d, std::size_t n, const Message* copy) {
+                 const DistAnnounce* ann =
+                     copy == nullptr ? &dist_out_[n]
+                                     : std::get_if<DistAnnounce>(&copy->payload);
+                 if (ann == nullptr || (seen & direction_bit(d)) != 0) return;
+                 seen |= direction_bit(d);
+                 heard[static_cast<std::size_t>(d)] = ann->dist;
+               });
+    NeighborDist nds[4];  // Grid::neighbors order; no heap
+    std::size_t n = 0;
+    const std::uint8_t links = lattice_links(grid_, id);
+    for (const Direction d : kAllDirections) {
+      if ((links & direction_bit(d)) == 0) continue;
+      const auto [di, dj] = step_of(d);
+      nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj},
+                              heard[static_cast<std::size_t>(d)]};
     }
-  }
-  network_->deliver_all(grid_, inboxes_);
+    apply_route(c, id == config_.target,
+                std::span<const NeighborDist>(nds, n), pc);
+  });
+}
+
+void MessageSystem::exchange_intents() {
+  // An intent slot is the direction of `next` when the sender carries
+  // entities (the only intent a receiver acts on); a late copy's payload
+  // is built from the sender's state, which nothing changes before the
+  // barrier.
+  const std::uint64_t sent =
+      broadcast([this](std::size_t k, CellId id, const CellState& c) {
+        aim_[k] = c.has_entities() ? bit_toward(id, c.next) : 0;
+      });
+  Exchange x(
+      PayloadType::kIntent, grid_, fresh_, sent,
+      [](const void* self, const Link& l) -> Payload {
+        const CellState& c =
+            static_cast<const MessageSystem*>(self)->cells_[l.sender];
+        return IntentAnnounce{c.next, c.has_entities()};
+      },
+      this);
+  network_->exchange(x);
 
   // Local Signal step: NEPrev = senders whose intent names me and who
   // carry entities. Every sender is a lattice neighbor, and a copy the
   // network delivers twice sets the same bit again.
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
+  std::span<const Message> late = network_->late();
+  for_each_live([&](std::size_t k, CellId id, CellState& c) {
     NeighborMask heard_wanting = 0;
-    for (const Message& m : inboxes_[k]) {
-      if (const auto* intent = std::get_if<IntentAnnounce>(&m.payload)) {
-        if (intent->next == OptCellId{id} && intent->has_entities)
-          heard_wanting |= neighbor_bit(id, m.sender);
-      }
-    }
+    read_inbox(x, late, id,
+               [&](Direction d, std::size_t n, const Message* copy) {
+                 bool wants = false;
+                 if (copy == nullptr) {
+                   wants = (aim_[n] & direction_bit(opposite(d))) != 0;
+                 } else if (const auto* intent =
+                                std::get_if<IntentAnnounce>(&copy->payload)) {
+                   wants = intent->next == OptCellId{id} &&
+                           intent->has_entities;
+                 }
+                 if (wants) heard_wanting |= ascending_bit(d);
+               });
 
-    if (apply_signal(p.state, id, heard_wanting, SignalRule::kBlocking,
+    if (apply_signal(c, id, heard_wanting, SignalRule::kBlocking,
                      config_.params, choose_,
                      metrics_ ? &round_counts_ : nullptr))
       events_.blocked.push_back(id);
@@ -264,48 +323,67 @@ void MessageSystem::exchange_intents() {
     // (Lemma 3's H holds from here on: apply_signal granted only with the
     // entry strip clear of this process's current members. The harness
     // checks it at the kAfterSignal hook, after the grant exchange.)
-    if (p.state.signal.has_value())
-      ++p.inbound[p.slot_of(*p.state.signal)].granted_seq;
-  }
+    if (c.signal.has_value())
+      ++sessions_[k]
+            .inbound[static_cast<std::size_t>(
+                grid_.direction_between(id, *c.signal))]
+            .granted_seq;
+  });
 }
 
 void MessageSystem::exchange_grants() {
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    const MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
-    const std::uint64_t seq =
-        p.state.signal.has_value()
-            ? p.inbound[p.slot_of(*p.state.signal)].granted_seq
-            : 0;
-    for (const CellId nb : p.nbrs)
-      network_->send(Message{id, nb, GrantAnnounce{p.state.signal, seq,
-                                                   round_}});
-  }
-  network_->deliver_all(grid_, inboxes_);
+  // A grant slot is the direction of `signal` and the session seq stamped
+  // for it; ⊥ carries no seq.
+  const std::uint64_t sent =
+      broadcast([this](std::size_t k, CellId id, const CellState& c) {
+        aim_[k] = 0;
+        if (!c.signal.has_value()) return;
+        const Direction d = grid_.direction_between(id, *c.signal);
+        aim_[k] = direction_bit(d);
+        grant_seq_[k] =
+            sessions_[k].inbound[static_cast<std::size_t>(d)].granted_seq;
+      });
+  Exchange x(
+      PayloadType::kGrant, grid_, fresh_, sent,
+      [](const void* self, const Link& l) -> Payload {
+        const auto* sys = static_cast<const MessageSystem*>(self);
+        const OptCellId signal = sys->cells_[l.sender].signal;
+        return GrantAnnounce{signal,
+                             signal.has_value() ? sys->grant_seq_[l.sender] : 0,
+                             sys->round_};
+      },
+      this);
+  network_->exchange(x);
 
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    p.heard_grants.clear();
-    if (p.state.failed) continue;
-    const CellId id = grid_.id_of(k);
-    for (const Message& m : inboxes_[k]) {
-      const auto* g = std::get_if<GrantAnnounce>(&m.payload);
-      if (g == nullptr) continue;
-      if (g->round != round_) {
-        // A delayed grant is expired: permission is only meaningful in
-        // the round whose Signal step checked the strip (footnote 1's ⊥
-        // reading — Move must see FRESH signal values, §II-B).
-        ++expired_grants_;
-        continue;
-      }
-      if (g->signal != OptCellId{id}) continue;
-      OutboundLink& ob = p.outbound[p.slot_of(m.sender)];
-      if (g->seq <= ob.heard_seq) continue;  // duplicated copy
-      ob.heard_seq = g->seq;
-      p.heard_grants.push_back(p.slot_of(m.sender));
-    }
-  }
+  granted_.clear();
+  const auto heard = [this](std::size_t k, Direction d, std::uint64_t seq) {
+    OutboundLink& ob = sessions_[k].outbound[static_cast<std::size_t>(d)];
+    if (seq <= ob.heard_seq) return;  // duplicated copy
+    ob.heard_seq = seq;
+    granted_.push_back(Link{static_cast<std::uint32_t>(k), d, 0});
+  };
+  std::span<const Message> late = network_->late();
+  for_each_live([&](std::size_t k, CellId id, CellState&) {
+    read_inbox(x, late, id,
+               [&](Direction d, std::size_t n, const Message* copy) {
+                 if (copy == nullptr) {
+                   if ((aim_[n] & direction_bit(opposite(d))) != 0)
+                     heard(k, d, grant_seq_[n]);
+                   return;
+                 }
+                 const auto* g = std::get_if<GrantAnnounce>(&copy->payload);
+                 if (g == nullptr) return;
+                 if (g->round != round_) {
+                   // A delayed grant is expired: permission is only
+                   // meaningful in the round whose Signal step checked the
+                   // strip (footnote 1's ⊥ reading — Move must see FRESH
+                   // signal values, §II-B).
+                   ++expired_grants_;
+                   return;
+                 }
+                 if (g->signal == OptCellId{id}) heard(k, d, g->seq);
+               });
+  });
 }
 
 void MessageSystem::exchange_transfers() {
@@ -313,69 +391,81 @@ void MessageSystem::exchange_transfers() {
   // retained batch. Stop-and-wait per link: while a batch is pending the
   // process answers a fresh grant by declining (silently — the grantor's
   // strip stays reserved but nothing moves), so at most one batch per
-  // link is ever outstanding.
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
+  // link is ever outstanding. Only processes with a grant or a retained
+  // batch have work here, so the walk is over those two ascending lists.
+  transfers_.clear();
+  transfer_fresh_.clear();
+  retaining_next_.clear();
+  constexpr auto kNone = std::numeric_limits<std::uint32_t>::max();
+  std::size_t g = 0;
+  std::size_t r = 0;
+  while (g < granted_.size() || r < retaining_.size()) {
+    const std::uint32_t k =
+        std::min(g < granted_.size() ? granted_[g].sender : kNone,
+                 r < retaining_.size() ? retaining_[r] : kNone);
+    for (; r < retaining_.size() && retaining_[r] == k; ++r) {
+    }
+    CellState& c = cells_[k];
+    LinkSessions& links = sessions_[k];
     const CellId id = grid_.id_of(k);
-    for (const std::size_t slot : p.heard_grants) {
-      OutboundLink& ob = p.outbound[slot];
+    for (; g < granted_.size() && granted_[g].sender == k; ++g) {
+      const Direction d = granted_[g].to;
+      OutboundLink& ob = links.outbound[static_cast<std::size_t>(d)];
       if (ob.pending()) continue;
-      if (p.state.next != OptCellId{p.nbrs[slot]}) continue;
+      const auto [di, dj] = step_of(d);
+      if (c.next != OptCellId{CellId{id.i + di, id.j + dj}}) continue;
       // In-place Move: crossers land directly in the link's retained
       // batch (empty while the link is idle — pending() was false and
       // acks clear it), stayers partition in place.
-      if (apply_move(p.state, id, /*permitted=*/true, MovementRule::kCoupled,
+      if (apply_move(c, id, /*permitted=*/true, MovementRule::kCoupled,
                      grid_, config_.params, ob.batch,
                      metrics_ ? &round_counts_ : nullptr))
         events_.moved.push_back(id);
       if (!ob.batch.empty()) ob.batch_seq = ob.heard_seq;
     }
-    for (std::size_t s = 0; s < p.nbrs.size(); ++s) {
-      const OutboundLink& ob = p.outbound[s];
-      if (ob.pending())
-        network_->send(
-            Message{id, p.nbrs[s], TransferBatch{ob.batch_seq, ob.batch}});
+    bool retains = false;
+    for (const Direction d : kAllDirections) {
+      if (!links.outbound[static_cast<std::size_t>(d)].pending()) continue;
+      retains = true;
+      if (c.failed) continue;  // a crashed process is silent
+      transfers_.push_back(
+          Link{k, d, static_cast<std::uint32_t>(transfers_.size())});
+      transfer_fresh_.push_back(direction_bit(d));
     }
+    if (retains) retaining_next_.push_back(k);
   }
+  retaining_.swap(retaining_next_);
 
-  network_->deliver_all(grid_, inboxes_);
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;  // messages to a crashed process are lost
-    const CellId id = grid_.id_of(k);
-    for (const Message& m : inboxes_[k]) {
-      const auto* b = std::get_if<TransferBatch>(&m.payload);
-      if (b == nullptr) continue;
-      InboundLink& ib = p.inbound[p.slot_of(m.sender)];
-      if (b->seq <= ib.completed_seq) {
-        // Duplicate of an accepted batch (a lost ack, a duplicated
-        // message): do not re-materialize; re-confirm idempotently.
-        p.pending_acks.emplace_back(m.sender, b->seq);
-        continue;
-      }
-      CF_CHECK_MSG(b->seq <= ib.granted_seq,
-                   "transfer batch with a seq this process never granted");
-      if (id == config_.target) {
-        total_arrivals_ += b->entities.size();
-        if (metrics_) round_counts_.consumptions += b->entities.size();
-      } else {
-        if (!landing_is_safe(p, b->entities)) {
-          // Deferred acceptance: the strip promised at grant time is no
-          // longer free (the grant may have been issued rounds ago under
-          // message loss). Withhold the ack; the sender retains the
-          // batch and re-offers next round.
-          ++deferred_acceptances_;
-          continue;
+  Exchange x(
+      PayloadType::kTransfer, grid_, transfers_, transfer_fresh_,
+      [](const void* self, const Link& l) -> Payload {
+        const OutboundLink& ob =
+            static_cast<const MessageSystem*>(self)
+                ->sessions_[l.sender]
+                .outbound[static_cast<std::size_t>(l.to)];
+        return TransferBatch{ob.batch_seq, ob.batch};
+      },
+      this);
+  network_->exchange(x);
+
+  // A fresh slot is read in place from the sender's retained batch.
+  acks_.clear();
+  ack_seqs_.clear();
+  ack_fresh_.clear();
+  for_each_delivery(
+      x, network_->late(), transfers_, delivery_order_,
+      [this](std::size_t to, std::size_t from, const Link* link,
+             const Message* copy) {
+        if (cells_[to].failed)
+          return;  // messages to a crashed process are lost
+        if (link != nullptr) {
+          const OutboundLink& ob =
+              sessions_[from].outbound[static_cast<std::size_t>(link->to)];
+          accept_batch(to, from, ob.batch_seq, ob.batch);
+        } else if (const auto* b = std::get_if<TransferBatch>(&copy->payload)) {
+          accept_batch(to, from, b->seq, b->entities);
         }
-        for (const Entity& e : b->entities) p.state.members.push_back(e);
-      }
-      for (const Entity& e : b->entities)
-        accepted_.push_back(PendingTransfer{e, m.sender, id});
-      ib.completed_seq = b->seq;
-      p.pending_acks.emplace_back(m.sender, b->seq);
-    }
-  }
+      });
   // Receivers accept in their own order; the events follow System's.
   canonical_transfer_order(grid_, accepted_);
   for (const PendingTransfer& t : accepted_) {
@@ -387,36 +477,76 @@ void MessageSystem::exchange_transfers() {
   accepted_.clear();
 }
 
-void MessageSystem::exchange_acks() {
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) {
-      p.pending_acks.clear();
-      continue;
-    }
-    const CellId id = grid_.id_of(k);
-    for (const auto& [to, seq] : p.pending_acks)
-      network_->send(Message{id, to, TransferAck{seq}});
-    p.pending_acks.clear();
+void MessageSystem::accept_batch(std::size_t k, std::size_t from,
+                                 std::uint64_t seq,
+                                 std::span<const Entity> batch) {
+  CellState& c = cells_[k];
+  const CellId id = grid_.id_of(k);
+  const CellId sender = grid_.id_of(from);
+  const Direction d = grid_.direction_between(id, sender);
+  const auto ack = [&] {
+    acks_.push_back(Link{static_cast<std::uint32_t>(k), d,
+                         static_cast<std::uint32_t>(acks_.size())});
+    ack_seqs_.push_back(seq);
+    ack_fresh_.push_back(direction_bit(d));
+  };
+  InboundLink& ib = sessions_[k].inbound[static_cast<std::size_t>(d)];
+  if (seq <= ib.completed_seq) {
+    // Duplicate of an accepted batch (a lost ack, a duplicated message):
+    // do not re-materialize; re-confirm idempotently.
+    ack();
+    return;
   }
-
-  network_->deliver_all(grid_, inboxes_);
-  for (std::size_t k = 0; k < processes_.size(); ++k) {
-    MessageProcess& p = processes_[k];
-    if (p.state.failed) continue;
-    for (const Message& m : inboxes_[k]) {
-      const auto* a = std::get_if<TransferAck>(&m.payload);
-      if (a == nullptr) continue;
-      OutboundLink& ob = p.outbound[p.slot_of(m.sender)];
-      if (ob.pending() && a->seq == ob.batch_seq) {
-        ob.batch_seq = 0;
-        ob.batch.clear();
-      }
+  CF_CHECK_MSG(seq <= ib.granted_seq,
+               "transfer batch with a seq this process never granted");
+  if (id == config_.target) {
+    total_arrivals_ += batch.size();
+    if (metrics_) round_counts_.consumptions += batch.size();
+  } else {
+    if (!landing_is_safe(c, batch)) {
+      // Deferred acceptance: the strip promised at grant time is no
+      // longer free (the grant may have been issued rounds ago under
+      // message loss). Withhold the ack; the sender retains the batch and
+      // re-offers next round.
+      ++deferred_acceptances_;
+      return;
     }
+    for (const Entity& e : batch) c.members.push_back(e);
   }
+  for (const Entity& e : batch)
+    accepted_.push_back(PendingTransfer{e, sender, id});
+  ib.completed_seq = seq;
+  ack();
 }
 
-bool MessageSystem::landing_is_safe(const MessageProcess& p,
+void MessageSystem::exchange_acks() {
+  Exchange x(
+      PayloadType::kAck, grid_, acks_, ack_fresh_,
+      [](const void* self, const Link& l) -> Payload {
+        return TransferAck{
+            static_cast<const MessageSystem*>(self)->ack_seqs_[l.slot]};
+      },
+      this);
+  network_->exchange(x);
+  for_each_delivery(
+      x, network_->late(), acks_, delivery_order_,
+      [this](std::size_t to, std::size_t from, const Link* link,
+             const Message* copy) {
+        if (cells_[to].failed) return;
+        const auto* a =
+            copy == nullptr ? nullptr : std::get_if<TransferAck>(&copy->payload);
+        if (link == nullptr && a == nullptr) return;
+        const std::uint64_t seq = a == nullptr ? ack_seqs_[link->slot] : a->seq;
+        OutboundLink& ob = sessions_[to].outbound[static_cast<std::size_t>(
+            grid_.direction_between(grid_.id_of(to), grid_.id_of(from)))];
+        if (ob.pending() && seq == ob.batch_seq) {
+          ob.batch_seq = 0;
+          ob.batch.clear();
+        }
+      });
+}
+
+bool MessageSystem::landing_is_safe(const CellState& c,
                                     std::span<const Entity> batch) const {
   // Deferred-acceptance guard: re-validate, against the receiver's
   // CURRENT members, the spacing the grantor's strip check promised when
@@ -428,7 +558,7 @@ bool MessageSystem::landing_is_safe(const MessageProcess& p,
   constexpr double kEps = 1e-9;  // kPredicateEps convention
   const double d = config_.params.center_spacing() - kEps;
   for (const Entity& e : batch) {
-    for (const Entity& q : p.state.members) {
+    for (const Entity& q : c.members) {
       if (std::abs(e.center.x - q.center.x) < d &&
           std::abs(e.center.y - q.center.y) < d)
         return false;
@@ -439,7 +569,7 @@ bool MessageSystem::landing_is_safe(const MessageProcess& p,
 
 void MessageSystem::inject() {
   for (const CellId s : config_.sources) {
-    const auto id = apply_injection(processes_[grid_.index_of(s)].state, s,
+    const auto id = apply_injection(cells_[grid_.index_of(s)], s,
                                     source_, grid_, config_.params,
                                     next_entity_id_,
                                     metrics_ ? &round_counts_ : nullptr);

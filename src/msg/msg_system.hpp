@@ -1,9 +1,9 @@
 // The message-passing realization of System (paper §II-B's "actual
-// message-passing implementation"). Each cell is a MessageProcess owning
-// ONLY its local Figure-3 state; all interaction goes through a
-// NetworkModel (src/net) — reliable SyncNetwork by default, or a
-// FaultyNetwork applying a seeded loss/delay/duplication/partition
-// schedule.
+// message-passing implementation"). Each cell is a process owning ONLY
+// its local Figure-3 state and its transport sessions; all interaction
+// goes through a NetworkModel (src/net) — reliable SyncNetwork by
+// default, or a FaultyNetwork applying a seeded loss/delay/duplication/
+// partition schedule.
 //
 // Equivalence: on identical configurations (same grid, parameters,
 // sources, round-robin choose) and identical fail/recover schedules, a
@@ -64,12 +64,6 @@ struct Access;
 
 namespace cellflow {
 
-/// Minimal view of a neighbor's announced dist.
-struct NeighborDistView {
-  CellId id;
-  Dist dist;
-};
-
 /// Sender half of a per-link transfer session (stop-and-wait): at most
 /// one unacknowledged batch per outgoing link, retained until confirmed.
 struct OutboundLink {
@@ -92,25 +86,12 @@ struct InboundLink {
   std::uint64_t completed_seq = 0;
 };
 
-/// One distributed process: the protocol state of a single cell plus the
-/// per-round views it assembled from received messages. It never touches
-/// another process's state.
-struct MessageProcess {
-  CellState state;  // Figure-3 variables, local only
-
-  // Fixed wiring (grid.neighbors order), set once at construction.
-  std::vector<CellId> nbrs;
-
-  // Transport-session state, indexed like `nbrs` (stable across crash).
-  std::vector<OutboundLink> outbound;
-  std::vector<InboundLink> inbound;
-
-  // Views assembled from the current round's inboxes:
-  std::vector<NeighborDistView> heard_dists;
-  std::vector<std::size_t> heard_grants;   // link slots granted this round
-  std::vector<std::pair<CellId, std::uint64_t>> pending_acks;
-
-  [[nodiscard]] std::size_t slot_of(CellId nb) const;
+/// One process's transport sessions, a fixed array per lattice direction
+/// (indexed by Direction; a direction off the grid stays idle). Stable
+/// storage: the sessions survive crash and recovery.
+struct LinkSessions {
+  std::array<OutboundLink, 4> outbound;
+  std::array<InboundLink, 4> inbound;
 };
 
 struct MsgSystemConfig {
@@ -133,12 +114,13 @@ class MessageSystem {
   [[nodiscard]] CellId target() const noexcept { return config_.target; }
 
   [[nodiscard]] const CellState& cell(CellId id) const {
-    return processes_[grid_.index_of(id)].state;
+    return cells_[grid_.index_of(id)];
   }
   /// failed_{i,j}, the one field the fail/recover models read.
   [[nodiscard]] bool is_failed(CellId id) const { return cell(id).failed; }
-  [[nodiscard]] const MessageProcess& process(CellId id) const {
-    return processes_[grid_.index_of(id)];
+  /// The transport sessions of process `id`.
+  [[nodiscard]] const LinkSessions& sessions(CellId id) const {
+    return sessions_[grid_.index_of(id)];
   }
 
   /// System::for_each_cell: f(id, state) for every process's Figure-3
@@ -149,7 +131,7 @@ class MessageSystem {
     std::size_t k = 0;
     for (int j = 0; j < grid_.side(); ++j)
       for (int i = 0; i < grid_.side(); ++i, ++k)
-        f(CellId{i, j}, processes_[k].state);
+        f(CellId{i, j}, cells_[k]);
   }
   [[nodiscard]] std::uint64_t round() const noexcept { return round_; }
   [[nodiscard]] std::uint64_t total_arrivals() const noexcept {
@@ -253,13 +235,27 @@ class MessageSystem {
   void exchange_transfers();
   void exchange_acks();
   void inject();
-  [[nodiscard]] bool landing_is_safe(const MessageProcess& p,
+  /// f(k, id, cell) for every live process, ascending in dense index.
+  template <class F>
+  void for_each_live(F&& f);
+  /// Writes every live process's broadcast mask into fresh_ and returns
+  /// the links written; `write(k, id, cell)` fills process k's outbox
+  /// slot. A crashed process is silent.
+  template <class Write>
+  std::uint64_t broadcast(Write&& write);
+  void accept_batch(std::size_t k, std::size_t from, std::uint64_t seq,
+                    std::span<const Entity> batch);
+  [[nodiscard]] bool landing_is_safe(const CellState& c,
                                      std::span<const Entity> batch) const;
   void flush_network_metrics();
 
   MsgSystemConfig config_;
   Grid grid_;
-  std::vector<MessageProcess> processes_;
+  /// Each process's Figure-3 state and, in a parallel array, its
+  /// transport sessions — so the exchanges' N² walks stride over the
+  /// cells alone.
+  std::vector<CellState> cells_;
+  std::vector<LinkSessions> sessions_;
   std::unique_ptr<NetworkModel> network_;
   RoundRobinChoose choose_;  // stateless, per-call; same as System default
   EntryEdgeSource source_;   // stateless; same as System default
@@ -269,10 +265,34 @@ class MessageSystem {
   /// canonical_transfer_order (capacity reused across rounds).
   std::vector<PendingTransfer> accepted_;
 
-  /// The current exchange's inboxes (views into the network's delivery
-  /// buffer), refilled at every barrier; their arrays are reused, never
-  /// freed — the steady state performs no per-round allocation.
-  Inboxes inboxes_;
+  // The mailboxes (net/network_model.hpp). Every array is sized once or
+  // reused at its high-water mark — the steady state on a SyncNetwork
+  // performs no allocation.
+  /// Broadcast exchanges: each process's fresh direction mask (the links
+  /// it wrote, minus the ones the network withheld) and its typed slot —
+  /// its dist; the direction it aims at (its intent's `next` when it
+  /// carries entities, its grant's `signal`); the grant's session seq.
+  std::vector<std::uint8_t> fresh_;
+  std::vector<DistAnnounce> dist_out_;
+  std::vector<std::uint8_t> aim_;
+  std::vector<std::uint64_t> grant_seq_;
+  /// Links granted this round, (process, direction of the grantor), in
+  /// process order — the links a Move may open a session on.
+  std::vector<Link> granted_;
+  /// Processes holding a retained batch after the last transfer exchange
+  /// (ascending; a superset once acks clear some).
+  std::vector<std::uint32_t> retaining_;
+  std::vector<std::uint32_t> retaining_next_;
+  /// Transfer exchange: one link per retained batch, its slot a view of
+  /// the sender's OutboundLink.
+  std::vector<Link> transfers_;
+  std::vector<std::uint8_t> transfer_fresh_;
+  /// Ack exchange: one link per ack, queued in the order the transfer
+  /// exchange accepted or re-confirmed batches, with its seq.
+  std::vector<Link> acks_;
+  std::vector<std::uint64_t> ack_seqs_;
+  std::vector<std::uint8_t> ack_fresh_;
+  std::vector<std::uint32_t> delivery_order_;  ///< for_each_delivery scratch
 
   std::uint64_t round_ = 0;
   std::uint64_t total_arrivals_ = 0;

@@ -2,26 +2,31 @@
 // seeded, deterministic fault schedule — the adversary of the
 // stabilization theorems (Lemma 6, Theorem 10) made executable.
 //
-// Faults, applied per message in canonical send order, one Xoshiro256
-// stream for the whole schedule:
+// Faults, applied per sent link in send order (dense sender index, then
+// Grid::neighbors order; a list exchange in list order), one Xoshiro256
+// stream for the whole schedule, each trial an integer draw against a
+// cut computed once per barrier (Xoshiro256::bernoulli_cut):
 //
 //   partition    an active partition separates sender and receiver →
 //                the message is cut (no RNG draw; partitions are
 //                scripted, not sampled)
-//   drop         i.i.d. with probability drop_prob
-//   duplicate    i.i.d. with probability dup_prob: a second copy is
-//                delivered at the same barrier
-//   delay        i.i.d. with probability delay_prob: the message
-//                resurfaces 1..max_delay_rounds ROUNDS later, at the
+//   drop         i.i.d. with probability drop_prob: the fresh slot is
+//                withheld
+//   duplicate    i.i.d. with probability dup_prob: a copy is delivered
+//                late at the same barrier, ahead of the fresh slot
+//   delay        i.i.d. with probability delay_prob: the fresh slot is
+//                withheld and a copy resurfaces 1..max_delay_rounds
+//                ROUNDS later, ahead of that barrier's fresh slots, at the
 //                same exchange position of the later round (delays are
 //                whole multiples of kExchangesPerRound barriers, so a
 //                delayed DistAnnounce arrives at a dist barrier — a
 //                genuinely stale value, not a payload at the wrong
 //                phase)
 //
-// With all probabilities zero and no partitions the schedule consumes no
-// randomness and delivers exactly SyncNetwork's schedule — bit-identical
-// executions (pinned by tests/test_net_faults.cpp's differential).
+// With all probabilities zero and no partition active the hook does not
+// walk the links: it consumes no randomness and delivers exactly
+// SyncNetwork's schedule — bit-identical executions (pinned by
+// tests/test_net_faults.cpp's differential).
 //
 // Quiescence mirrors FailureModel: the stochastic faults cease after
 // `last_fault_round` (inclusive), and quiescent() reports true once the
@@ -92,8 +97,7 @@ class FaultyNetwork final : public NetworkModel {
   }
 
  protected:
-  void transmit(std::vector<Message>&& sent,
-                std::vector<Message>& out) override;
+  void transmit(Exchange& x) override;
 
  private:
   // Snapshot/restore (src/snapshot) serializes the fault stream and the

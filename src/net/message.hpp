@@ -18,6 +18,14 @@
 // additionally carries the round it was issued in and *expires* with
 // that round — §II-B's exchange structure exists precisely because Move
 // must read fresh signal values, so a delayed grant confers nothing.
+//
+// On the wire these payloads live in typed neighbour-slot mailboxes
+// (net/network_model.hpp): a sender's fresh slot holds the payload's
+// fields, and a transfer slot is a view of the retained batch. A Message
+// — sender, receiver and a Payload variant — is built only for a copy the
+// network delivers late (a duplicate, a delayed message, a captured one),
+// and is the form the snapshot codec writes for FaultyNetwork's delay
+// queue.
 #pragma once
 
 #include <cstddef>

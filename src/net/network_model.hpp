@@ -1,43 +1,51 @@
 // NetworkModel: the transport abstraction behind the message-passing
-// realization, mirroring FailureModel's shape (src/failure). The round
-// driver owns one instance and pushes every exchange through it:
+// realization, mirroring FailureModel's shape (src/failure). Every §II-B
+// message goes to a lattice neighbour and each exchange carries one
+// payload type, so the plane is a set of typed neighbour-slot mailboxes,
+// not a message queue:
 //
-//   net.begin_round(r);              // once per protocol round
-//   net.send(m); ...                 // any number of times per exchange
-//   net.deliver_all(grid, inboxes);  // the exchange barrier
+//   net.begin_round(r);   // once per protocol round
+//   ...                   // each live sender writes its slots
+//   net.exchange(x);      // the exchange barrier over Exchange x
+//   ...                   // each receiver reads its neighbours' slots
+//
+// A sender writes one fixed slot per (sender, lattice direction). The
+// broadcast exchanges (dist, intent, grant) hold one value per sender and
+// a direction mask of the links it wrote; the transfer and ack exchanges
+// hold a list of links, each with its own payload (a transfer slot is a
+// view of the sender's retained batch, never a copy). The receiver's
+// realization owns the slot values; an Exchange gives the network the
+// links and their "fresh" flags.
+//
+// The barrier runs the fault hook `transmit` over the sent links in send
+// order — dense sender index, then Grid::neighbors order; a list exchange
+// in list order — and the hook may withhold a link's fresh slot (drop,
+// delay, partition). A copy the network delivers late (a duplicate, a
+// released delayed message) is built as a Message only then, and kept in
+// the late list for this barrier.
 //
 // Delivery order is CANONICAL and documented: each inbox reads ascending
-// in sender id (CellId order), and each (sender → receiver) link keeps
-// its queue order (per-link FIFO). Every realization sees the same base
-// order, so a faulty delivery schedule is a seeded transformation of a
-// deterministic sequence, not incidental queue order.
+// in sender id (CellId order: (i−1,j), (i,j−1), (i,j+1), (i+1,j)), and
+// along one link the late copies come first, in arrival order, then the
+// link's fresh slot(s) — the order a stable sort by (receiver, sender)
+// of the barrier's deliveries in send order gives, with released delayed
+// copies queued ahead of the fresh sends. read_inbox and for_each_delivery
+// below walk that order; on a SyncNetwork the late list is empty and
+// delivery does nothing.
 //
-// The barrier builds that order in O(M) for M delivered messages, in two
-// passes over 32-bit message indices, never moving a message:
-//   1. a counting pass over grid.index_of(receiver) scatters the indices
-//      into one flat CSR array with one offset per cell (stable: each
-//      inbox keeps queue order);
-//   2. a stable insertion pass per inbox orders it by sender. Every inbox
-//      needs it, not only the ones holding FaultyNetwork's late or
-//      duplicated copies: senders emit in index order, which is j-major
-//      (index_of = j*side + i), while CellId compares i-major, so a
-//      receiver's four neighbours arrive as (i,j−1), (i−1,j), (i+1,j),
-//      (i,j+1) and are delivered as (i−1,j), (i,j−1), (i,j+1), (i+1,j).
-// Inboxes are views into the barrier's delivery buffer, which the network
-// reuses: an Inbox stays valid until the next barrier (or the next
-// snapshot restore), and the next deliver_all overwrites it.
-//
-// Subclasses shape *which* queued messages the barrier delivers (drop,
-// delay, duplicate, partition — see faulty_network.hpp) by overriding
-// `transmit`; the reliable SyncNetwork below delivers everything. The
-// base class owns the queue, the canonical order, per-payload-type send
-// counters, and per-type fault counters (zero for a reliable network).
+// Subclasses shape which slots the barrier delivers (drop, delay,
+// duplicate, partition — see faulty_network.hpp) by overriding
+// `transmit`; the reliable SyncNetwork below delivers every slot. The base
+// class owns the late list, per-payload-type send counters, and per-type
+// fault counters (zero for a reliable network).
 #pragma once
 
 #include <array>
 #include <cstdint>
+#include <span>
 #include <vector>
 
+#include "grid/grid.hpp"
 #include "net/message.hpp"
 
 namespace cellflow::snapshot {
@@ -45,8 +53,6 @@ struct Access;
 }  // namespace cellflow::snapshot
 
 namespace cellflow {
-
-class Grid;
 
 /// Transport fault kinds, indexable for per-type statistics.
 enum class NetFault : std::size_t {
@@ -67,80 +73,128 @@ inline constexpr std::size_t kNetFaultCount = 4;
   return "?";
 }
 
-/// One process's inbox: the messages addressed to it in canonical order,
-/// as a read-only random-access range over message indices into the
-/// barrier's delivery buffer (valid until the next barrier).
-class Inbox {
- public:
-  class iterator {
-   public:
-    iterator(const Message* messages, const std::uint32_t* at) noexcept
-        : messages_(messages), at_(at) {}
-    [[nodiscard]] const Message& operator*() const noexcept {
-      return messages_[*at_];
-    }
-    iterator& operator++() noexcept {
-      ++at_;
-      return *this;
-    }
-    [[nodiscard]] bool operator==(const iterator& o) const noexcept {
-      return at_ == o.at_;
-    }
+/// Bit of direction d in a mailbox direction mask.
+[[nodiscard]] constexpr std::uint8_t direction_bit(Direction d) noexcept {
+  return static_cast<std::uint8_t>(1u << static_cast<unsigned>(d));
+}
 
-   private:
-    const Message* messages_;
-    const std::uint32_t* at_;
-  };
+/// The directions of a cell's lattice neighbours in ascending CellId
+/// order — the order a receiver reads its neighbours' slots.
+inline constexpr std::array<Direction, 4> kAscendingDirections = {
+    Direction::kWest, Direction::kSouth, Direction::kNorth, Direction::kEast};
 
-  Inbox(const Message* messages, const std::uint32_t* first,
-        const std::uint32_t* last) noexcept
-      : messages_(messages), first_(first), last_(last) {}
+/// Direction mask of the in-grid neighbours of `id`.
+[[nodiscard]] inline std::uint8_t lattice_links(const Grid& grid,
+                                               CellId id) noexcept {
+  std::uint8_t mask = 0;
+  if (id.i + 1 < grid.side()) mask |= direction_bit(Direction::kEast);
+  if (id.i > 0) mask |= direction_bit(Direction::kWest);
+  if (id.j + 1 < grid.side()) mask |= direction_bit(Direction::kNorth);
+  if (id.j > 0) mask |= direction_bit(Direction::kSouth);
+  return mask;
+}
 
-  [[nodiscard]] std::size_t size() const noexcept {
-    return static_cast<std::size_t>(last_ - first_);
+/// Dense index of the neighbour of cell `k` in direction `d`.
+/// Precondition: that neighbour is on the grid.
+[[nodiscard]] inline std::size_t neighbor_index(const Grid& grid,
+                                               std::size_t k,
+                                               Direction d) noexcept {
+  const auto side = static_cast<std::size_t>(grid.side());
+  switch (d) {
+    case Direction::kEast: return k + 1;
+    case Direction::kWest: return k - 1;
+    case Direction::kNorth: return k + side;
+    case Direction::kSouth: return k - side;
   }
-  [[nodiscard]] bool empty() const noexcept { return first_ == last_; }
-  [[nodiscard]] const Message& operator[](std::size_t n) const noexcept {
-    return messages_[first_[n]];
-  }
-  [[nodiscard]] iterator begin() const noexcept { return {messages_, first_}; }
-  [[nodiscard]] iterator end() const noexcept { return {messages_, last_}; }
+  return k;
+}
 
- private:
-  const Message* messages_;
-  const std::uint32_t* first_;
-  const std::uint32_t* last_;
+/// One sent link: the sender's dense index, the direction of its
+/// receiver, and the index of the link's fresh flag in its Exchange.
+struct Link {
+  std::uint32_t sender = 0;
+  Direction to = Direction::kEast;
+  std::uint32_t slot = 0;
 };
 
-/// One exchange's deliveries in CSR form: inbox k covers the message
-/// indices [offsets[k], offsets[k+1]) of one flat index array. Filled by
-/// NetworkModel::deliver_all; the caller keeps the object across
-/// exchanges so its two arrays stop allocating once warm.
-class Inboxes {
+/// One exchange's sends as the barrier and the fault hook see them: the
+/// links in send order, each with a fresh flag the hook may clear, and
+/// the payload of any link on demand (for a copy delivered late).
+class Exchange {
  public:
-  /// Number of inboxes: grid.cell_count() of the last barrier, 0 before
-  /// the first one and after clear().
-  [[nodiscard]] std::size_t size() const noexcept {
-    return offsets_.empty() ? 0 : offsets_.size() - 1;
+  /// Builds the payload a link carries; called only for a late copy.
+  using PayloadFn = Payload (*)(const void* owner, const Link& link);
+
+  /// A broadcast exchange: sender k wrote a slot toward every direction
+  /// set in fresh[k]; `sent` is the number of those bits.
+  Exchange(PayloadType type, const Grid& grid, std::span<std::uint8_t> fresh,
+           std::uint64_t sent, PayloadFn payload, const void* owner) noexcept
+      : type_(type), grid_(&grid), fresh_(fresh), sent_(sent),
+        broadcast_(true), payload_(payload), owner_(owner) {}
+
+  /// A list exchange: links[n] is fresh while fresh[n] holds
+  /// direction_bit(links[n].to) (its slot is n).
+  Exchange(PayloadType type, const Grid& grid, std::span<const Link> links,
+           std::span<std::uint8_t> fresh, PayloadFn payload,
+           const void* owner) noexcept
+      : type_(type), grid_(&grid), links_(links), fresh_(fresh),
+        sent_(links.size()), broadcast_(false), payload_(payload),
+        owner_(owner) {}
+
+  [[nodiscard]] PayloadType type() const noexcept { return type_; }
+  [[nodiscard]] const Grid& grid() const noexcept { return *grid_; }
+  /// Links written: the messages this exchange sends.
+  [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
+  /// Fresh slots withheld at this barrier.
+  [[nodiscard]] std::uint64_t withheld() const noexcept { return withheld_; }
+  [[nodiscard]] bool broadcast() const noexcept { return broadcast_; }
+
+  /// f(link) for every sent link, in send order. Inlined into the hook,
+  /// so a fault stream it keeps in a local stays in registers.
+  template <class F>
+  [[gnu::always_inline]] void for_each_link(F&& f) const {
+    if (!broadcast_) {
+      for (const Link& link : links_) f(link);
+      return;
+    }
+    for (std::uint32_t k = 0; k < fresh_.size(); ++k) {
+      const std::uint8_t mask = fresh_[k];
+      if (mask == 0) continue;
+      for (const Direction d : kAllDirections)
+        if ((mask & direction_bit(d)) != 0) f(Link{k, d, k});
+    }
   }
-  /// Inbox of the process with `grid.index_of(receiver) == k`.
-  [[nodiscard]] Inbox operator[](std::size_t k) const noexcept {
-    return Inbox{messages_, index_.data() + offsets_[k],
-                 index_.data() + offsets_[k + 1]};
+
+  [[nodiscard]] CellId sender(const Link& link) const {
+    return grid_->id_of(link.sender);
   }
-  /// Drops every inbox (a restore replaces the buffer they view).
-  void clear() noexcept {
-    messages_ = nullptr;
-    offsets_.clear();
-    index_.clear();
+  [[nodiscard]] CellId receiver(const Link& link) const {
+    return grid_->id_of(neighbor_index(*grid_, link.sender, link.to));
+  }
+  /// Whether the link's fresh slot is delivered at this barrier.
+  [[nodiscard]] bool fresh(const Link& link) const noexcept {
+    return (fresh_[link.slot] & direction_bit(link.to)) != 0;
+  }
+  /// Withholds the link's fresh slot from this barrier.
+  void withhold(const Link& link) noexcept {
+    fresh_[link.slot] &= static_cast<std::uint8_t>(~direction_bit(link.to));
+    ++withheld_;
+  }
+  /// The link's message, built for a copy the network delivers late.
+  [[nodiscard]] Message message(const Link& link) const {
+    return Message{sender(link), receiver(link), payload_(owner_, link)};
   }
 
  private:
-  friend class NetworkModel;
-
-  const Message* messages_ = nullptr;
-  std::vector<std::uint32_t> offsets_;
-  std::vector<std::uint32_t> index_;
+  PayloadType type_;
+  const Grid* grid_;
+  std::span<const Link> links_;
+  std::span<std::uint8_t> fresh_;
+  std::uint64_t sent_ = 0;
+  std::uint64_t withheld_ = 0;
+  bool broadcast_;
+  PayloadFn payload_;
+  const void* owner_;
 };
 
 class NetworkModel {
@@ -153,18 +207,17 @@ class NetworkModel {
   /// Round boundary notification (before the round's first exchange).
   void begin_round(std::uint64_t round) noexcept { round_ = round; }
 
-  /// Queues a message for the current exchange.
-  void send(Message m);
+  /// Exchange barrier: counts x's links as sent, runs the fault schedule
+  /// over them, and orders the late copies it delivers by (receiver
+  /// index, sender), keeping each link's in arrival order. The late list
+  /// stays valid until the next barrier.
+  void exchange(Exchange& x);
 
-  /// Exchange barrier: runs the fault schedule over the queue, clears it,
-  /// and fills `inboxes` with the surviving messages in canonical order,
-  /// one inbox per process, indexed by `grid.index_of(receiver)`. The
-  /// inboxes view this network's delivery buffer and stay valid until
-  /// the next barrier.
-  void deliver_all(const Grid& grid, Inboxes& inboxes);
-
-  /// Returning form of the barrier, for one-off callers; same contract.
-  [[nodiscard]] Inboxes deliver_all(const Grid& grid);
+  /// Late copies delivered at the most recent barrier, in the order
+  /// above. Empty on a reliable network.
+  [[nodiscard]] std::span<const Message> late() const noexcept {
+    return late_;
+  }
 
   /// True once the schedule can no longer perturb an exchange: no fault
   /// will fire and nothing is buffered for late delivery. Mirrors
@@ -174,11 +227,11 @@ class NetworkModel {
 
   // --- Statistics -----------------------------------------------------
 
-  /// Messages accepted by send() since construction (all exchanges).
+  /// Messages sent since construction (all exchanges).
   [[nodiscard]] std::uint64_t total_messages() const noexcept {
     return total_messages_;
   }
-  /// Messages accepted by send(), by payload type.
+  /// Messages sent, by payload type.
   [[nodiscard]] std::uint64_t sent_count(PayloadType t) const noexcept {
     return sent_counts_[static_cast<std::size_t>(t)];
   }
@@ -186,7 +239,7 @@ class NetworkModel {
   [[nodiscard]] std::uint64_t last_exchange_messages() const noexcept {
     return last_exchange_;
   }
-  /// Barriers (deliver_all calls) since construction.
+  /// Barriers (exchange calls) since construction.
   [[nodiscard]] std::uint64_t barrier_count() const noexcept {
     return barriers_;
   }
@@ -201,14 +254,15 @@ class NetworkModel {
   [[nodiscard]] std::uint64_t fault_count(NetFault f) const noexcept;
 
  protected:
-  /// Fault-schedule hook: consume `sent` (this exchange's queue, in send
-  /// order) and append every message to deliver at this barrier to `out`
-  /// (passed in empty; order irrelevant — the caller canonicalizes). The
-  /// base barrier index and round are available via barrier_count() /
-  /// current_round(). The reliable base swaps the buffers, so the queue
-  /// and delivery vectors ping-pong without allocating.
-  virtual void transmit(std::vector<Message>&& sent,
-                        std::vector<Message>& out);
+  /// Fault-schedule hook: walk x's links (Exchange::for_each_link),
+  /// withhold fresh slots, and hand every late copy to deliver_late, in
+  /// arrival order. The barrier index and round are available via
+  /// barrier_count() / current_round(). The reliable base delivers every
+  /// fresh slot and nothing late.
+  virtual void transmit(Exchange& x) { (void)x; }
+
+  /// Delivers a copy at this barrier, ahead of its link's fresh slot.
+  void deliver_late(Message m) { late_.push_back(std::move(m)); }
 
   [[nodiscard]] std::uint64_t current_round() const noexcept {
     return round_;
@@ -221,8 +275,7 @@ class NetworkModel {
   // Snapshot/restore (src/snapshot) serializes the transport counters.
   friend struct snapshot::Access;
 
-  std::vector<Message> in_flight_;
-  std::vector<Message> deliver_;  ///< the barrier's delivery buffer
+  std::vector<Message> late_;  ///< this barrier's late copies
   std::uint64_t round_ = 0;
   std::uint64_t total_messages_ = 0;
   std::uint64_t last_exchange_ = 0;
@@ -232,8 +285,99 @@ class NetworkModel {
       fault_counts_{};
 };
 
-/// The reliable instance: every queued message is delivered, unaltered,
-/// at the next barrier (paper §II-B's synchronous broadcast reading).
+/// The reliable instance: every slot written is delivered, unaltered, at
+/// the next barrier (paper §II-B's synchronous broadcast reading).
 class SyncNetwork final : public NetworkModel {};
+
+/// Receiver `self`'s inbox in broadcast exchange `x` after its barrier, in
+/// canonical order: for each lattice neighbour, ascending in CellId, the
+/// late copies it sent to `self`, then its fresh slot. Calls f(direction of
+/// the sender, sender index, copy), where `copy` is the late Message or
+/// null for the fresh slot (the caller reads that payload from its own
+/// outbox). `late` is the
+/// unread tail of net.late(); receivers must be read in ascending index
+/// order, and the copies of any receiver skipped are skipped here.
+template <class F>
+void read_inbox(const Exchange& x, std::span<const Message>& late,
+                CellId self, F&& f) {
+  const Grid& grid = x.grid();
+  const std::size_t r = grid.index_of(self);
+  // Dense order is j-major; drop the copies of receivers before self.
+  const auto before = [self](CellId c) {
+    return c.j != self.j ? c.j < self.j : c.i < self.i;
+  };
+  while (!late.empty() && before(late.front().receiver))
+    late = late.subspan(1);
+  const bool mine = !late.empty() && late.front().receiver == self;
+  const std::uint8_t links = lattice_links(grid, self);
+  for (const Direction d : kAscendingDirections) {
+    if ((links & direction_bit(d)) == 0) continue;
+    const std::size_t n = neighbor_index(grid, r, d);
+    if (mine) {
+      const auto [di, dj] = step_of(d);
+      const CellId from{self.i + di, self.j + dj};
+      while (!late.empty() && late.front().receiver == self &&
+             late.front().sender == from) {
+        f(d, n, &late.front());
+        late = late.subspan(1);
+      }
+    }
+    if (x.fresh(Link{static_cast<std::uint32_t>(n), opposite(d),
+                     static_cast<std::uint32_t>(n)}))
+      f(d, n, static_cast<const Message*>(nullptr));
+  }
+}
+
+/// Every delivery of list exchange `x` after its barrier, in canonical
+/// order: receivers ascending in index, each inbox ascending in sender,
+/// each link's late copies (from `late`, net.late()) before its fresh
+/// slots in list order. Calls f(receiver index, sender index, link,
+/// copy), where `copy` is the late Message or null for the fresh slot of
+/// `link`. `order` is scratch (kept by the caller so it stops
+/// allocating).
+template <class F>
+void for_each_delivery(const Exchange& x, std::span<const Message> late,
+                       std::span<const Link> links,
+                       std::vector<std::uint32_t>& order, F&& f) {
+  const Grid& grid = x.grid();
+  order.clear();
+  for (std::uint32_t n = 0; n < links.size(); ++n)
+    if (x.fresh(links[n])) order.push_back(n);
+  const auto receiver = [&](const Link& l) {
+    return neighbor_index(grid, l.sender, l.to);
+  };
+  // Insertion sort by (receiver index, sender id), stable: a list
+  // exchange carries a handful of messages a round.
+  for (std::size_t a = 1; a < order.size(); ++a) {
+    const std::uint32_t v = order[a];
+    const std::size_t rv = receiver(links[v]);
+    const CellId sv = grid.id_of(links[v].sender);
+    std::size_t hole = a;
+    for (; hole > 0; --hole) {
+      const Link& prev = links[order[hole - 1]];
+      const std::size_t rp = receiver(prev);
+      if (rp < rv || (rp == rv && !(sv < grid.id_of(prev.sender)))) break;
+      order[hole] = order[hole - 1];
+    }
+    order[hole] = v;
+  }
+  std::size_t at = 0;
+  for (const std::uint32_t n : order) {
+    const Link& link = links[n];
+    const std::size_t r = receiver(link);
+    const CellId from = grid.id_of(link.sender);
+    for (; at < late.size(); ++at) {
+      const Message& m = late[at];
+      const std::size_t rm = grid.index_of(m.receiver);
+      if (rm > r || (rm == r && from < m.sender)) break;
+      f(rm, grid.index_of(m.sender), static_cast<const Link*>(nullptr), &m);
+    }
+    f(r, static_cast<std::size_t>(link.sender), &link,
+      static_cast<const Message*>(nullptr));
+  }
+  for (; at < late.size(); ++at)
+    f(grid.index_of(late[at].receiver), grid.index_of(late[at].sender),
+      static_cast<const Link*>(nullptr), &late[at]);
+}
 
 }  // namespace cellflow

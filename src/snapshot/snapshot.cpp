@@ -1,5 +1,6 @@
 #include "snapshot/snapshot.hpp"
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <fstream>
@@ -143,7 +144,7 @@ void write_payload(Sink& out, const Payload& p) {
   }
 }
 
-/// One link slot of a MessageProcess: both halves of its session.
+/// One link of a message process: both halves of its session.
 template <typename Sink>
 void write_link(Sink& out, const OutboundLink& ob, const InboundLink& ib) {
   out.u64(ob.heard_seq);
@@ -797,10 +798,11 @@ struct Access {
   }
 
   static void write_network(Writer& w, const NetworkModel& net) {
-    // Snapshots are round-boundary-only: every exchange both sends and
-    // delivers within update(), so nothing may sit in the queue here.
-    CF_EXPECTS_MSG(net.in_flight_.empty(),
-                   "snapshot taken mid-exchange (not at a round boundary)");
+    // Snapshots are round-boundary-only: every round runs all of its
+    // exchanges within update(), so the barrier count is a whole number
+    // of rounds here.
+    CF_EXPECTS_MSG(net.barriers_ % kExchangesPerRound == 0,
+                   "snapshot taken mid-round (not at a round boundary)");
     const auto* faulty = dynamic_cast<const FaultyNetwork*>(&net);
     w.u8(faulty != nullptr ? std::uint8_t{1} : std::uint8_t{0});
     w.u64(net.round_);
@@ -894,8 +896,7 @@ struct Access {
   }
 
   static void apply_network(NetworkModel& net, NetState&& s) {
-    net.in_flight_.clear();
-    net.deliver_.clear();
+    net.late_.clear();
     net.round_ = s.round;
     net.total_messages_ = s.total_messages;
     net.last_exchange_ = s.last_exchange;
@@ -912,17 +913,16 @@ struct Access {
                                                 const Xoshiro256* env_rng) {
     Writer w = begin_snapshot(kKindMessage, msg, echo_of(msg.config_));
     w.begin_section(kTagCells);
-    w.u64(static_cast<std::uint64_t>(msg.processes_.size()));
-    for (std::size_t k = 0; k < msg.processes_.size(); ++k)
-      write_cell(w, msg.grid_.id_of(k), msg.processes_[k].state);
+    w.u64(static_cast<std::uint64_t>(msg.cells_.size()));
+    for (std::size_t k = 0; k < msg.cells_.size(); ++k)
+      write_cell(w, msg.grid_.id_of(k), msg.cells_[k]);
     w.end_section();
 
     w.begin_section(kTagLinks);
-    for (const MessageProcess& p : msg.processes_) {
-      w.u32(static_cast<std::uint32_t>(p.nbrs.size()));
-      for (std::size_t slot = 0; slot < p.nbrs.size(); ++slot) {
-        write_link(w, p.outbound[slot], p.inbound[slot]);
-      }
+    for (std::size_t k = 0; k < msg.sessions_.size(); ++k) {
+      const CellId id = msg.grid_.id_of(k);
+      w.u32(static_cast<std::uint32_t>(msg.grid_.degree(id)));
+      write_links(w, msg.grid_, id, msg.sessions_[k]);
     }
     w.end_section();
 
@@ -942,37 +942,43 @@ struct Access {
     return w.finish();
   }
 
-  struct LinkState {
-    std::vector<OutboundLink> outbound;
-    std::vector<InboundLink> inbound;
-  };
+  /// A process's links on the wire: its lattice directions in
+  /// Grid::neighbors order, both halves of each session.
+  template <typename Sink>
+  static void write_links(Sink& out, const Grid& grid, CellId id,
+                          const LinkSessions& p) {
+    const std::uint8_t links = lattice_links(grid, id);
+    for (const Direction d : kAllDirections) {
+      if ((links & direction_bit(d)) == 0) continue;
+      const auto at = static_cast<std::size_t>(d);
+      write_link(out, p.outbound[at], p.inbound[at]);
+    }
+  }
 
-  static std::vector<LinkState> read_links(Reader& r,
-                                           const MessageSystem& msg) {
-    std::vector<LinkState> links;
-    links.reserve(msg.processes_.size());
-    for (const MessageProcess& p : msg.processes_) {
-      const std::uint32_t nslots = r.u32();
-      if (nslots != p.nbrs.size()) {
+  static std::vector<LinkSessions> read_links(Reader& r,
+                                              const MessageSystem& msg) {
+    std::vector<LinkSessions> links(msg.sessions_.size());
+    for (std::size_t k = 0; k < links.size(); ++k) {
+      const CellId id = msg.grid_.id_of(k);
+      if (r.u32() != static_cast<std::uint32_t>(msg.grid_.degree(id))) {
         fail(Errc::kMalformed, "link slot count mismatch");
       }
-      LinkState ls;
-      ls.outbound.resize(nslots);
-      ls.inbound.resize(nslots);
-      for (std::uint32_t slot = 0; slot < nslots; ++slot) {
-        OutboundLink& ob = ls.outbound[slot];
+      const std::uint8_t lattice = lattice_links(msg.grid_, id);
+      for (const Direction d : kAllDirections) {
+        if ((lattice & direction_bit(d)) == 0) continue;
+        const auto at = static_cast<std::size_t>(d);
+        OutboundLink& ob = links[k].outbound[at];
         ob.heard_seq = r.u64();
         ob.batch_seq = r.u64();
         const std::uint64_t nb = r.count(kEntityBytes);
         ob.batch.reserve(static_cast<std::size_t>(nb));
-        for (std::uint64_t k = 0; k < nb; ++k) {
+        for (std::uint64_t e = 0; e < nb; ++e) {
           ob.batch.push_back(read_entity(r));
         }
-        InboundLink& ib = ls.inbound[slot];
+        InboundLink& ib = links[k].inbound[at];
         ib.granted_seq = r.u64();
         ib.completed_seq = r.u64();
       }
-      links.push_back(std::move(ls));
     }
     return links;
   }
@@ -981,7 +987,7 @@ struct Access {
                               std::span<const std::uint8_t> bytes,
                               Xoshiro256* env_rng) {
     std::vector<CellState> cells;
-    std::vector<LinkState> links;
+    std::vector<LinkSessions> links;
     std::array<std::uint64_t, 3> counters{};
     NetState net;
     const Common c = read_snapshot(
@@ -1000,21 +1006,24 @@ struct Access {
         });
 
     // Commit point: all validation done, nothing below can throw.
-    for (std::size_t k = 0; k < msg.processes_.size(); ++k) {
-      MessageProcess& p = msg.processes_[k];
-      p.state = std::move(cells[k]);
-      p.outbound = std::move(links[k].outbound);
-      p.inbound = std::move(links[k].inbound);
-      // Per-round views; rebuilt from received messages before every use.
-      p.heard_dists.clear();
-      p.heard_grants.clear();
-      p.pending_acks.clear();
+    msg.cells_ = std::move(cells);
+    msg.sessions_ = std::move(links);
+    msg.retaining_.clear();
+    for (std::size_t k = 0; k < msg.sessions_.size(); ++k) {
+      const auto& out = msg.sessions_[k].outbound;
+      if (std::any_of(out.begin(), out.end(),
+                      [](const OutboundLink& ob) { return ob.pending(); }))
+        msg.retaining_.push_back(static_cast<std::uint32_t>(k));
     }
+    // Per-round views; rebuilt before every use.
+    msg.granted_.clear();
+    msg.acks_.clear();
+    msg.ack_seqs_.clear();
+    msg.ack_fresh_.clear();
     commit_header(msg, c.header);
     msg.last_round_messages_ = counters[0];
     msg.expired_grants_ = counters[1];
     msg.deferred_acceptances_ = counters[2];
-    msg.inboxes_.clear();
     apply_network(*msg.network_, std::move(net));
     if (env_rng != nullptr) env_rng->set_state(c.env_rng);
   }
@@ -1023,12 +1032,10 @@ struct Access {
                                       bool with_fault_schedule) {
     DigestAccumulator d;
     write_counters(d, msg);
-    for (std::size_t k = 0; k < msg.processes_.size(); ++k) {
-      const MessageProcess& p = msg.processes_[k];
-      write_cell(d, msg.grid_.id_of(k), p.state);
-      for (std::size_t slot = 0; slot < p.nbrs.size(); ++slot) {
-        write_link(d, p.outbound[slot], p.inbound[slot]);
-      }
+    for (std::size_t k = 0; k < msg.cells_.size(); ++k) {
+      const CellId id = msg.grid_.id_of(k);
+      write_cell(d, id, msg.cells_[k]);
+      write_links(d, msg.grid_, id, msg.sessions_[k]);
     }
     write_msg_counters(d, msg);
     write_transport(d, *msg.network_);

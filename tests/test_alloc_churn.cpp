@@ -134,17 +134,15 @@ TEST(AllocChurn, OpenSystemInjectionChurnIsBounded) {
   EXPECT_LT(t.allocs, 40u) << "open-system churn not bounded";
 }
 
-TEST(AllocChurn, MessageSystemSteadyStateChurnIsBounded) {
-  // The message-passing realization: five exchanges per round through
-  // reused CSR inboxes filled by an allocation-free counting pass and
-  // per-inbox sender pass, stack-array dist views, and in-place batch
-  // moves. The ONE remaining allocation source is the data-plane wire
-  // copy — a TransferBatch message carries a copy of the retained batch
-  // (the sender must keep the original for the stop-and-wait re-offer),
-  // one small vector per boundary crossing. So steady-state churn is
-  // bounded by the transfer rate: strictly below one allocation per
-  // round on the column workload (a fraction of the rounds see a
-  // crossing), not zero.
+TEST(AllocChurn, MessageSystemSteadyStateIsAllocationFree) {
+  // The message-passing realization over the reliable SyncNetwork: five
+  // exchanges per round through neighbour-slot mailboxes sized at
+  // construction or reused at their high-water mark, stack-array dist
+  // views, in-place batch moves, and transfer slots read in place from
+  // the sender's retained batch (no wire copy). After the warm-up fills
+  // every member vector and batch to its high-water mark, a round makes
+  // no allocation at all — on the open column workload, which injects
+  // and consumes every few rounds.
   MsgSystemConfig cfg;  // defaults: side 8, source {1,0}, target {1,7}
   MessageSystem msg(std::move(cfg));
   for (int k = 0; k < 600; ++k) msg.update();
@@ -152,8 +150,13 @@ TEST(AllocChurn, MessageSystemSteadyStateChurnIsBounded) {
   constexpr int kRounds = 400;
   for (int k = 0; k < kRounds; ++k) msg.update();
   const obs::AllocTotals t = window.delta();
-  EXPECT_LT(t.allocs, static_cast<std::uint64_t>(kRounds))
-      << "message-system churn above one allocation per round";
+#if CELLFLOW_TSAN
+  // Bounded, not zero, under TSan (see file comment).
+  EXPECT_LT(t.allocs, static_cast<std::uint64_t>(kRounds));
+#else
+  EXPECT_EQ(t.allocs, 0u) << "message-system allocations in steady state";
+  EXPECT_EQ(t.bytes, 0u);
+#endif
 }
 
 }  // namespace

@@ -277,24 +277,21 @@ TEST(NetStabilization, FlowResumesAfterPartitionHeals) {
 // (a delayed copy plus a duplicate). All other payloads pass untouched.
 class GrantReplayNetwork final : public NetworkModel {
  protected:
-  void transmit(std::vector<Message>&& sent,
-                std::vector<Message>& out) override {
+  void transmit(Exchange& x) override {
+    if (x.type() != PayloadType::kGrant) return;
     std::vector<Message> captured;
-    for (Message& m : sent) {
-      if (std::holds_alternative<GrantAnnounce>(m.payload)) {
-        note_fault(NetFault::kDelayed, PayloadType::kGrant);
-        note_fault(NetFault::kDuplicated, PayloadType::kGrant);
-        captured.push_back(std::move(m));
-      } else {
-        out.push_back(std::move(m));
-      }
-    }
+    x.for_each_link([&](const Link& link) {
+      note_fault(NetFault::kDelayed, PayloadType::kGrant);
+      note_fault(NetFault::kDuplicated, PayloadType::kGrant);
+      captured.push_back(x.message(link));
+      x.withhold(link);
+    });
     if (!captured.empty()) {
       // The grant barrier: release the previous round's grants (stale by
       // exactly one round) and hold this round's.
       for (const Message& m : held_) {
-        out.push_back(m);
-        out.push_back(m);
+        deliver_late(m);
+        deliver_late(m);
       }
       held_ = std::move(captured);
     }
