@@ -1,4 +1,4 @@
-// Micro-benchmark E22: the message plane (ROADMAP item 3, DESIGN.md §8).
+// Micro-benchmark E22: the message plane (ROADMAP item 4, DESIGN.md §8).
 // Runs MessageSystem — the paper's "actual message-passing
 // implementation" (§II-B) — on a west-to-east flow at sides 32, 64 and
 // 128, once over the reliable SyncNetwork and once over cfbench
@@ -9,7 +9,8 @@
 //   exchange us     the PhaseProfiler's per-exchange spans (dist, intent,
 //                   grant, transfer, ack, inject) per round
 //   msgs/round      messages sent, by payload type, and the computed wire
-//                   volume, messages × sizeof(Message)
+//                   volume, messages × sizeof(Message) (the form a late
+//                   copy takes; a fresh slot is smaller)
 //   System          the shared-variable engine's us/round on the same
 //                   configuration, and the message plane's multiple of it
 //
@@ -142,7 +143,7 @@ int main(int argc, char** argv) {
   cellflow::bench::BenchRecorder recorder("micro_msg_plane");
 
   bench::banner("Micro: message-plane cost per exchange",
-                "ROADMAP item 3; MessageSystem vs shared-variable System");
+                "ROADMAP item 4; MessageSystem vs shared-variable System");
   std::cout << "west-to-east flow; lossy = drop 0.05, delay 0.01 (1-3 "
                "rounds); exchange columns are us/round\n\n";
 

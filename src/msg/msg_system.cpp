@@ -15,18 +15,6 @@ namespace cellflow {
 
 namespace {
 
-/// The bit of the neighbour in direction d in a NeighborMask, whose bit k
-/// is ascending_neighbors(self)[k] — the order of kAscendingDirections.
-constexpr NeighborMask ascending_bit(Direction d) noexcept {
-  switch (d) {
-    case Direction::kWest: return 1;
-    case Direction::kSouth: return 2;
-    case Direction::kNorth: return 4;
-    case Direction::kEast: return 8;
-  }
-  return 0;
-}
-
 /// direction_bit of the lattice neighbour `to` of `from`; 0 for ⊥ or a
 /// cell that is not adjacent.
 constexpr std::uint8_t bit_toward(CellId from, OptCellId to) noexcept {
@@ -247,33 +235,32 @@ void MessageSystem::exchange_dists() {
   // (paper footnote 1). Under a faulty network an inbox may hold several
   // announcements from one sender (a late copy ahead of the fresh slot,
   // canonical order); the first per sender wins — a stale estimate for
-  // one round, which Route self-stabilizes away.
+  // one round, which Route self-stabilizes away. route_step's argmin over
+  // (dist, id) does not depend on the neighbours' order.
   obs::ProtocolCounts* const pc = metrics_ ? &round_counts_ : nullptr;
   std::span<const Message> late = network_->late();
   for_each_live([&](std::size_t, CellId id, CellState& c) {
-    std::array<Dist, 4> heard;  // by Direction
-    heard.fill(Dist::infinity());
-    std::uint8_t seen = 0;
-    read_inbox(x, late, id,
-               [&](Direction d, std::size_t n, const Message* copy) {
-                 const DistAnnounce* ann =
-                     copy == nullptr ? &dist_out_[n]
-                                     : std::get_if<DistAnnounce>(&copy->payload);
-                 if (ann == nullptr || (seen & direction_bit(d)) != 0) return;
-                 seen |= direction_bit(d);
-                 heard[static_cast<std::size_t>(d)] = ann->dist;
-               });
-    NeighborDist nds[4];  // Grid::neighbors order; no heap
+    NeighborDist nds[4];  // lattice degree ≤ 4; no heap
     std::size_t n = 0;
+    std::uint8_t heard = 0;
     const std::uint8_t links = lattice_links(grid_, id);
+    x.read_inbox(late, id,
+               [&](Direction d, std::size_t from, const Message* copy) {
+                 const DistAnnounce* ann =
+                     copy == nullptr ? &dist_out_[from]
+                                     : std::get_if<DistAnnounce>(&copy->payload);
+                 if (ann == nullptr || (heard & direction_bit(d)) != 0) return;
+                 heard |= direction_bit(d);
+                 const auto [di, dj] = step_of(d);
+                 nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj}, ann->dist};
+               });
     for (const Direction d : kAllDirections) {
-      if ((links & direction_bit(d)) == 0) continue;
+      if ((links & ~heard & direction_bit(d)) == 0) continue;
       const auto [di, dj] = step_of(d);
-      nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj},
-                              heard[static_cast<std::size_t>(d)]};
+      nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj}, Dist::infinity()};
     }
-    apply_route(c, id == config_.target,
-                std::span<const NeighborDist>(nds, n), pc);
+    apply_route(c, id == config_.target, std::span<const NeighborDist>(nds, n),
+                pc);
   });
 }
 
@@ -302,7 +289,7 @@ void MessageSystem::exchange_intents() {
   std::span<const Message> late = network_->late();
   for_each_live([&](std::size_t k, CellId id, CellState& c) {
     NeighborMask heard_wanting = 0;
-    read_inbox(x, late, id,
+    x.read_inbox(late, id,
                [&](Direction d, std::size_t n, const Message* copy) {
                  bool wants = false;
                  if (copy == nullptr) {
@@ -312,7 +299,10 @@ void MessageSystem::exchange_intents() {
                    wants = intent->next == OptCellId{id} &&
                            intent->has_entities;
                  }
-                 if (wants) heard_wanting |= ascending_bit(d);
+                 if (!wants) return;
+                 const auto [di, dj] = step_of(d);
+                 heard_wanting |=
+                     neighbor_bit(id, CellId{id.i + di, id.j + dj});
                });
 
     if (apply_signal(c, id, heard_wanting, SignalRule::kBlocking,
@@ -364,7 +354,7 @@ void MessageSystem::exchange_grants() {
   };
   std::span<const Message> late = network_->late();
   for_each_live([&](std::size_t k, CellId id, CellState&) {
-    read_inbox(x, late, id,
+    x.read_inbox(late, id,
                [&](Direction d, std::size_t n, const Message* copy) {
                  if (copy == nullptr) {
                    if ((aim_[n] & direction_bit(opposite(d))) != 0)
@@ -452,8 +442,8 @@ void MessageSystem::exchange_transfers() {
   acks_.clear();
   ack_seqs_.clear();
   ack_fresh_.clear();
-  for_each_delivery(
-      x, network_->late(), transfers_, delivery_order_,
+  x.for_each_delivery(
+      network_->late(), delivery_order_,
       [this](std::size_t to, std::size_t from, const Link* link,
              const Message* copy) {
         if (cells_[to].failed)
@@ -528,8 +518,8 @@ void MessageSystem::exchange_acks() {
       },
       this);
   network_->exchange(x);
-  for_each_delivery(
-      x, network_->late(), acks_, delivery_order_,
+  x.for_each_delivery(
+      network_->late(), delivery_order_,
       [this](std::size_t to, std::size_t from, const Link* link,
              const Message* copy) {
         if (cells_[to].failed) return;

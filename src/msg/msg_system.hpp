@@ -292,7 +292,7 @@ class MessageSystem {
   std::vector<Link> acks_;
   std::vector<std::uint64_t> ack_seqs_;
   std::vector<std::uint8_t> ack_fresh_;
-  std::vector<std::uint32_t> delivery_order_;  ///< for_each_delivery scratch
+  std::vector<Arrival> delivery_order_;  ///< for_each_delivery scratch
 
   std::uint64_t round_ = 0;
   std::uint64_t total_arrivals_ = 0;

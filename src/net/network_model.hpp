@@ -29,9 +29,9 @@
 // along one link the late copies come first, in arrival order, then the
 // link's fresh slot(s) — the order a stable sort by (receiver, sender)
 // of the barrier's deliveries in send order gives, with released delayed
-// copies queued ahead of the fresh sends. read_inbox and for_each_delivery
-// below walk that order; on a SyncNetwork the late list is empty and
-// delivery does nothing.
+// copies queued ahead of the fresh sends. Exchange::read_inbox and
+// Exchange::for_each_delivery walk that order; on a SyncNetwork the late
+// list is empty and delivery does nothing.
 //
 // Subclasses shape which slots the barrier delivers (drop, delay,
 // duplicate, partition — see faulty_network.hpp) by overriding
@@ -40,6 +40,7 @@
 // fault counters (zero for a reliable network).
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <span>
@@ -78,11 +79,6 @@ inline constexpr std::size_t kNetFaultCount = 4;
   return static_cast<std::uint8_t>(1u << static_cast<unsigned>(d));
 }
 
-/// The directions of a cell's lattice neighbours in ascending CellId
-/// order — the order a receiver reads its neighbours' slots.
-inline constexpr std::array<Direction, 4> kAscendingDirections = {
-    Direction::kWest, Direction::kSouth, Direction::kNorth, Direction::kEast};
-
 /// Direction mask of the in-grid neighbours of `id`.
 [[nodiscard]] inline std::uint8_t lattice_links(const Grid& grid,
                                                CellId id) noexcept {
@@ -117,9 +113,19 @@ struct Link {
   std::uint32_t slot = 0;
 };
 
+/// One delivery of a list exchange, keyed for the canonical order: a late
+/// copy's rank is its place in the late list, a fresh link's is the
+/// number of late copies plus its place in the list.
+struct Arrival {
+  std::size_t receiver = 0;
+  CellId sender;
+  std::uint32_t rank = 0;
+};
+
 /// One exchange's sends as the barrier and the fault hook see them: the
 /// links in send order, each with a fresh flag the hook may clear, and
-/// the payload of any link on demand (for a copy delivered late).
+/// the payload of any link on demand (for a copy delivered late). After
+/// the barrier it reads the inboxes back in canonical order.
 class Exchange {
  public:
   /// Builds the payload a link carries; called only for a late copy.
@@ -183,6 +189,87 @@ class Exchange {
   /// The link's message, built for a copy the network delivers late.
   [[nodiscard]] Message message(const Link& link) const {
     return Message{sender(link), receiver(link), payload_(owner_, link)};
+  }
+
+  /// Receiver `self`'s inbox in a broadcast exchange after its barrier,
+  /// in canonical order: for each lattice neighbour, ascending in CellId,
+  /// the late copies it sent to `self`, then its fresh slot. Calls
+  /// f(direction of the sender, sender index, copy), where `copy` is the
+  /// late Message or null for the fresh slot (the caller reads that
+  /// payload from its own outbox). `late` is the unread tail of the
+  /// network's late list: receivers are read in ascending index order,
+  /// and the copies of a receiver skipped are dropped here.
+  template <class F>
+  void read_inbox(std::span<const Message>& late, CellId self, F&& f) const {
+    const int side = grid_->side();
+    const std::size_t r = static_cast<std::size_t>(self.j) *
+                              static_cast<std::size_t>(side) +
+                          static_cast<std::size_t>(self.i);
+    // Dense order is j-major.
+    const auto before = [self](CellId c) {
+      return c.j != self.j ? c.j < self.j : c.i < self.i;
+    };
+    while (!late.empty() && before(late.front().receiver))
+      late = late.subspan(1);
+    const bool mine = !late.empty() && late.front().receiver == self;
+    const std::uint8_t* fresh = fresh_.data();
+    const auto visit = [&](Direction d, std::size_t n) {
+      if (mine) {
+        const auto [di, dj] = step_of(d);
+        const CellId from{self.i + di, self.j + dj};
+        while (!late.empty() && late.front().receiver == self &&
+               late.front().sender == from) {
+          f(d, n, &late.front());
+          late = late.subspan(1);
+        }
+      }
+      if ((fresh[n] & direction_bit(opposite(d))) != 0)
+        f(d, n, static_cast<const Message*>(nullptr));
+    };
+    const auto row = static_cast<std::size_t>(side);
+    if (self.i > 0) visit(Direction::kWest, r - 1);
+    if (self.j > 0) visit(Direction::kSouth, r - row);
+    if (self.j + 1 < side) visit(Direction::kNorth, r + row);
+    if (self.i + 1 < side) visit(Direction::kEast, r + 1);
+  }
+
+  /// Every delivery of a list exchange after its barrier, in canonical
+  /// order: receivers ascending in index, each inbox ascending in sender,
+  /// each link's late copies (from `late`, the network's late list) before
+  /// its fresh slots in list order. Calls f(receiver index, sender index,
+  /// link, copy): `copy` is the late Message, or null for the fresh slot
+  /// of `link`. `order` is scratch the caller keeps, so it stops
+  /// allocating.
+  template <class F>
+  void for_each_delivery(std::span<const Message> late,
+                         std::vector<Arrival>& order, F&& f) const {
+    const auto copies = static_cast<std::uint32_t>(late.size());
+    order.clear();
+    for (std::uint32_t n = 0; n < copies; ++n)
+      order.push_back(
+          Arrival{grid_->index_of(late[n].receiver), late[n].sender, n});
+    for (std::uint32_t n = 0; n < links_.size(); ++n)
+      if (fresh(links_[n]))
+        order.push_back(
+            Arrival{neighbor_index(*grid_, links_[n].sender, links_[n].to),
+                    sender(links_[n]), copies + n});
+    std::sort(order.begin(), order.end(),
+              [](const Arrival& a, const Arrival& b) {
+                if (a.receiver != b.receiver) return a.receiver < b.receiver;
+                if (a.sender != b.sender) return a.sender < b.sender;
+                return a.rank < b.rank;
+              });
+    for (const Arrival& a : order) {
+      if (a.rank < copies) {
+        const Message& m = late[a.rank];
+        f(a.receiver, grid_->index_of(m.sender),
+          static_cast<const Link*>(nullptr), &m);
+      } else {
+        const Link& link = links_[a.rank - copies];
+        f(a.receiver, static_cast<std::size_t>(link.sender), &link,
+          static_cast<const Message*>(nullptr));
+      }
+    }
   }
 
  private:
@@ -288,96 +375,5 @@ class NetworkModel {
 /// The reliable instance: every slot written is delivered, unaltered, at
 /// the next barrier (paper §II-B's synchronous broadcast reading).
 class SyncNetwork final : public NetworkModel {};
-
-/// Receiver `self`'s inbox in broadcast exchange `x` after its barrier, in
-/// canonical order: for each lattice neighbour, ascending in CellId, the
-/// late copies it sent to `self`, then its fresh slot. Calls f(direction of
-/// the sender, sender index, copy), where `copy` is the late Message or
-/// null for the fresh slot (the caller reads that payload from its own
-/// outbox). `late` is the
-/// unread tail of net.late(); receivers must be read in ascending index
-/// order, and the copies of any receiver skipped are skipped here.
-template <class F>
-void read_inbox(const Exchange& x, std::span<const Message>& late,
-                CellId self, F&& f) {
-  const Grid& grid = x.grid();
-  const std::size_t r = grid.index_of(self);
-  // Dense order is j-major; drop the copies of receivers before self.
-  const auto before = [self](CellId c) {
-    return c.j != self.j ? c.j < self.j : c.i < self.i;
-  };
-  while (!late.empty() && before(late.front().receiver))
-    late = late.subspan(1);
-  const bool mine = !late.empty() && late.front().receiver == self;
-  const std::uint8_t links = lattice_links(grid, self);
-  for (const Direction d : kAscendingDirections) {
-    if ((links & direction_bit(d)) == 0) continue;
-    const std::size_t n = neighbor_index(grid, r, d);
-    if (mine) {
-      const auto [di, dj] = step_of(d);
-      const CellId from{self.i + di, self.j + dj};
-      while (!late.empty() && late.front().receiver == self &&
-             late.front().sender == from) {
-        f(d, n, &late.front());
-        late = late.subspan(1);
-      }
-    }
-    if (x.fresh(Link{static_cast<std::uint32_t>(n), opposite(d),
-                     static_cast<std::uint32_t>(n)}))
-      f(d, n, static_cast<const Message*>(nullptr));
-  }
-}
-
-/// Every delivery of list exchange `x` after its barrier, in canonical
-/// order: receivers ascending in index, each inbox ascending in sender,
-/// each link's late copies (from `late`, net.late()) before its fresh
-/// slots in list order. Calls f(receiver index, sender index, link,
-/// copy), where `copy` is the late Message or null for the fresh slot of
-/// `link`. `order` is scratch (kept by the caller so it stops
-/// allocating).
-template <class F>
-void for_each_delivery(const Exchange& x, std::span<const Message> late,
-                       std::span<const Link> links,
-                       std::vector<std::uint32_t>& order, F&& f) {
-  const Grid& grid = x.grid();
-  order.clear();
-  for (std::uint32_t n = 0; n < links.size(); ++n)
-    if (x.fresh(links[n])) order.push_back(n);
-  const auto receiver = [&](const Link& l) {
-    return neighbor_index(grid, l.sender, l.to);
-  };
-  // Insertion sort by (receiver index, sender id), stable: a list
-  // exchange carries a handful of messages a round.
-  for (std::size_t a = 1; a < order.size(); ++a) {
-    const std::uint32_t v = order[a];
-    const std::size_t rv = receiver(links[v]);
-    const CellId sv = grid.id_of(links[v].sender);
-    std::size_t hole = a;
-    for (; hole > 0; --hole) {
-      const Link& prev = links[order[hole - 1]];
-      const std::size_t rp = receiver(prev);
-      if (rp < rv || (rp == rv && !(sv < grid.id_of(prev.sender)))) break;
-      order[hole] = order[hole - 1];
-    }
-    order[hole] = v;
-  }
-  std::size_t at = 0;
-  for (const std::uint32_t n : order) {
-    const Link& link = links[n];
-    const std::size_t r = receiver(link);
-    const CellId from = grid.id_of(link.sender);
-    for (; at < late.size(); ++at) {
-      const Message& m = late[at];
-      const std::size_t rm = grid.index_of(m.receiver);
-      if (rm > r || (rm == r && from < m.sender)) break;
-      f(rm, grid.index_of(m.sender), static_cast<const Link*>(nullptr), &m);
-    }
-    f(r, static_cast<std::size_t>(link.sender), &link,
-      static_cast<const Message*>(nullptr));
-  }
-  for (; at < late.size(); ++at)
-    f(grid.index_of(late[at].receiver), grid.index_of(late[at].sender),
-      static_cast<const Link*>(nullptr), &late[at]);
-}
 
 }  // namespace cellflow

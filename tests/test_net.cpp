@@ -70,7 +70,7 @@ class Plane {
     std::vector<Delivery> out;
     std::span<const Message> late = net.late();
     for (std::size_t r = 0; r < grid_.cell_count(); ++r)
-      read_inbox(x, late, grid_.id_of(r),
+      x.read_inbox(late, grid_.id_of(r),
                  [&](Direction, std::size_t n, const Message* copy) {
                    out.push_back(copy == nullptr
                                      ? Delivery{r, grid_.id_of(n), stamps_[n],
@@ -96,7 +96,7 @@ class Plane {
     Exchange x(type, grid_, links_, fresh_, &Plane::payload, this);
     net.exchange(x);
     std::vector<Delivery> out;
-    for_each_delivery(x, net.late(), links_, order_,
+    x.for_each_delivery(net.late(), order_,
                       [&](std::size_t r, std::size_t from, const Link* link,
                           const Message* copy) {
                         out.push_back(Delivery{
@@ -118,7 +118,7 @@ class Plane {
   std::vector<std::uint8_t> fresh_;
   std::vector<Link> links_;
   std::vector<std::uint64_t> stamps_;
-  std::vector<std::uint32_t> order_;
+  std::vector<Arrival> order_;
 };
 
 std::vector<Delivery> inbox_of(const std::vector<Delivery>& all,
