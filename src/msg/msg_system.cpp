@@ -51,10 +51,13 @@ std::size_t MessageSystem::entity_count() const noexcept {
 }
 
 std::vector<Entity> MessageSystem::in_flight_entities() const {
+  // Only a process in retaining_ (a superset of those holding a batch,
+  // ascending) can have one in flight.
   std::vector<Entity> out;
-  for (std::size_t k = 0; k < sessions_.size(); ++k) {
+  for (const std::uint32_t k : retaining_) {
     for (const Direction d : kAllDirections) {
-      const OutboundLink& ob = sessions_[k].outbound[static_cast<std::size_t>(d)];
+      const OutboundLink& ob =
+          sessions_[k].outbound[static_cast<std::size_t>(d)];
       if (!ob.pending()) continue;
       const LinkSessions& r = sessions_[neighbor_index(grid_, k, d)];
       if (r.inbound[static_cast<std::size_t>(opposite(d))].completed_seq >=
@@ -244,16 +247,16 @@ void MessageSystem::exchange_dists() {
     std::size_t n = 0;
     std::uint8_t heard = 0;
     const std::uint8_t links = lattice_links(grid_, id);
-    x.read_inbox(late, id,
-               [&](Direction d, std::size_t from, const Message* copy) {
-                 const DistAnnounce* ann =
-                     copy == nullptr ? &dist_out_[from]
-                                     : std::get_if<DistAnnounce>(&copy->payload);
-                 if (ann == nullptr || (heard & direction_bit(d)) != 0) return;
-                 heard |= direction_bit(d);
-                 const auto [di, dj] = step_of(d);
-                 nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj}, ann->dist};
-               });
+    x.read_inbox(late, id, [&](Direction d, std::size_t from,
+                               const Message* copy) {
+      const DistAnnounce* ann =
+          copy == nullptr ? &dist_out_[from]
+                          : std::get_if<DistAnnounce>(&copy->payload);
+      if (ann == nullptr || (heard & direction_bit(d)) != 0) return;
+      heard |= direction_bit(d);
+      const auto [di, dj] = step_of(d);
+      nds[n++] = NeighborDist{CellId{id.i + di, id.j + dj}, ann->dist};
+    });
     for (const Direction d : kAllDirections) {
       if ((links & ~heard & direction_bit(d)) == 0) continue;
       const auto [di, dj] = step_of(d);
@@ -289,21 +292,19 @@ void MessageSystem::exchange_intents() {
   std::span<const Message> late = network_->late();
   for_each_live([&](std::size_t k, CellId id, CellState& c) {
     NeighborMask heard_wanting = 0;
-    x.read_inbox(late, id,
-               [&](Direction d, std::size_t n, const Message* copy) {
-                 bool wants = false;
-                 if (copy == nullptr) {
-                   wants = (aim_[n] & direction_bit(opposite(d))) != 0;
-                 } else if (const auto* intent =
-                                std::get_if<IntentAnnounce>(&copy->payload)) {
-                   wants = intent->next == OptCellId{id} &&
-                           intent->has_entities;
-                 }
-                 if (!wants) return;
-                 const auto [di, dj] = step_of(d);
-                 heard_wanting |=
-                     neighbor_bit(id, CellId{id.i + di, id.j + dj});
-               });
+    x.read_inbox(late, id, [&](Direction d, std::size_t n,
+                               const Message* copy) {
+      bool wants = false;
+      if (copy == nullptr) {
+        wants = (aim_[n] & direction_bit(opposite(d))) != 0;
+      } else if (const auto* intent =
+                     std::get_if<IntentAnnounce>(&copy->payload)) {
+        wants = intent->next == OptCellId{id} && intent->has_entities;
+      }
+      if (!wants) return;
+      const auto [di, dj] = step_of(d);
+      heard_wanting |= neighbor_bit(id, CellId{id.i + di, id.j + dj});
+    });
 
     if (apply_signal(c, id, heard_wanting, SignalRule::kBlocking,
                      config_.params, choose_,
@@ -354,25 +355,24 @@ void MessageSystem::exchange_grants() {
   };
   std::span<const Message> late = network_->late();
   for_each_live([&](std::size_t k, CellId id, CellState&) {
-    x.read_inbox(late, id,
-               [&](Direction d, std::size_t n, const Message* copy) {
-                 if (copy == nullptr) {
-                   if ((aim_[n] & direction_bit(opposite(d))) != 0)
-                     heard(k, d, grant_seq_[n]);
-                   return;
-                 }
-                 const auto* g = std::get_if<GrantAnnounce>(&copy->payload);
-                 if (g == nullptr) return;
-                 if (g->round != round_) {
-                   // A delayed grant is expired: permission is only
-                   // meaningful in the round whose Signal step checked the
-                   // strip (footnote 1's ⊥ reading — Move must see FRESH
-                   // signal values, §II-B).
-                   ++expired_grants_;
-                   return;
-                 }
-                 if (g->signal == OptCellId{id}) heard(k, d, g->seq);
-               });
+    x.read_inbox(late, id, [&](Direction d, std::size_t n,
+                               const Message* copy) {
+      if (copy == nullptr) {
+        if ((aim_[n] & direction_bit(opposite(d))) != 0)
+          heard(k, d, grant_seq_[n]);
+        return;
+      }
+      const auto* g = std::get_if<GrantAnnounce>(&copy->payload);
+      if (g == nullptr) return;
+      if (g->round != round_) {
+        // A delayed grant is expired: permission is only meaningful in
+        // the round whose Signal step checked the strip (footnote 1's ⊥
+        // reading — Move must see FRESH signal values, §II-B).
+        ++expired_grants_;
+        return;
+      }
+      if (g->signal == OptCellId{id}) heard(k, d, g->seq);
+    });
   });
 }
 
@@ -523,10 +523,12 @@ void MessageSystem::exchange_acks() {
       [this](std::size_t to, std::size_t from, const Link* link,
              const Message* copy) {
         if (cells_[to].failed) return;
-        const auto* a =
-            copy == nullptr ? nullptr : std::get_if<TransferAck>(&copy->payload);
+        const auto* a = copy == nullptr
+                            ? nullptr
+                            : std::get_if<TransferAck>(&copy->payload);
         if (link == nullptr && a == nullptr) return;
-        const std::uint64_t seq = a == nullptr ? ack_seqs_[link->slot] : a->seq;
+        const std::uint64_t seq =
+            a == nullptr ? ack_seqs_[link->slot] : a->seq;
         OutboundLink& ob = sessions_[to].outbound[static_cast<std::size_t>(
             grid_.direction_between(grid_.id_of(to), grid_.id_of(from)))];
         if (ob.pending() && seq == ob.batch_seq) {

@@ -118,10 +118,6 @@ class MessageSystem {
   }
   /// failed_{i,j}, the one field the fail/recover models read.
   [[nodiscard]] bool is_failed(CellId id) const { return cell(id).failed; }
-  /// The transport sessions of process `id`.
-  [[nodiscard]] const LinkSessions& sessions(CellId id) const {
-    return sessions_[grid_.index_of(id)];
-  }
 
   /// System::for_each_cell: f(id, state) for every process's Figure-3
   /// state, in ascending dense index order. Entities retained in

@@ -153,7 +153,6 @@ class Exchange {
   [[nodiscard]] std::uint64_t sent() const noexcept { return sent_; }
   /// Fresh slots withheld at this barrier.
   [[nodiscard]] std::uint64_t withheld() const noexcept { return withheld_; }
-  [[nodiscard]] bool broadcast() const noexcept { return broadcast_; }
 
   /// f(link) for every sent link, in send order. Inlined into the hook,
   /// so a fault stream it keeps in a local stays in registers.
