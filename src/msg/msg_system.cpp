@@ -448,7 +448,7 @@ void MessageSystem::exchange_transfers() {
              const Message* copy) {
         if (cells_[to].failed)
           return;  // messages to a crashed process are lost
-        if (link != nullptr) {
+        if (copy == nullptr) {
           const OutboundLink& ob =
               sessions_[from].outbound[static_cast<std::size_t>(link->to)];
           accept_batch(to, from, ob.batch_seq, ob.batch);
@@ -523,12 +523,14 @@ void MessageSystem::exchange_acks() {
       [this](std::size_t to, std::size_t from, const Link* link,
              const Message* copy) {
         if (cells_[to].failed) return;
-        const auto* a = copy == nullptr
-                            ? nullptr
-                            : std::get_if<TransferAck>(&copy->payload);
-        if (link == nullptr && a == nullptr) return;
-        const std::uint64_t seq =
-            a == nullptr ? ack_seqs_[link->slot] : a->seq;
+        std::uint64_t seq = 0;
+        if (copy == nullptr) {
+          seq = ack_seqs_[link->slot];
+        } else if (const auto* a = std::get_if<TransferAck>(&copy->payload)) {
+          seq = a->seq;
+        } else {
+          return;
+        }
         OutboundLink& ob = sessions_[to].outbound[static_cast<std::size_t>(
             grid_.direction_between(grid_.id_of(to), grid_.id_of(from)))];
         if (ob.pending() && seq == ob.batch_seq) {
