@@ -13,21 +13,6 @@
 
 namespace cellflow {
 
-namespace {
-
-/// direction_bit of the lattice neighbour `to` of `from`; 0 for ⊥ or a
-/// cell that is not adjacent.
-constexpr std::uint8_t bit_toward(CellId from, OptCellId to) noexcept {
-  if (!to.has_value()) return 0;
-  for (const Direction d : kAllDirections) {
-    const auto [di, dj] = step_of(d);
-    if (*to == CellId{from.i + di, from.j + dj}) return direction_bit(d);
-  }
-  return 0;
-}
-
-}  // namespace
-
 MessageSystem::MessageSystem(MsgSystemConfig config,
                              std::unique_ptr<NetworkModel> network)
     : config_(std::move(config)),
@@ -274,7 +259,10 @@ void MessageSystem::exchange_intents() {
   // barrier.
   const std::uint64_t sent =
       broadcast([this](std::size_t k, CellId id, const CellState& c) {
-        aim_[k] = c.has_entities() ? bit_toward(id, c.next) : 0;
+        const bool aims = c.has_entities() && c.next.has_value() &&
+                          Grid::are_neighbors(id, *c.next);
+        aim_[k] =
+            aims ? direction_bit(grid_.direction_between(id, *c.next)) : 0;
       });
   Exchange x(
       PayloadType::kIntent, grid_, fresh_, sent,
