@@ -12,7 +12,8 @@
 //                   volume, messages × sizeof(Message) (the form a late
 //                   copy takes; a fresh slot is smaller)
 //   System          the shared-variable engine's us/round on the same
-//                   configuration, and the message plane's multiple of it
+//                   configuration (median of five fresh runs), and the
+//                   message plane's multiple of it
 //
 // Exits nonzero if the SyncNetwork run and a zero-fault FaultyNetwork run
 // of the same configuration end in different states
@@ -20,6 +21,7 @@
 // private rng and delay queue, which a SyncNetwork does not have). The
 // allocation side of the plane is pinned by tests/test_alloc_churn.cpp,
 // so this bench does not link the allocation interposer.
+#include <algorithm>
 #include <array>
 #include <chrono>
 #include <cstdint>
@@ -109,7 +111,13 @@ Measurement measure(int side, std::unique_ptr<NetworkModel> network,
   return m;
 }
 
-/// The shared-variable engine's us/round on the same configuration.
+/// Fresh System runs timed per side; their median is the reference. One
+/// window of a few milliseconds swung 40-75 us/round at side 128 between
+/// runs, which moved the ratio column by half.
+constexpr int kSystemRuns = 5;
+
+/// The shared-variable engine's us/round on the same configuration: the
+/// median over kSystemRuns fresh runs of the same window.
 double system_us_per_round(int side, std::uint64_t warmup,
                            std::uint64_t rounds) {
   const MsgSystemConfig mc = plane_config(side);
@@ -118,11 +126,16 @@ double system_us_per_round(int side, std::uint64_t warmup,
   cfg.params = mc.params;
   cfg.sources = mc.sources;
   cfg.target = mc.target;
-  System sys(cfg);
-  for (std::uint64_t k = 0; k < warmup; ++k) sys.update();
-  const auto t0 = std::chrono::steady_clock::now();
-  for (std::uint64_t k = 0; k < rounds; ++k) sys.update();
-  return seconds_since(t0) * 1e6 / static_cast<double>(rounds);
+  std::array<double, kSystemRuns> us{};
+  for (double& u : us) {
+    System sys(cfg);
+    for (std::uint64_t k = 0; k < warmup; ++k) sys.update();
+    const auto t0 = std::chrono::steady_clock::now();
+    for (std::uint64_t k = 0; k < rounds; ++k) sys.update();
+    u = seconds_since(t0) * 1e6 / static_cast<double>(rounds);
+  }
+  std::nth_element(us.begin(), us.begin() + kSystemRuns / 2, us.end());
+  return us[kSystemRuns / 2];
 }
 
 }  // namespace
@@ -174,7 +187,7 @@ int main(int argc, char** argv) {
     const Measurement lossy = measure(
         side, std::make_unique<FaultyNetwork>(lossy_spec(), seed), warmup,
         rounds);
-    recorder.note_rounds(4 * (warmup + rounds));
+    recorder.note_rounds((kSystemRuns + 3) * (warmup + rounds));
     if (idle.execution_digest != sync.execution_digest) {
       digests_agree = false;
       std::cerr << "DIGEST MISMATCH: side " << side
