@@ -27,11 +27,12 @@
 // Delivery order is CANONICAL and documented: each inbox reads ascending
 // in sender id (CellId order: (i−1,j), (i,j−1), (i,j+1), (i+1,j)), and
 // along one link the late copies come first, in arrival order, then the
-// link's fresh slot(s) — the order a stable sort by (receiver, sender)
-// of the barrier's deliveries in send order gives, with released delayed
-// copies queued ahead of the fresh sends. Exchange::read_inbox and
-// Exchange::for_each_delivery walk that order; on a SyncNetwork the late
-// list is empty and delivery does nothing.
+// link's fresh slots in send order. For a link that carries one message
+// an exchange (all but acks), that is the order a stable sort by
+// (receiver, sender) of the barrier's deliveries in send order gives,
+// with released delayed copies queued ahead of the fresh sends.
+// Exchange::read_inbox and Exchange::for_each_delivery walk that order;
+// on a SyncNetwork the late list is empty and delivery does nothing.
 //
 // Subclasses shape which slots the barrier delivers (drop, delay,
 // duplicate, partition — see faulty_network.hpp) by overriding

@@ -444,6 +444,7 @@ TEST(FaultyNetwork, DeliveryKeepsSenderOrderAndLinkFifo) {
           if (kept) queue.push_back(s);
         }
         ASSERT_EQ(got, stable_sorted(queue));
+        ASSERT_EQ(got.size(), net.last_exchange_messages());
         for (std::size_t n = 0; n < got.size(); ++n) {
           const Delivery& m = got[n];
           std::uint64_t& high =
