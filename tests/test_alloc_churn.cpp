@@ -7,7 +7,8 @@
 // scratch buffer to reach its high-water mark (warm-up), update() makes
 // ZERO heap allocations per round — on the serial engine, on the
 // parallel engine at every thread count, on the active-set scheduler,
-// and under the kCompacting movement rule. Open systems (injection
+// under the kCompacting movement rule, and on MessageSystem over a
+// SyncNetwork. Open systems (injection
 // creates entities, consumption retires them) are additionally bounded:
 // population growth may legitimately grow member/event vectors until
 // saturation, but never unboundedly.
