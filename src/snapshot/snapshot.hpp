@@ -29,9 +29,12 @@
 // What is deliberately NOT serialized (derived or per-round scratch):
 // System's active-set scheduler structures and Route's dist snapshot
 // (re-derived by rebuild_active_sets(), valid at any round boundary),
-// RoundEvents, and the MessageSystem's per-round heard_* views and inboxes
-// (cleared before every use). The NetworkModel's exchange queue is empty
-// at round boundaries — snapshots are boundary-only by construction.
+// RoundEvents, the MessageSystem's mailbox slots and per-round grant and
+// ack lists (rewritten before every use) and its list of processes
+// holding a retained batch (rebuilt from the links on restore), and the
+// NetworkModel's late copies (those of the last barrier only). Snapshots
+// are round-boundary-only: the barrier count is a whole number of
+// rounds.
 #pragma once
 
 #include <cstdint>
