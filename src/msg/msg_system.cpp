@@ -381,8 +381,7 @@ void MessageSystem::exchange_transfers() {
     const std::uint32_t k =
         std::min(g < granted_.size() ? granted_[g].sender : kNone,
                  r < retaining_.size() ? retaining_[r] : kNone);
-    for (; r < retaining_.size() && retaining_[r] == k; ++r) {
-    }
+    while (r < retaining_.size() && retaining_[r] == k) ++r;
     CellState& c = cells_[k];
     LinkSessions& links = sessions_[k];
     const CellId id = grid_.id_of(k);
