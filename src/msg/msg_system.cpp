@@ -211,12 +211,7 @@ void MessageSystem::exchange_dists() {
       broadcast([this](std::size_t k, CellId, const CellState& c) {
         dist_out_[k] = DistAnnounce{c.dist};
       });
-  Exchange x(
-      PayloadType::kDist, grid_, fresh_, sent,
-      [](const void* self, const Link& l) -> Payload {
-        return static_cast<const MessageSystem*>(self)->dist_out_[l.sender];
-      },
-      this);
+  Exchange x(PayloadType::kDist, grid_, fresh_, sent, &late_copy, this);
   network_->exchange(x);
 
   // Local Route step. A neighbor that stayed silent reads as dist = ∞
@@ -254,9 +249,7 @@ void MessageSystem::exchange_dists() {
 
 void MessageSystem::exchange_intents() {
   // An intent slot is the direction of `next` when the sender carries
-  // entities (the only intent a receiver acts on); a late copy's payload
-  // is built from the sender's state, which nothing changes before the
-  // barrier.
+  // entities (the only intent a receiver acts on).
   const std::uint64_t sent =
       broadcast([this](std::size_t k, CellId id, const CellState& c) {
         const bool aims = c.has_entities() && c.next.has_value() &&
@@ -264,14 +257,7 @@ void MessageSystem::exchange_intents() {
         aim_[k] =
             aims ? direction_bit(grid_.direction_between(id, *c.next)) : 0;
       });
-  Exchange x(
-      PayloadType::kIntent, grid_, fresh_, sent,
-      [](const void* self, const Link& l) -> Payload {
-        const CellState& c =
-            static_cast<const MessageSystem*>(self)->cells_[l.sender];
-        return IntentAnnounce{c.next, c.has_entities()};
-      },
-      this);
+  Exchange x(PayloadType::kIntent, grid_, fresh_, sent, &late_copy, this);
   network_->exchange(x);
 
   // Local Signal step: NEPrev = senders whose intent names me and who
@@ -322,16 +308,7 @@ void MessageSystem::exchange_grants() {
         grant_seq_[k] =
             sessions_[k].inbound[static_cast<std::size_t>(d)].granted_seq;
       });
-  Exchange x(
-      PayloadType::kGrant, grid_, fresh_, sent,
-      [](const void* self, const Link& l) -> Payload {
-        const auto* sys = static_cast<const MessageSystem*>(self);
-        const OptCellId signal = sys->cells_[l.sender].signal;
-        return GrantAnnounce{signal,
-                             signal.has_value() ? sys->grant_seq_[l.sender] : 0,
-                             sys->round_};
-      },
-      this);
+  Exchange x(PayloadType::kGrant, grid_, fresh_, sent, &late_copy, this);
   network_->exchange(x);
 
   granted_.clear();
@@ -413,16 +390,8 @@ void MessageSystem::exchange_transfers() {
   }
   retaining_.swap(retaining_next_);
 
-  Exchange x(
-      PayloadType::kTransfer, grid_, transfers_, transfer_fresh_,
-      [](const void* self, const Link& l) -> Payload {
-        const OutboundLink& ob =
-            static_cast<const MessageSystem*>(self)
-                ->sessions_[l.sender]
-                .outbound[static_cast<std::size_t>(l.to)];
-        return TransferBatch{ob.batch_seq, ob.batch};
-      },
-      this);
+  Exchange x(PayloadType::kTransfer, grid_, transfers_, transfer_fresh_,
+             &late_copy, this);
   network_->exchange(x);
 
   // A fresh slot is read in place from the sender's retained batch.
@@ -497,13 +466,7 @@ void MessageSystem::accept_batch(std::size_t k, std::size_t from,
 }
 
 void MessageSystem::exchange_acks() {
-  Exchange x(
-      PayloadType::kAck, grid_, acks_, ack_fresh_,
-      [](const void* self, const Link& l) -> Payload {
-        return TransferAck{
-            static_cast<const MessageSystem*>(self)->ack_seqs_[l.slot]};
-      },
-      this);
+  Exchange x(PayloadType::kAck, grid_, acks_, ack_fresh_, &late_copy, this);
   network_->exchange(x);
   x.for_each_delivery(
       network_->late(), delivery_order_,
@@ -525,6 +488,29 @@ void MessageSystem::exchange_acks() {
           ob.batch.clear();
         }
       });
+}
+
+Payload MessageSystem::late_copy(const void* self, PayloadType type,
+                                 const Link& link) {
+  // The barrier runs before any receiver does, so the sender's state and
+  // sessions still hold what its slot announced.
+  const auto& sys = *static_cast<const MessageSystem*>(self);
+  const CellState& c = sys.cells_[link.sender];
+  switch (type) {
+    case PayloadType::kDist: return sys.dist_out_[link.sender];
+    case PayloadType::kIntent: return IntentAnnounce{c.next, c.has_entities()};
+    case PayloadType::kGrant:
+      return GrantAnnounce{
+          c.signal, c.signal.has_value() ? sys.grant_seq_[link.sender] : 0,
+          sys.round_};
+    case PayloadType::kTransfer: {
+      const OutboundLink& ob = sys.sessions_[link.sender]
+                                   .outbound[static_cast<std::size_t>(link.to)];
+      return TransferBatch{ob.batch_seq, ob.batch};
+    }
+    case PayloadType::kAck: return TransferAck{sys.ack_seqs_[link.slot]};
+  }
+  return DistAnnounce{};
 }
 
 bool MessageSystem::landing_is_safe(const CellState& c,

@@ -241,6 +241,10 @@ class MessageSystem {
   std::uint64_t broadcast(Write&& write);
   void accept_batch(std::size_t k, std::size_t from, std::uint64_t seq,
                     std::span<const Entity> batch);
+  /// Exchange::PayloadFn: the Message payload of a sent link's slot, for
+  /// a copy the network delivers late.
+  static Payload late_copy(const void* self, PayloadType type,
+                           const Link& link);
   [[nodiscard]] bool landing_is_safe(const CellState& c,
                                      std::span<const Entity> batch) const;
   void flush_network_metrics();

@@ -129,8 +129,10 @@ struct Arrival {
 /// the barrier it reads the inboxes back in canonical order.
 class Exchange {
  public:
-  /// Builds the payload a link carries; called only for a late copy.
-  using PayloadFn = Payload (*)(const void* owner, const Link& link);
+  /// Builds the payload a link of this exchange carries; called only for
+  /// a late copy.
+  using PayloadFn = Payload (*)(const void* owner, PayloadType type,
+                                const Link& link);
 
   /// A broadcast exchange: sender k wrote a slot toward every direction
   /// set in fresh[k]; `sent` is the number of those bits.
@@ -188,7 +190,8 @@ class Exchange {
   }
   /// The link's message, built for a copy the network delivers late.
   [[nodiscard]] Message message(const Link& link) const {
-    return Message{sender(link), receiver(link), payload_(owner_, link)};
+    return Message{sender(link), receiver(link),
+                   payload_(owner_, type_, link)};
   }
 
   /// Receiver `self`'s inbox in a broadcast exchange after its barrier,

@@ -109,7 +109,8 @@ class Plane {
   }
 
  private:
-  static Payload payload(const void* self, const Link& link) {
+  static Payload payload(const void* self, PayloadType,
+                         const Link& link) {
     return DistAnnounce{
         Dist::finite(static_cast<const Plane*>(self)->stamps_[link.slot])};
   }
