@@ -3,7 +3,8 @@
 // implementation" (§II-B) — on a west-to-east flow at sides 32, 64 and
 // 128, once over the reliable SyncNetwork and once over cfbench
 // message_net's lossy FaultyNetwork (drop 0.05, delay 0.01 for 1–3
-// rounds, never ceasing). Per row, over the timed window:
+// rounds, never ceasing). Per row, over the timed window, each timed
+// column the median of five fresh runs:
 //
 //   us/round        wall time of one MessageSystem::update
 //   exchange us     the PhaseProfiler's per-exchange spans (dist, intent,
@@ -111,13 +112,45 @@ Measurement measure(int side, std::unique_ptr<NetworkModel> network,
   return m;
 }
 
-/// Fresh System runs timed per side; their median is the reference. One
-/// window of a few milliseconds swung 40-75 us/round at side 128 between
-/// runs, which moved the ratio column by half.
-constexpr int kSystemRuns = 5;
+/// Fresh runs timed per configuration; every timed column is their
+/// median. One window of a few milliseconds swung 40-75 us/round (System,
+/// side 128), 93-111 (sync plane, side 32) and 191-292 (lossy plane, side
+/// 32) between runs.
+constexpr std::size_t kRuns = 5;
+
+double median_of(std::array<double, kRuns> v) {
+  std::nth_element(v.begin(), v.begin() + kRuns / 2, v.end());
+  return v[kRuns / 2];
+}
+
+/// measure() over kRuns fresh planes, `network()` making each one's
+/// network: every timed column is the median of the runs; the counts and
+/// the digest are the runs' own, which must agree.
+template <class MakeNetwork>
+Measurement measure_median(int side, MakeNetwork&& network,
+                           std::uint64_t warmup, std::uint64_t rounds,
+                           bool& digests_agree) {
+  std::array<Measurement, kRuns> runs;
+  for (Measurement& m : runs) m = measure(side, network(), warmup, rounds);
+  Measurement out = runs[0];
+  std::array<double, kRuns> v{};
+  for (std::size_t k = 0; k < kRuns; ++k) v[k] = runs[k].us_per_round;
+  out.us_per_round = median_of(v);
+  for (std::size_t x = 0; x < kExchanges.size(); ++x) {
+    for (std::size_t k = 0; k < kRuns; ++k) v[k] = runs[k].exchange_us[x];
+    out.exchange_us[x] = median_of(v);
+  }
+  for (const Measurement& m : runs) {
+    if (m.execution_digest == out.execution_digest) continue;
+    digests_agree = false;
+    std::cerr << "DIGEST MISMATCH: side " << side
+              << " runs of one configuration diverged\n";
+  }
+  return out;
+}
 
 /// The shared-variable engine's us/round on the same configuration: the
-/// median over kSystemRuns fresh runs of the same window.
+/// median over kRuns fresh runs of the same window.
 double system_us_per_round(int side, std::uint64_t warmup,
                            std::uint64_t rounds) {
   const MsgSystemConfig mc = plane_config(side);
@@ -126,7 +159,7 @@ double system_us_per_round(int side, std::uint64_t warmup,
   cfg.params = mc.params;
   cfg.sources = mc.sources;
   cfg.target = mc.target;
-  std::array<double, kSystemRuns> us{};
+  std::array<double, kRuns> us{};
   for (double& u : us) {
     System sys(cfg);
     for (std::uint64_t k = 0; k < warmup; ++k) sys.update();
@@ -134,8 +167,7 @@ double system_us_per_round(int side, std::uint64_t warmup,
     for (std::uint64_t k = 0; k < rounds; ++k) sys.update();
     u = seconds_since(t0) * 1e6 / static_cast<double>(rounds);
   }
-  std::nth_element(us.begin(), us.begin() + kSystemRuns / 2, us.end());
-  return us[kSystemRuns / 2];
+  return median_of(us);
 }
 
 }  // namespace
@@ -179,15 +211,17 @@ int main(int argc, char** argv) {
   for (const int side : {32, 64, 128}) {
     if (side > max_side) continue;
     const double sys_us = system_us_per_round(side, warmup, rounds);
-    const Measurement sync =
-        measure(side, std::make_unique<SyncNetwork>(), warmup, rounds);
+    const Measurement sync = measure_median(
+        side, [] { return std::make_unique<SyncNetwork>(); }, warmup, rounds,
+        digests_agree);
     const Measurement idle = measure(
         side, std::make_unique<FaultyNetwork>(NetFaultSpec{}, seed), warmup,
         rounds);
-    const Measurement lossy = measure(
-        side, std::make_unique<FaultyNetwork>(lossy_spec(), seed), warmup,
-        rounds);
-    recorder.note_rounds((kSystemRuns + 3) * (warmup + rounds));
+    const Measurement lossy = measure_median(
+        side,
+        [seed] { return std::make_unique<FaultyNetwork>(lossy_spec(), seed); },
+        warmup, rounds, digests_agree);
+    recorder.note_rounds((3 * kRuns + 1) * (warmup + rounds));
     if (idle.execution_digest != sync.execution_digest) {
       digests_agree = false;
       std::cerr << "DIGEST MISMATCH: side " << side

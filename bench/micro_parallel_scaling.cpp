@@ -1,6 +1,9 @@
 // Micro-benchmark: rounds/sec of the serial vs parallel round engine
 // (core/system.hpp's ParallelPolicy) on saturated grids from 20×20 to
-// 100×100, with the engine-telemetry decomposition of each configuration
+// 100×100 (--max-side=400 adds 200×200 and 400×400), each width both
+// pooled every round (parallel(t)) and under the kAuto cutover
+// (parallel_auto(t), the `auto` column), with the engine-telemetry
+// decomposition of each configuration
 // (obs/engine_telemetry.hpp): wall-equivalent work / barrier-wait /
 // dispatch / merge nanoseconds per round, phase imbalance, and the
 // fraction of round time the components explain (coverage). This is the
@@ -15,10 +18,11 @@
 // parallel configuration also runs a twin with a no-op phase hook and
 // no telemetry — the shape Simulator drives — checked the same way).
 //
-// Each configuration is measured --reps times; the CSV reports the mean
-// plus a <metric>_rd relative-dispersion column ((max-min)/mean) per
-// timed metric, which tools/cellflow_bench_diff folds into its
-// regression thresholds.
+// Each configuration is measured --reps times, the reps of one side
+// interleaved across its configurations so host drift hits them alike;
+// the CSV reports the median plus a <metric>_rd relative-dispersion
+// column ((max-min)/median) per timed metric, which
+// tools/cellflow_bench_diff folds into its regression thresholds.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -105,25 +109,23 @@ Measurement measure(int side, const ParallelPolicy& policy,
   return m;
 }
 
-/// Best-of-reps statistic plus its reproducibility. On a contended
-/// machine timing noise is one-sided slowdown, so "best" (max for
-/// throughput, min for durations) is the clean value; rel is the
-/// relative gap between best and second-best — how repeatable the
-/// reported number is, which is what the regression gate needs (the raw
-/// scatter would overstate the noise of a best-of statistic).
+/// Median of the reps plus their spread, (max - min) / median. The host
+/// is shared, so single reps swing; the median is what the kAuto bar
+/// (ROADMAP item 2) reads.
 struct Spread {
-  double best = 0.0;
+  double median = 0.0;
   double rel = 0.0;
 };
 
-Spread spread(std::vector<double> samples, bool higher_better) {
+Spread spread(std::vector<double> samples) {
   Spread s;
   if (samples.empty()) return s;
   std::sort(samples.begin(), samples.end());
-  if (higher_better) std::reverse(samples.begin(), samples.end());
-  s.best = samples[0];
-  if (samples.size() > 1 && s.best != 0.0)
-    s.rel = std::abs(samples[1] - s.best) / std::abs(s.best);
+  const std::size_t n = samples.size();
+  s.median = n % 2 == 1 ? samples[n / 2]
+                        : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
+  if (s.median != 0.0)
+    s.rel = std::abs(samples.back() - samples.front()) / std::abs(s.median);
   return s;
 }
 
@@ -134,10 +136,10 @@ int main(int argc, char** argv) {
   const auto rounds = cli.get_uint("rounds", 300, "timed rounds per engine");
   const auto warmup =
       cli.get_uint("warmup", 60, "untimed rounds to reach steady state");
-  const auto max_side = static_cast<int>(
-      cli.get_uint("max-side", 100, "largest grid side to measure"));
+  const auto max_side = static_cast<int>(cli.get_uint(
+      "max-side", 100, "largest grid side to measure (up to 400)"));
   const auto reps = static_cast<std::size_t>(
-      cli.get_uint("reps", 3, "measurement repetitions per configuration"));
+      cli.get_uint("reps", 5, "measurement repetitions per configuration"));
   if (cli.help_requested()) {
     std::cout << cli.help_text();
     return 0;
@@ -148,18 +150,23 @@ int main(int argc, char** argv) {
 
   bench::banner(
       "Micro: parallel round-engine scaling",
-      "ParallelPolicy engine; serial vs 2/4/8 worker threads, with the\n"
-      "engine-telemetry breakdown of where each round's time goes");
+      "ParallelPolicy engine; serial vs 2/4/8 worker threads, pooled every\n"
+      "round and under the kAuto cutover, with the engine-telemetry\n"
+      "breakdown of where each round's time goes");
   const unsigned hw = std::thread::hardware_concurrency();
   std::cout << "hardware threads: " << hw
             << "  (speedup is bounded by physical cores; digests must\n"
                "   match on any machine — that is the determinism check)\n\n";
 
-  const std::vector<int> all_sides = {20, 50, 100};
-  const std::vector<int> thread_counts = {0, 2, 4, 8};  // 0 = serial
+  const std::vector<int> all_sides = {20, 50, 100, 200, 400};
+  // Serial, then each width pooled every round and under kAuto.
+  std::vector<ParallelPolicy> policies = {ParallelPolicy::serial()};
+  for (const int t : {2, 4, 8}) {
+    policies.push_back(ParallelPolicy::parallel(t));
+    policies.push_back(ParallelPolicy::parallel_auto(t));
+  }
 
-  const int max_requested =
-      *std::max_element(thread_counts.begin(), thread_counts.end());
+  const int max_requested = 8;
   if (hw != 0 && hw < static_cast<unsigned>(max_requested)) {
     std::cout << "WARNING: only " << hw << " hardware thread"
               << (hw == 1 ? "" : "s") << " for up to " << max_requested
@@ -172,6 +179,7 @@ int main(int argc, char** argv) {
   struct Row {
     int side = 0;
     int threads = 0;
+    bool automatic = false;
     Spread rps, work, barrier, dispatch, merge, round;
     double speedup = 1.0;
     double coverage_pct = 0.0;
@@ -182,55 +190,61 @@ int main(int argc, char** argv) {
 
   for (const int side : all_sides) {
     if (side > max_side) continue;
-    std::uint64_t serial_digest = 0;
-    double serial_rps = 0.0;
-    for (const int t : thread_counts) {
-      const ParallelPolicy policy =
-          t == 0 ? ParallelPolicy::serial() : ParallelPolicy::parallel(t);
-      Row row;
-      row.side = side;
-      row.threads = t;
-      std::vector<double> s_rps, s_work, s_barrier, s_dispatch, s_merge,
-          s_round;
+    struct Samples {
+      std::vector<double> rps, work, barrier, dispatch, merge, round;
       double cov_sum = 0.0;
       double imb_sum = 0.0;
-      std::uint64_t dig = 0;
-      for (std::size_t r = 0; r < reps; ++r) {
-        const Measurement m = measure(side, policy, warmup, rounds);
+      std::uint64_t digest = 0;
+    };
+    std::vector<Samples> samples(policies.size());
+    for (std::size_t r = 0; r < reps; ++r) {
+      for (std::size_t p = 0; p < policies.size(); ++p) {
+        const Measurement m = measure(side, policies[p], warmup, rounds);
         recorder.note_rounds(warmup + rounds);
-        s_rps.push_back(m.rounds_per_sec);
-        s_work.push_back(m.work_ns);
-        s_barrier.push_back(m.barrier_ns);
-        s_dispatch.push_back(m.dispatch_ns);
-        s_merge.push_back(m.merge_ns);
-        s_round.push_back(m.round_ns);
-        cov_sum += m.coverage;
-        imb_sum += m.imbalance;
+        Samples& sm = samples[p];
+        sm.rps.push_back(m.rounds_per_sec);
+        sm.work.push_back(m.work_ns);
+        sm.barrier.push_back(m.barrier_ns);
+        sm.dispatch.push_back(m.dispatch_ns);
+        sm.merge.push_back(m.merge_ns);
+        sm.round.push_back(m.round_ns);
+        sm.cov_sum += m.coverage;
+        sm.imb_sum += m.imbalance;
         if (r == 0) {
-          dig = m.state_digest;
-        } else if (m.state_digest != dig) {
+          sm.digest = m.state_digest;
+        } else if (m.state_digest != sm.digest) {
           digests_agree = false;
-          std::cerr << "DIGEST MISMATCH: side=" << side << " threads=" << t
+          std::cerr << "DIGEST MISMATCH: side=" << side
+                    << " threads=" << policies[p].num_threads
                     << " across repetitions (nondeterministic engine)\n";
         }
       }
-      row.rps = spread(s_rps, true);
-      row.work = spread(s_work, false);
-      row.barrier = spread(s_barrier, false);
-      row.dispatch = spread(s_dispatch, false);
-      row.merge = spread(s_merge, false);
-      row.round = spread(s_round, false);
-      row.coverage_pct = 100.0 * cov_sum / static_cast<double>(reps);
-      row.imbalance = imb_sum / static_cast<double>(reps);
-      if (t == 0) {
-        serial_digest = dig;
-        serial_rps = row.rps.best;
-        row.speedup = 1.0;
+    }
+    const std::uint64_t serial_digest = samples[0].digest;
+    double serial_rps = 0.0;
+    for (std::size_t p = 0; p < policies.size(); ++p) {
+      const ParallelPolicy& policy = policies[p];
+      const Samples& sm = samples[p];
+      Row row;
+      row.side = side;
+      row.threads = p == 0 ? 0 : policy.num_threads;
+      row.automatic = policy.cutover == ParallelPolicy::Cutover::kAuto;
+      row.rps = spread(sm.rps);
+      row.work = spread(sm.work);
+      row.barrier = spread(sm.barrier);
+      row.dispatch = spread(sm.dispatch);
+      row.merge = spread(sm.merge);
+      row.round = spread(sm.round);
+      row.coverage_pct = 100.0 * sm.cov_sum / static_cast<double>(reps);
+      row.imbalance = sm.imb_sum / static_cast<double>(reps);
+      if (p == 0) {
+        serial_rps = row.rps.median;
       } else {
-        row.speedup = serial_rps > 0.0 ? row.rps.best / serial_rps : 0.0;
-        if (dig != serial_digest) {
+        row.speedup = serial_rps > 0.0 ? row.rps.median / serial_rps : 0.0;
+        if (sm.digest != serial_digest) {
           digests_agree = false;
-          std::cerr << "DIGEST MISMATCH: side=" << side << " threads=" << t
+          std::cerr << "DIGEST MISMATCH: side=" << side
+                    << " threads=" << policy.num_threads
                     << " parallel state diverged from serial\n";
         }
         // Hooked twin: one run per parallel configuration with a no-op
@@ -241,7 +255,8 @@ int main(int argc, char** argv) {
         recorder.note_rounds(warmup + rounds);
         if (hooked.state_digest != serial_digest) {
           digests_agree = false;
-          std::cerr << "DIGEST MISMATCH: side=" << side << " threads=" << t
+          std::cerr << "DIGEST MISMATCH: side=" << side
+                    << " threads=" << policy.num_threads
                     << " hooked twin diverged from serial\n";
         }
       }
@@ -250,34 +265,35 @@ int main(int argc, char** argv) {
   }
 
   TextTable table;
-  table.set_header({"side", "threads", "r/s", "speedup", "work%", "barrier%",
-                    "dispatch%", "merge%", "cover%", "imbal"});
+  table.set_header({"side", "threads", "auto", "r/s", "speedup", "work%",
+                    "barrier%", "dispatch%", "merge%", "cover%", "imbal"});
   for (const Row& r : rows) {
     const auto pct_of_round = [&](const Spread& s) {
-      return r.round.best > 0.0 ? 100.0 * s.best / r.round.best : 0.0;
+      return r.round.median > 0.0 ? 100.0 * s.median / r.round.median : 0.0;
     };
     table.add_numeric_row(
         std::to_string(r.side),
-        {static_cast<double>(r.threads), r.rps.best, r.speedup,
-         pct_of_round(r.work), pct_of_round(r.barrier),
-         pct_of_round(r.dispatch), pct_of_round(r.merge), r.coverage_pct,
-         r.imbalance});
+        {static_cast<double>(r.threads), r.automatic ? 1.0 : 0.0,
+         r.rps.median, r.speedup, pct_of_round(r.work),
+         pct_of_round(r.barrier), pct_of_round(r.dispatch),
+         pct_of_round(r.merge), r.coverage_pct, r.imbalance});
   }
   std::cout << table.to_string() << '\n';
 
   std::cout << "CSV:\n";
   CsvWriter csv(std::cout);
-  csv.header({"side", "threads", "rounds_per_sec", "rounds_per_sec_rd",
-              "speedup_vs_serial", "work_ns", "work_ns_rd", "barrier_ns",
-              "barrier_ns_rd", "dispatch_ns", "dispatch_ns_rd", "merge_ns",
-              "merge_ns_rd", "round_ns", "round_ns_rd", "coverage_pct",
-              "imbalance"});
+  csv.header({"side", "threads", "auto", "rounds_per_sec",
+              "rounds_per_sec_rd", "speedup_vs_serial", "work_ns",
+              "work_ns_rd", "barrier_ns", "barrier_ns_rd", "dispatch_ns",
+              "dispatch_ns_rd", "merge_ns", "merge_ns_rd", "round_ns",
+              "round_ns_rd", "coverage_pct", "imbalance"});
   for (const Row& r : rows) {
     csv.row({static_cast<double>(r.side), static_cast<double>(r.threads),
-             r.rps.best, r.rps.rel, r.speedup, r.work.best, r.work.rel,
-             r.barrier.best, r.barrier.rel, r.dispatch.best, r.dispatch.rel,
-             r.merge.best, r.merge.rel, r.round.best, r.round.rel,
-             r.coverage_pct, r.imbalance});
+             r.automatic ? 1.0 : 0.0, r.rps.median, r.rps.rel, r.speedup,
+             r.work.median, r.work.rel, r.barrier.median, r.barrier.rel,
+             r.dispatch.median, r.dispatch.rel, r.merge.median,
+             r.merge.rel, r.round.median, r.round.rel, r.coverage_pct,
+             r.imbalance});
   }
 
   std::cout << (digests_agree

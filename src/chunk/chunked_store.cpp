@@ -50,7 +50,9 @@ std::uint64_t LiveChunk::resident_bytes() const noexcept {
                     vec_bytes(dist_snapshot.capacity(), sizeof(Dist)) +
                     vec_bytes(route_stamp.capacity(), sizeof(std::uint64_t)) +
                     vec_bytes(occ_b.capacity(), 1) +
-                    vec_bytes(occ_refs.capacity(), 1);
+                    vec_bytes(occ_refs.capacity(), 1) +
+                    vec_bytes(feed.capacity(), 1) +
+                    vec_bytes(hold.capacity(), 1);
   for (const CellState& c : cells) b += cell_heap_bytes(c);
   return b;
 }

@@ -9,8 +9,8 @@
 //   kVirgin — never touched: every cell is in the paper's initial state
 //             (dist ∞, pointers ⊥, no members, non-faulty). Zero bytes.
 //   kLive   — fully materialized: CellStates plus the per-cell scheduler
-//             aux (dist snapshot, route stamps, occupancy bits/refcounts)
-//             that System keeps in global arrays.
+//             aux (dist snapshot, route stamps, gate bytes — which System
+//             keeps in global arrays — and occupancy bits/refcounts).
 //   kParked — summarized: per cell only {failed, dist, next-direction}.
 //             Everything else is provably at its rest value — an
 //             unoccupied cell (refcount 0 at park time) has no members,
@@ -51,13 +51,18 @@ namespace cellflow::chunk {
 }
 
 /// A materialized tile: the cells plus the per-cell active-set scheduler
-/// aux, sliced per chunk (System keeps the same four arrays dense).
+/// aux, sliced per chunk (System keeps the snapshot, stamps and gate
+/// bytes dense; the occupancy refcounts exist for parking only).
 struct LiveChunk {
   std::vector<CellState> cells;            ///< slot-indexed (row-major rect)
   std::vector<Dist> dist_snapshot;         ///< previous-round dist per slot
   std::vector<std::uint64_t> route_stamp;  ///< run Route iff >= round
   std::vector<std::uint8_t> occ_b;         ///< B(cell), cached
   std::vector<std::uint8_t> occ_refs;      ///< # occupied in closed nbhd
+  /// The work-gate bytes (core/sharded_engine.hpp), written by
+  /// ChunkedSystem whenever the chunk goes live.
+  std::vector<std::uint8_t> feed;
+  std::vector<std::uint8_t> hold;
 
   // Quiescence bookkeeping, maintained by ChunkedSystem:
   std::uint32_t ref_cells = 0;    ///< # slots with occ_refs > 0

@@ -117,19 +117,64 @@ std::size_t ChunkedSystem::entity_count() const noexcept {
   return n;
 }
 
-const CellState* ChunkedSystem::peek_live(CellId id) const {
+std::pair<const LiveChunk*, std::size_t> ChunkedSystem::live_near(
+    const LiveChunk& lc, const ChunkLayout::Rect& rect, CellId id) const {
+  if (const auto ns = slot_in(rect, id)) return {&lc, *ns};
+  if (!grid_.contains(id)) return {nullptr, 0};
   const std::size_t q = layout_.chunk_of(id);
-  if (!store_.is_live(q)) return nullptr;
-  return &store_.live(q).cells[layout_.slot_of(id)];
+  if (!store_.is_live(q)) return {nullptr, 0};
+  return {&store_.live(q), layout_.slot_of(id)};
+}
+
+LiveChunk& ChunkedSystem::fault_in(std::size_t q) {
+  if (store_.is_live(q)) return store_.live(q);
+  const bool parked = store_.state(q) == ChunkedCellStore::State::kParked;
+  LiveChunk& lc = store_.ensure_live(q);
+  if (parked) {
+    resync(q, lc);  // a parked cell may keep a next; none is occupied
+  } else {
+    // The initial state feeds, holds and grants nothing.
+    lc.feed.assign(lc.cells.size(), kNoSlot);
+    lc.hold.assign(lc.cells.size(), kNoSlot);
+  }
+  return lc;
+}
+
+void ChunkedSystem::resync(std::size_t q, LiveChunk& lc) {
+  const std::size_t n = lc.cells.size();
+  lc.feed.resize(n);
+  lc.hold.resize(n);
+  // Raw pointers: a byte store through the vectors would make the
+  // compiler reload every vector's data pointer per cell. Flips touch
+  // only the refcounts, so the pointers stay valid.
+  const CellState* cells = lc.cells.data();
+  Dist* snapshot = lc.dist_snapshot.data();
+  std::uint8_t* feed = lc.feed.data();
+  std::uint8_t* hold = lc.hold.data();
+  const ChunkLayout::Rect rect = layout_.rect_of(q);
+  std::size_t slot = 0;
+  for (int j = rect.j0; j < rect.j0 + rect.h; ++j) {
+    for (int i = rect.i0; i < rect.i0 + rect.w; ++i, ++slot) {
+      const CellState& c = cells[slot];
+      const CellId id{i, j};
+      const std::uint8_t f = feed_code(c, id);
+      const std::uint8_t h = hold_code(c, id);
+      const bool occ = occupied(c);
+      snapshot[slot] = c.dist;
+      feed[slot] = f;
+      hold[slot] = h;
+      if (occ) apply_flip(id);
+    }
+  }
 }
 
 CellState& ChunkedSystem::cell_mut(CellId id) {
-  LiveChunk& lc = store_.ensure_live(layout_.chunk_of(id));
+  LiveChunk& lc = fault_in(layout_.chunk_of(id));
   return lc.cells[layout_.slot_of(id)];
 }
 
 void ChunkedSystem::arm_cell(CellId id, std::uint64_t upto) {
-  LiveChunk& lc = store_.ensure_live(layout_.chunk_of(id));
+  LiveChunk& lc = fault_in(layout_.chunk_of(id));
   std::uint64_t& stamp = lc.route_stamp[layout_.slot_of(id)];
   if (upto > stamp) stamp = upto;
   if (stamp > lc.max_stamp) lc.max_stamp = stamp;
@@ -175,7 +220,7 @@ void ChunkedSystem::apply_flip(CellId id) {
       // Occupancy spreading into a parked/virgin neighborhood is exactly
       // the fault-in trigger: the neighbor chunk becomes live *before*
       // it carries a reference, preserving "refs > 0 ⇒ live".
-      bump_refs(store_.ensure_live(nq), layout_.slot_of(nid), delta);
+      bump_refs(fault_in(nq), layout_.slot_of(nid), delta);
     } else {
       // Releasing a reference: the neighbor chunk holds this cell's +1,
       // so it cannot have parked (park requires ref_cells == 0).
@@ -186,20 +231,20 @@ void ChunkedSystem::apply_flip(CellId id) {
   }
 }
 
-void ChunkedSystem::refresh_occupancy(CellId id) {
-  const std::size_t q = layout_.chunk_of(id);
-  LiveChunk& lc = store_.live(q);
+void ChunkedSystem::refresh_gates(CellId id) {
+  LiveChunk& lc = store_.live(layout_.chunk_of(id));
   const std::size_t slot = layout_.slot_of(id);
+  lc.feed[slot] = feed_code(lc.cells[slot], id);
   if (occupied(lc.cells[slot]) != (lc.occ_b[slot] != 0)) apply_flip(id);
 }
 
 void ChunkedSystem::note_control_mutation(CellId id) {
-  const std::size_t q = layout_.chunk_of(id);
-  LiveChunk& lc = store_.live(q);
+  LiveChunk& lc = store_.live(layout_.chunk_of(id));
   const std::size_t slot = layout_.slot_of(id);
   lc.dist_snapshot[slot] = lc.cells[slot].dist;
+  lc.hold[slot] = hold_code(lc.cells[slot], id);
   arm_route_neighborhood(id, round_);
-  refresh_occupancy(id);
+  refresh_gates(id);
 }
 
 void ChunkedSystem::rebuild_active_sets() {
@@ -217,26 +262,17 @@ void ChunkedSystem::rebuild_active_sets() {
     lc.occ_refs.assign(n, 0);
     lc.ref_cells = 0;
   }
-  // Pass B: recompute occupancy via flips (propagates refs across chunk
-  // borders, faulting neighbors in as needed).
-  for (std::size_t q = 0; q < nq; ++q) {
-    if (!store_.is_live(q)) continue;
-    LiveChunk& lc = store_.live(q);
-    const ChunkLayout::Rect rect = layout_.rect_of(q);
-    std::size_t slot = 0;
-    for (int lj = 0; lj < rect.h; ++lj) {
-      for (int li = 0; li < rect.w; ++li, ++slot) {
-        if (occupied(lc.cells[slot]))
-          apply_flip(CellId{rect.i0 + li, rect.j0 + lj});
-      }
-    }
-  }
-  // Pass C: arm every live cell for this round, sync the snapshots, and
-  // count the failed cells out of the live totals — live chunks by their
-  // cells, parked ones by their summaries' failed bits (virgin chunks
-  // hold none). Non-live chunks stay unarmed: they are quiescence
-  // fixpoints, for which the dense rebuild's blanket arming is
-  // observationally a no-op.
+  // Pass B: sync the snapshots and gate bytes, and recompute occupancy
+  // via flips (propagates refs across chunk borders, faulting neighbors
+  // in as needed — with their gate bytes, fault_in).
+  for (std::size_t q = 0; q < nq; ++q)
+    if (store_.is_live(q)) resync(q, store_.live(q));
+  // Pass C: arm every live cell for this round and count the failed
+  // cells out of the live totals — live chunks by their hold bytes,
+  // parked ones by their summaries' failed bits (virgin chunks hold
+  // none). Non-live chunks stay unarmed: they are
+  // quiescence fixpoints, for which the dense rebuild's blanket arming
+  // is observationally a no-op.
   reset_live_totals();
   for (std::size_t q = 0; q < nq; ++q) {
     if (store_.state(q) == ChunkedCellStore::State::kParked) {
@@ -247,14 +283,12 @@ void ChunkedSystem::rebuild_active_sets() {
     }
     if (!store_.is_live(q)) continue;
     LiveChunk& lc = store_.live(q);
-    const std::size_t n = lc.cells.size();
-    lc.route_stamp.assign(n, round_);
+    lc.route_stamp.assign(lc.cells.size(), round_);
     lc.max_stamp = round_;
     lc.quiet_rounds = 0;
-    for (std::size_t slot = 0; slot < n; ++slot) {
-      lc.dist_snapshot[slot] = lc.cells[slot].dist;
-      if (lc.cells[slot].failed) note_liveness(layout_.cell_at(q, slot), false);
-    }
+    for (std::size_t slot = 0; slot < lc.hold.size(); ++slot)
+      if ((lc.hold[slot] & kDead) != 0)
+        note_liveness(layout_.cell_at(q, slot), false);
   }
 }
 
@@ -266,8 +300,7 @@ void ChunkedSystem::set_round_scheduler(RoundScheduler scheduler) {
   } else {
     // Exhaustive semantics visit every cell of the grid, so every chunk
     // must be resident (and none park while the scheduler is exhaustive).
-    for (std::size_t q = 0; q < store_.chunk_count(); ++q)
-      store_.ensure_live(q);
+    for (std::size_t q = 0; q < store_.chunk_count(); ++q) fault_in(q);
   }
 }
 
@@ -298,8 +331,10 @@ std::span<const std::uint32_t> ChunkedSystem::slice(std::size_t t,
 }
 
 // The shard loops hold the kActiveSet gates (System's, per chunk slot):
-// Route runs armed cells, Signal and Move cells with an occupied closed
-// neighborhood.
+// Route runs armed cells, Signal and Move the cells the work gates admit.
+// Occupancy, kept for parking, answers both work gates first: a cell
+// with no occupied cell in its closed neighbourhood holds nothing, feeds
+// nothing in and is granted by nobody.
 
 void ChunkedSystem::route_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
@@ -317,9 +352,16 @@ auto ChunkedSystem::signal_visitor(ShardScratch& sc) {
   return [this, &sc, gated = active()](LiveChunk& lc,
                                        const ChunkLayout::Rect& rect,
                                        std::size_t slot, CellId id) {
-    if (gated && lc.occ_refs[slot] == 0) return;
+    NeighborMask ne_prev = 0;
+    if (gated) {
+      if (lc.occ_refs[slot] == 0) return;
+      ne_prev = inbound(lc, rect, id);
+      if (!signal_gate(lc.hold[slot], ne_prev)) return;
+    } else {
+      ne_prev = gather_ne_prev(lc, rect, id);
+    }
     ++sc.visited;
-    signal_cell(sc, lc, rect, slot, id);
+    signal_cell(sc, lc, slot, id, ne_prev);
   };
 }
 
@@ -335,13 +377,23 @@ void ChunkedSystem::signal_sweep() {
 void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
   const bool gated = active();
-  for_each_cell_in(store_, layout_, slice(t, used),
-                   [&](LiveChunk& lc, const ChunkLayout::Rect& rect,
-                       std::size_t slot, CellId id) {
-                     if (gated && lc.occ_refs[slot] == 0) return;
-                     ++sc.visited;
-                     move_cell(sc, lc, rect, slot, id);
-                   });
+  for_each_cell_in(
+      store_, layout_, slice(t, used),
+      [&](LiveChunk& lc, const ChunkLayout::Rect& rect, std::size_t slot,
+          CellId id) {
+        if (gated) {
+          if (lc.occ_refs[slot] == 0) return;
+          const std::uint8_t feed = lc.feed[slot];
+          if (!move_gate(feed, [&] {
+                const auto [dc, ds] = live_near(
+                    lc, rect, ascending_neighbors(id)[dest_slot(feed)]);
+                return dc != nullptr ? dc->hold[ds] : kNoSlot;
+              }))
+            return;
+        }
+        ++sc.visited;
+        move_cell(sc, lc, rect, slot, id);
+      });
 }
 
 void ChunkedSystem::route_cell(ShardScratch& sc, LiveChunk& lc,
@@ -362,11 +414,13 @@ void ChunkedSystem::route_cell(ShardScratch& sc, LiveChunk& lc,
     nds[n++] = NeighborDist{nid, ns ? lc.dist_snapshot[*ns]
                                     : store_.boundary_dist(nid)};
   }
-  if (apply_route(c, id == config_.target,
+  const bool changed =
+      apply_route(c, id == config_.target,
                   std::span<const NeighborDist>(nds, n),
-                  metrics_ ? &sc.counts : nullptr) &&
-      active())
-    sc.changed.push_back(id);
+                  metrics_ ? &sc.counts : nullptr);
+  if (!active()) return;
+  if (changed) sc.changed.push_back(id);
+  lc.feed[slot] = feed_code(c, id);
 }
 
 void ChunkedSystem::apply_dist_change(CellId id) {
@@ -382,25 +436,44 @@ void ChunkedSystem::apply_dist_change(CellId id) {
   }
 }
 
+NeighborMask ChunkedSystem::inbound(const LiveChunk& lc,
+                                    const ChunkLayout::Rect& rect,
+                                    CellId id) const {
+  const auto nbrs = ascending_neighbors(id);
+  NeighborMask in = 0;
+  for (std::size_t d = 0; d < nbrs.size(); ++d) {
+    const auto [nc, ns] = live_near(lc, rect, nbrs[d]);
+    if (nc != nullptr && fed_by(nc->feed[ns], d))
+      in |= static_cast<NeighborMask>(1u << d);
+  }
+  return in;
+}
+
+NeighborMask ChunkedSystem::gather_ne_prev(const LiveChunk& lc,
+                                           const ChunkLayout::Rect& rect,
+                                           CellId id) const {
+  // A non-live neighbor has no members, so it can never be a nonempty
+  // predecessor — skipping it reads exactly what the dense engine reads
+  // from the same (empty) cell.
+  return neighbor_mask(id, [&](CellId nid) {
+    const auto [nc, ns] = live_near(lc, rect, nid);
+    if (nc == nullptr) return false;
+    const CellState& n = nc->cells[ns];
+    return !n.failed && n.next == OptCellId{id} && n.has_entities();
+  });
+}
+
 void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
-                                const ChunkLayout::Rect& rect,
-                                std::size_t slot, CellId id) {
+                                std::size_t slot, CellId id,
+                                NeighborMask ne_prev) {
   CellState& c = lc.cells[slot];
   if (c.failed) return;
-  const NeighborMask ne_prev = neighbor_mask(id, [&](CellId nid) {
-    if (!grid_.contains(nid)) return false;
-    // A non-live neighbor has no members, so it can never be a nonempty
-    // predecessor — skipping it reads exactly what the dense engine reads
-    // from the same (empty) cell.
-    const auto ns = slot_in(rect, nid);
-    const CellState* nc = ns ? &lc.cells[*ns] : peek_live(nid);
-    return nc != nullptr && !nc->failed && nc->next == OptCellId{id} &&
-           nc->has_entities();
-  });
   if (apply_signal(c, id, ne_prev, config_.signal_rule,
                    config_.params, *choose_, metrics_ ? &sc.counts : nullptr))
     sc.blocked.push_back(id);
-  if (active() && occupied(c) != (lc.occ_b[slot] != 0)) sc.flips.push_back(id);
+  if (!active()) return;
+  lc.hold[slot] = hold_code(c, id);
+  if (occupied(c) != (lc.occ_b[slot] != 0)) sc.flips.push_back(id);
 }
 
 void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
@@ -411,9 +484,9 @@ void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
   const CellId dest = *c.next;
   // A non-live destination has signal ⊥ (quiescent), so no permission —
   // the same read the dense engine performs on that cell.
-  const auto ds = slot_in(rect, dest);
-  const CellState* dc = ds ? &lc.cells[*ds] : peek_live(dest);
-  const bool permitted = dc != nullptr && dc->signal == OptCellId{id};
+  const auto [dc, ds] = live_near(lc, rect, dest);
+  const bool permitted =
+      dc != nullptr && dc->cells[ds].signal == OptCellId{id};
   if (apply_move(c, id, permitted, config_.movement_rule, grid_,
                  config_.params, sc.crossed, metrics_ ? &sc.counts : nullptr))
     sc.moved.push_back(id);

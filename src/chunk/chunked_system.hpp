@@ -67,6 +67,7 @@
 #include <cstdint>
 #include <memory>
 #include <span>
+#include <utility>
 #include <vector>
 
 #include "chunk/chunked_store.hpp"
@@ -148,6 +149,8 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   friend struct snapshot::Access;
 
   // --- engine points (see core/sharded_engine.hpp) ----------------------
+  static constexpr auto kDomainCells =
+      static_cast<std::uint64_t>(kChunkSide * kChunkSide);
   std::size_t begin_round();
   void route_shard(std::size_t t, std::size_t used);
   void signal_shard(std::size_t t, std::size_t used);
@@ -160,7 +163,8 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   void apply_flip(CellId id);
   /// The cell, faulting its chunk in if necessary (mutation points).
   [[nodiscard]] CellState& cell_mut(CellId id);
-  void refresh_occupancy(CellId id);
+  /// Rewrites the cell's feed byte and occupancy (its members changed).
+  void refresh_gates(CellId id);
   void note_control_mutation(CellId id);
   void after_serial_stage() { (void)store_.live_order(); }
   /// kActiveSet: the park sweep.
@@ -176,10 +180,20 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   [[nodiscard]] std::span<const std::uint32_t> slice(std::size_t t,
                                                      std::size_t used);
 
-  /// Pointer to the cell iff its chunk is live, else nullptr (a non-live
-  /// cell reads as unoccupied / non-communicating, which is exactly what
-  /// it is).
-  [[nodiscard]] const CellState* peek_live(CellId id) const;
+  /// Chunk q, materialized with its gate bytes if it was not live (the
+  /// constructor and snapshot restore leave that to rebuild_active_sets).
+  LiveChunk& fault_in(std::size_t q);
+  /// Writes live chunk q's dist snapshots and gate bytes from its cells
+  /// and flips each occupied cell's occupancy on (from zeroed occupancy:
+  /// rebuild_active_sets, or a chunk just unparked, which has none).
+  void resync(std::size_t q, LiveChunk& lc);
+
+  /// Cell `id` seen from the live chunk `lc` covering `rect`: the live
+  /// chunk that holds it and its slot there, or nullptr when `id` is off
+  /// the grid or its chunk is not live (a non-live cell reads as
+  /// unoccupied and non-communicating, which is exactly what it is).
+  [[nodiscard]] std::pair<const LiveChunk*, std::size_t> live_near(
+      const LiveChunk& lc, const ChunkLayout::Rect& rect, CellId id) const;
 
   /// Signal on the cells the kActiveSet gate admits, into `sc` (the
   /// shard stage and the row-major sweep share it).
@@ -192,11 +206,18 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   // the bodies never divide).
   void route_cell(ShardScratch& sc, LiveChunk& lc,
                   const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
-  void signal_cell(ShardScratch& sc, LiveChunk& lc,
-                   const ChunkLayout::Rect& rect, std::size_t slot,
-                   CellId id);
+  void signal_cell(ShardScratch& sc, LiveChunk& lc, std::size_t slot,
+                   CellId id, NeighborMask ne_prev);
   void move_cell(ShardScratch& sc, LiveChunk& lc,
                  const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
+  /// NEPrev of `id` from its neighbours' feed bytes (kActiveSet) or
+  /// cells (kExhaustive).
+  [[nodiscard]] NeighborMask inbound(const LiveChunk& lc,
+                                     const ChunkLayout::Rect& rect,
+                                     CellId id) const;
+  [[nodiscard]] NeighborMask gather_ne_prev(const LiveChunk& lc,
+                                            const ChunkLayout::Rect& rect,
+                                            CellId id) const;
 
   /// Arms cell `id` (faulting its chunk in) to run Route in round `upto`.
   void arm_cell(CellId id, std::uint64_t upto);

@@ -73,16 +73,16 @@ RoundEngine choose_round_engine(ThreadPool* pool,
                                 ParallelPolicy::Cutover cutover,
                                 std::uint64_t round,
                                 const SchedulerStats& last,
-                                std::size_t domain) {
+                                std::size_t domain, std::uint64_t cells) {
   RoundEngine e;
   if (pool == nullptr) return e;
   const std::size_t used = shard_count(domain, pool->thread_count());
   if (used <= 1) return e;
   if (cutover == ParallelPolicy::Cutover::kAuto && round > 0) {
-    const std::uint64_t widest =
-        std::max({last.route_cells, last.signal_cells, last.move_cells});
-    e.cutover = widest < static_cast<std::uint64_t>(
-                             ParallelPolicy::kCutoverGrain) * used;
+    const std::uint64_t visits =
+        last.route_cells + last.signal_cells + last.move_cells;
+    const std::uint64_t work = cells + ParallelPolicy::kVisitWeight * visits;
+    e.cutover = work < ParallelPolicy::kCutoverGrain * used * (used - 1);
     if (e.cutover) return e;
   }
   e.pool = pool;

@@ -13,21 +13,24 @@
 //
 //   begin_round()          kExhaustive: recopy Route's dist snapshot.
 //                          Returns the round's shard domain (cells for
-//                          System, live chunks for ChunkedSystem).
+//                          System, live chunks for ChunkedSystem), each
+//                          unit kDomainCells cells
 //   route_shard(t, used)   shard t's slice of a parallel stage, into
 //   signal_shard(t, used)  scratch slot t, honoring the kActiveSet gates
-//   move_shard(t, used)
+//   move_shard(t, used)    (Route's stamps; the work gates below)
 //   signal_sweep()         Signal over every cell in dense row-major
 //                          order, into slot 0 (a serial stage)
 //   apply_dist_change(id)  kActiveSet Route merge: snapshot sync and
 //                          re-arming of one cell whose dist changed
 //   apply_flip(id)         kActiveSet Signal merge: one occupancy flip
+//                          (the chunked store's parking state)
 //   cell(id), cell_mut(id) read / mutate one cell (cell_mut may
 //                          materialize storage)
-//   refresh_occupancy(id), note_control_mutation(id)
-//                          scheduler bookkeeping at the serial mutation
-//                          points (delivery, injection, seeding, fail,
-//                          recover, corruption)
+//   refresh_gates(id)      scheduler bookkeeping after a serial change of
+//                          the cell's members (delivery, the movers,
+//                          injection, seeding)
+//   note_control_mutation(id)
+//                          the same after fail, recover or corruption
 //   after_serial_stage()   before a parallel stage opens
 //   end_round()            after the round counter advances
 //   rebuild_active_sets()  re-derive the scheduler state and recount the
@@ -36,6 +39,7 @@
 #pragma once
 
 #include <array>
+#include <bit>
 #include <cstdint>
 #include <functional>
 #include <memory>
@@ -84,10 +88,16 @@ struct ParallelPolicy {
     kAuto,   ///< per-round serial fallback below the work threshold
   };
 
-  /// Per-shard visit count under which kAuto runs a round serial (see
-  /// choose_round_engine). ~a few hundred cells covers the dispatch +
-  /// barrier cost of a persistent-pool round.
-  static constexpr int kCutoverGrain = 256;
+  /// kAuto's work estimate of a round, in scanned cells (see
+  /// choose_round_engine): every cell of the shard domain, which the gate
+  /// scans read, plus kVisitWeight for each cell the previous round's
+  /// gates admitted. A round of `used` shards pools iff each shard's
+  /// share reaches kCutoverGrain per other executor it waits for at the
+  /// barriers (used − 1). Measured on a 4-vCPU guest (DESIGN.md §6):
+  /// sharding the scans pays, while a gated visit moves its cell between
+  /// cores, which costs about what sharding the visit saves.
+  static constexpr std::uint64_t kCutoverGrain = 32768;
+  static constexpr std::uint64_t kVisitWeight = 4;
 
   /// Executors of the round plan (>= 1). The engine owns a ThreadPool
   /// of this width iff it is > 1; at 1 every round runs inline.
@@ -130,17 +140,23 @@ struct ParallelPolicy {
 ///     fail()/recover()/corrupt_control_state(). route_step is a pure
 ///     function of the neighbors' previous-round dists, so unchanged
 ///     inputs reproduce the stored dist/next.
-///   * Signal/Move — a cell runs only if some cell of its closed
-///     neighborhood is "occupied" (has members, a token, a signal, or a
-///     stale NEPrev). An unoccupied cell with unoccupied neighbors maps
-///     (⊥,⊥,[]) to (⊥,⊥,[]) without consulting the ChoosePolicy, and a
-///     granted mover always has an occupied destination, so skipping is
+///   * Signal — a cell runs only if it is live and holds a token, a
+///     signal or a stored NEPrev, or a live neighbour with members has
+///     next = this cell. Any other live cell maps (⊥,⊥,∅) to itself with
+///     NEPrev ∅ and never consults the ChoosePolicy, so skipping it is
 ///     invisible — including to stateful (RandomChoose) token streams.
+///   * Move — a cell runs only if it is live with a next and its
+///     destination's signal names it (under kCoupled even when empty),
+///     or, under kCompacting, it has members: no other body moves or
+///     tallies anything.
 ///
-/// The active sets are maintained incrementally (injection, transfer,
-/// consumption, failure events), never rescanned; see DESIGN.md §9 for
-/// the re-arm invariants. kExhaustive is the reference engine the
-/// differential suites pin against.
+/// The Signal and Move gates read two bytes a cell (the driver's feed
+/// and hold codes below), each written only from its own cell's fields.
+/// All the scheduler state is maintained incrementally at the existing
+/// mutation points (Route, Signal, the Move merge, injection, seeding,
+/// fail/recover/corruption, rebuild_active_sets), never by a pass over
+/// the grid; see DESIGN.md §9 for the invariants. kExhaustive is the
+/// reference engine the differential suites pin against.
 enum class RoundScheduler {
   kActiveSet,    ///< skip provably-quiescent cells (the default)
   kExhaustive,  ///< visit every cell every phase (reference semantics)
@@ -241,17 +257,21 @@ struct RoundEngine {
 
 /// Picks the round's engine. Without a pool, or when the domain yields a
 /// single shard, the round runs inline. Under kAuto it also runs inline
-/// when the previous round's widest phase (`last`, the scheduler's visit
-/// counts) would hand each shard fewer than ParallelPolicy::kCutoverGrain
-/// cells: dispatch and barriers would then dominate. The inputs are
-/// engine-independent and both forms of the plan are bit-identical
-/// (DESIGN.md §6), so the choice never changes results. Round 0 has no
-/// stats yet and runs as configured.
+/// when the round's work estimate — the `cells` its gate scans cover
+/// plus ParallelPolicy::kVisitWeight per cell the previous round's gates
+/// admitted (`last`, the scheduler's visit counts) — falls short of
+/// ParallelPolicy::kCutoverGrain × used × (used − 1): dispatch, barriers
+/// and the cross-core traffic of the visited cells would then eat the
+/// saving.
+/// The inputs are deterministic counts and both forms of the plan are
+/// bit-identical (DESIGN.md §6), so the choice never changes results.
+/// Round 0 has no stats yet and runs as configured.
 [[nodiscard]] RoundEngine choose_round_engine(ThreadPool* pool,
                                               ParallelPolicy::Cutover cutover,
                                               std::uint64_t round,
                                               const SchedulerStats& last,
-                                              std::size_t domain);
+                                              std::size_t domain,
+                                              std::uint64_t cells);
 
 /// The profiler and telemetry attachments with their round-timing
 /// scaffolding. Reporting only: written on the calling thread (shards
@@ -478,7 +498,7 @@ class ShardedEngine {
     std::vector<PendingTransfer> pending;  ///< Move: crossers, pre-merge
     std::vector<Entity> crossed;           ///< Move: per-cell crossing batch
     std::vector<CellId> changed;  ///< Route: dist-changed cells (kActiveSet)
-    std::vector<CellId> flips;    ///< Signal: occupancy flips (kActiveSet)
+    std::vector<CellId> flips;    ///< Signal: occupancy flips (chunked)
     obs::ProtocolCounts counts;   ///< shard-private tallies
     std::uint64_t visited = 0;    ///< cells this shard ran (phase)
 
@@ -498,10 +518,91 @@ class ShardedEngine {
     return scheduler_ == RoundScheduler::kActiveSet;
   }
 
-  /// B(c): true iff the cell can influence (or be mutated by) Signal or
-  /// Move this round. Computed from the raw fields regardless of
-  /// `failed`, so even adversarially corrupted failed cells keep their
-  /// neighborhoods scheduled exactly as the exhaustive loop behaves.
+  // --- the kActiveSet work gates of Signal and Move (DESIGN.md §9) -----
+  //
+  // Two bytes a cell, each a function of that cell's own fields, so every
+  // write goes to the writer's own cell and nothing propagates:
+  //
+  //   feed — the NEPrev slot the cell occupies at its destination (the s
+  //          with ascending_neighbors(*next)[s] == self) when the cell is
+  //          live and next names a neighbour on the grid, else kNoSlot;
+  //          plus kFeeds when the cell also has members. Bit d of a
+  //          cell's NEPrev is set iff its slot-d neighbour's feed reads
+  //          kFeeds | d (fed_by). Route writes it with next; the Move
+  //          merge, injection and seeding with members.
+  //   hold — kHold when the cell is live and holds a token, a signal or a
+  //          stored NEPrev; kDead when it is failed; plus the slot of its
+  //          signal among its own neighbours (kNoSlot when ⊥), failed or
+  //          not: the grant Move reads. Signal writes it.
+  //
+  // fail, recover and corruption rewrite both (note_control_mutation),
+  // and rebuild_active_sets derives them from scratch. The engines keep
+  // the bytes (dense arrays, or per live chunk) and gather them.
+  static constexpr std::uint8_t kNoSlot = 4;
+  static constexpr std::uint8_t kSlotBits = 7;
+  static constexpr std::uint8_t kFeeds = 8;
+  static constexpr std::uint8_t kHold = 8;
+  static constexpr std::uint8_t kDead = 16;
+
+  [[nodiscard]] std::uint8_t feed_code(const CellState& c,
+                                       CellId self) const noexcept {
+    if (c.failed || !c.next.has_value() || !grid_.contains(*c.next))
+      return kNoSlot;
+    const NeighborMask at = neighbor_bit(*c.next, self);
+    if (at == 0) return kNoSlot;
+    return static_cast<std::uint8_t>(std::countr_zero(at) |
+                                     (c.has_entities() ? kFeeds : 0));
+  }
+  [[nodiscard]] static std::uint8_t hold_code(const CellState& c,
+                                              CellId self) noexcept {
+    const NeighborMask g = c.signal ? neighbor_bit(self, *c.signal) : 0;
+    auto h = static_cast<std::uint8_t>(g != 0 ? std::countr_zero(g) : kNoSlot);
+    if (c.failed)
+      h |= kDead;
+    else if (c.token || c.signal || c.ne_prev != 0)
+      h |= kHold;
+    return h;
+  }
+  /// Whether a cell's slot-d neighbour, with feed byte `f`, is in the
+  /// cell's NEPrev: live, nonempty and pointing at the cell.
+  [[nodiscard]] static bool fed_by(std::uint8_t f, std::size_t d) noexcept {
+    return f == (kFeeds | d);
+  }
+  /// The neighbour slot of a cell's destination, from its feed byte:
+  /// ascending_neighbors lists the offsets (−1,0), (0,−1), (0,+1), (+1,0),
+  /// so the destination lies opposite the cell's slot there.
+  [[nodiscard]] static std::size_t dest_slot(std::uint8_t feed) noexcept {
+    return 3u - (feed & kSlotBits);
+  }
+
+  /// Signal's gate. A cell outside it is failed (the body returns at
+  /// once) or maps (⊥, ⊥, ∅) to itself with NEPrev `inbound` = ∅ and
+  /// no choose call — apply_signal's fast path, whose one tally, |NEPrev|
+  /// = 0, comes from the live totals. So skipping it is exact, even for
+  /// a stateful choose policy.
+  [[nodiscard]] static bool signal_gate(std::uint8_t hold,
+                                        NeighborMask inbound) noexcept {
+    return (hold & kDead) == 0 && ((hold & kHold) != 0 || inbound != 0);
+  }
+  /// Move's gate for a cell with feed byte `feed`; `dest_hold()` reads
+  /// its destination's hold byte. The body does something only for a
+  /// live cell with a next that is granted (under kCoupled even when
+  /// empty: it moves and tallies) or, under kCompacting, has members.
+  template <class DestHold>
+  [[nodiscard]] bool move_gate(std::uint8_t feed,
+                               DestHold&& dest_hold) const {
+    const auto s = static_cast<std::uint8_t>(feed & kSlotBits);
+    if (s == kNoSlot) return false;
+    if ((feed & kFeeds) != 0 &&
+        config_.movement_rule == MovementRule::kCompacting)
+      return true;
+    return (dest_hold() & kSlotBits) == s;
+  }
+
+  /// B(c), the chunked store's occupancy for parking: true iff the cell
+  /// can influence (or be mutated by) Signal or Move this round. Computed
+  /// from the raw fields regardless of `failed`, so even adversarially
+  /// corrupted failed cells keep their neighbourhoods resident.
   [[nodiscard]] static bool occupied(const CellState& c) noexcept {
     return !c.members.empty() || c.token.has_value() || c.signal.has_value() ||
            c.ne_prev != 0;
@@ -681,7 +782,7 @@ EntityId ShardedEngine<Engine>::seed_entity_unchecked(CellId id,
   CF_EXPECTS(grid_.contains(id));
   const EntityId eid{next_entity_id_++};
   derived().cell_mut(id).members.push_back(Entity{eid, center});
-  derived().refresh_occupancy(id);
+  derived().refresh_gates(id);
   return eid;
 }
 
@@ -714,7 +815,8 @@ const RoundEvents& ShardedEngine<Engine>::update() {
   // stream observes the dense serial call sequence (§6 pillar 4).
   const std::size_t domain = e.begin_round();
   const RoundEngine engine = choose_round_engine(
-      pool_.get(), parallel_.cutover, round_, sched_stats_, domain);
+      pool_.get(), parallel_.cutover, round_, sched_stats_, domain,
+      domain * Engine::kDomainCells);
   const std::size_t used = engine.shards;
   const bool signal_sharded =
       engine.pool != nullptr && choose_->concurrent_safe();
@@ -837,10 +939,9 @@ void ShardedEngine<Engine>::merge_signal(std::size_t used) {
       nonempty += round_counts_.ne_prev_sizes[n];
     round_counts_.ne_prev_sizes[0] = live_cells_ - nonempty;
   }
-  // Occupancy flips apply at the barrier, in shard order, so the Move
-  // phase's activity reads see the post-Signal occupancy on every
-  // engine (a fresh grant makes its destination occupied, which is what
-  // schedules the granted mover).
+  // The chunked store's occupancy flips apply at the barrier, in shard
+  // order, so every engine parks and faults in alike (System pushes
+  // none).
   for (std::size_t s = 0; s < used; ++s)
     for (const CellId id : shards_[s].flips) derived().apply_flip(id);
 }
@@ -880,11 +981,11 @@ void ShardedEngine<Engine>::merge_move(std::size_t used) {
   }
   if (!active()) return;
   // Membership only changes at cells that applied a movement (shrink)
-  // or received a delivery (growth); refresh_occupancy is idempotent, so
+  // or received a delivery (growth); refresh_gates is idempotent, so
   // overlap (a cell that both moved and received) is harmless.
-  for (const CellId id : events_.moved) derived().refresh_occupancy(id);
+  for (const CellId id : events_.moved) derived().refresh_gates(id);
   for (const TransferEvent& t : events_.transfers)
-    if (!t.consumed) derived().refresh_occupancy(t.to);
+    if (!t.consumed) derived().refresh_gates(t.to);
 }
 
 template <class Engine>
@@ -894,7 +995,7 @@ void ShardedEngine<Engine>::inject_phase() {
                                     config_.params, next_entity_id_,
                                     metrics_ ? &round_counts_ : nullptr);
     if (!id.has_value()) continue;
-    derived().refresh_occupancy(s);
+    derived().refresh_gates(s);
     events_.injected.emplace_back(s, *id);
   }
 }

@@ -64,6 +64,14 @@ SignalResult square_signal_step(CellId self, std::span<const Entity> members,
 bool apply_signal(CellState& c, CellId self, NeighborMask ne_prev,
                   SignalRule rule, const Params& params, ChoosePolicy& choose,
                   obs::ProtocolCounts* counts) {
+  if (ne_prev == 0 && !c.token.has_value()) {
+    // Figure 5 with NEPrev empty and no token: nothing to choose from,
+    // so signal := ⊥ and the token stays ⊥ without a choose call.
+    if (counts != nullptr) ++counts->ne_prev_sizes[0];
+    c.signal = std::nullopt;
+    c.ne_prev = 0;
+    return false;
+  }
   const NeighborSet candidates = neighbors_in(self, ne_prev);
   const bool had_candidate = c.token.has_value() || ne_prev != 0;
   const SignalResult r = square_signal_step(self, c.members, candidates,

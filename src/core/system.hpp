@@ -34,6 +34,7 @@
 // dense per-cell arrays.
 #pragma once
 
+#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -109,6 +110,7 @@ class System : public ShardedEngine<System> {
   // The shards are contiguous ascending cell ranges (shard_range_at), so
   // concatenating their buffers in shard order reproduces the serial
   // row-major loop exactly.
+  static constexpr std::uint64_t kDomainCells = 1;
   std::size_t begin_round();
   void route_shard(std::size_t t, std::size_t used);
   void signal_shard(std::size_t t, std::size_t used);
@@ -116,22 +118,25 @@ class System : public ShardedEngine<System> {
   /// Row-major is this store's shard order, so the sweep is one shard.
   void signal_sweep() { signal_shard(0, 1); }
   void apply_dist_change(CellId id);
-  void apply_flip(CellId id) { apply_occupancy_flip(grid_.index_of(id)); }
+  /// The dense store keeps no occupancy: its Signal pushes no flips.
+  void apply_flip(CellId) noexcept {}
   [[nodiscard]] CellState& cell_mut(CellId id) {
     return cells_[grid_.index_of(id)];
   }
-  /// Recomputes B(cell) and applies the flip if it changed (idempotent).
-  void refresh_occupancy(CellId id) { refresh_occupancy_at(grid_.index_of(id)); }
+  /// Rewrites the cell's feed byte (its members changed).
+  void refresh_gates(CellId id) {
+    const std::size_t k = grid_.index_of(id);
+    feed_at(k) = feed_code(cells_[k], id);
+  }
   /// Bookkeeping of fail()/recover()/corrupt_control_state(): syncs the
-  /// dist snapshot, re-arms Route around the mutation, and refreshes
-  /// occupancy.
+  /// dist snapshot, re-arms Route around the mutation, and rewrites both
+  /// gate bytes.
   void note_control_mutation(CellId id);
   void after_serial_stage() noexcept {}
   void end_round() noexcept {}
   /// Re-derives every scheduler structure from the current protocol
-  /// state: all cells armed for Route this round, occupancy bits and
-  /// neighborhood refcounts recomputed, dist snapshot synced, live
-  /// totals recounted.
+  /// state: all cells armed for Route this round, gate bytes recomputed,
+  /// dist snapshot synced, live totals recounted.
   void rebuild_active_sets();
 
   // Per-cell bodies of the three phases, shared verbatim by every shard
@@ -139,23 +144,36 @@ class System : public ShardedEngine<System> {
   // outputs), run on the cells the shard loop's kActiveSet gate admits:
   // each gathers the cell's neighbor reads from the dense tables and
   // applies the shared transition of core/route, core/signal or
-  // core/move into the shard's slot. Dist changes and occupancy flips are buffered there too and
-  // applied to the shared scheduler state only at the post-phase barrier,
-  // in shard order, so intra-phase reads of that state see a frozen
-  // snapshot on every engine.
+  // core/move into the shard's slot. Route's dist changes are buffered
+  // there and applied to the stamps only at the post-phase barrier, in
+  // shard order; each body writes only its own cell's gate byte, which
+  // no other cell reads in that phase.
   void route_cell(ShardScratch& sc, std::size_t k);
-  void signal_cell(ShardScratch& sc, std::size_t k);
+  void signal_cell(ShardScratch& sc, std::size_t k, NeighborMask ne_prev);
   void move_cell(ShardScratch& sc, std::size_t k);
+  /// NEPrev of cell k read from the neighbours' cells (kExhaustive).
+  [[nodiscard]] NeighborMask gather_ne_prev(std::size_t k) const;
 
   // --- active-set scheduler internals (DESIGN.md §9) -------------------
 
   /// Arms `k` and its lattice neighbors to run Route in round `upto`.
   void arm_route_neighborhood(std::size_t k, std::uint64_t upto);
+  /// Arms `k` alone.
+  void arm(std::size_t k, std::uint64_t upto) {
+    route_stamp_[k] = std::max(route_stamp_[k], upto);
+    std::uint64_t& block = stamp_block_[k / kStampBlock];
+    block = std::max(block, upto);
+  }
 
-  /// Toggles occ_b_[k] and propagates ±1 to the closed neighborhood's
-  /// refcounts. Callers guarantee the bit is actually stale.
-  void apply_occupancy_flip(std::size_t k);
-  void refresh_occupancy_at(std::size_t k);
+  /// Cell k's gate bytes. Both arrays carry `side` guard bytes (kNoSlot)
+  /// at each end, so the gate scans read the bytes at k ± 1 and k ± side,
+  /// and eight-byte words from there, unchecked.
+  [[nodiscard]] std::uint8_t& feed_at(std::size_t k) {
+    return feed_[static_cast<std::size_t>(grid_.side()) + k];
+  }
+  [[nodiscard]] std::uint8_t& hold_at(std::size_t k) {
+    return hold_[static_cast<std::size_t>(grid_.side()) + k];
+  }
 
   /// Every cell of the grid, resident, in index order.
   /// chunk::ChunkedSystem is the sparse sibling.
@@ -188,13 +206,18 @@ class System : public ShardedEngine<System> {
   /// cell_id_[k] == grid_.id_of(k), cached (avoids a div/mod per access).
   std::vector<CellId> cell_id_;
 
-  // Active-set scheduler state (kActiveSet; rebuilt on switch). All
-  // three vectors are read-only during the sharded phase loops and
-  // mutated only at the barriers / between rounds, on the calling
-  // thread.
+  // Active-set scheduler state (kActiveSet; rebuilt on switch). The
+  // stamps are read-only during the sharded phase loops and mutated
+  // only at the barriers / between rounds, on the calling thread; a gate
+  // byte is written by its own cell's phase body (feed by Route, hold by
+  // Signal) and otherwise at the serial mutation points.
   std::vector<std::uint64_t> route_stamp_;  ///< run Route iff >= round_
-  std::vector<std::uint8_t> occ_b_;         ///< B(cells_[k]), cached
-  std::vector<std::uint8_t> occ_refs_;      ///< # occupied in closed nbhd
+  /// The largest stamp of each run of kStampBlock cells, so Route's scan
+  /// skips a run that no arming reached.
+  std::vector<std::uint64_t> stamp_block_;
+  static constexpr std::size_t kStampBlock = 64;
+  std::vector<std::uint8_t> feed_;  ///< feed bytes, guarded (feed_at)
+  std::vector<std::uint8_t> hold_;  ///< hold bytes, guarded (hold_at)
 };
 
 extern template class ShardedEngine<System>;

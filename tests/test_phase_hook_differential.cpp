@@ -7,9 +7,12 @@
 // records snapshot::state_digest at all four UpdatePhase points; every
 // engine must agree with the serial exhaustive reference at every point
 // of every round, and the protocol metrics' `_count` lines must match.
-// The parallel_auto(2) active-set engine also carries a profiler and
-// engine telemetry, which must perturb nothing and must show that the
-// engine pooled some rounds, so the hooked pooled plan is exercised.
+// The parallel(2) active-set engine also carries a profiler and engine
+// telemetry, which must perturb nothing and must show that the engine
+// pooled its rounds, so the hooked pooled plan is exercised. The
+// parallel_auto(2) active-set engine carries telemetry too: a side-32
+// round is far below the kAuto cutover estimate, so every round after
+// round 0 must run inline.
 // chunk::ChunkedSystem's hook fires at the same points of the same plan:
 // its legs (the same four policies under both schedulers, on a grid of
 // 2×2 chunks so the pooled legs shard) must record the dense reference's
@@ -20,6 +23,7 @@
 #include <gtest/gtest.h>
 
 #include <cstdint>
+#include <iterator>
 #include <memory>
 #include <sstream>
 #include <string>
@@ -161,12 +165,16 @@ TEST_P(PhaseHookDifferential, EveryEngineAgreesAtEveryPhasePoint) {
     for (const ParallelPolicy& policy : kPolicies)
       engines.push_back(make_leg<System>(sc, seed, sched, policy));
   Engine<System>& ref = *engines.front();  // serial, exhaustive
-  Engine<System>& observed = *engines.back();  // parallel_auto(2), active
+  Engine<System>& pooled = *engines[std::size(kPolicies) + 1];  // parallel(2)
+  Engine<System>& automatic = *engines.back();  // parallel_auto(2), active
   obs::MetricsRegistry tel_reg;
   obs::EngineTelemetry telemetry(tel_reg);
   obs::PhaseProfiler profiler;
-  observed.sys->set_telemetry(&telemetry);
-  observed.sys->set_profiler(&profiler);
+  pooled.sys->set_telemetry(&telemetry);
+  pooled.sys->set_profiler(&profiler);
+  obs::MetricsRegistry auto_tel_reg;
+  obs::EngineTelemetry auto_telemetry(auto_tel_reg);
+  automatic.sys->set_telemetry(&auto_telemetry);
 
   for (int round = 0; round < kRounds; ++round) {
     churn(*ref.sys, rng, engines);
@@ -188,9 +196,12 @@ TEST_P(PhaseHookDifferential, EveryEngineAgreesAtEveryPhasePoint) {
 
   const obs::EngineTelemetry::Totals& t = telemetry.totals();
   EXPECT_EQ(t.rounds, static_cast<std::uint64_t>(kRounds));
-  // Round 0 never cuts over, so pooling must show up beyond it.
-  EXPECT_GT(t.rounds - t.rounds_cutover, 1u) << "the auto engine never pooled";
+  EXPECT_GT(t.rounds - t.rounds_cutover, 1u) << "the pooled engine never pooled";
   EXPECT_GT(profiler.total_ns("round"), 0u);
+  // Round 0 never cuts over; every later side-32 round does.
+  const obs::EngineTelemetry::Totals& a = auto_telemetry.totals();
+  EXPECT_EQ(a.rounds, static_cast<std::uint64_t>(kRounds));
+  EXPECT_EQ(a.rounds_cutover, static_cast<std::uint64_t>(kRounds - 1));
 }
 
 TEST_P(PhaseHookDifferential, ChunkedLegsAgreeWithDenseAtEveryPhasePoint) {

@@ -5,8 +5,10 @@
 #include <gtest/gtest.h>
 
 #include <span>
+#include <string>
 #include <vector>
 
+#include "obs/protocol_metrics.hpp"
 #include "util/check.hpp"
 
 namespace cellflow {
@@ -204,6 +206,76 @@ TEST(SignalStep, GrantRequiresOnlyTokenDirectionClear) {
   // Entity blocks the east strip but not the west one; token kWest grants.
   const auto r = step({at(2.9, 3.5)}, {kWest, kEast}, kWest);
   EXPECT_EQ(r.signal, OptCellId(kWest));
+}
+
+// apply_signal's fast path: with NEPrev empty and no token, Figure 5
+// outputs ⊥ whatever the cell stored, without a choose call. Pinned
+// against the general path — neighbors_in, token_discipline with the
+// square strip and apply_signal's tally rules, spelled out here — for
+// every stored signal (⊥, each neighbour, a non-neighbour) and NEPrev,
+// under both grant rules, empty and with a member in every strip, with
+// counts attached.
+class CountingChoose final : public ChoosePolicy {
+ public:
+  CellId choose(CellId, std::span<const CellId> candidates,
+                OptCellId) override {
+    ++calls;
+    return candidates.front();
+  }
+  int calls = 0;
+};
+
+TEST(SignalStep, IdleFastPathMatchesGeneralPath) {
+  const OptCellId stored_signals[] = {std::nullopt, kWest,       kSouth,
+                                      kNorth,       kEast,       CellId{7, 7}};
+  const std::vector<Entity> memberships[] = {{}, {at(2.5, 3.5)}};
+  for (const SignalRule rule :
+       {SignalRule::kBlocking, SignalRule::kAlwaysGrant}) {
+    for (const std::vector<Entity>& members : memberships) {
+      for (const OptCellId& stored_signal : stored_signals) {
+        for (unsigned stored = 0; stored < 16; ++stored) {
+          CellState c;
+          c.members = members;
+          c.signal = stored_signal;
+          c.ne_prev = static_cast<NeighborMask>(stored);
+          CountingChoose choose;
+          obs::ProtocolCounts got;
+          const bool blocked =
+              apply_signal(c, kSelf, 0, rule, kP, choose, &got);
+
+          const NeighborSet none = neighbors_in(kSelf, NeighborMask{0});
+          CountingChoose ref_choose;
+          const SignalResult want = token_discipline(
+              std::span<const CellId>(none), OptCellId{},
+              [](CellId t) { return Grid::are_neighbors(kSelf, t); },
+              [&](CellId t) {
+                return rule == SignalRule::kAlwaysGrant ||
+                       entry_strip_clear(kSelf, t, members, kP);
+              },
+              [&](std::span<const CellId> candidates, OptCellId previous) {
+                return ref_choose.choose(kSelf, candidates, previous);
+              });
+          obs::ProtocolCounts tally;
+          ++tally.ne_prev_sizes[none.size()];
+          if (want.signal.has_value()) ++tally.signal_grants;
+
+          SCOPED_TRACE("signal " + to_string(stored_signal) + " NEPrev " +
+                       std::to_string(stored));
+          EXPECT_FALSE(blocked);
+          EXPECT_EQ(c.signal, want.signal);
+          EXPECT_EQ(c.token, want.token);
+          EXPECT_EQ(c.ne_prev, 0);
+          EXPECT_EQ(c.members.size(), members.size());
+          EXPECT_EQ(choose.calls, 0);
+          EXPECT_EQ(ref_choose.calls, 0);
+          EXPECT_EQ(got.ne_prev_sizes, tally.ne_prev_sizes);
+          EXPECT_EQ(got.signal_grants, tally.signal_grants);
+          EXPECT_EQ(got.signal_blocks, 0u);
+          EXPECT_EQ(got.signal_token_rotations, 0u);
+        }
+      }
+    }
+  }
 }
 
 TEST(SignalStep, UnsortedNEPrevViolatesContract) {
