@@ -19,7 +19,8 @@
 // no telemetry — the shape Simulator drives — checked the same way).
 //
 // Each configuration is measured --reps times, the reps of one side
-// interleaved across its configurations so host drift hits them alike;
+// interleaved across its configurations (in a rotating order) so host
+// drift hits them alike;
 // the CSV reports the median plus a <metric>_rd relative-dispersion
 // column ((max-min)/median) per timed metric, which
 // tools/cellflow_bench_diff folds into its regression thresholds.
@@ -139,7 +140,7 @@ int main(int argc, char** argv) {
   const auto max_side = static_cast<int>(cli.get_uint(
       "max-side", 100, "largest grid side to measure (up to 400)"));
   const auto reps = static_cast<std::size_t>(
-      cli.get_uint("reps", 5, "measurement repetitions per configuration"));
+      cli.get_uint("reps", 9, "measurement repetitions per configuration"));
   if (cli.help_requested()) {
     std::cout << cli.help_text();
     return 0;
@@ -198,7 +199,10 @@ int main(int argc, char** argv) {
     };
     std::vector<Samples> samples(policies.size());
     for (std::size_t r = 0; r < reps; ++r) {
-      for (std::size_t p = 0; p < policies.size(); ++p) {
+      for (std::size_t k = 0; k < policies.size(); ++k) {
+        // Each rep starts one configuration later, so none always runs
+        // right after the same neighbour.
+        const std::size_t p = (r + k) % policies.size();
         const Measurement m = measure(side, policies[p], warmup, rounds);
         recorder.note_rounds(warmup + rounds);
         Samples& sm = samples[p];
