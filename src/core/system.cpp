@@ -72,7 +72,6 @@ void System::set_round_scheduler(RoundScheduler scheduler) {
 void System::rebuild_active_sets() {
   const auto side = static_cast<std::size_t>(grid_.side());
   route_stamp_.assign(cells_.size(), round_);
-  stamp_block_.assign((cells_.size() + kStampBlock - 1) / kStampBlock, round_);
   feed_.assign(cells_.size() + 2 * side, kNoSlot);
   hold_.assign(cells_.size() + 2 * side, kNoSlot);
   reset_live_totals();
@@ -86,9 +85,12 @@ void System::rebuild_active_sets() {
 }
 
 void System::arm_route_neighborhood(std::size_t k, std::uint64_t upto) {
-  arm(k, upto);
-  for (const std::uint32_t nk : nbr_idx_[k])
-    if (nk != kNoNbr) arm(nk, upto);
+  route_stamp_[k] = std::max(route_stamp_[k], upto);
+  for (const std::uint32_t nk : nbr_idx_[k]) {
+    if (nk == kNoNbr) continue;
+    std::uint64_t& stamp = route_stamp_[nk];
+    stamp = std::max(stamp, upto);
+  }
 }
 
 void System::note_control_mutation(CellId id) {
@@ -143,20 +145,10 @@ void System::route_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
   const ShardRange r = shard_range_at(cells_.size(), used, t);
   const bool gated = active();
-  const std::uint64_t* stamp = route_stamp_.data();
-  const std::uint64_t now = round_;
-  for (std::size_t k = r.begin; k < r.end;) {
-    const std::size_t block = k / kStampBlock;
-    const std::size_t stop = std::min(r.end, (block + 1) * kStampBlock);
-    if (gated && stamp_block_[block] < now) {
-      k = stop;
-      continue;
-    }
-    for (; k < stop; ++k) {
-      if (gated && stamp[k] < now) continue;
-      ++sc.visited;
-      route_cell(sc, k);
-    }
+  for (std::size_t k = r.begin; k < r.end; ++k) {
+    if (gated && route_stamp_[k] < round_) continue;
+    ++sc.visited;
+    route_cell(sc, k);
   }
 }
 
@@ -185,8 +177,11 @@ void System::route_cell(ShardScratch& sc, std::size_t k) {
 void System::apply_dist_change(CellId id) {
   const std::size_t k = grid_.index_of(id);
   dist_snapshot_[k] = cells_[k].dist;
-  for (const std::uint32_t nk : nbr_idx_[k])
-    if (nk != kNoNbr) arm(nk, round_ + 1);
+  for (const std::uint32_t nk : nbr_idx_[k]) {
+    if (nk == kNoNbr) continue;
+    std::uint64_t& stamp = route_stamp_[nk];
+    stamp = std::max(stamp, round_ + 1);
+  }
 }
 
 NeighborMask System::gather_ne_prev(std::size_t k) const {

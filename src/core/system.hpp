@@ -34,7 +34,6 @@
 // dense per-cell arrays.
 #pragma once
 
-#include <algorithm>
 #include <array>
 #include <cstdint>
 #include <limits>
@@ -158,13 +157,6 @@ class System : public ShardedEngine<System> {
 
   /// Arms `k` and its lattice neighbors to run Route in round `upto`.
   void arm_route_neighborhood(std::size_t k, std::uint64_t upto);
-  /// Arms `k` alone.
-  void arm(std::size_t k, std::uint64_t upto) {
-    route_stamp_[k] = std::max(route_stamp_[k], upto);
-    std::uint64_t& block = stamp_block_[k / kStampBlock];
-    block = std::max(block, upto);
-  }
-
   /// Cell k's gate bytes. Both arrays carry `side` guard bytes (kNoSlot)
   /// at each end, so the gate scans read the bytes at k ± 1 and k ± side,
   /// and eight-byte words from there, unchecked.
@@ -212,10 +204,6 @@ class System : public ShardedEngine<System> {
   // byte is written by its own cell's phase body (feed by Route, hold by
   // Signal) and otherwise at the serial mutation points.
   std::vector<std::uint64_t> route_stamp_;  ///< run Route iff >= round_
-  /// The largest stamp of each run of kStampBlock cells, so Route's scan
-  /// skips a run that no arming reached.
-  std::vector<std::uint64_t> stamp_block_;
-  static constexpr std::size_t kStampBlock = 64;
   std::vector<std::uint8_t> feed_;  ///< feed bytes, guarded (feed_at)
   std::vector<std::uint8_t> hold_;  ///< hold bytes, guarded (hold_at)
 };
