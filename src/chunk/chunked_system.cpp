@@ -79,11 +79,11 @@ ChunkedSystem::ChunkedSystem(SystemConfig config,
   // and every source's chunk is read every round by injection — both are
   // materialized now and never park.
   const std::size_t tq = layout_.chunk_of(config_.target);
-  store_.ensure_live(tq);
+  fault_in(tq);
   pinned_[tq] = 1;
   for (const CellId s : config_.sources) {
     const std::size_t q = layout_.chunk_of(s);
-    store_.ensure_live(q);
+    fault_in(q);
     pinned_[q] = 1;
   }
   // The target's lattice neighbors change dist in round 0 (∞ → 1), so
@@ -91,9 +91,13 @@ ChunkedSystem::ChunkedSystem(SystemConfig config,
   // they park again once the routing wave has moved on.
   for (const Direction d : kAllDirections) {
     const auto nb = grid_.neighbor(config_.target, d);
-    if (nb.has_value()) store_.ensure_live(layout_.chunk_of(*nb));
+    if (nb.has_value()) fault_in(layout_.chunk_of(*nb));
   }
-  rebuild_active_sets();
+  // Every cell is in the initial state, which each chunk faulted in
+  // already carries with its scheduler state (snapshots synced, stamps
+  // armed for round 0, no occupancy, gate bytes kNoSlot): what
+  // rebuild_active_sets would derive, but the live totals.
+  reset_live_totals();
 }
 
 CellState ChunkedSystem::cell(CellId id) const {

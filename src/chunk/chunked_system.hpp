@@ -180,8 +180,8 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   [[nodiscard]] std::span<const std::uint32_t> slice(std::size_t t,
                                                      std::size_t used);
 
-  /// Chunk q, materialized with its gate bytes if it was not live (the
-  /// constructor and snapshot restore leave that to rebuild_active_sets).
+  /// Chunk q, materialized with its gate bytes if it was not live
+  /// (snapshot restore leaves that to rebuild_active_sets).
   LiveChunk& fault_in(std::size_t q);
   /// Writes live chunk q's dist snapshots and gate bytes from its cells
   /// and flips each occupied cell's occupancy on (from zeroed occupancy:
