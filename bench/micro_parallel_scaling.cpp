@@ -22,8 +22,9 @@
 // interleaved across its configurations (in a rotating order) so host
 // drift hits them alike;
 // the CSV reports the median plus a <metric>_rd relative-dispersion
-// column ((max-min)/median) per timed metric, which
-// tools/cellflow_bench_diff folds into its regression thresholds.
+// column per timed metric (the quartile coefficient of dispersion,
+// (Q3-Q1)/(Q3+Q1)), which tools/cellflow_bench_diff folds into its
+// regression thresholds.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -46,7 +47,8 @@ using namespace cellflow;
 
 /// Saturated many-stream workload: sources along the whole west edge,
 /// target at the middle of the east edge. Keeps the population (and the
-/// per-round Signal/Move work) proportional to the grid side.
+/// per-round Signal/Move work) proportional to the grid side once the
+/// routing wave has reached the sources (measure() waits for it).
 SystemConfig scaling_config(int side) {
   SystemConfig cfg;
   cfg.side = side;
@@ -85,6 +87,15 @@ Measurement measure(int side, const ParallelPolicy& policy,
     sys.set_phase_hook([](const System&, UpdatePhase) {});
   else
     sys.set_telemetry(&telemetry);
+  // The routing wave from the target advances one hop a round, up to
+  // 1.5 × side rounds to the far sources; until it arrives their
+  // entities cannot move, so Signal and Move would have no work.
+  const auto routed = [&] {
+    return std::all_of(
+        sys.config().sources.begin(), sys.config().sources.end(),
+        [&](CellId s) { return sys.cell(s).next.has_value(); });
+  };
+  while (!routed()) sys.update();
   for (std::uint64_t k = 0; k < warmup; ++k) sys.update();
   telemetry.reset_totals();
   const auto t0 = std::chrono::steady_clock::now();
@@ -110,23 +121,31 @@ Measurement measure(int side, const ParallelPolicy& policy,
   return m;
 }
 
-/// Median of the reps plus their spread, (max - min) / median. The host
-/// is shared, so single reps swing; the median is what the kAuto bar
-/// (ROADMAP item 2) reads.
+/// Median of the reps plus their quartile coefficient of dispersion,
+/// (Q3 - Q1) / (Q3 + Q1). The host is shared, so single reps swing; the
+/// median is what the kAuto bar (ROADMAP item 2) reads, and the quartiles
+/// keep one preempted rep from widening the regression threshold.
 struct Spread {
   double median = 0.0;
   double rel = 0.0;
 };
 
+/// The q-quantile of sorted `v`, interpolating between order statistics.
+double quantile(const std::vector<double>& v, double q) {
+  const double pos = q * static_cast<double>(v.size() - 1);
+  const auto lo = static_cast<std::size_t>(pos);
+  const std::size_t hi = std::min(lo + 1, v.size() - 1);
+  return v[lo] + (pos - static_cast<double>(lo)) * (v[hi] - v[lo]);
+}
+
 Spread spread(std::vector<double> samples) {
   Spread s;
   if (samples.empty()) return s;
   std::sort(samples.begin(), samples.end());
-  const std::size_t n = samples.size();
-  s.median = n % 2 == 1 ? samples[n / 2]
-                        : 0.5 * (samples[n / 2 - 1] + samples[n / 2]);
-  if (s.median != 0.0)
-    s.rel = std::abs(samples.back() - samples.front()) / std::abs(s.median);
+  s.median = quantile(samples, 0.5);
+  const double q1 = quantile(samples, 0.25);
+  const double q3 = quantile(samples, 0.75);
+  if (q1 + q3 != 0.0) s.rel = std::abs(q3 - q1) / std::abs(q1 + q3);
   return s;
 }
 
@@ -136,7 +155,8 @@ int main(int argc, char** argv) {
   CliArgs cli(argc, argv);
   const auto rounds = cli.get_uint("rounds", 300, "timed rounds per engine");
   const auto warmup =
-      cli.get_uint("warmup", 60, "untimed rounds to reach steady state");
+      cli.get_uint("warmup", 60,
+                   "untimed rounds once every source is routed");
   const auto max_side = static_cast<int>(cli.get_uint(
       "max-side", 100, "largest grid side to measure (up to 400)"));
   const auto reps = static_cast<std::size_t>(
