@@ -82,7 +82,7 @@ RoundEngine choose_round_engine(ThreadPool* pool,
     const std::uint64_t visits =
         last.route_cells + last.signal_cells + last.move_cells;
     const std::uint64_t work = cells + ParallelPolicy::kVisitWeight * visits;
-    e.cutover = work < ParallelPolicy::kCutoverGrain * used * (used - 1);
+    e.cutover = work < ParallelPolicy::kCutoverGrain * used;
     if (e.cutover) return e;
   }
   e.pool = pool;

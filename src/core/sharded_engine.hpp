@@ -92,10 +92,10 @@ struct ParallelPolicy {
   /// choose_round_engine): every cell of the shard domain, which the gate
   /// scans read, plus kVisitWeight for each cell the previous round's
   /// gates admitted. A round of `used` shards pools iff each shard's
-  /// share reaches kCutoverGrain per other executor it waits for at the
-  /// barriers (used − 1). Measured on a 4-vCPU guest (DESIGN.md §6):
-  /// sharding the scans pays, while a gated visit moves its cell between
-  /// cores, which costs about what sharding the visit saves.
+  /// share reaches kCutoverGrain. Fitted at two threads on a 4-vCPU guest
+  /// (DESIGN.md §6): sharding the scans pays, while a gated visit moves
+  /// its cell between cores, which costs about what sharding the visit
+  /// saves.
   static constexpr std::uint64_t kCutoverGrain = 32768;
   static constexpr std::uint64_t kVisitWeight = 4;
 
@@ -260,9 +260,8 @@ struct RoundEngine {
 /// when the round's work estimate — the `cells` its gate scans cover
 /// plus ParallelPolicy::kVisitWeight per cell the previous round's gates
 /// admitted (`last`, the scheduler's visit counts) — falls short of
-/// ParallelPolicy::kCutoverGrain × used × (used − 1): dispatch, barriers
-/// and the cross-core traffic of the visited cells would then eat the
-/// saving.
+/// ParallelPolicy::kCutoverGrain × used: dispatch, barriers and the
+/// cross-core traffic of the visited cells would then eat the saving.
 /// The inputs are deterministic counts and both forms of the plan are
 /// bit-identical (DESIGN.md §6), so the choice never changes results.
 /// Round 0 has no stats yet and runs as configured.
