@@ -153,7 +153,9 @@ Spread spread(std::vector<double> samples) {
 
 int main(int argc, char** argv) {
   CliArgs cli(argc, argv);
-  const auto rounds = cli.get_uint("rounds", 300, "timed rounds per engine");
+  // A side-20 round takes about 7 µs: 2 000 rounds keep a rep's window
+  // well above the host's scheduling hiccups.
+  const auto rounds = cli.get_uint("rounds", 2000, "timed rounds per engine");
   const auto warmup =
       cli.get_uint("warmup", 60,
                    "untimed rounds once every source is routed");
