@@ -385,19 +385,23 @@ void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
       store_, layout_, slice(t, used),
       [&](LiveChunk& lc, const ChunkLayout::Rect& rect, std::size_t slot,
           CellId id) {
-        if (gated) {
-          if (lc.occ_refs[slot] == 0) return;
-          const std::uint8_t feed = lc.feed[slot];
-          if (!move_gate(feed, [&] {
-                const auto [dc, ds] = live_near(
-                    lc, rect, ascending_neighbors(id)[dest_slot(feed)]);
-                return dc != nullptr ? dc->hold[ds] : kNoSlot;
-              }))
-            return;
-        }
+        if (gated &&
+            (lc.occ_refs[slot] == 0 || !move_admits(lc, rect, slot, id)))
+          return;
         ++sc.visited;
         move_cell(sc, lc, rect, slot, id);
       });
+}
+
+bool ChunkedSystem::move_admits(const LiveChunk& lc,
+                                const ChunkLayout::Rect& rect,
+                                std::size_t slot, CellId id) const {
+  const std::uint8_t feed = lc.feed[slot];
+  return move_gate(feed, [&] {
+    const auto [dc, ds] =
+        live_near(lc, rect, ascending_neighbors(id)[dest_slot(feed)]);
+    return dc != nullptr ? dc->hold[ds] : kNoSlot;
+  });
 }
 
 void ChunkedSystem::route_cell(ShardScratch& sc, LiveChunk& lc,

@@ -210,6 +210,10 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
                    CellId id, NeighborMask ne_prev);
   void move_cell(ShardScratch& sc, LiveChunk& lc,
                  const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
+  /// Move's work gate for the cell at `slot` of `lc` (move_gate).
+  [[nodiscard]] bool move_admits(const LiveChunk& lc,
+                                 const ChunkLayout::Rect& rect,
+                                 std::size_t slot, CellId id) const;
   /// NEPrev of `id` from its neighbours' feed bytes (kActiveSet) or
   /// cells (kExhaustive).
   [[nodiscard]] NeighborMask inbound(const LiveChunk& lc,
