@@ -385,21 +385,18 @@ void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
       store_, layout_, slice(t, used),
       [&](LiveChunk& lc, const ChunkLayout::Rect& rect, std::size_t slot,
           CellId id) {
-        if (gated &&
-            (lc.occ_refs[slot] == 0 || !move_admits(lc, rect, slot, id)))
-          return;
-        ++sc.visited;
+        if (gated && lc.occ_refs[slot] == 0) return;
         move_cell(sc, lc, rect, slot, id);
       });
 }
 
 bool ChunkedSystem::move_admits(const LiveChunk& lc,
                                 const ChunkLayout::Rect& rect,
-                                std::size_t slot, CellId id) const {
-  const std::uint8_t feed = lc.feed[slot];
-  return move_gate(feed, [&] {
-    const auto [dc, ds] =
-        live_near(lc, rect, ascending_neighbors(id)[dest_slot(feed)]);
+                                std::size_t slot) const {
+  // move_gate reads the destination only when the feed names a slot,
+  // that is, when the cell's next is a neighbour on the grid.
+  return move_gate(lc.feed[slot], [&] {
+    const auto [dc, ds] = live_near(lc, rect, *lc.cells[slot].next);
     return dc != nullptr ? dc->hold[ds] : kNoSlot;
   });
 }
@@ -487,6 +484,10 @@ void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
 void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
                               const ChunkLayout::Rect& rect, std::size_t slot,
                               CellId id) {
+  // The rest of Move's kActiveSet gate, out of the shard loop, which
+  // then keeps its one-byte occupancy test tight.
+  if (active() && !move_admits(lc, rect, slot)) return;
+  ++sc.visited;
   CellState& c = lc.cells[slot];
   if (c.failed || !c.next.has_value()) return;
   const CellId dest = *c.next;

@@ -200,8 +200,9 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   auto signal_visitor(ShardScratch& sc);
 
   // Per-cell phase bodies, run on the cells the shard loops' kActiveSet
-  // gates admit; each gathers the neighbor reads and runs the shared
-  // core/ transition into `sc`. (lc, rect, slot, id) locate the cell
+  // gates admit (move_cell tests the rest of Move's gate itself); each
+  // gathers the neighbor reads and runs the shared core/ transition into
+  // `sc`. (lc, rect, slot, id) locate the cell
   // inside its live chunk (the chunk loops carry `id` incrementally so
   // the bodies never divide).
   void route_cell(ShardScratch& sc, LiveChunk& lc,
@@ -213,7 +214,7 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   /// Move's work gate for the cell at `slot` of `lc` (move_gate).
   [[nodiscard]] bool move_admits(const LiveChunk& lc,
                                  const ChunkLayout::Rect& rect,
-                                 std::size_t slot, CellId id) const;
+                                 std::size_t slot) const;
   /// NEPrev of `id` from its neighbours' feed bytes (kActiveSet) or
   /// cells (kExhaustive).
   [[nodiscard]] NeighborMask inbound(const LiveChunk& lc,
