@@ -22,9 +22,9 @@
 // interleaved across its configurations (in a rotating order) so host
 // drift hits them alike;
 // the CSV reports the median plus a <metric>_rd relative-dispersion
-// column per timed metric (the quartile coefficient of dispersion,
-// (Q3-Q1)/(Q3+Q1)), which tools/cellflow_bench_diff folds into its
-// regression thresholds.
+// column per timed metric (half the gap between the reps either side of
+// the median, over the median), which tools/cellflow_bench_diff folds
+// into its regression thresholds.
 #include <algorithm>
 #include <chrono>
 #include <cmath>
@@ -121,10 +121,14 @@ Measurement measure(int side, const ParallelPolicy& policy,
   return m;
 }
 
-/// Median of the reps plus their quartile coefficient of dispersion,
-/// (Q3 - Q1) / (Q3 + Q1). The host is shared, so single reps swing; the
-/// median is what the kAuto bar (ROADMAP item 2) reads, and the quartiles
-/// keep one preempted rep from widening the regression threshold.
+/// Median of the reps plus its reproducibility. The host is shared, so
+/// single reps swing; the median is what the kAuto bar (ROADMAP item 2)
+/// reads. rel is half the gap between the reps either side of the
+/// median, relative to the median: how far the reported number moves
+/// when one rep does, which is what the regression gate needs. The raw
+/// scatter (quartiles, max - min) would overstate the noise of a median
+/// and lift the gate's threshold, max(0.35, 4 x rel), past 100% on the
+/// single-threaded rows, where no throughput drop could reach it.
 struct Spread {
   double median = 0.0;
   double rel = 0.0;
@@ -143,9 +147,12 @@ Spread spread(std::vector<double> samples) {
   if (samples.empty()) return s;
   std::sort(samples.begin(), samples.end());
   s.median = quantile(samples, 0.5);
-  const double q1 = quantile(samples, 0.25);
-  const double q3 = quantile(samples, 0.75);
-  if (q1 + q3 != 0.0) s.rel = std::abs(q3 - q1) / std::abs(q1 + q3);
+  if (samples.size() < 2 || s.median == 0.0) return s;
+  // One order statistic below and above the median.
+  const double step = 1.0 / static_cast<double>(samples.size() - 1);
+  const double below = quantile(samples, std::max(0.0, 0.5 - step));
+  const double above = quantile(samples, std::min(1.0, 0.5 + step));
+  s.rel = (above - below) / (2.0 * std::abs(s.median));
   return s;
 }
 
