@@ -13,12 +13,15 @@ namespace cellflow::chunk {
 namespace {
 
 /// Calls f(lc, rect, slot, id) for every cell of the live chunks
-/// `chunks`, chunk by chunk, row-major within each.
-template <class F>
+/// `chunks` but those for which quiet(lc) holds, chunk by chunk,
+/// row-major within each.
+template <class Quiet, class F>
 void for_each_cell_in(ChunkedCellStore& store, const ChunkLayout& layout,
-                      std::span<const std::uint32_t> chunks, F&& f) {
+                      std::span<const std::uint32_t> chunks, Quiet&& quiet,
+                      F&& f) {
   for (const std::uint32_t q : chunks) {
     LiveChunk& lc = store.live(q);
+    if (quiet(lc)) continue;
     const ChunkLayout::Rect rect = layout.rect_of(q);
     std::size_t slot = 0;
     for (int lj = 0; lj < rect.h; ++lj) {
@@ -28,12 +31,13 @@ void for_each_cell_in(ChunkedCellStore& store, const ChunkLayout& layout,
   }
 }
 
-/// Calls f(lc, rect, slot, id) for every cell of every live chunk in
-/// ascending dense-index order: rows across all chunks, skipping non-live
-/// chunks bodily — the dense serial loop's order.
-template <class F>
+/// Calls f(lc, rect, slot, id) for every cell of every live chunk but
+/// those for which quiet(lc) holds, in ascending dense-index order: rows
+/// across all chunks, skipping the others bodily — the dense serial
+/// loop's order.
+template <class Quiet, class F>
 void for_each_cell_row_major(ChunkedCellStore& store,
-                             const ChunkLayout& layout, F&& f) {
+                             const ChunkLayout& layout, Quiet&& quiet, F&& f) {
   const int cx = layout.chunks_x();
   for (int cj = 0; cj < cx; ++cj) {
     const int j_lo = cj * kChunkSide;
@@ -45,6 +49,7 @@ void for_each_cell_row_major(ChunkedCellStore& store,
             static_cast<std::size_t>(ci);
         if (!store.is_live(q)) continue;
         LiveChunk& lc = store.live(q);
+        if (quiet(lc)) continue;
         const ChunkLayout::Rect rect = layout.rect_of(q);
         std::size_t slot = static_cast<std::size_t>(j - rect.j0) *
                            static_cast<std::size_t>(rect.w);
@@ -338,12 +343,22 @@ std::span<const std::uint32_t> ChunkedSystem::slice(std::size_t t,
 // Route runs armed cells, Signal and Move the cells the work gates admit.
 // Occupancy, kept for parking, answers both work gates first: a cell
 // with no occupied cell in its closed neighbourhood holds nothing, feeds
-// nothing in and is granted by nobody.
+// nothing in and is granted by nobody. The parking predicates skip whole
+// chunks first: Route one with no armed cell (max_stamp < round), Signal
+// and Move one with no occupancy reference (ref_cells == 0). Both are
+// written only in the serial stages.
+
+bool ChunkedSystem::unoccupied(const LiveChunk& lc) const noexcept {
+  return active() && lc.ref_cells == 0;
+}
 
 void ChunkedSystem::route_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
   const bool gated = active();
   for_each_cell_in(store_, layout_, slice(t, used),
+                   [&](const LiveChunk& lc) {
+                     return gated && lc.max_stamp < round_;
+                   },
                    [&](LiveChunk& lc, const ChunkLayout::Rect& rect,
                        std::size_t slot, CellId id) {
                      if (gated && lc.route_stamp[slot] < round_) return;
@@ -370,12 +385,16 @@ auto ChunkedSystem::signal_visitor(ShardScratch& sc) {
 }
 
 void ChunkedSystem::signal_shard(std::size_t t, std::size_t used) {
-  for_each_cell_in(store_, layout_, slice(t, used),
-                   signal_visitor(shards_[t]));
+  for_each_cell_in(
+      store_, layout_, slice(t, used),
+      [this](const LiveChunk& lc) { return unoccupied(lc); },
+      signal_visitor(shards_[t]));
 }
 
 void ChunkedSystem::signal_sweep() {
-  for_each_cell_row_major(store_, layout_, signal_visitor(shards_[0]));
+  for_each_cell_row_major(
+      store_, layout_, [this](const LiveChunk& lc) { return unoccupied(lc); },
+      signal_visitor(shards_[0]));
 }
 
 void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
@@ -383,6 +402,7 @@ void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
   const bool gated = active();
   for_each_cell_in(
       store_, layout_, slice(t, used),
+      [this](const LiveChunk& lc) { return unoccupied(lc); },
       [&](LiveChunk& lc, const ChunkLayout::Rect& rect, std::size_t slot,
           CellId id) {
         if (gated && lc.occ_refs[slot] == 0) return;

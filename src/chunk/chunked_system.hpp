@@ -198,6 +198,8 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   /// Signal on the cells the kActiveSet gate admits, into `sc` (the
   /// shard stage and the row-major sweep share it).
   auto signal_visitor(ShardScratch& sc);
+  /// Whether Signal and Move skip `lc` whole (kActiveSet, ref_cells 0).
+  [[nodiscard]] bool unoccupied(const LiveChunk& lc) const noexcept;
 
   // Per-cell phase bodies, run on the cells the shard loops' kActiveSet
   // gates admit (move_cell tests the rest of Move's gate itself); each
