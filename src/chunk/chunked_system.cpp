@@ -100,8 +100,9 @@ ChunkedSystem::ChunkedSystem(SystemConfig config,
   }
   // Every cell is in the initial state, which each chunk faulted in
   // already carries with its scheduler state (snapshots synced, stamps
-  // armed for round 0, no occupancy, gate bytes kNoSlot): what
-  // rebuild_active_sets would derive, but the live totals.
+  // armed for round 0, no occupancy, gate bytes kNoSlot): all that
+  // rebuild_active_sets would derive except the live totals, recounted
+  // here.
   reset_live_totals();
 }
 
