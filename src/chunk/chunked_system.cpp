@@ -60,6 +60,12 @@ void for_each_cell_row_major(ChunkedCellStore& store,
   }
 }
 
+/// Whether Signal and Move skip live chunk `lc` whole: no cell of it has
+/// an occupied closed neighbourhood.
+constexpr auto unoccupied = [](const LiveChunk& lc) noexcept {
+  return lc.ref_cells == 0;
+};
+
 /// The same-chunk slot of `id`, or nullopt when `id` lies outside `rect`.
 [[nodiscard]] std::optional<std::size_t> slot_in(const ChunkLayout::Rect& rect,
                                                  CellId id) noexcept {
@@ -303,31 +309,11 @@ void ChunkedSystem::rebuild_active_sets() {
 }
 
 void ChunkedSystem::set_round_scheduler(RoundScheduler scheduler) {
-  if (scheduler_ == scheduler) return;
-  scheduler_ = scheduler;
-  if (active()) {
-    rebuild_active_sets();
-  } else {
-    // Exhaustive semantics visit every cell of the grid, so every chunk
-    // must be resident (and none park while the scheduler is exhaustive).
-    for (std::size_t q = 0; q < store_.chunk_count(); ++q) fault_in(q);
-  }
+  CF_EXPECTS_MSG(scheduler == RoundScheduler::kActiveSet,
+                 "ChunkedSystem runs only the active-set scheduler");
 }
 
-std::size_t ChunkedSystem::begin_round() {
-  const std::vector<std::uint32_t>& live = store_.live_order();
-  if (!active()) {
-    // Exhaustive: recopy every snapshot before Route — cells read *other
-    // chunks'* snapshots, so the copy cannot ride inside the per-chunk
-    // bodies.
-    for (const std::uint32_t q : live) {
-      LiveChunk& lc = store_.live(q);
-      for (std::size_t slot = 0; slot < lc.cells.size(); ++slot)
-        lc.dist_snapshot[slot] = lc.cells[slot].dist;
-    }
-  }
-  return live.size();
-}
+std::size_t ChunkedSystem::begin_round() { return store_.live_order().size(); }
 
 std::span<const std::uint32_t> ChunkedSystem::slice(std::size_t t,
                                                     std::size_t used) {
@@ -340,7 +326,7 @@ std::span<const std::uint32_t> ChunkedSystem::slice(std::size_t t,
                                                       r.end - r.begin);
 }
 
-// The shard loops hold the kActiveSet gates (System's, per chunk slot):
+// The shard loops hold the active-set gates (System's, per chunk slot):
 // Route runs armed cells, Signal and Move the cells the work gates admit.
 // Occupancy, kept for parking, answers both work gates first: a cell
 // with no occupied cell in its closed neighbourhood holds nothing, feeds
@@ -349,66 +335,47 @@ std::span<const std::uint32_t> ChunkedSystem::slice(std::size_t t,
 // and Move one with no occupancy reference (ref_cells == 0). Both are
 // written only in the serial stages.
 
-bool ChunkedSystem::unoccupied(const LiveChunk& lc) const noexcept {
-  return active() && lc.ref_cells == 0;
-}
-
 void ChunkedSystem::route_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
-  const bool gated = active();
   for_each_cell_in(store_, layout_, slice(t, used),
-                   [&](const LiveChunk& lc) {
-                     return gated && lc.max_stamp < round_;
-                   },
+                   [&](const LiveChunk& lc) { return lc.max_stamp < round_; },
                    [&](LiveChunk& lc, const ChunkLayout::Rect& rect,
                        std::size_t slot, CellId id) {
-                     if (gated && lc.route_stamp[slot] < round_) return;
+                     if (lc.route_stamp[slot] < round_) return;
                      ++sc.visited;
                      route_cell(sc, lc, rect, slot, id);
                    });
 }
 
 auto ChunkedSystem::signal_visitor(ShardScratch& sc) {
-  return [this, &sc, gated = active()](LiveChunk& lc,
-                                       const ChunkLayout::Rect& rect,
-                                       std::size_t slot, CellId id) {
-    NeighborMask ne_prev = 0;
-    if (gated) {
-      if (lc.occ_refs[slot] == 0) return;
-      ne_prev = inbound(lc, rect, id);
-      if (!signal_gate(lc.hold[slot], ne_prev)) return;
-    } else {
-      ne_prev = gather_ne_prev(lc, rect, id);
-    }
+  return [this, &sc](LiveChunk& lc, const ChunkLayout::Rect& rect,
+                     std::size_t slot, CellId id) {
+    if (lc.occ_refs[slot] == 0) return;
+    const NeighborMask ne_prev = inbound(lc, rect, id);
+    if (!signal_gate(lc.hold[slot], ne_prev)) return;
     ++sc.visited;
     signal_cell(sc, lc, slot, id, ne_prev);
   };
 }
 
 void ChunkedSystem::signal_shard(std::size_t t, std::size_t used) {
-  for_each_cell_in(
-      store_, layout_, slice(t, used),
-      [this](const LiveChunk& lc) { return unoccupied(lc); },
-      signal_visitor(shards_[t]));
+  for_each_cell_in(store_, layout_, slice(t, used), unoccupied,
+                   signal_visitor(shards_[t]));
 }
 
 void ChunkedSystem::signal_sweep() {
-  for_each_cell_row_major(
-      store_, layout_, [this](const LiveChunk& lc) { return unoccupied(lc); },
-      signal_visitor(shards_[0]));
+  for_each_cell_row_major(store_, layout_, unoccupied,
+                          signal_visitor(shards_[0]));
 }
 
 void ChunkedSystem::move_shard(std::size_t t, std::size_t used) {
   ShardScratch& sc = shards_[t];
-  const bool gated = active();
-  for_each_cell_in(
-      store_, layout_, slice(t, used),
-      [this](const LiveChunk& lc) { return unoccupied(lc); },
-      [&](LiveChunk& lc, const ChunkLayout::Rect& rect, std::size_t slot,
-          CellId id) {
-        if (gated && lc.occ_refs[slot] == 0) return;
-        move_cell(sc, lc, rect, slot, id);
-      });
+  for_each_cell_in(store_, layout_, slice(t, used), unoccupied,
+                   [&](LiveChunk& lc, const ChunkLayout::Rect& rect,
+                       std::size_t slot, CellId id) {
+                     if (lc.occ_refs[slot] == 0) return;
+                     move_cell(sc, lc, rect, slot, id);
+                   });
 }
 
 bool ChunkedSystem::move_admits(const LiveChunk& lc,
@@ -440,12 +407,10 @@ void ChunkedSystem::route_cell(ShardScratch& sc, LiveChunk& lc,
     nds[n++] = NeighborDist{nid, ns ? lc.dist_snapshot[*ns]
                                     : store_.boundary_dist(nid)};
   }
-  const bool changed =
-      apply_route(c, id == config_.target,
+  if (apply_route(c, id == config_.target,
                   std::span<const NeighborDist>(nds, n),
-                  metrics_ ? &sc.counts : nullptr);
-  if (!active()) return;
-  if (changed) sc.changed.push_back(id);
+                  metrics_ ? &sc.counts : nullptr))
+    sc.changed.push_back(id);
   lc.feed[slot] = feed_code(c, id);
 }
 
@@ -475,20 +440,6 @@ NeighborMask ChunkedSystem::inbound(const LiveChunk& lc,
   return in;
 }
 
-NeighborMask ChunkedSystem::gather_ne_prev(const LiveChunk& lc,
-                                           const ChunkLayout::Rect& rect,
-                                           CellId id) const {
-  // A non-live neighbor has no members, so it can never be a nonempty
-  // predecessor — skipping it reads exactly what the dense engine reads
-  // from the same (empty) cell.
-  return neighbor_mask(id, [&](CellId nid) {
-    const auto [nc, ns] = live_near(lc, rect, nid);
-    if (nc == nullptr) return false;
-    const CellState& n = nc->cells[ns];
-    return !n.failed && n.next == OptCellId{id} && n.has_entities();
-  });
-}
-
 void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
                                 std::size_t slot, CellId id,
                                 NeighborMask ne_prev) {
@@ -497,7 +448,6 @@ void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
   if (apply_signal(c, id, ne_prev, config_.signal_rule,
                    config_.params, *choose_, metrics_ ? &sc.counts : nullptr))
     sc.blocked.push_back(id);
-  if (!active()) return;
   lc.hold[slot] = hold_code(c, id);
   if (occupied(c) != (lc.occ_b[slot] != 0)) sc.flips.push_back(id);
 }
@@ -505,9 +455,9 @@ void ChunkedSystem::signal_cell(ShardScratch& sc, LiveChunk& lc,
 void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
                               const ChunkLayout::Rect& rect, std::size_t slot,
                               CellId id) {
-  // The rest of Move's kActiveSet gate, out of the shard loop, which
-  // then keeps its one-byte occupancy test tight.
-  if (active() && !move_admits(lc, rect, slot)) return;
+  // The rest of Move's gate, out of the shard loop, which then keeps its
+  // one-byte occupancy test tight.
+  if (!move_admits(lc, rect, slot)) return;
   ++sc.visited;
   CellState& c = lc.cells[slot];
   if (c.failed || !c.next.has_value()) return;
@@ -525,7 +475,6 @@ void ChunkedSystem::move_cell(ShardScratch& sc, LiveChunk& lc,
 }
 
 void ChunkedSystem::end_round() {
-  if (!active()) return;
   // park() restructures the store, so sweep over a copy of the live list.
   park_scan_ = store_.live_order();
   for (const std::uint32_t q : park_scan_) {

@@ -3,14 +3,16 @@
 // dense N² vector. Observationally it is the *same* automaton — same
 // rounds, same events, same protocol counters, same state digest — pinned
 // by tests/test_chunk_differential.cpp against the dense reference at
-// every (engine, threads, scheduler) combination.
+// every (engine, threads) combination.
 //
 // It is the same round, too: the plan, hooks, merges, injection, fail /
 // recover, the skipped-cell metric tallies and the metrics / profiler /
 // telemetry attachments are the ShardedEngine driver it shares with
 // System (core/sharded_engine.hpp). This engine supplies the store, the
 // neighbor gathers through its chunk rect or the store, the scheduler
-// state sliced per chunk, and the chunk lifecycle:
+// state sliced per chunk, and the chunk lifecycle. It runs only the
+// active-set scheduler, whose reference is System's always-visit one: a
+// chunk store that visited every cell would materialize every chunk.
 //
 //   * Chunks are the unit of sharding: the driver fixes the shard count
 //     for the round from the live-chunk count, and each parallel stage
@@ -137,11 +139,8 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
     }
   }
 
-  /// Same contract as System::set_round_scheduler. kExhaustive visits
-  /// every cell, which here means materializing *every* chunk (and
-  /// parking none) — the configuration the differential suites use to
-  /// pin the exhaustive reference; kActiveSet re-derives the scheduler
-  /// state and resumes parking.
+  /// The engine runs only RoundScheduler::kActiveSet, so this does
+  /// nothing. Precondition: scheduler is kActiveSet.
   void set_round_scheduler(RoundScheduler scheduler);
 
  private:
@@ -167,13 +166,12 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   void refresh_gates(CellId id);
   void note_control_mutation(CellId id);
   void after_serial_stage() { (void)store_.live_order(); }
-  /// kActiveSet: the park sweep.
+  /// The park sweep.
   void end_round();
   /// Re-derives stamps/occupancy/snapshots for every live chunk from the
-  /// current protocol state and recounts the live totals (scheduler
-  /// switch, snapshot restore). Only live chunks are armed: parked/virgin
-  /// regions are quiescence fixpoints, for which arming is
-  /// observationally a no-op.
+  /// current protocol state and recounts the live totals (snapshot
+  /// restore). Only live chunks are armed: parked/virgin regions are
+  /// quiescence fixpoints, for which arming is observationally a no-op.
   void rebuild_active_sets();
 
   /// Shard t's slice of the live-chunk list as it stands now.
@@ -195,18 +193,15 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   [[nodiscard]] std::pair<const LiveChunk*, std::size_t> live_near(
       const LiveChunk& lc, const ChunkLayout::Rect& rect, CellId id) const;
 
-  /// Signal on the cells the kActiveSet gate admits, into `sc` (the
-  /// shard stage and the row-major sweep share it).
+  /// Signal on the cells the work gate admits, into `sc` (the shard
+  /// stage and the row-major sweep share it).
   auto signal_visitor(ShardScratch& sc);
-  /// Whether Signal and Move skip `lc` whole (kActiveSet, ref_cells 0).
-  [[nodiscard]] bool unoccupied(const LiveChunk& lc) const noexcept;
 
-  // Per-cell phase bodies, run on the cells the shard loops' kActiveSet
-  // gates admit (move_cell tests the rest of Move's gate itself); each
-  // gathers the neighbor reads and runs the shared core/ transition into
-  // `sc`. (lc, rect, slot, id) locate the cell
-  // inside its live chunk (the chunk loops carry `id` incrementally so
-  // the bodies never divide).
+  // Per-cell phase bodies, run on the cells the shard loops' gates admit
+  // (move_cell tests the rest of Move's gate itself); each gathers the
+  // neighbor reads and runs the shared core/ transition into `sc`.
+  // (lc, rect, slot, id) locate the cell inside its live chunk (the chunk
+  // loops carry `id` incrementally so the bodies never divide).
   void route_cell(ShardScratch& sc, LiveChunk& lc,
                   const ChunkLayout::Rect& rect, std::size_t slot, CellId id);
   void signal_cell(ShardScratch& sc, LiveChunk& lc, std::size_t slot,
@@ -217,14 +212,10 @@ class ChunkedSystem : public ShardedEngine<ChunkedSystem> {
   [[nodiscard]] bool move_admits(const LiveChunk& lc,
                                  const ChunkLayout::Rect& rect,
                                  std::size_t slot) const;
-  /// NEPrev of `id` from its neighbours' feed bytes (kActiveSet) or
-  /// cells (kExhaustive).
+  /// NEPrev of `id` from its neighbours' feed bytes.
   [[nodiscard]] NeighborMask inbound(const LiveChunk& lc,
                                      const ChunkLayout::Rect& rect,
                                      CellId id) const;
-  [[nodiscard]] NeighborMask gather_ne_prev(const LiveChunk& lc,
-                                            const ChunkLayout::Rect& rect,
-                                            CellId id) const;
 
   /// Arms cell `id` (faulting its chunk in) to run Route in round `upto`.
   void arm_cell(CellId id, std::uint64_t upto);

@@ -11,10 +11,10 @@
 // virtual: the driver calls these engine points, and the engines' per-cell
 // loops inline into the plan.
 //
-//   begin_round()          kExhaustive: recopy Route's dist snapshot.
-//                          Returns the round's shard domain (cells for
-//                          System, live chunks for ChunkedSystem), each
-//                          unit kDomainCells cells
+//   begin_round()          System under kExhaustive: recopy Route's
+//                          dist snapshot. Returns the round's shard
+//                          domain (cells for System, live chunks for
+//                          ChunkedSystem), each unit kDomainCells cells
 //   route_shard(t, used)   shard t's slice of a parallel stage, into
 //   signal_shard(t, used)  scratch slot t, honoring the kActiveSet gates
 //   move_shard(t, used)    (Route's stamps; the work gates below)
@@ -26,6 +26,7 @@
 //                          (the chunked store's parking state)
 //   cell(id), cell_mut(id) read / mutate one cell (cell_mut may
 //                          materialize storage)
+//   is_failed(id)          the cell's failed flag, without materializing
 //   refresh_gates(id)      scheduler bookkeeping after a serial change of
 //                          the cell's members (delivery, the movers,
 //                          injection, seeding)
@@ -34,8 +35,8 @@
 //   after_serial_stage()   before a parallel stage opens
 //   end_round()            after the round counter advances
 //   rebuild_active_sets()  re-derive the scheduler state and recount the
-//                          live totals (construction, scheduler switch,
-//                          snapshot restore)
+//                          live totals (System's construction and
+//                          scheduler switch, snapshot restore)
 #pragma once
 
 #include <array>
@@ -130,10 +131,12 @@ struct ParallelPolicy {
 /// the engines are bit-identical.
 [[nodiscard]] ParallelPolicy parallel_policy_from_env();
 
-/// Which cells a round visits. Both schedulers produce bit-identical
-/// protocol state, events, and metric counts (pinned by the three-way
-/// differential in tests/test_parallel_system.cpp); kActiveSet merely
-/// skips cells whose phase bodies are provably no-ops this round:
+/// Which cells a round visits. System runs either; chunk::ChunkedSystem
+/// runs only kActiveSet (visiting every cell would materialize every
+/// chunk). Both schedulers produce bit-identical protocol state, events,
+/// and metric counts (pinned by the three-way differential in
+/// tests/test_parallel_system.cpp); kActiveSet merely skips cells whose
+/// phase bodies are provably no-ops this round:
 ///
 ///   * Route — a cell reruns only while armed: some lattice neighbor's
 ///     dist changed last round, or the neighborhood was perturbed by
@@ -155,11 +158,11 @@ struct ParallelPolicy {
 /// All the scheduler state is maintained incrementally at the existing
 /// mutation points (Route, Signal, the Move merge, injection, seeding,
 /// fail/recover/corruption, rebuild_active_sets), never by a pass over
-/// the grid; see DESIGN.md §9 for the invariants. kExhaustive is the
-/// reference engine the differential suites pin against.
+/// the grid; see DESIGN.md §9 for the invariants. System's kExhaustive
+/// is the one reference the differential suites pin both stores against.
 enum class RoundScheduler {
   kActiveSet,    ///< skip provably-quiescent cells (the default)
-  kExhaustive,  ///< visit every cell every phase (reference semantics)
+  kExhaustive,  ///< System only: visit every cell every phase (reference)
 };
 
 /// Static configuration of a System. (SignalRule lives in core/signal.hpp,
@@ -236,10 +239,10 @@ struct RoundEvents {
 enum class UpdatePhase { kAfterRoute, kAfterSignal, kAfterMove, kAfterInject };
 
 /// How many cells each phase of the most recent update() actually
-/// visited (diagnostics for the active-set scheduler; under kExhaustive
-/// every figure equals the grid's cell count). Deliberately not part of
-/// RoundEvents: the differential suites compare RoundEvents across
-/// schedulers, and these figures legitimately differ.
+/// visited (diagnostics for the active-set scheduler; under System's
+/// kExhaustive every figure equals the grid's cell count). Deliberately
+/// not part of RoundEvents: the differential suites compare RoundEvents
+/// across schedulers and stores, and these figures legitimately differ.
 struct SchedulerStats {
   std::uint64_t route_cells = 0;
   std::uint64_t signal_cells = 0;
@@ -399,7 +402,8 @@ class ShardedEngine {
   /// fail(⟨i,j⟩). Idempotent. Precondition: id is on the grid.
   void fail(CellId id);
 
-  /// §IV recovery. Idempotent (no-op on non-failed cells).
+  /// §IV recovery. Idempotent: a no-op on a non-failed cell, which it
+  /// does not materialize.
   void recover(CellId id);
 
   /// One synchronous round. Returns what happened (also retrievable via
@@ -756,7 +760,8 @@ void ShardedEngine<Engine>::fail(CellId id) {
 template <class Engine>
 void ShardedEngine<Engine>::recover(CellId id) {
   CF_EXPECTS(grid_.contains(id));
-  if (!apply_recover(derived().cell_mut(id), id == config_.target)) return;
+  if (!derived().is_failed(id)) return;
+  apply_recover(derived().cell_mut(id), id == config_.target);
   if (metrics_) metrics_->add_recovery();
   note_liveness(id, true);
   derived().note_control_mutation(id);

@@ -716,11 +716,6 @@ struct Access {
     for (const CellId s : sys.config().sources) {
       store.ensure_live(layout.chunk_of(s));
     }
-    if (sys.scheduler_ == RoundScheduler::kExhaustive) {
-      for (std::size_t q = 0; q < store.chunk_count(); ++q) {
-        store.ensure_live(q);
-      }
-    }
 
     sys.store_ = std::move(store);
     commit_header(sys, c.header);

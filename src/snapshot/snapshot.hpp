@@ -16,8 +16,8 @@
 // round k, restore into a fresh engine built with the same configuration,
 // run to k+m ⇒ state digest and every ProtocolCounts series bit-identical
 // to the uninterrupted run — at every thread count, both realizations,
-// both round schedulers, and under active network faults. Restores are
-// atomic: on any error the target engine is untouched.
+// both of System's round schedulers, and under active network faults.
+// Restores are atomic: on any error the target engine is untouched.
 //
 // One codec serves every realization (snapshot.cpp): each piece of state
 // has a single encoder, generic over the sink, that writes both the wire

@@ -1,7 +1,7 @@
-// Chunked-vs-dense differential fuzzing (ISSUE 8 / DESIGN.md §12): the
+// Chunked-vs-dense differential fuzzing (DESIGN.md §12): the
 // ChunkedSystem must be observationally identical to the dense System —
 // same per-cell state, same counters, same Prometheus exposition — at
-// every (engine, thread count, scheduler) combination, under randomized
+// every (engine, thread count) combination, under randomized
 // configurations and adversarial fail/recover churn that repeatedly
 // targets parked regions. The dense serial active-set engine is the
 // reference; a MessageSystem leg rides along on small grids so all three
@@ -90,23 +90,17 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
   obs::MetricsRegistry dense_reg;
   dense.set_metrics(&dense_reg);
 
-  // Chunked legs: serial/active-set (metrics-compared), parallel-2 with
-  // the exhaustive scheduler, parallel-4 with active-set, and the kAuto
-  // leg below (metrics-compared). Registries are separate because the
-  // chunked engine exports under the same realization label as the dense
-  // shared-variable engine.
+  // Chunked legs: serial (metrics-compared), parallel-2, parallel-4, and
+  // the kAuto leg below (metrics-compared). Registries are separate
+  // because the chunked engine exports under the same realization label
+  // as the dense shared-variable engine.
   chunk::ChunkedSystem ck_serial{sc};
   ck_serial.set_parallel_policy(ParallelPolicy::serial());
   obs::MetricsRegistry chunk_reg;
   ck_serial.set_metrics(&chunk_reg);
 
-  chunk::ChunkedSystem ck_serial_ex{sc};
-  ck_serial_ex.set_parallel_policy(ParallelPolicy::serial());
-  ck_serial_ex.set_round_scheduler(RoundScheduler::kExhaustive);
-
   chunk::ChunkedSystem ck_par2{sc};
   ck_par2.set_parallel_policy(ParallelPolicy::parallel(2));
-  ck_par2.set_round_scheduler(RoundScheduler::kExhaustive);
 
   chunk::ChunkedSystem ck_par4{sc};
   ck_par4.set_parallel_policy(ParallelPolicy::parallel(4));
@@ -139,7 +133,6 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
         if (rng.bernoulli(0.05)) {
           dense.recover(id);
           ck_serial.recover(id);
-          ck_serial_ex.recover(id);
           ck_par2.recover(id);
           ck_par4.recover(id);
           ck_auto2.recover(id);
@@ -148,7 +141,6 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
       } else if (rng.bernoulli(0.01)) {
         dense.fail(id);
         ck_serial.fail(id);
-        ck_serial_ex.fail(id);
         ck_par2.fail(id);
         ck_par4.fail(id);
         ck_auto2.fail(id);
@@ -157,7 +149,6 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
     }
     dense.update();
     ck_serial.update();
-    ck_serial_ex.update();
     ck_par2.update();
     ck_par4.update();
     ck_auto2.update();
@@ -178,13 +169,8 @@ TEST_P(ChunkDifferential, ChunkedMatchesDenseAndMessageRealizations) {
       FAIL() << "serial digest diverged without a cell diff, round "
              << round;
     }
-    if (snapshot::state_digest(ck_serial_ex) != want) {
-      expect_cells_equal(dense, ck_serial_ex, "serial-exhaustive", round);
-      FAIL() << "serial-exhaustive digest diverged without a cell diff, "
-                "round " << round;
-    }
     if (snapshot::state_digest(ck_par2) != want) {
-      expect_cells_equal(dense, ck_par2, "par2-exhaustive", round);
+      expect_cells_equal(dense, ck_par2, "par2", round);
       FAIL() << "par2 digest diverged without a cell diff, round " << round;
     }
     if (snapshot::state_digest(ck_par4) != want) {

@@ -39,18 +39,23 @@ SystemConfig column_config(int side) {
   return cfg;
 }
 
-/// Closed 2×2-chunk world whose three unpinned chunks all park: the
-/// canonical fixture for parked-region serialization. Side 64 keeps
-/// every chunk exactly 32×32 so chunk payloads are interchangeable in
-/// size — the byte surgeries below rely on that.
-chunk::ChunkedSystem parked_world() {
+/// A fresh closed world on a 2×2-chunk grid: no source, target (33, 33).
+/// Side 64 keeps every chunk exactly 32×32 so chunk payloads are
+/// interchangeable in size — the byte surgeries below rely on that.
+template <class Sys>
+Sys closed_world() {
   SystemConfig cfg;
   cfg.side = 64;
   cfg.params = Params(0.25, 0.05, 0.1);
   cfg.sources = {};
   cfg.target = CellId{33, 33};
-  chunk::ChunkedSystem sys(std::move(cfg), nullptr,
-                           std::make_unique<NullSource>());
+  return Sys(std::move(cfg), nullptr, std::make_unique<NullSource>());
+}
+
+/// The closed world after 160 rounds, when its three unpinned chunks have
+/// all parked: the canonical fixture for parked-region serialization.
+chunk::ChunkedSystem parked_world() {
+  chunk::ChunkedSystem sys = closed_world<chunk::ChunkedSystem>();
   for (int r = 0; r < 160; ++r) sys.update();
   return sys;
 }
@@ -128,21 +133,15 @@ TEST(ChunkSnapshot, ParkedRegionsTravelAsSummaries) {
   ASSERT_EQ(sys.store().live_count(), 1u);
   const auto bytes = snapshot::save(sys);
 
-  // For comparison: the same protocol state with everything
-  // materialized is much bigger on the wire.
-  chunk::ChunkedSystem fat = parked_world();
-  fat.set_round_scheduler(RoundScheduler::kExhaustive);
-  const auto fat_bytes = snapshot::save(fat);
-  EXPECT_LT(bytes.size() * 2, fat_bytes.size())
+  // For comparison: the same protocol state in the dense store, every
+  // cell on the wire in full, is much bigger.
+  System dense = closed_world<System>();
+  for (int r = 0; r < 160; ++r) dense.update();
+  ASSERT_EQ(snapshot::state_digest(dense), snapshot::state_digest(sys));
+  EXPECT_LT(bytes.size() * 2, snapshot::save(dense).size())
       << "parked summaries must be far smaller than full cells";
 
-  SystemConfig cfg;
-  cfg.side = 64;
-  cfg.params = Params(0.25, 0.05, 0.1);
-  cfg.sources = {};
-  cfg.target = CellId{33, 33};
-  chunk::ChunkedSystem restored(std::move(cfg), nullptr,
-                                std::make_unique<NullSource>());
+  chunk::ChunkedSystem restored = closed_world<chunk::ChunkedSystem>();
   snapshot::restore(restored, bytes);
   EXPECT_EQ(restored.store().parked_count(), 3u);
   EXPECT_EQ(restored.store().live_count(), 1u);
@@ -164,22 +163,13 @@ TEST(ChunkSnapshot, RestoredEngineCountsSkippedCellsLikeTheOriginal) {
   // The tallies of the cells a round skips come from live totals that a
   // restore recounts, parked summaries' failed cells included: both
   // failures below sit in chunks that park.
-  const auto world = [] {
-    SystemConfig cfg;
-    cfg.side = 64;
-    cfg.params = Params(0.25, 0.05, 0.1);
-    cfg.sources = {};
-    cfg.target = CellId{33, 33};
-    return chunk::ChunkedSystem(std::move(cfg), nullptr,
-                                std::make_unique<NullSource>());
-  };
-  chunk::ChunkedSystem sys = world();
+  chunk::ChunkedSystem sys = closed_world<chunk::ChunkedSystem>();
   sys.fail(CellId{5, 5});
   sys.fail(CellId{40, 3});
   for (int r = 0; r < 160; ++r) sys.update();
   ASSERT_EQ(sys.store().parked_count(), 3u);
 
-  chunk::ChunkedSystem restored = world();
+  chunk::ChunkedSystem restored = closed_world<chunk::ChunkedSystem>();
   snapshot::restore(restored, snapshot::save(sys));
   obs::MetricsRegistry original_reg;
   obs::MetricsRegistry restored_reg;
@@ -204,32 +194,6 @@ TEST(ChunkSnapshot, DigestAgreesAcrossStorageModels) {
     dense.update();
     ck.update();
     ASSERT_EQ(snapshot::state_digest(dense), snapshot::state_digest(ck))
-        << "round " << r;
-  }
-}
-
-TEST(ChunkSnapshot, RestoreIntoExhaustiveEngineMaterializesEverything) {
-  chunk::ChunkedSystem sys = parked_world();
-  const auto bytes = snapshot::save(sys);
-
-  SystemConfig cfg;
-  cfg.side = 64;
-  cfg.params = Params(0.25, 0.05, 0.1);
-  cfg.sources = {};
-  cfg.target = CellId{33, 33};
-  chunk::ChunkedSystem restored(std::move(cfg), nullptr,
-                                std::make_unique<NullSource>());
-  restored.set_round_scheduler(RoundScheduler::kExhaustive);
-  snapshot::restore(restored, bytes);
-  EXPECT_EQ(restored.store().live_count(), restored.store().chunk_count())
-      << "exhaustive engines materialize the whole restored world";
-  EXPECT_EQ(snapshot::state_digest(restored), snapshot::state_digest(sys));
-
-  sys.set_round_scheduler(RoundScheduler::kExhaustive);
-  for (int r = 0; r < 30; ++r) {
-    sys.update();
-    restored.update();
-    ASSERT_EQ(snapshot::state_digest(sys), snapshot::state_digest(restored))
         << "round " << r;
   }
 }
@@ -261,13 +225,7 @@ TEST(ChunkSnapshot, AdversarialChunkBytesAreTypedAndAtomic) {
   const auto bytes = snapshot::save(sys);
   const auto [c0, c1] = section_span(bytes, kTagChunks);
 
-  SystemConfig cfg;
-  cfg.side = 64;
-  cfg.params = Params(0.25, 0.05, 0.1);
-  cfg.sources = {};
-  cfg.target = CellId{33, 33};
-  chunk::ChunkedSystem target(std::move(cfg), nullptr,
-                              std::make_unique<NullSource>());
+  chunk::ChunkedSystem target = closed_world<chunk::ChunkedSystem>();
 
   // Payload layout after the 12-byte section header: u64 chunk count,
   // then per chunk u32 index + u8 state + fixed-size body. The fixture's

@@ -1,10 +1,10 @@
 // Engine-level tests for ChunkedSystem (DESIGN.md §12): observational
 // parity with the dense System stepped in lockstep (same config, same
 // seeds, same external transitions), the quiescence-driven park
-// lifecycle (hysteresis, pinning, fault-in on every external mutation),
-// scheduler switches, and the stateful-choose serial pin. The broad
-// randomized sweep across engines/schedulers/realizations lives in
-// test_chunk_differential.cpp.
+// lifecycle (hysteresis, pinning, fault-in on every external mutation,
+// none on a no-op recover), the one scheduler, and the stateful-choose
+// serial pin. The broad randomized sweep across engines and realizations
+// lives in test_chunk_differential.cpp.
 #include <gtest/gtest.h>
 
 #include <algorithm>
@@ -17,6 +17,7 @@
 #include "core/system.hpp"
 #include "helpers.hpp"
 #include "snapshot/snapshot.hpp"
+#include "util/check.hpp"
 
 namespace cellflow {
 namespace {
@@ -208,36 +209,48 @@ TEST(ChunkSystem, ReparkWaitsOutTheHysteresis) {
   EXPECT_GE(rounds_live, static_cast<int>(chunk::kParkHysteresis));
 }
 
-TEST(ChunkSystem, ExhaustiveSchedulerMaterializesEverything) {
-  const CellId target{48, 48};
-  System dense = make_closed_dense(96, target);
-  chunk::ChunkedSystem ck = make_closed_chunked(96, target);
-  for (int r = 0; r < 130; ++r) {
-    dense.update();
-    ck.update();
-  }
-  ASSERT_LT(ck.store().live_count(), ck.store().chunk_count());
-
-  dense.set_round_scheduler(RoundScheduler::kExhaustive);
-  ck.set_round_scheduler(RoundScheduler::kExhaustive);
-  EXPECT_EQ(ck.store().live_count(), ck.store().chunk_count());
-  for (int r = 0; r < 20; ++r) {
-    dense.update();
-    ck.update();
-    ASSERT_EQ(snapshot::state_digest(dense), snapshot::state_digest(ck));
-    ASSERT_EQ(ck.store().live_count(), ck.store().chunk_count())
-        << "exhaustive mode must never park";
-  }
-
-  dense.set_round_scheduler(RoundScheduler::kActiveSet);
+TEST(ChunkSystem, RunsOnlyTheActiveSetScheduler) {
+  // Visiting every cell would materialize every chunk; System's
+  // always-visit scheduler is the reference both stores are pinned to.
+  chunk::ChunkedSystem ck(column_config(40));
   ck.set_round_scheduler(RoundScheduler::kActiveSet);
-  for (int r = 0; r < 40; ++r) {
-    dense.update();
-    ck.update();
-    ASSERT_EQ(snapshot::state_digest(dense), snapshot::state_digest(ck));
-  }
-  EXPECT_EQ(ck.store().parked_count(), ck.store().chunk_count() - 1)
-      << "switching back to active-set resumes parking";
+  EXPECT_EQ(ck.round_scheduler(), RoundScheduler::kActiveSet);
+  EXPECT_THROW(ck.set_round_scheduler(RoundScheduler::kExhaustive),
+               ContractViolation);
+  EXPECT_EQ(ck.round_scheduler(), RoundScheduler::kActiveSet);
+}
+
+TEST(ChunkSystem, RecoverOfALiveCellMaterializesNothing) {
+  // recover() reads the failed flag without building the cell, so
+  // recovering a healthy cell of a virgin or a parked chunk leaves the
+  // store and the protocol state as they were.
+  using State = chunk::ChunkedCellStore::State;
+  const auto expect_untouched = [](chunk::ChunkedSystem& ck, CellId id) {
+    const chunk::ChunkedCellStore& store = ck.store();
+    const std::size_t live = store.live_count();
+    const chunk::ChunkedCellStore::Stats before = store.stats();
+    const std::uint64_t digest = snapshot::state_digest(ck);
+    ck.recover(id);
+    EXPECT_EQ(store.live_count(), live) << to_string(id);
+    EXPECT_EQ(store.stats().materialized_total, before.materialized_total)
+        << to_string(id);
+    EXPECT_EQ(store.stats().unparked_total, before.unparked_total)
+        << to_string(id);
+    EXPECT_EQ(snapshot::state_digest(ck), digest) << to_string(id);
+  };
+
+  chunk::ChunkedSystem fresh(column_config(256));
+  const CellId virgin{200, 200};
+  ASSERT_EQ(fresh.store().state(fresh.store().layout().chunk_of(virgin)),
+            State::kVirgin);
+  expect_untouched(fresh, virgin);
+
+  chunk::ChunkedSystem ck = make_closed_chunked(96, CellId{48, 48});
+  for (int r = 0; r < 130; ++r) ck.update();
+  const CellId parked{5, 5};
+  ASSERT_EQ(ck.store().state(ck.store().layout().chunk_of(parked)),
+            State::kParked);
+  expect_untouched(ck, parked);
 }
 
 TEST(ChunkSystem, ParallelEngineMatchesSerialBitIdentically) {

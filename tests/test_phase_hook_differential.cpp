@@ -14,9 +14,10 @@
 // round is far below the kAuto cutover estimate, so every round after
 // round 0 must run inline.
 // chunk::ChunkedSystem's hook fires at the same points of the same plan:
-// its legs (the same four policies under both schedulers, on a grid of
-// 2×2 chunks so the pooled legs shard) must record the dense reference's
-// digests, which the chunked state_digest is built to be comparable with.
+// its legs (the same four policies under its one scheduler, active-set,
+// on a grid of 2×2 chunks so the pooled legs shard) must record the dense
+// exhaustive reference's digests, which the chunked state_digest is built
+// to be comparable with.
 //
 // (Suite name deliberately contains "Differential" so the TSan ctest
 // lane picks it up.)
@@ -214,9 +215,9 @@ TEST_P(PhaseHookDifferential, ChunkedLegsAgreeWithDenseAtEveryPhasePoint) {
                                    ParallelPolicy::serial()));
   Engine<System>& ref = *dense.front();
   std::vector<std::unique_ptr<Engine<chunk::ChunkedSystem>>> legs;
-  for (const RoundScheduler sched : kSchedulers)
-    for (const ParallelPolicy& policy : kPolicies)
-      legs.push_back(make_leg<chunk::ChunkedSystem>(sc, seed, sched, policy));
+  for (const ParallelPolicy& policy : kPolicies)
+    legs.push_back(make_leg<chunk::ChunkedSystem>(
+        sc, seed, RoundScheduler::kActiveSet, policy));
 
   for (int round = 0; round < kRounds; ++round) {
     churn(*ref.sys, rng, dense, legs);

@@ -8,7 +8,7 @@
 //                [--movement=coupled|compacting] [--carve-turns=N]
 //                [--render-every=0] [--trace=false] [--csv=false]
 //                [--seed=1] [--threads=0]
-//                [--scheduler=active|exhaustive]
+//                [--scheduler=active|exhaustive]  (exhaustive: dense only)
 //                [--metrics-out=FILE] [--metrics-every=0]
 //                [--profile-out=FILE] [--telemetry=false]
 //                [--realization=shared|message]
@@ -41,10 +41,12 @@
 //     timings, which byte-diff consumers of --metrics-out must exclude.
 //   * --store=chunked, the sparse-world ChunkedSystem (DESIGN.md §12):
 //     the core flags (side/l/rs/v/source/target/rounds/pf/pr/seed),
-//     --policy, --movement, --threads, --scheduler, --metrics-*,
-//     --profile-out, --telemetry and the snapshot flags. Its oracles and
-//     observers walk only the live chunks, and its profile's shard
-//     tracks are live-chunk slices; it also prints the chunk lifecycle.
+//     --policy, --movement, --threads, --scheduler=active, --metrics-*,
+//     --profile-out, --telemetry and the snapshot flags. It runs only the
+//     active-set scheduler; --scheduler=exhaustive selects the dense
+//     reference. Its oracles and observers walk only the live chunks,
+//     and its profile's shard tracks are live-chunk slices; it also
+//     prints the chunk lifecycle.
 //   * --realization=message, the §II-B message-passing realization: the
 //     core flags, --metrics-*, --telemetry, the snapshot flags and the
 //     network flags, which run it over a FaultyNetwork (DESIGN.md §8):
@@ -235,7 +237,8 @@ int main(int argc, char** argv) {
       "round-engine worker threads (0: $CELLFLOW_THREADS or serial)");
   const std::string scheduler_s = cli.get_string(
       "scheduler", "active",
-      "round scheduler: active (skip quiescent cells) | exhaustive");
+      "round scheduler: active (skip quiescent cells) | exhaustive "
+      "(dense store only)");
   const std::string metrics_out = cli.get_string(
       "metrics-out", "", "write a Prometheus text snapshot here");
   const auto metrics_every = cli.get_uint(
@@ -478,30 +481,22 @@ int main(int argc, char** argv) {
     std::cerr << "unknown movement rule: " << movement << '\n';
     return 2;
   }
-  const auto set_scheduler = [&](auto& sys) {
-    if (scheduler_s == "active") {
-      sys.set_round_scheduler(RoundScheduler::kActiveSet);
-    } else if (scheduler_s == "exhaustive") {
-      sys.set_round_scheduler(RoundScheduler::kExhaustive);
-    } else {
-      std::cerr << "unknown scheduler: " << scheduler_s << '\n';
-      return false;
-    }
+  const auto set_threads = [&](auto& sys) {
     if (threads > 0)
       sys.set_parallel_policy(
           ParallelPolicy::parallel(static_cast<int>(threads)));
-    return true;
   };
 
   if (store_s == "chunked") {
     // Carving would fail (hence materialize) every off-path chunk —
-    // defeating the sparse store — and the render, trace and CSV are the
-    // dense engine's. Typed rejection, same taxonomy as the message-mode
-    // check.
-    if (carve_turns >= 0 || dump_trace || emit_csv || render_every > 0) {
+    // defeating the sparse store — the render, trace and CSV are the
+    // dense engine's, and the store runs only the active-set scheduler.
+    // Typed rejection, same taxonomy as the message-mode check.
+    if (carve_turns >= 0 || dump_trace || emit_csv || render_every > 0 ||
+        scheduler_s != "active") {
       std::cerr << "--store=chunked supports only the core flags "
                    "(side/l/rs/v/source/target/rounds/pf/pr/seed), "
-                   "--policy, --movement, --threads, --scheduler, "
+                   "--policy, --movement, --threads, --scheduler=active, "
                    "--metrics-*, --profile-out, --telemetry, and "
                    "--snapshot-*/--restore\n";
       return 2;
@@ -511,7 +506,7 @@ int main(int argc, char** argv) {
     cfg.target = target_s.empty() ? CellId{source.i, side - 1}
                                   : parse_cell(target_s);
     chunk::ChunkedSystem sys(cfg, make_choose_policy(policy, seed));
-    if (!set_scheduler(sys)) return 2;
+    set_threads(sys);
     return run(sys);
   }
 
@@ -531,7 +526,13 @@ int main(int argc, char** argv) {
   }
 
   System sys(cfg, make_choose_policy(policy, seed));
-  if (!set_scheduler(sys)) return 2;
+  if (scheduler_s == "exhaustive") {
+    sys.set_round_scheduler(RoundScheduler::kExhaustive);
+  } else if (scheduler_s != "active") {
+    std::cerr << "unknown scheduler: " << scheduler_s << '\n';
+    return 2;
+  }
+  set_threads(sys);
   if (carved.has_value()) carve_path(sys, *carved);
   return run(sys);
 }
