@@ -43,10 +43,10 @@
 //     the core flags (side/l/rs/v/source/target/rounds/pf/pr/seed),
 //     --policy, --movement, --threads, --scheduler=active, --metrics-*,
 //     --profile-out, --telemetry and the snapshot flags. It runs only the
-//     active-set scheduler; --scheduler=exhaustive selects the dense
-//     reference. Its oracles and observers walk only the live chunks,
-//     and its profile's shard tracks are live-chunk slices; it also
-//     prints the chunk lifecycle.
+//     active-set scheduler; its exhaustive reference is the dense store
+//     under --scheduler=exhaustive. Its oracles and observers walk only
+//     the live chunks, and its profile's shard tracks are live-chunk
+//     slices; it also prints the chunk lifecycle.
 //   * --realization=message, the §II-B message-passing realization: the
 //     core flags, --metrics-*, --telemetry, the snapshot flags and the
 //     network flags, which run it over a FaultyNetwork (DESIGN.md §8):
